@@ -2,11 +2,13 @@ package dualvdd_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"dualvdd"
+	"dualvdd/internal/chaos"
 	"dualvdd/internal/store"
 )
 
@@ -161,5 +163,62 @@ func TestLocalDiskMatchesMemory(t *testing.T) {
 	dm, mm := disk.Metrics(), mem.Metrics()
 	if dm.CacheHits != mm.CacheHits || dm.CacheMisses != mm.CacheMisses || dm.JobsDone != mm.JobsDone {
 		t.Fatalf("metrics diverge: disk %+v vs mem %+v", dm, mm)
+	}
+}
+
+// TestLocalPublishesLast pins the lifecycle order: cache put, in-flight
+// release and history bound come before the terminal publish, the journal
+// append after it. Every cache and journal operation is slowed by 50 ms,
+// which holds that bookkeeping well behind the publish were it to come
+// after. With a one-job history, the job just published must already have
+// evicted every older one; and an identical resubmission made right after
+// Result must be a cache hit under a new ID, never a dedup onto the
+// finished job.
+func TestLocalPublishesLast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	src := chaos.NewSource(1)
+	slow := chaos.StoreFaults{Latency: 50 * time.Millisecond, PLatency: 1}
+	l := dualvdd.NewLocal(
+		dualvdd.LocalResultCache(chaos.NewCache(dualvdd.NewMemoryCache(16), src, slow)),
+		dualvdd.LocalJobStore(chaos.NewJournal(dualvdd.NewMemoryJournal(), src, slow)),
+		dualvdd.LocalJobHistory(1))
+	defer mustClose(t, l)
+
+	run := func(model string) (dualvdd.JobID, *dualvdd.JobStatus) {
+		t.Helper()
+		id, err := l.Submit(ctx, dualvdd.BLIFJob(model,
+			dualvdd.WithSimWords(8), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := l.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, st
+	}
+	model := func(cube string) string {
+		return ".model t\n.inputs a b\n.outputs f\n.names a b f\n" + cube + " 1\n.end\n"
+	}
+	// With a one-job history, the job just published has already evicted
+	// every older one.
+	older, _ := run(model("11"))
+	run(model("10"))
+	if _, err := l.Status(ctx, older); !errors.Is(err, dualvdd.ErrJobNotFound) {
+		t.Fatalf("job beyond the one-job history still answers Status (err %v)", err)
+	}
+	// An identical resubmission right after Result is a new cached job.
+	first, st := run(model("01"))
+	if st.State != dualvdd.JobDone || st.Cached {
+		t.Fatalf("first run: %+v", st)
+	}
+	dedups := l.Metrics().SubmitDedups
+	again, st := run(model("01"))
+	if again == first || !st.Cached {
+		t.Fatalf("resubmission after Result: id %s (first %s), cached=%v; want a new cached job", again, first, st.Cached)
+	}
+	if got := l.Metrics().SubmitDedups; got != dedups {
+		t.Fatalf("resubmission after Result was deduped (SubmitDedups %d -> %d)", dedups, got)
 	}
 }

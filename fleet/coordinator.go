@@ -500,10 +500,11 @@ func (c *Coordinator) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobI
 	if entry != nil {
 		c.metrics.CacheHits++
 		c.metrics.JobsDone++
-		c.mu.Unlock()
-		j.completeFromCache(entry)
-		c.admission.release(tenant)
 		c.retire(j)
+		c.mu.Unlock()
+		c.admission.release(tenant)
+		j.completeFromCache(entry)
+		c.journalTerminal(j)
 		return id, nil
 	}
 	c.metrics.CacheMisses++
@@ -741,17 +742,16 @@ func (j *fleetJob) markRunning(c *Coordinator) {
 	c.mu.Unlock()
 }
 
-// finalize publishes the terminal state, settles the gauges, journals the
-// record and releases the tenant's admission slot.
+// finalize settles a finished job's gauges, retires it and releases its
+// tenant admission slot, then publishes the terminal state and journals the
+// record. Publishing last means a request made right after Result observes
+// all of it (an identical resubmission hits the cache instead of deduping
+// onto this job). It runs on the job's drive goroutine, the only writer of
+// the job's state, so wasRunning cannot go stale.
 func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg string) {
 	j.mu.Lock()
 	wasRunning := j.status.State == dualvdd.JobRunning
-	j.status.State = state
-	j.status.Error = errMsg
-	j.bump()
 	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
 
 	c.mu.Lock()
 	if wasRunning {
@@ -768,33 +768,46 @@ func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg strin
 	default:
 		c.metrics.JobsFailed++
 	}
+	c.retire(j)
 	c.mu.Unlock()
 	c.admission.release(j.tenant)
-	c.retire(j)
+
+	j.mu.Lock()
+	j.status.State = state
+	j.status.Error = errMsg
+	j.bump()
+	j.mu.Unlock()
+	j.cancel()
+	close(j.done)
+	c.journalTerminal(j)
 }
 
-// retire journals the terminal record and enforces the history bound.
+// retire is Local's: it drops the in-flight entry, frees the inline BLIF and
+// enters the job into the bounded history before the terminal state is
+// published; caller holds c.mu.
 func (c *Coordinator) retire(j *fleetJob) {
-	j.spec.BLIF = ""
-	if c.journal != nil {
-		if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
-			c.mu.Lock()
-			c.metrics.StoreErrors++
-			c.mu.Unlock()
-		}
-	}
-	c.mu.Lock()
-	// The job is terminal: later identical submissions must start fresh (or
-	// hit the result cache), not adopt this carcass.
 	if cur, ok := c.inflight[j.key]; ok && cur == j.status.ID {
 		delete(c.inflight, j.key)
 	}
+	j.spec.BLIF = ""
 	c.retired = append(c.retired, j.status.ID)
 	for len(c.retired) > c.history {
 		delete(c.jobs, c.retired[0])
 		c.retired = c.retired[1:]
 	}
-	c.mu.Unlock()
+}
+
+// journalTerminal appends a published terminal job's record to the journal.
+// Call without c.mu held, after the terminal state is published.
+func (c *Coordinator) journalTerminal(j *fleetJob) {
+	if c.journal == nil {
+		return
+	}
+	if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
+		c.mu.Lock()
+		c.metrics.StoreErrors++
+		c.mu.Unlock()
+	}
 }
 
 // replayJournal mirrors Local's: journaled terminal jobs become queryable

@@ -12,6 +12,7 @@ import (
 	"dualvdd"
 	"dualvdd/client"
 	"dualvdd/fleet"
+	"dualvdd/internal/chaos"
 	"dualvdd/internal/store"
 	"dualvdd/server"
 )
@@ -405,6 +406,55 @@ func TestFleetCancel(t *testing.T) {
 	}
 	if _, err := co.Result(ctx, id2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetPublishesLast is TestLocalPublishesLast for the coordinator,
+// whose journal append is slowed by 50 ms. The resubmission is also admitted
+// under a one-job tenant quota, so the admission slot is free by publish too.
+func TestFleetPublishesLast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	slow := chaos.NewJournal(dualvdd.NewMemoryJournal(), chaos.NewSource(1),
+		chaos.StoreFaults{Latency: 50 * time.Millisecond, PLatency: 1})
+	co := newFleet(t, []*testWorker{newWorker(t)},
+		fleet.WithJobStore(slow), fleet.WithTenantQuota(1), fleet.WithHistory(1))
+
+	run := func(model string) (dualvdd.JobID, *dualvdd.JobStatus) {
+		t.Helper()
+		id, err := co.Submit(ctx, dualvdd.BLIFJob(model,
+			dualvdd.WithSimWords(8), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := co.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, st
+	}
+	model := func(cube string) string {
+		return ".model t\n.inputs a b\n.outputs f\n.names a b f\n" + cube + " 1\n.end\n"
+	}
+	// With a one-job history, the job just published has already evicted
+	// every older one.
+	older, _ := run(model("11"))
+	run(model("10"))
+	if _, err := co.Status(ctx, older); !errors.Is(err, dualvdd.ErrJobNotFound) {
+		t.Fatalf("job beyond the one-job history still answers Status (err %v)", err)
+	}
+	// An identical resubmission right after Result is a new cached job.
+	first, st := run(model("01"))
+	if st.State != dualvdd.JobDone || st.Cached {
+		t.Fatalf("first run: %+v", st)
+	}
+	dedups := co.Metrics().SubmitDedups
+	again, st := run(model("01"))
+	if again == first || !st.Cached {
+		t.Fatalf("resubmission after Result: id %s (first %s), cached=%v; want a new cached job", again, first, st.Cached)
+	}
+	if got := co.Metrics().SubmitDedups; got != dedups {
+		t.Fatalf("resubmission after Result was deduped (SubmitDedups %d -> %d)", dedups, got)
 	}
 }
 

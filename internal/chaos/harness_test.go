@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,13 @@ func workerURLs(workers []*chaosWorker) []string {
 		urls[i] = w.ts.URL
 	}
 	return urls
+}
+
+// forkWorker derives a worker's injector stream labeled by the worker's index
+// in urls, never by its URL: httptest ports are random, so a URL label would
+// give every run a different schedule and CHAOS_SEED could not replay it.
+func forkWorker(src *chaos.Source, prefix string, urls []string, url string) *chaos.Source {
+	return src.Fork(prefix + strconv.Itoa(slices.Index(urls, url)))
 }
 
 // checkRows holds got to the fault-free baseline bit for bit.
@@ -194,8 +202,13 @@ func TestChaosSweepSchedules(t *testing.T) {
 	t.Run("worker-crashes", func(t *testing.T) {
 		// Workers crash under submissions and stay down for a window; the
 		// breaker opens, the job re-dispatches, health probes drain the
-		// crash and half-open lets the worker back in.
+		// crash and half-open lets the worker back in. Every job needs at
+		// least one submit that reaches a live worker, so the busiest of the
+		// 3 workers sees at least 9 of the 27 points and CrashEvery 8
+		// crashes it at every seed, however the PCrash rolls fall.
 		src := chaos.NewSource(seed).Fork("worker-crashes")
+		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t), newChaosWorker(t)}
+		urls := workerURLs(workers)
 		var mu sync.Mutex
 		var injected []*chaos.Worker
 		dial := func(url string) (fleet.WorkerClient, error) {
@@ -203,15 +216,14 @@ func TestChaosSweepSchedules(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			w := chaos.NewWorker(inner, src.Fork("worker:"+url),
-				chaos.WorkerFaults{PCrash: 0.12, DownFor: 4})
+			w := chaos.NewWorker(inner, forkWorker(src, "worker:", urls, url),
+				chaos.WorkerFaults{PCrash: 0.12, CrashEvery: 8, DownFor: 4})
 			mu.Lock()
 			injected = append(injected, w)
 			mu.Unlock()
 			return w, nil
 		}
-		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t), newChaosWorker(t)}
-		co, err := fleet.New(workerURLs(workers),
+		co, err := fleet.New(urls,
 			fleet.WithDialer(dial),
 			fleet.WithHealth(25*time.Millisecond, time.Second, 2),
 			fleet.WithRedispatchBudget(100), // crashes here are bad luck, not poison
@@ -237,10 +249,12 @@ func TestChaosSweepSchedules(t *testing.T) {
 		// retries, dispatch patience and re-dispatch must carry every job
 		// across the windows.
 		src := chaos.NewSource(seed).Fork("partition")
+		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t), newChaosWorker(t)}
+		urls := workerURLs(workers)
 		var mu sync.Mutex
 		var transports []*chaos.Transport
 		dial := func(url string) (fleet.WorkerClient, error) {
-			tr := chaos.NewTransport(nil, src.Fork("net:"+url),
+			tr := chaos.NewTransport(nil, forkWorker(src, "net:", urls, url),
 				chaos.TransportFaults{PartitionEvery: 14, PartitionLength: 4})
 			mu.Lock()
 			transports = append(transports, tr)
@@ -250,8 +264,7 @@ func TestChaosSweepSchedules(t *testing.T) {
 				client.WithRetry(5, 5*time.Millisecond, 25*time.Millisecond),
 				client.WithJitterSeed(seed))
 		}
-		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t), newChaosWorker(t)}
-		co, err := fleet.New(workerURLs(workers),
+		co, err := fleet.New(urls,
 			fleet.WithDialer(dial),
 			fleet.WithHealth(25*time.Millisecond, time.Second, 2),
 			fleet.WithRedispatchBudget(100),
@@ -276,10 +289,12 @@ func TestChaosSweepSchedules(t *testing.T) {
 		// occasional dropped requests and mid-response resets that cut SSE
 		// streams. Slowness must cost time, never correctness.
 		src := chaos.NewSource(seed).Fork("slow-workers")
+		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t)}
+		urls := workerURLs(workers)
 		var mu sync.Mutex
 		var transports []*chaos.Transport
 		dial := func(url string) (fleet.WorkerClient, error) {
-			tr := chaos.NewTransport(nil, src.Fork("net:"+url),
+			tr := chaos.NewTransport(nil, forkWorker(src, "net:", urls, url),
 				chaos.TransportFaults{
 					Latency: 15 * time.Millisecond, PLatency: 0.3,
 					PDrop: 0.05, PReset: 0.05,
@@ -292,8 +307,7 @@ func TestChaosSweepSchedules(t *testing.T) {
 				client.WithRetry(5, 5*time.Millisecond, 25*time.Millisecond),
 				client.WithJitterSeed(seed))
 		}
-		workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t)}
-		co, err := fleet.New(workerURLs(workers),
+		co, err := fleet.New(urls,
 			fleet.WithDialer(dial),
 			fleet.WithHealth(25*time.Millisecond, time.Second, 2),
 			fleet.WithRedispatchBudget(100),
@@ -396,16 +410,17 @@ func TestChaosPoisonQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := chaos.NewSource(seed)
+	workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t)}
+	urls := workerURLs(workers)
 	dial := func(url string) (fleet.WorkerClient, error) {
 		inner, err := client.New(url, client.WithRetry(2, 10*time.Millisecond, 50*time.Millisecond))
 		if err != nil {
 			return nil, err
 		}
-		return chaos.NewWorker(inner, src.Fork("worker:"+url),
+		return chaos.NewWorker(inner, forkWorker(src, "worker:", urls, url),
 			chaos.WorkerFaults{PoisonKeys: map[string]bool{poisonKey: true}}), nil
 	}
-	workers := []*chaosWorker{newChaosWorker(t), newChaosWorker(t)}
-	co, err := fleet.New(workerURLs(workers),
+	co, err := fleet.New(urls,
 		fleet.WithDialer(dial),
 		fleet.WithHealth(20*time.Millisecond, time.Second, 2),
 		fleet.WithRedispatchBudget(2),

@@ -261,6 +261,30 @@ func TestWorkerCrashAndRecovery(t *testing.T) {
 	}
 }
 
+// TestWorkerCrashEvery: the count trigger crashes exactly every CrashEvery-th
+// submit that reaches a live worker; calls eaten by the down window do not
+// count.
+func TestWorkerCrashEvery(t *testing.T) {
+	w := NewWorker(stubRunner{}, NewSource(1), WorkerFaults{CrashEvery: 3, DownFor: 1})
+	ctx := context.Background()
+	var got []bool
+	for i := 0; i < 8; i++ {
+		_, err := w.Submit(ctx, dualvdd.BenchmarkJob("x2"))
+		got = append(got, err == nil)
+	}
+	// The 3rd and 6th submits to reach the worker crash it; the call after
+	// each crash falls in the down window.
+	want := []bool{true, true, false, false, true, true, false, false}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("submit outcomes %v, want %v", got, want)
+		}
+	}
+	if w.InjectedCrashes() != 2 {
+		t.Fatalf("crashes = %d, want 2", w.InjectedCrashes())
+	}
+}
+
 // TestTearTail truncates exactly the requested tail and clamps at zero.
 func TestTearTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")

@@ -28,6 +28,11 @@ type WorkerFaults struct {
 	// stays down for the next DownFor calls (health probes included) before
 	// recovering.
 	PCrash float64
+	// CrashEvery kills the worker on every CrashEvery-th submit that reaches
+	// it while it is up, with the same down window as PCrash: a crash
+	// schedule by count that fires however few submits roll PCrash. Zero
+	// disables it.
+	CrashEvery int
 	// DownFor is how many calls a crash eats before the worker recovers;
 	// zero means 8.
 	DownFor int
@@ -49,6 +54,7 @@ type Worker struct {
 	mu   sync.Mutex
 	down int // remaining calls to fail before recovery
 
+	submits atomic.Int64 // submits that reached the worker while it was up
 	crashes atomic.Int64
 	hangs   atomic.Int64
 }
@@ -87,13 +93,14 @@ func (w *Worker) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, er
 	if w.gate() {
 		return "", ErrWorkerDown
 	}
+	n := w.submits.Add(1)
 	if len(w.f.PoisonKeys) > 0 {
 		if key, err := job.Key(); err == nil && w.f.PoisonKeys[key] {
 			w.crash()
 			return "", ErrWorkerDown
 		}
 	}
-	if w.src.Roll(w.f.PCrash) {
+	if every := int64(w.f.CrashEvery); (every > 0 && n%every == 0) || w.src.Roll(w.f.PCrash) {
 		w.crash()
 		return "", ErrWorkerDown
 	}

@@ -523,7 +523,7 @@ func TestTCBDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := sta.Analyze(c, lib, tspec)
+	tm, err := sta.NewIncremental(c, lib, tspec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestTCBDefinition(t *testing.T) {
 			t.Fatalf("TCB gate %s is low", g.Name)
 		}
 		out := c.GateSignal(gi)
-		if delta := tm.DeltaLow(c, lib, gi); tm.Slack[out]-delta >= 1e-9 {
+		if delta := tm.DeltaLow(gi); tm.Slack[out]-delta >= 1e-9 {
 			t.Fatalf("TCB gate %s could actually be scaled (slack %.4f, delta %.4f)",
 				g.Name, tm.Slack[out], delta)
 		}

@@ -89,23 +89,19 @@ func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	relaxed := minDelay * opts.SlackFactor
-	if opts.AreaRecovery {
-		if err := RecoverArea(ckt, lib, relaxed, opts.Eps); err != nil {
-			return nil, err
-		}
-	}
 	// The paper processes each circuit "using the delay of the mapped
 	// circuit as the timing constraint": the constraint is the relaxed,
 	// area-recovered netlist's own critical path, so critical paths start
 	// with exactly zero slack. (This is why perfectly balanced circuits —
 	// C499, C1355, mux, z4ml — gain nothing from CVS in Table 1: they have
 	// no non-critical part until Gscale manufactures one.)
-	final, err := sta.MinDelay(ckt, lib)
-	if err != nil {
-		return nil, err
+	tspec := minDelay
+	if opts.AreaRecovery {
+		if tspec, err = RecoverArea(ckt, lib, minDelay*opts.SlackFactor, opts.Eps); err != nil {
+			return nil, err
+		}
 	}
-	return &Result{Circuit: ckt, MinDelay: minDelay, Tspec: final}, nil
+	return &Result{Circuit: ckt, MinDelay: minDelay, Tspec: tspec}, nil
 }
 
 // RecoverArea repeatedly downsizes gates while the circuit still meets tspec,
@@ -113,40 +109,39 @@ func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
 // second map run ("so that the SIS mapper can perform area-delay tradeoff
 // using the 20% timing slack"). Downsizing a gate slows only the gate itself
 // (its output load is unchanged and its input pins shrink, which can only
-// help its drivers), so a local slack check against fresh timing is safe.
-func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) error {
-	t, err := sta.Analyze(ckt, lib, tspec)
+// help its drivers), so a local slack check is safe. The check reads one
+// incremental timing engine's annotation, which is bit-identical to a fresh
+// full analysis after every accepted downsize. RecoverArea returns the
+// recovered circuit's worst PO arrival.
+func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (float64, error) {
+	inc, err := sta.NewIncremental(ckt, lib, tspec)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	// Downsizing changes no structure, so the order stays Analyze's.
+	order := inc.Order()
 	for pass := 0; pass < 16; pass++ {
 		changed := 0
-		order := t.Order()
 		for i := len(order) - 1; i >= 0; i-- {
 			gi := order[i]
-			g := ckt.Gates[gi]
-			smaller := lib.Downsize(g.Cell)
+			smaller := lib.Downsize(ckt.Gates[gi].Cell)
 			if smaller == nil {
 				continue
 			}
 			out := ckt.GateSignal(gi)
-			newArr := t.GateArrivalWithCell(ckt, lib, gi, smaller, 0)
-			delta := newArr - t.Arrival[out]
-			if delta <= t.Slack[out]-eps {
-				g.Cell = smaller
+			delta := inc.GateArrivalWithCell(gi, smaller, 0) - inc.Arrival[out]
+			if delta <= inc.Slack[out]-eps {
+				inc.SetCell(gi, smaller)
+				inc.Commit() // area recovery never rolls back
 				changed++
-				t, err = sta.Analyze(ckt, lib, tspec)
-				if err != nil {
-					return err
-				}
 			}
 		}
 		if changed == 0 {
 			break
 		}
 	}
-	if !t.Meets(eps) {
-		return fmt.Errorf("mapper: area recovery broke timing (%.4f > %.4f)", t.WorstArrival, tspec)
+	if !inc.Meets(eps) {
+		return 0, fmt.Errorf("mapper: area recovery broke timing (%.4f > %.4f)", inc.WorstArrival(), tspec)
 	}
-	return nil
+	return inc.WorstArrival(), nil
 }

@@ -1,11 +1,14 @@
 package mapper
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/logic"
+	"dualvdd/internal/netlist"
 	"dualvdd/internal/sim"
 	"dualvdd/internal/sta"
 )
@@ -296,4 +299,96 @@ func TestAreaRecoveryKeepsTimingAndSavesArea(t *testing.T) {
 		t.Fatalf("recovery left too much slack: %.4f of %.4f", tm.WorstArrival, r1.Tspec)
 	}
 	checkEquivalent(t, n, r1, 11)
+}
+
+// recoverAreaFull is the area recovery RecoverArea replaced, kept as its
+// reference oracle: the same decisions, read from one full sta.Analyze after
+// every accepted downsize.
+func recoverAreaFull(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (float64, error) {
+	t, err := sta.Analyze(ckt, lib, tspec)
+	if err != nil {
+		return 0, err
+	}
+	order, err := ckt.TopoOrder()
+	if err != nil {
+		return 0, err
+	}
+	for pass := 0; pass < 16; pass++ {
+		changed := 0
+		for i := len(order) - 1; i >= 0; i-- {
+			gi := order[i]
+			g := ckt.Gates[gi]
+			smaller := lib.Downsize(g.Cell)
+			if smaller == nil {
+				continue
+			}
+			out := ckt.GateSignal(gi)
+			newArr := 0.0
+			for pin, s := range g.In {
+				if a := t.Arrival[s] + smaller.Delay(pin, t.Load[out], lib.Derate(g.Volt)); a > newArr {
+					newArr = a
+				}
+			}
+			if newArr-t.Arrival[out] <= t.Slack[out]-eps {
+				g.Cell = smaller
+				changed++
+				if t, err = sta.Analyze(ckt, lib, tspec); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if changed == 0 {
+			break
+		}
+	}
+	if !t.Meets(eps) {
+		return 0, fmt.Errorf("area recovery broke timing (%.4f > %.4f)", t.WorstArrival, tspec)
+	}
+	return t.WorstArrival, nil
+}
+
+// TestRecoverAreaMatchesFullAnalysis runs RecoverArea and the full-analysis
+// reference on the same minimum-delay netlists and requires identical cell
+// bindings and worst arrivals, bit for bit.
+func TestRecoverAreaMatchesFullAnalysis(t *testing.T) {
+	lib := cell.Compass06()
+	noRec := DefaultOptions()
+	noRec.AreaRecovery = false
+	downsized := 0
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := randomNetwork(rng, 3+rng.Intn(6), 5+rng.Intn(25))
+		res, err := Map(n, lib, noRec)
+		if err != nil {
+			t.Fatalf("seed %d: Map: %v", seed, err)
+		}
+		for _, sf := range []float64{1.0, 1.1, 1.2, 1.5} {
+			tspec := res.MinDelay * sf
+			want, got := res.Circuit.Clone(), res.Circuit.Clone()
+			wantArr, err := recoverAreaFull(want, lib, tspec, noRec.Eps)
+			if err != nil {
+				t.Fatalf("seed %d slack %.1f: reference: %v", seed, sf, err)
+			}
+			gotArr, err := RecoverArea(got, lib, tspec, noRec.Eps)
+			if err != nil {
+				t.Fatalf("seed %d slack %.1f: RecoverArea: %v", seed, sf, err)
+			}
+			if math.Float64bits(gotArr) != math.Float64bits(wantArr) {
+				t.Fatalf("seed %d slack %.1f: worst arrival %x, reference %x", seed, sf, gotArr, wantArr)
+			}
+			for i, g := range want.Gates {
+				if got.Gates[i].Cell != g.Cell {
+					t.Fatalf("seed %d slack %.1f: gate %s bound to %s, reference %s",
+						seed, sf, g.Name, got.Gates[i].Cell.Name, g.Cell.Name)
+				}
+				if g.Cell != res.Circuit.Gates[i].Cell {
+					downsized++
+				}
+			}
+		}
+	}
+	if downsized == 0 {
+		t.Fatal("no gate was downsized; the differential compared nothing")
+	}
+	t.Logf("%d downsizes compared", downsized)
 }

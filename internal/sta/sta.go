@@ -139,8 +139,9 @@ func (t *Timing) Meets(eps float64) bool { return t.WorstArrival <= t.Tspec+eps 
 
 // gateArrivalAt recomputes gate gi's output arrival from the given arrival
 // and load annotations, as if the gate were bound to cell cl at the given
-// derating with its output load shifted by dLoad. Shared by the full and
-// incremental analyses so their what-if primitives agree bit-for-bit.
+// derating with its output load shifted by dLoad. The incremental engine's
+// propagation and its what-if primitives share it, so a prediction and the
+// value a settled move produces agree bit for bit.
 func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, cl *cell.Cell, derate, dLoad float64) float64 {
 	g := c.Gates[gi]
 	out := c.GateSignal(gi)
@@ -153,34 +154,6 @@ func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, cl *cell
 	}
 	return worst
 }
-
-// GateArrival recomputes the output arrival of gate gi under a hypothetical
-// voltage level, using current fanin arrivals and loads. This is the paper's
-// check_timing primitive: the arrival increase of scaling one gate, with all
-// other gates unchanged.
-func (t *Timing) GateArrival(c *netlist.Circuit, lib *cell.Library, gi int, volt cell.VoltLevel) float64 {
-	return gateArrivalAt(c, t.Arrival, t.Load, gi, c.Gates[gi].Cell, lib.Derate(volt), 0)
-}
-
-// DeltaLow returns the arrival-time increase at gate gi's output if the gate
-// alone were moved to VLow.
-func (t *Timing) DeltaLow(c *netlist.Circuit, lib *cell.Library, gi int) float64 {
-	out := c.GateSignal(gi)
-	return t.GateArrival(c, lib, gi, cell.VLow) - t.Arrival[out]
-}
-
-// GateArrivalWithCell recomputes gate gi's output arrival as if it were bound
-// to cl (same function, different size) with the output load adjusted by
-// dLoad; used by Gscale's sizing weighting.
-func (t *Timing) GateArrivalWithCell(c *netlist.Circuit, lib *cell.Library, gi int, cl *cell.Cell, dLoad float64) float64 {
-	return gateArrivalAt(c, t.Arrival, t.Load, gi, cl, lib.Derate(c.Gates[gi].Volt), dLoad)
-}
-
-// Fanouts exposes the consumer table the analysis was built with.
-func (t *Timing) Fanouts() *netlist.Fanouts { return t.fan }
-
-// Order exposes the topological order used by the analysis.
-func (t *Timing) Order() []int { return t.order }
 
 // MinDelay maps the circuit's intrinsic speed: the worst PO arrival with no
 // constraint. The paper derives each benchmark's constraint as 1.2× this.

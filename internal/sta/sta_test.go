@@ -107,7 +107,11 @@ func TestLowVoltageSlowsGate(t *testing.T) {
 			after.WorstArrival, before.WorstArrival)
 	}
 	// DeltaLow must predict exactly the arrival change of scaling gate 0.
-	predicted := before.DeltaLow(c, lib, 0)
+	inc, err := NewIncremental(c, lib, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted := inc.DeltaLow(0)
 	c.Gates[0].Volt = cell.VLow
 	final, err := Analyze(c, lib, 100)
 	if err != nil {
@@ -166,12 +170,13 @@ func TestRequiredTimesPropagateBackward(t *testing.T) {
 
 func TestGateArrivalWithCellPredictsResize(t *testing.T) {
 	c := invChain(5)
-	tm, err := Analyze(c, lib, 100)
+	inc, err := NewIncremental(c, lib, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up := lib.Upsize(c.Gates[2].Cell)
-	predicted := tm.GateArrivalWithCell(c, lib, 2, up, 0)
+	predicted := inc.GateArrivalWithCell(2, up, 0)
+	driverBefore := inc.Arrival[c.GateSignal(1)]
 	c.Gates[2].Cell = up
 	after, err := Analyze(c, lib, 100)
 	if err != nil {
@@ -180,7 +185,7 @@ func TestGateArrivalWithCellPredictsResize(t *testing.T) {
 	// Prediction holds the fanin arrivals fixed; gate 2's fanin is gate 1,
 	// whose own delay changed (larger load from the upsized pin), so allow
 	// exactly that driver effect and no more.
-	driverDelta := after.Arrival[c.GateSignal(1)] - tm.Arrival[c.GateSignal(1)]
+	driverDelta := after.Arrival[c.GateSignal(1)] - driverBefore
 	got := after.Arrival[c.GateSignal(2)]
 	if math.Abs(got-(predicted+driverDelta)) > 1e-9 {
 		t.Fatalf("resize prediction off: predicted %.6f + driver %.6f, got %.6f",

@@ -308,9 +308,10 @@ func (l *Local) Submit(ctx context.Context, job Job) (JobID, error) {
 		l.metrics.CacheHits++
 		l.metrics.JobsDone++
 		l.jobs[id] = j
+		l.retire(j)
 		l.mu.Unlock()
 		j.completeFromCache(entry)
-		l.retire(j)
+		l.journalTerminal(j)
 		return id, nil
 	}
 	l.metrics.CacheMisses++
@@ -462,18 +463,21 @@ func (l *Local) Cancel(ctx context.Context, id JobID) error {
 		// drops here, not at that later dequeue. The state transition under
 		// j.mu makes this branch and the worker's dequeue mutually
 		// exclusive: exactly one of them accounts for the job, and the
-		// gauge can never go negative.
+		// gauge can never go negative. As in runJob, the counters and the
+		// retirement settle before the state is published; l.mu nests
+		// inside j.mu here and nowhere the other way round.
+		l.mu.Lock()
+		l.metrics.JobsQueued--
+		l.metrics.JobsCancelled++
+		l.retire(j)
+		l.mu.Unlock()
 		j.status.State = JobCancelled
 		j.status.Error = context.Canceled.Error()
 		j.bump()
 		j.mu.Unlock()
 		j.cancel()
 		close(j.done)
-		l.mu.Lock()
-		l.metrics.JobsQueued--
-		l.metrics.JobsCancelled++
-		l.mu.Unlock()
-		l.retire(j)
+		l.journalTerminal(j)
 		return nil
 	}
 	j.mu.Unlock()
@@ -560,25 +564,25 @@ func (l *Local) runJob(j *localJob) {
 
 	design, results, err := l.execute(j)
 
-	j.mu.Lock()
-	j.status.Design = design // set even on failure — mapping may have finished
+	state, errMsg := JobDone, ""
 	switch {
 	case err == nil:
-		j.status.State = JobDone
-		j.status.Results = results
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.status.State = JobCancelled
-		j.status.Error = err.Error()
+		state, errMsg = JobCancelled, err.Error()
 	default:
-		j.status.State = JobFailed
-		j.status.Error = err.Error()
+		state, errMsg = JobFailed, err.Error()
 	}
-	state := j.status.State
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-
+	// Publish last: the cache entry, the counters and the retirement are in
+	// place before the job reads as terminal, so a request made right after
+	// Result observes them — an identical resubmission is a cache hit, never
+	// a dedup onto this finished job.
+	if state == JobDone && l.cache != nil {
+		if err := CachePut(l.cache, &CachedResult{Key: j.key, Design: design, Results: results}); err != nil {
+			l.mu.Lock()
+			l.metrics.StoreErrors++
+			l.mu.Unlock()
+		}
+	}
 	l.mu.Lock()
 	l.metrics.JobsRunning--
 	switch state {
@@ -594,15 +598,21 @@ func (l *Local) runJob(j *localJob) {
 	default:
 		l.metrics.JobsFailed++
 	}
-	l.mu.Unlock()
-	if state == JobDone && l.cache != nil {
-		if err := CachePut(l.cache, &CachedResult{Key: j.key, Design: design, Results: results}); err != nil {
-			l.mu.Lock()
-			l.metrics.StoreErrors++
-			l.mu.Unlock()
-		}
-	}
 	l.retire(j)
+	l.mu.Unlock()
+
+	j.mu.Lock()
+	j.status.Design = design // set even on failure — mapping may have finished
+	j.status.State = state
+	j.status.Error = errMsg
+	if state == JobDone {
+		j.status.Results = results
+	}
+	j.bump()
+	j.mu.Unlock()
+	j.cancel()
+	close(j.done)
+	l.journalTerminal(j)
 }
 
 // stripResults copies results without their scaled Circuits, so neither the
@@ -619,32 +629,37 @@ func stripResults(results []*FlowResult) []*FlowResult {
 	return out
 }
 
-// retire frees a terminal job's input (the parsed network and any inline
-// BLIF text are dead weight once the run is over), journals the terminal
-// record, and enforces the job-history bound. Call without l.mu held, after
-// the terminal state is published.
+// retire does the bookkeeping of a finishing job that a later request can
+// observe, so it runs before the terminal state is published: it drops the
+// in-flight entry (later identical submissions start fresh or hit the result
+// cache, never adopt this job), frees the input (the parsed network and any
+// inline BLIF text are dead weight once the run is over), and enters the job
+// into the bounded history, forgetting the oldest terminal jobs past the
+// bound; caller holds l.mu.
 func (l *Local) retire(j *localJob) {
-	j.net = nil
-	j.spec.BLIF = ""
-	if l.journal != nil {
-		if err := l.journal.Append(JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
-			l.mu.Lock()
-			l.metrics.StoreErrors++
-			l.mu.Unlock()
-		}
-	}
-	l.mu.Lock()
-	// The job is terminal: later identical submissions must start fresh (or
-	// hit the result cache), not adopt this carcass.
 	if cur, ok := l.inflight[j.key]; ok && cur == j.status.ID {
 		delete(l.inflight, j.key)
 	}
+	j.net = nil
+	j.spec.BLIF = ""
 	l.retired = append(l.retired, j.status.ID)
 	for len(l.retired) > l.history {
 		delete(l.jobs, l.retired[0])
 		l.retired = l.retired[1:]
 	}
-	l.mu.Unlock()
+}
+
+// journalTerminal appends a published terminal job's record to the attached
+// JobStore. Call without l.mu held, after the terminal state is published.
+func (l *Local) journalTerminal(j *localJob) {
+	if l.journal == nil {
+		return
+	}
+	if err := l.journal.Append(JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
+		l.mu.Lock()
+		l.metrics.StoreErrors++
+		l.mu.Unlock()
+	}
 }
 
 // replayJournal reconstructs the previous life's terminal job history from
