@@ -42,9 +42,8 @@ func WithResultCache(c dualvdd.ResultCache) Option {
 }
 
 // WithJobStore attaches a durability journal of terminal jobs, replayed at
-// construction exactly like Local's: the previous life's jobs stay
-// queryable and ID allocation resumes past them. The caller owns the
-// store's lifecycle.
+// construction: the previous life's jobs stay queryable and ID allocation
+// resumes past them. The caller owns the store's lifecycle.
 func WithJobStore(s dualvdd.JobStore) Option {
 	return func(co *Coordinator) { co.journal = s }
 }
@@ -181,33 +180,11 @@ func (w *workerState) eligible() bool {
 	}
 }
 
-// fleetJob is one accepted submission: spec, lifecycle, the relayed event
-// log, and the per-job context Cancel fires. It mirrors Local's job record
-// so the Runner semantics match exactly.
-type fleetJob struct {
-	spec     dualvdd.Job
-	key      string
-	group    string
-	tenant   string
-	seq      int64
-	budgeted bool // a WithJobBudget deadline bounds j.ctx
-	attempts int  // dispatch attempts that killed their worker; driver-owned
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu      sync.Mutex
-	status  dualvdd.JobStatus // guarded by mu
-	events  []dualvdd.Event   // guarded by mu
-	relayed int               // guarded by mu; events delivered so far, for replay dedup across re-dispatch
-	update  chan struct{}     // guarded by mu; closed and replaced on every append/state change
-	done    chan struct{}     // closed on terminal state; receiving needs no lock
-}
-
 // Coordinator shards jobs across a worker fleet. It implements
 // dualvdd.Runner and dualvdd.MetricsProvider, so server.New(coordinator)
 // puts the standard HTTP surface in front of a whole fleet and Sweep.Run
-// drives it like any other runner.
+// drives it like any other runner. It drives the JobTable Local drives and
+// adds admission, the ring, the breakers and dispatch.
 type Coordinator struct {
 	vnodes           int
 	healthInterval   time.Duration
@@ -225,19 +202,15 @@ type Coordinator struct {
 	cache     dualvdd.ResultCache
 	journal   dualvdd.JobStore
 	admission *admission
+	table     *dualvdd.JobTable
 
-	mu       sync.Mutex
-	ring     *ring                       // guarded by mu
-	workers  map[string]*workerState     // guarded by mu
-	jobs     map[dualvdd.JobID]*fleetJob // guarded by mu
-	inflight map[string]dualvdd.JobID    // guarded by mu; content key → live job, for idempotent resubmission
-	retired  []dualvdd.JobID             // guarded by mu
-	order    int64                       // guarded by mu
-	closed   bool                        // guarded by mu
-	metrics  dualvdd.Metrics             // guarded by mu
+	mu      sync.Mutex
+	ring    *ring                   // guarded by mu
+	workers map[string]*workerState // guarded by mu
 
 	wg   sync.WaitGroup
-	stop chan struct{}
+	stop chan struct{} // closed by Close; ends the health loop and pacing waits
+	idle chan struct{} // closed once the health loop and every driver exited after Close
 }
 
 // New builds a coordinator over the given worker URLs and starts its health
@@ -260,10 +233,9 @@ func New(workerURLs []string, opts ...Option) (*Coordinator, error) {
 		redispatchBudget: 3,
 		patience:         30 * time.Second,
 		hopBudget:        50 * time.Millisecond,
-		jobs:             make(map[dualvdd.JobID]*fleetJob),
-		inflight:         make(map[string]dualvdd.JobID),
 		workers:          make(map[string]*workerState),
 		stop:             make(chan struct{}),
+		idle:             make(chan struct{}),
 	}
 	c.dial = func(url string) (WorkerClient, error) {
 		return client.New(url, client.WithRetry(3, 100*time.Millisecond, time.Second))
@@ -287,9 +259,9 @@ func New(workerURLs []string, opts ...Option) (*Coordinator, error) {
 		c.workers[u] = &workerState{name: u, runner: w, state: breakerClosed}
 		c.ring.add(u)
 	}
-	if c.journal != nil {
-		c.replayJournal()
-	}
+	c.table = dualvdd.NewJobTable(c.cache, c.journal, c.history, dualvdd.JobHooks{
+		Admit: c.admission.admit, Release: c.admission.release, Start: c.start,
+	})
 	c.wg.Add(1)
 	go c.healthLoop()
 	return c, nil
@@ -371,6 +343,14 @@ func (c *Coordinator) reportWorker(w *workerState, ok bool) {
 	c.mu.Unlock()
 }
 
+// releaseTrial hands back a half-open trial slot the attempt claimed but did
+// not use, leaving the breaker where it was.
+func (c *Coordinator) releaseTrial(w *workerState) {
+	c.mu.Lock()
+	w.trial = false
+	c.mu.Unlock()
+}
+
 // pickWorker places a group key on an eligible, untried worker; nil when
 // none remain. Picking a half-open worker claims its trial slot.
 func (c *Coordinator) pickWorker(group string, tried map[string]bool) *workerState {
@@ -400,147 +380,32 @@ func (c *Coordinator) pickWorker(group string, tried map[string]bool) *workerSta
 // Submit admits, then answers from the cache or dispatches to the group's
 // worker. See dualvdd.Runner.
 func (c *Coordinator) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	budget, hasBudget := dualvdd.JobBudget(ctx)
-	if hasBudget && budget <= 0 {
-		c.mu.Lock()
-		c.metrics.BudgetRejects++
-		c.mu.Unlock()
-		return "", dualvdd.ErrBudgetExhausted
-	}
-	key, err := job.Key() // validates
-	if err != nil {
-		return "", err
-	}
-	group, err := job.GroupKey()
-	if err != nil {
-		return "", err
-	}
-	tenant := dualvdd.TenantFromContext(ctx)
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return "", dualvdd.ErrClosed
-	}
-	// Submission is idempotent on the job's content address while a matching
-	// job is in flight: a retried POST whose first attempt landed (only the
-	// response died in transit) is answered with the live job's ID. Checked
-	// before admission, so the retry is not charged against the tenant's
-	// quota or rate a second time.
-	if prior, ok := c.inflight[key]; ok {
-		c.metrics.SubmitDedups++
-		c.mu.Unlock()
-		return prior, nil
-	}
-	c.mu.Unlock()
-
-	if err := c.admission.admit(tenant); err != nil {
-		c.mu.Lock()
-		c.metrics.AdmissionRejects++
-		if c.metrics.TenantRejects == nil {
-			c.metrics.TenantRejects = make(map[string]int64)
-		}
-		c.metrics.TenantRejects[tenant]++
-		c.mu.Unlock()
-		return "", err
-	}
-
-	// Like Local, the per-job context is detached from the Submit ctx but
-	// bounded by the remaining end-to-end budget when one is set.
-	var jctx context.Context
-	var jcancel context.CancelFunc
-	if hasBudget {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, budget-bounded
-		jctx, jcancel = context.WithTimeout(context.Background(), budget)
-	} else {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, Cancel/Close-bounded
-		jctx, jcancel = context.WithCancel(context.Background())
-	}
-	j := &fleetJob{
-		spec: job, key: key, group: group, tenant: tenant, budgeted: hasBudget,
-		ctx: jctx, cancel: jcancel,
-		update: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-
-	// The cache lookup happens outside c.mu: a disk CAS does I/O and the
-	// interface carries its own synchronization. Backend read errors count on
-	// StoreErrors instead of vanishing into the miss count.
-	entry, _, cacheErr := dualvdd.CacheGet(c.cache, key)
-	if cacheErr != nil {
-		c.mu.Lock()
-		c.metrics.StoreErrors++
-		c.mu.Unlock()
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		jcancel()
-		c.admission.release(tenant)
-		return "", dualvdd.ErrClosed
-	}
-	// Re-check under the lock that publishes in-flight jobs: a concurrent
-	// twin may have won the race while the cache lookup ran unlocked.
-	if prior, ok := c.inflight[key]; ok {
-		c.metrics.SubmitDedups++
-		c.mu.Unlock()
-		jcancel()
-		c.admission.release(tenant)
-		return prior, nil
-	}
-	c.order++
-	j.seq = c.order
-	id := dualvdd.JobID(fmt.Sprintf("job-%06d-%s", j.seq, key[:8]))
-	j.status = dualvdd.JobStatus{ID: id, State: dualvdd.JobQueued}
-	c.jobs[id] = j
-	if entry != nil {
-		c.metrics.CacheHits++
-		c.metrics.JobsDone++
-		c.retire(j)
-		c.mu.Unlock()
-		c.admission.release(tenant)
-		j.completeFromCache(entry)
-		c.journalTerminal(j)
-		return id, nil
-	}
-	c.metrics.CacheMisses++
-	c.metrics.JobsQueued++
-	c.metrics.PointsInFlight++
-	if job.Config.NumRails() > 2 {
-		c.metrics.MultiRailJobs++
-	}
-	c.inflight[key] = id
-	c.mu.Unlock()
-
-	c.wg.Add(1)
-	go c.drive(j)
-	return id, nil
+	return c.table.Submit(ctx, job)
 }
 
-// completeFromCache finishes a job with a cached result, replaying the same
-// synthetic event history Local does.
-func (j *fleetJob) completeFromCache(entry *dualvdd.CachedResult) {
-	design := *entry.Design
-	j.mu.Lock()
-	j.status.State = dualvdd.JobDone
-	j.status.Cached = true
-	j.status.Design = &design
-	j.status.Results = entry.Results
-	j.events = append(j.events, dualvdd.EventMapped{
-		Circuit: design.Name, Gates: design.Gates,
-		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
-	})
-	for _, res := range entry.Results {
-		j.events = append(j.events, dualvdd.EventResult{Circuit: design.Name, Result: res})
-	}
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
+// start is the table's Start hook: one driver per cache-miss job, added
+// under the table's lock so none is added once Close waits for them.
+func (c *Coordinator) start(j *dualvdd.JobEntry) error {
+	c.wg.Add(1)
+	go c.drive(j)
+	return nil
+}
+
+// hop is how one dispatch attempt ended.
+type hop int
+
+const (
+	hopServed hop = iota // the job is finished; the worker served it
+	hopEnded             // the job is finished, and the worker had no part in it
+	hopBusy              // the worker's queue is full; the job stays queued
+	hopFailed            // the worker failed us mid-job
+)
+
+var cancelled = dualvdd.Outcome{State: dualvdd.JobCancelled, Error: context.Canceled.Error()}
+
+// failed is a failure outcome with the given message.
+func failed(msg string) dualvdd.Outcome {
+	return dualvdd.Outcome{State: dualvdd.JobFailed, Error: msg}
 }
 
 // drive owns one job end to end: dispatch to the ring-chosen worker, relay
@@ -550,434 +415,214 @@ func (j *fleetJob) completeFromCache(entry *dualvdd.CachedResult) {
 // dispatch kills its worker (poison), and the dispatch patience bounds how
 // long a job waits for any worker to become eligible before it is failed
 // undeliverable — within the window a healed partition or a recovered
-// worker picks it back up.
-func (c *Coordinator) drive(j *fleetJob) {
+// worker picks it back up. A worker whose queue is full is busy, not dead:
+// the job waits one pacing interval and is offered to it again.
+func (c *Coordinator) drive(j *dualvdd.JobEntry) {
 	defer c.wg.Done()
+	ctx := j.Context()
+	// Placement is hashed only now: a cache hit never needs one.
+	group, err := j.GroupKey()
+	if err != nil {
+		c.table.Finish(j, failed(err.Error())) // no-op once a Cancel retired it
+		return
+	}
 	tried := map[string]bool{}
 	lastErr := errors.New("no live workers")
 	var patience time.Time // zero until the first no-worker moment
+	attempts, relayed := 0, 0
 	for {
-		if j.ctx.Err() != nil {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
+		if ctx.Err() != nil {
+			c.table.Finish(j, cancelled)
 			return
 		}
-		if j.attempts >= c.redispatchBudget {
-			c.mu.Lock()
-			c.metrics.QuarantinedJobs++
-			c.mu.Unlock()
-			c.finalize(j, dualvdd.JobFailed,
-				fmt.Sprintf("%v (%d attempts, last: %v)", ErrJobPoisoned, j.attempts, lastErr))
+		if attempts >= c.redispatchBudget {
+			c.table.Count(func(m *dualvdd.Metrics) { m.QuarantinedJobs++ })
+			c.table.Finish(j, failed(fmt.Sprintf("%v (%d attempts, last: %v)", ErrJobPoisoned, attempts, lastErr)))
 			return
 		}
-		w := c.pickWorker(j.group, tried)
+		w := c.pickWorker(group, tried)
 		if w == nil {
 			if patience.IsZero() {
 				//lint:wallclock-ok delivery patience window; scheduling only, never in results
 				patience = time.Now().Add(c.patience)
 			}
-			//lint:wallclock-ok delivery patience window; scheduling only, never in results
-			if !time.Now().Before(patience) {
-				c.finalize(j, dualvdd.JobFailed, fmt.Sprintf("fleet: job undeliverable: %v", lastErr))
-				return
-			}
-			// Wait for a recovery, then rebuild the candidate set: a tried
-			// worker that has since recovered is a fresh candidate (the
-			// attempts budget, not the tried set, is what bounds poison).
-			wait := c.healthInterval / 2
-			if wait < 10*time.Millisecond {
-				wait = 10 * time.Millisecond
-			}
-			select {
-			case <-j.ctx.Done():
-			case <-c.stop:
-				c.finalize(j, dualvdd.JobFailed, fmt.Sprintf("fleet: job undeliverable: %v", lastErr))
-				return
-			//lint:wallclock-ok recovery wait between delivery attempts; pacing only
-			case <-time.After(wait):
-			}
+			// Rebuild the candidate set for after the wait: a tried worker
+			// that has since recovered is a fresh candidate (the attempts
+			// budget, not the tried set, is what bounds poison).
 			tried = map[string]bool{}
-			continue
+		} else {
+			patience = time.Time{}
+			if len(tried) > 0 || attempts > 0 {
+				c.table.Count(func(m *dualvdd.Metrics) { m.Redispatches++ })
+			}
+			h, err := c.runOn(w, j, &relayed)
+			switch h {
+			case hopServed:
+				c.reportWorker(w, true)
+				return
+			case hopEnded:
+				c.releaseTrial(w)
+				return
+			case hopFailed:
+				// The worker failed us mid-job: remember, open its breaker
+				// so new work avoids it, count the attempt, and try the
+				// next worker on the arc.
+				lastErr = err
+				tried[w.name] = true
+				attempts++
+				c.reportWorker(w, false)
+				continue
+			}
+			// Busy: backpressure from a live worker. Its breaker, the
+			// attempts budget and the patience clock are left alone; the
+			// job stays queued for the same placement after one wait.
+			c.releaseTrial(w)
+			lastErr = err
 		}
-		patience = time.Time{}
-		if len(tried) > 0 || j.attempts > 0 {
-			c.mu.Lock()
-			c.metrics.Redispatches++
-			c.mu.Unlock()
-		}
-		done, err := c.runOn(w, j)
-		if done {
-			c.reportWorker(w, true)
+		if !c.pace(ctx, patience) {
+			c.table.Finish(j, failed(fmt.Sprintf("fleet: job undeliverable: %v", lastErr)))
 			return
 		}
-		// The worker failed us mid-job: remember, open its breaker so new
-		// work avoids it, count the attempt, and try the next worker on the
-		// arc.
-		lastErr = err
-		tried[w.name] = true
-		j.attempts++
-		c.reportWorker(w, false)
 	}
 }
 
-// runOn executes the job on one worker. It returns done=true when the job
-// was finalized (any terminal outcome, including cancellation) and
-// done=false with the error when the worker failed and the job should move
-// on.
-func (c *Coordinator) runOn(w *workerState, j *fleetJob) (bool, error) {
-	cancelled := func() bool { return j.ctx.Err() != nil }
+// pace waits out one pacing interval between placement attempts: half the
+// health interval (at least 10ms), capped at what is left of the patience
+// window ending at deadline — the whole window while its clock is not
+// running. False means the window is spent or Close interrupted the wait; a
+// fired job context ends the wait early for the caller's loop to settle.
+func (c *Coordinator) pace(ctx context.Context, deadline time.Time) bool {
+	left := c.patience
+	if !deadline.IsZero() {
+		//lint:wallclock-ok delivery patience window; scheduling only, never in results
+		if left = time.Until(deadline); left <= 0 {
+			return false
+		}
+	}
+	select {
+	case <-ctx.Done():
+		return true
+	case <-c.stop:
+		return false
+	//lint:wallclock-ok recovery wait between delivery attempts; pacing only
+	case <-time.After(max(min(c.healthInterval/2, left), 10*time.Millisecond)):
+		return true
+	}
+}
+
+// runOn executes the job on one worker and reports how the attempt ended.
+func (c *Coordinator) runOn(w *workerState, j *dualvdd.JobEntry, relayed *int) (hop, error) {
+	ctx := j.Context()
+	fired := func() bool { return ctx.Err() != nil }
 
 	// Forward the job's remaining end-to-end budget, shrunk by the per-hop
 	// reserve: the worker sees what is left after this hop's overhead, and a
 	// budget that dies in transit is rejected at the worker's admission
 	// instead of computing a result nobody can collect.
-	wctx := j.ctx
-	if j.budgeted {
-		if dl, ok := j.ctx.Deadline(); ok {
-			//lint:wallclock-ok forwarding the wall-time budget seam; see dualvdd.WithJobBudget
-			wctx = dualvdd.WithJobBudget(j.ctx, time.Until(dl)-c.hopBudget)
-		}
+	wctx := ctx
+	if dl, ok := ctx.Deadline(); ok {
+		//lint:wallclock-ok forwarding the wall-time budget seam; see dualvdd.WithJobBudget
+		wctx = dualvdd.WithJobBudget(ctx, time.Until(dl)-c.hopBudget)
 	}
 
-	rid, err := w.runner.Submit(wctx, j.spec)
-	if err != nil {
-		if cancelled() {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
-			return true, nil
-		}
-		return false, err
+	rid, err := w.runner.Submit(wctx, j.Spec())
+	switch {
+	case err == nil:
+	case fired():
+		c.table.Finish(j, cancelled)
+		return hopServed, nil
+	case errors.Is(err, dualvdd.ErrBudgetExhausted):
+		// The job's budget is spent, whether the client failed fast or the
+		// worker answered 408: the job ends cancelled, as a Local job whose
+		// budget runs out does, and the worker is not to blame.
+		c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobCancelled, Error: err.Error()})
+		return hopEnded, nil
+	case errors.Is(err, dualvdd.ErrQueueFull):
+		return hopBusy, err
+	default:
+		return hopFailed, err
 	}
-	j.markRunning(c)
+	c.table.Begin(j)
 
 	// Relay the worker's event stream onto the job's log. Re-dispatched jobs
 	// recompute deterministically, so the replacement worker replays the
 	// identical event prefix — the relayed counter skips what subscribers
 	// already saw and delivery stays exactly-once across worker deaths.
-	events, err := w.runner.Watch(j.ctx, rid)
+	events, err := w.runner.Watch(ctx, rid)
 	if err == nil {
 		n := 0
 		for ev := range events {
 			n++
-			if n <= j.relayed {
+			if n <= *relayed {
 				continue
 			}
-			j.publish(ev)
-			j.relayed++
+			j.Publish(ev)
+			*relayed++
 		}
 	}
 
-	st, err := w.runner.Result(j.ctx, rid)
+	st, err := w.runner.Result(ctx, rid)
 	if err != nil {
-		if cancelled() {
+		if fired() {
 			// Best-effort: stop the orphan on the worker.
 			stopCtx, stopCancel := context.WithTimeout(context.Background(), time.Second)
 			_ = w.runner.Cancel(stopCtx, rid)
 			stopCancel()
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
-			return true, nil
+			c.table.Finish(j, cancelled)
+			return hopServed, nil
 		}
-		return false, err
+		return hopFailed, err
 	}
 
 	switch st.State {
 	case dualvdd.JobDone:
-		if err := dualvdd.CachePut(c.cache, &dualvdd.CachedResult{Key: j.key, Design: st.Design, Results: st.Results}); err != nil {
-			c.mu.Lock()
-			c.metrics.StoreErrors++
-			c.mu.Unlock()
-		}
-		j.mu.Lock()
-		j.status.Design = st.Design
-		j.status.Results = st.Results
-		j.status.Warm = st.Warm
-		j.mu.Unlock()
-		c.accountResults(st)
-		c.finalize(j, dualvdd.JobDone, "")
-		return true, nil
+		// A result the worker itself served from its cache adds nothing to
+		// the eval counters: no computation happened anywhere.
+		c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobDone, Design: st.Design,
+			Results: st.Results, Warm: st.Warm, Computed: !st.Cached})
+		return hopServed, nil
 	case dualvdd.JobFailed:
-		j.mu.Lock()
-		j.status.Design = st.Design
-		j.mu.Unlock()
-		c.finalize(j, dualvdd.JobFailed, st.Error)
-		return true, nil
+		c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobFailed, Error: st.Error, Design: st.Design})
+		return hopServed, nil
 	default: // cancelled on the worker
-		if cancelled() {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
-			return true, nil
+		if fired() {
+			c.table.Finish(j, cancelled)
+			return hopServed, nil
 		}
 		// The worker cancelled a job we did not: it is draining. Move on.
-		return false, fmt.Errorf("fleet: worker %s cancelled the job while draining", w.name)
+		return hopFailed, fmt.Errorf("fleet: worker %s cancelled the job while draining", w.name)
 	}
-}
-
-// accountResults adds an executed (non-cached) job's evaluation totals to
-// the metrics. A result the worker itself served from cache adds nothing —
-// no computation happened anywhere — which keeps the eval counters an
-// honest proof of work done.
-func (c *Coordinator) accountResults(st *dualvdd.JobStatus) {
-	if st.Cached {
-		return
-	}
-	c.mu.Lock()
-	for _, r := range st.Results {
-		c.metrics.STAEvals += r.STAEvals
-		c.metrics.CandEvals += r.CandEvals
-		c.metrics.SimNs += r.SimTime.Nanoseconds()
-	}
-	c.mu.Unlock()
-}
-
-// markRunning moves the job queued → running exactly once.
-func (j *fleetJob) markRunning(c *Coordinator) {
-	j.mu.Lock()
-	if j.status.State != dualvdd.JobQueued {
-		j.mu.Unlock()
-		return
-	}
-	j.status.State = dualvdd.JobRunning
-	j.bump()
-	j.mu.Unlock()
-	c.mu.Lock()
-	c.metrics.JobsQueued--
-	c.metrics.JobsRunning++
-	c.mu.Unlock()
-}
-
-// finalize settles a finished job's gauges, retires it and releases its
-// tenant admission slot, then publishes the terminal state and journals the
-// record. Publishing last means a request made right after Result observes
-// all of it (an identical resubmission hits the cache instead of deduping
-// onto this job). It runs on the job's drive goroutine, the only writer of
-// the job's state, so wasRunning cannot go stale.
-func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg string) {
-	j.mu.Lock()
-	wasRunning := j.status.State == dualvdd.JobRunning
-	j.mu.Unlock()
-
-	c.mu.Lock()
-	if wasRunning {
-		c.metrics.JobsRunning--
-	} else {
-		c.metrics.JobsQueued--
-	}
-	c.metrics.PointsInFlight--
-	switch state {
-	case dualvdd.JobDone:
-		c.metrics.JobsDone++
-	case dualvdd.JobCancelled:
-		c.metrics.JobsCancelled++
-	default:
-		c.metrics.JobsFailed++
-	}
-	c.retire(j)
-	c.mu.Unlock()
-	c.admission.release(j.tenant)
-
-	j.mu.Lock()
-	j.status.State = state
-	j.status.Error = errMsg
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	c.journalTerminal(j)
-}
-
-// retire is Local's: it drops the in-flight entry, frees the inline BLIF and
-// enters the job into the bounded history before the terminal state is
-// published; caller holds c.mu.
-func (c *Coordinator) retire(j *fleetJob) {
-	if cur, ok := c.inflight[j.key]; ok && cur == j.status.ID {
-		delete(c.inflight, j.key)
-	}
-	j.spec.BLIF = ""
-	c.retired = append(c.retired, j.status.ID)
-	for len(c.retired) > c.history {
-		delete(c.jobs, c.retired[0])
-		c.retired = c.retired[1:]
-	}
-}
-
-// journalTerminal appends a published terminal job's record to the journal.
-// Call without c.mu held, after the terminal state is published.
-func (c *Coordinator) journalTerminal(j *fleetJob) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
-		c.mu.Lock()
-		c.metrics.StoreErrors++
-		c.mu.Unlock()
-	}
-}
-
-// replayJournal mirrors Local's: journaled terminal jobs become queryable
-// history and the submission counter resumes past them.
-//
-//lint:unguarded-ok construction: called from New before the health loop starts
-func (c *Coordinator) replayJournal() {
-	type replayed struct {
-		seq int64
-		rec dualvdd.JobRecord
-	}
-	var recs []replayed
-	err := c.journal.Replay(func(rec dualvdd.JobRecord) error {
-		if rec.Status.ID == "" || !rec.Status.State.Terminal() {
-			return nil
-		}
-		recs = append(recs, replayed{seq: rec.Seq, rec: rec})
-		if rec.Seq > c.order {
-			c.order = rec.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		c.metrics.StoreErrors++
-	}
-	if len(recs) > c.history {
-		recs = recs[len(recs)-c.history:]
-	}
-	for _, r := range recs {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		j := &fleetJob{
-			key: r.rec.Key, seq: r.seq,
-			ctx: ctx, cancel: cancel,
-			status: r.rec.Status,
-			update: make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		close(j.done)
-		c.jobs[r.rec.Status.ID] = j
-		c.retired = append(c.retired, r.rec.Status.ID)
-	}
-}
-
-// bump wakes Watch subscribers; caller holds j.mu.
-func (j *fleetJob) bump() {
-	close(j.update)
-	j.update = make(chan struct{})
-}
-
-// publish appends one event to the job's log.
-func (j *fleetJob) publish(ev dualvdd.Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.bump()
-	j.mu.Unlock()
-}
-
-// snapshot copies the current status.
-func (j *fleetJob) snapshot() *dualvdd.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.status
-	return &st
-}
-
-// find looks a job up.
-func (c *Coordinator) find(id dualvdd.JobID) (*fleetJob, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", dualvdd.ErrJobNotFound, id)
-	}
-	return j, nil
 }
 
 // Status reports the job without waiting. See dualvdd.Runner.
 func (c *Coordinator) Status(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.snapshot(), nil
+	return c.table.Status(ctx, id)
 }
 
 // Result blocks until the job is terminal. See dualvdd.Runner.
 func (c *Coordinator) Result(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		return j.snapshot(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return c.table.Result(ctx, id)
 }
 
 // Watch streams the job's relayed events: full replay, then live until
 // terminal. See dualvdd.Runner.
 func (c *Coordinator) Watch(ctx context.Context, id dualvdd.JobID) (<-chan dualvdd.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan dualvdd.Event)
-	go func() {
-		defer close(out)
-		next := 0
-		for {
-			j.mu.Lock()
-			pending := j.events[next:]
-			next = len(j.events)
-			update := j.update
-			terminal := j.status.State.Terminal()
-			j.mu.Unlock()
-			for _, ev := range pending {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			if terminal && len(pending) == 0 {
-				return
-			}
-			if terminal {
-				continue
-			}
-			select {
-			case <-update:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
+	return c.table.Watch(ctx, id)
 }
 
-// Cancel stops a queued or running job by firing its context; the driver
-// records the terminal state. See dualvdd.Runner.
+// Cancel stops a queued or running job; a queued one frees its tenant slot
+// at once. See dualvdd.Runner.
 func (c *Coordinator) Cancel(ctx context.Context, id dualvdd.JobID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return err
-	}
-	j.cancel()
-	return nil
+	return c.table.Cancel(ctx, id)
 }
 
 // Metrics returns the coordinator's counters snapshot, including the
 // fleet-level gauges.
 func (c *Coordinator) Metrics() dualvdd.Metrics {
+	m := c.table.Metrics()
+	m.PointsInFlight = m.JobsQueued + m.JobsRunning
 	c.mu.Lock()
-	m := c.metrics
-	if m.TenantRejects != nil {
-		m.TenantRejects = maps.Clone(m.TenantRejects)
-	}
-	m.WorkersLive, m.WorkersDead = 0, 0
+	defer c.mu.Unlock()
 	//lint:nondeterministic-ok commutative counting; the gauges are order-free
 	for _, w := range c.workers {
 		if w.state == breakerClosed {
@@ -987,12 +632,6 @@ func (c *Coordinator) Metrics() dualvdd.Metrics {
 			// the gauge answers "how many workers would I trust right now".
 			m.WorkersDead++
 		}
-	}
-	c.mu.Unlock()
-	m.CacheEntries = c.cache.Len()
-	m.CacheBytes = c.cache.Bytes()
-	if d, ok := c.cache.(interface{ Degraded() bool }); ok && d.Degraded() {
-		m.StoreDegraded = 1
 	}
 	return m
 }
@@ -1014,30 +653,11 @@ func (c *Coordinator) Workers() map[string]bool {
 // drivers. The ctx bounds the wait: on expiry every remaining job is
 // cancelled and Close returns ctx.Err() after the drivers exit.
 func (c *Coordinator) Close(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	return c.table.Close(ctx, func() {
 		close(c.stop)
-	}
-	jobs := make([]*fleetJob, 0, len(c.jobs))
-	//lint:nondeterministic-ok shutdown cancels every job; cancellation order is immaterial
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
-	c.mu.Unlock()
-	idle := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(idle)
-	}()
-	select {
-	case <-idle:
-		return nil
-	case <-ctx.Done():
-		for _, j := range jobs {
-			j.cancel()
-		}
-		<-idle
-		return ctx.Err()
-	}
+		go func() {
+			c.wg.Wait()
+			close(c.idle)
+		}()
+	}, c.idle)
 }

@@ -3,9 +3,12 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,6 +67,43 @@ func newFleet(t *testing.T, workers []*testWorker, opts ...fleet.Option) *fleet.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		_ = co.Close(ctx)
+	})
+	return co
+}
+
+// stubWorker is an in-process worker for WithDialer: a Local behind the
+// WorkerClient surface, whose Submit passes gate (when set) first.
+type stubWorker struct {
+	*dualvdd.Local
+	gate func(ctx context.Context) error
+}
+
+func (w *stubWorker) Health(context.Context) error { return nil }
+
+func (w *stubWorker) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, error) {
+	if w.gate != nil {
+		if err := w.gate(ctx); err != nil {
+			return "", err
+		}
+	}
+	return w.Local.Submit(ctx, job)
+}
+
+// stubFleet builds a one-worker coordinator over a stubWorker with the
+// given gate; cleanup registered.
+func stubFleet(t *testing.T, gate func(ctx context.Context) error, opts ...fleet.Option) *fleet.Coordinator {
+	t.Helper()
+	w := &stubWorker{Local: dualvdd.NewLocal(), gate: gate}
+	dial := func(string) (fleet.WorkerClient, error) { return w, nil }
+	co, err := fleet.New([]string{"stub"}, append([]fleet.Option{fleet.WithDialer(dial)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = co.Close(ctx)
+		_ = w.Close(ctx)
 	})
 	return co
 }
@@ -165,8 +205,10 @@ func TestFleetRedispatchOnWorkerDeath(t *testing.T) {
 	workers := []*testWorker{newWorker(t), newWorker(t)}
 	co := newFleet(t, workers)
 
-	// A job slow enough to be mid-flight when its worker dies.
-	job := dualvdd.BenchmarkJob("alu4", dualvdd.WithSimWords(512), dualvdd.WithAlgorithms(dualvdd.AlgoCVS))
+	// A job slow enough to be mid-flight when its worker dies: des runs for
+	// a few hundred milliseconds, alu4 (since area recovery got fast) for
+	// about as long as the owner search takes.
+	job := dualvdd.BenchmarkJob("des", dualvdd.WithSimWords(4096), dualvdd.WithAlgorithms(dualvdd.AlgoCVS))
 	id, err := co.Submit(ctx, job)
 	if err != nil {
 		t.Fatal(err)
@@ -513,5 +555,83 @@ func TestFleetBudgetAdmission(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("budget-killed job never reached a terminal state")
+	}
+}
+
+// TestFleetWorkerQueueFullIsBackpressure: a worker whose queue is full
+// answers ErrQueueFull (429 over the wire). That is backpressure from a live
+// worker, not a crash: the job waits and is offered to the same worker
+// again, without opening its breaker, charging a poison attempt or counting
+// a redispatch.
+func TestFleetWorkerQueueFullIsBackpressure(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var submits atomic.Int32
+	busy := func(context.Context) error {
+		if submits.Add(1) <= 3 {
+			return fmt.Errorf("%w (worker busy)", dualvdd.ErrQueueFull)
+		}
+		return nil
+	}
+	co := stubFleet(t, busy, fleet.WithHealth(20*time.Millisecond, 0, 0))
+
+	id, err := co.Submit(ctx, dualvdd.BenchmarkJob("x2", dualvdd.WithSimWords(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := co.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobDone {
+		t.Fatalf("job behind a busy worker ended %s: %s", st.State, st.Error)
+	}
+	if n := submits.Load(); n != 4 {
+		t.Fatalf("worker saw %d submits, want 3 refused and 1 accepted", n)
+	}
+	m := co.Metrics()
+	if m.QuarantinedJobs != 0 || m.Redispatches != 0 || m.WorkersDead != 0 {
+		t.Fatalf("a busy worker was treated as a dead one: quarantined=%d redispatches=%d dead=%d",
+			m.QuarantinedJobs, m.Redispatches, m.WorkersDead)
+	}
+}
+
+// TestFleetSpentHopBudgetLeavesWorkerLive: a job budget below the hop
+// reserve is spent before the dispatch request leaves, so the client fails
+// fast with ErrBudgetExhausted. The job ends cancelled with an error naming
+// the budget, like a Local job whose budget runs out, and the worker it
+// never reached keeps a closed breaker and takes the next job.
+func TestFleetSpentHopBudgetLeavesWorkerLive(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// An hour between probes: only the dispatch path can move the breaker.
+	co := newFleet(t, []*testWorker{newWorker(t)}, fleet.WithHealth(time.Hour, 0, 0))
+
+	// 30 ms is below the default 50 ms hop reserve.
+	tight := dualvdd.WithJobBudget(ctx, 30*time.Millisecond)
+	id, err := co.Submit(tight, dualvdd.BenchmarkJob("x2", dualvdd.WithSimWords(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := co.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobCancelled || !strings.Contains(st.Error, "budget exhausted") {
+		t.Fatalf("job with a spent hop budget ended %s: %q; want cancelled naming the budget", st.State, st.Error)
+	}
+	if m := co.Metrics(); m.WorkersDead != 0 || m.QuarantinedJobs != 0 {
+		t.Fatalf("a spent budget was charged to the worker: dead=%d quarantined=%d", m.WorkersDead, m.QuarantinedJobs)
+	}
+
+	id, err = co.Submit(ctx, dualvdd.BenchmarkJob("mux", dualvdd.WithSimWords(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = co.Result(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobDone {
+		t.Fatalf("next job on the untouched worker ended %s: %s", st.State, st.Error)
 	}
 }

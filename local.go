@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"dualvdd/internal/logic"
@@ -23,7 +22,7 @@ import (
 // LocalJobHistory bound, then are forgotten — a long-lived service holds a
 // bounded amount of state no matter how many jobs pass through.
 type Local struct {
-	queue      chan *localJob
+	queue      chan *JobEntry
 	workers    int
 	cacheLimit int
 	history    int
@@ -37,16 +36,12 @@ type Local struct {
 	cache   ResultCache
 	journal JobStore
 
-	mu       sync.Mutex
-	jobs     map[JobID]*localJob      // guarded by mu
-	inflight map[string]JobID         // guarded by mu; content key → live job, for idempotent resubmission
-	retired  []JobID                  // guarded by mu; terminal jobs in completion order, oldest first
-	order    int64                    // guarded by mu
-	closed   bool                     // guarded by mu
-	idle     chan struct{}            // closed when the worker pool exits; receiving needs no lock
-	warm     map[string]*list.Element // guarded by mu
-	warmLRU  *list.List               // guarded by mu; front = most recent; values are *warmEntry
-	metrics  Metrics                  // guarded by mu
+	table *JobTable     // the job lifecycle; Local adds the queue and execution
+	idle  chan struct{} // closed when the worker pool exits; receiving needs no lock
+
+	mu      sync.Mutex
+	warm    map[string]*list.Element // guarded by mu
+	warmLRU *list.List               // guarded by mu; front = most recent; values are *warmEntry
 }
 
 // warmEntry is one warm-prep group: every job whose warmPrepKey matches
@@ -60,24 +55,6 @@ type warmEntry struct {
 	once sync.Once
 	wd   *WarmDesign
 	err  error
-}
-
-// localJob is one submission's full record: spec, lifecycle state, the
-// per-job context, and the append-only event log Watch replays.
-type localJob struct {
-	spec Job
-	key  string
-	seq  int64          // submission counter; journaled for replay
-	net  *logic.Network // parsed once at Submit
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	status JobStatus     // guarded by mu
-	events []Event       // guarded by mu
-	update chan struct{} // guarded by mu; closed and replaced on every append/state change
-	done   chan struct{} // closed on terminal state; receiving needs no lock
 }
 
 // LocalOption configures NewLocal.
@@ -100,7 +77,7 @@ func LocalWorkers(n int) LocalOption {
 func LocalQueueDepth(n int) LocalOption {
 	return func(l *Local) {
 		if n >= 0 {
-			l.queue = make(chan *localJob, n)
+			l.queue = make(chan *JobEntry, n)
 		}
 	}
 }
@@ -175,8 +152,6 @@ func NewLocal(opts ...LocalOption) *Local {
 		workers:    1,
 		cacheLimit: 256,
 		history:    1024,
-		jobs:       make(map[JobID]*localJob),
-		inflight:   make(map[string]JobID),
 		idle:       make(chan struct{}),
 		warm:       make(map[string]*list.Element),
 		warmLRU:    list.New(),
@@ -185,14 +160,21 @@ func NewLocal(opts ...LocalOption) *Local {
 		opt(l)
 	}
 	if l.queue == nil {
-		l.queue = make(chan *localJob, 64)
+		l.queue = make(chan *JobEntry, 64)
 	}
 	if l.cache == nil && l.cacheLimit > 0 {
 		l.cache = NewMemoryCache(l.cacheLimit)
 	}
-	if l.journal != nil {
-		l.replayJournal()
-	}
+	// The Start hook enqueues; a full queue refuses the submission with
+	// ErrQueueFull instead of blocking.
+	l.table = NewJobTable(l.cache, l.journal, l.history, JobHooks{Start: func(j *JobEntry) error {
+		select {
+		case l.queue <- j:
+			return nil
+		default:
+			return ErrQueueFull
+		}
+	}})
 	// The pool is Batch fanning out n infinite worker loops: each pool
 	// goroutine takes exactly one loop (a loop only returns at drain), so
 	// the service reuses the one deterministic fan-out primitive the
@@ -202,7 +184,9 @@ func NewLocal(opts ...LocalOption) *Local {
 		_ = Batch{Workers: l.workers}.Each(context.Background(), l.workers,
 			func(context.Context, int) error {
 				for j := range l.queue {
-					l.runJob(j)
+					if l.table.Begin(j) { // false: cancelled while it waited
+						l.table.Finish(j, l.execute(j))
+					}
 				}
 				return nil
 			})
@@ -216,290 +200,37 @@ var _ MetricsProvider = (*Local)(nil)
 // Submit validates the job, answers it from the cache on a content hit, and
 // otherwise enqueues it. See Runner.
 func (l *Local) Submit(ctx context.Context, job Job) (JobID, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	budget, hasBudget := JobBudget(ctx)
-	if hasBudget && budget <= 0 {
-		l.mu.Lock()
-		l.metrics.BudgetRejects++
-		l.mu.Unlock()
-		return "", ErrBudgetExhausted
-	}
-	key, net, err := job.key() // validates and parses the circuit once
-	if err != nil {
-		return "", err
-	}
-	// The per-job context is detached from the Submit ctx (the job outlives
-	// the call) but bounded by the remaining deadline budget when one is set:
-	// a job that overruns its end-to-end budget is cancelled, not left
-	// burning a worker nobody is waiting for.
-	var jctx context.Context
-	var jcancel context.CancelFunc
-	if hasBudget {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, budget-bounded
-		jctx, jcancel = context.WithTimeout(context.Background(), budget)
-	} else {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, Cancel/Close-bounded
-		jctx, jcancel = context.WithCancel(context.Background())
-	}
-	j := &localJob{
-		spec:   job,
-		key:    key,
-		net:    net,
-		ctx:    jctx,
-		cancel: jcancel,
-		update: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		jcancel()
-		return "", ErrClosed
-	}
-	// Submission is idempotent on the job's content address while a matching
-	// job is in flight: a retried POST whose first attempt actually landed (the
-	// response died in transit, not the request) is answered with the live
-	// job's ID instead of queueing — and computing — a duplicate.
-	if prior, ok := l.inflight[key]; ok {
-		l.metrics.SubmitDedups++
-		l.mu.Unlock()
-		jcancel()
-		return prior, nil
-	}
-	l.order++
-	j.seq = l.order
-	id := JobID(fmt.Sprintf("job-%06d-%s", j.seq, key[:8]))
-	j.status = JobStatus{ID: id, State: JobQueued}
-	l.mu.Unlock()
-
-	// The cache lookup happens outside l.mu: a disk-backed ResultCache does
-	// I/O, and the interface carries its own synchronization. The fallible
-	// surface is preferred so backend read errors land on StoreErrors instead
-	// of vanishing into the miss count.
-	var entry *CachedResult
-	if l.cache != nil {
-		var cacheErr error
-		entry, _, cacheErr = CacheGet(l.cache, key)
-		if cacheErr != nil {
-			l.mu.Lock()
-			l.metrics.StoreErrors++
-			l.mu.Unlock()
-		}
-	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		jcancel()
-		return "", ErrClosed
-	}
-	// Re-check under the lock that publishes in-flight jobs: a concurrent
-	// twin may have won the race while the cache lookup ran unlocked.
-	if prior, ok := l.inflight[key]; ok {
-		l.metrics.SubmitDedups++
-		l.mu.Unlock()
-		jcancel()
-		return prior, nil
-	}
-	if entry != nil {
-		l.metrics.CacheHits++
-		l.metrics.JobsDone++
-		l.jobs[id] = j
-		l.retire(j)
-		l.mu.Unlock()
-		j.completeFromCache(entry)
-		l.journalTerminal(j)
-		return id, nil
-	}
-	l.metrics.CacheMisses++
-	select {
-	case l.queue <- j:
-		l.metrics.JobsQueued++
-		if job.Config.NumRails() > 2 {
-			l.metrics.MultiRailJobs++
-		}
-		l.jobs[id] = j
-		l.inflight[key] = id
-		l.mu.Unlock()
-		return id, nil
-	default:
-		l.mu.Unlock()
-		jcancel()
-		return "", ErrQueueFull
-	}
-}
-
-// completeFromCache finishes a job with another run's results, replaying the
-// synthetic event history (mapped, then one result per algorithm) so Watch
-// behaves the same for hits and misses.
-func (j *localJob) completeFromCache(entry *CachedResult) {
-	design := *entry.Design
-	j.mu.Lock()
-	j.status.State = JobDone
-	j.status.Cached = true
-	j.status.Design = &design
-	j.status.Results = entry.Results
-	j.events = append(j.events, EventMapped{
-		Circuit: design.Name, Gates: design.Gates,
-		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
-	})
-	for _, res := range entry.Results {
-		j.events = append(j.events, EventResult{Circuit: design.Name, Result: res})
-	}
-	j.bump() // a Watch may have attached between Submit's map insert and here
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-}
-
-// find looks a job up.
-func (l *Local) find(id JobID) (*localJob, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	j, ok := l.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrJobNotFound, id)
-	}
-	return j, nil
+	return l.table.Submit(ctx, job)
 }
 
 // Status returns a snapshot of the job. See Runner.
 func (l *Local) Status(ctx context.Context, id JobID) (*JobStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := l.find(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.snapshot(), nil
-}
-
-func (j *localJob) snapshot() *JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.status
-	// Results and Design are write-once; sharing the slice is safe because
-	// terminal statuses are immutable.
-	return &st
+	return l.table.Status(ctx, id)
 }
 
 // Result blocks until the job is terminal. See Runner.
 func (l *Local) Result(ctx context.Context, id JobID) (*JobStatus, error) {
-	j, err := l.find(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		return j.snapshot(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return l.table.Result(ctx, id)
 }
 
 // Watch streams the job's events: full replay, then live until terminal.
 // See Runner.
 func (l *Local) Watch(ctx context.Context, id JobID) (<-chan Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := l.find(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Event)
-	go func() {
-		defer close(out)
-		next := 0
-		for {
-			j.mu.Lock()
-			pending := j.events[next:]
-			next = len(j.events)
-			update := j.update
-			terminal := j.status.State.Terminal()
-			j.mu.Unlock()
-			for _, ev := range pending {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			if terminal && len(pending) == 0 {
-				return
-			}
-			if terminal {
-				continue // flush any events appended with the terminal state
-			}
-			select {
-			case <-update:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
+	return l.table.Watch(ctx, id)
 }
 
-// Cancel stops a queued or running job. See Runner.
+// Cancel stops a queued or running job; a cancelled queued job stays in
+// the channel until a worker dequeues and drops it. See Runner.
 func (l *Local) Cancel(ctx context.Context, id JobID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	j, err := l.find(id)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	state := j.status.State
-	if state == JobQueued {
-		// Still in the channel: mark it; the worker discards the carcass on
-		// dequeue. The job is terminal right now, so the JobsQueued gauge —
-		// which tracks logical queued jobs, not channel-slot occupancy —
-		// drops here, not at that later dequeue. The state transition under
-		// j.mu makes this branch and the worker's dequeue mutually
-		// exclusive: exactly one of them accounts for the job, and the
-		// gauge can never go negative. As in runJob, the counters and the
-		// retirement settle before the state is published; l.mu nests
-		// inside j.mu here and nowhere the other way round.
-		l.mu.Lock()
-		l.metrics.JobsQueued--
-		l.metrics.JobsCancelled++
-		l.retire(j)
-		l.mu.Unlock()
-		j.status.State = JobCancelled
-		j.status.Error = context.Canceled.Error()
-		j.bump()
-		j.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		l.journalTerminal(j)
-		return nil
-	}
-	j.mu.Unlock()
-	// Running: cancel the per-job context; the worker records the terminal
-	// state. Terminal: the cancel is a no-op on a spent context.
-	j.cancel()
-	return nil
+	return l.table.Cancel(ctx, id)
 }
 
 // Metrics returns a counters snapshot.
 func (l *Local) Metrics() Metrics {
+	m := l.table.Metrics()
 	l.mu.Lock()
-	m := l.metrics
 	m.PrepGroups = l.warmLRU.Len()
 	l.mu.Unlock()
-	if l.cache != nil {
-		m.CacheEntries = l.cache.Len()
-		m.CacheBytes = l.cache.Bytes()
-		if d, ok := l.cache.(interface{ Degraded() bool }); ok && d.Degraded() {
-			m.StoreDegraded = 1
-		}
-	}
 	return m
 }
 
@@ -508,111 +239,7 @@ func (l *Local) Metrics() Metrics {
 // job is cancelled and Close waits (briefly) for the pool to exit, returning
 // ctx.Err().
 func (l *Local) Close(ctx context.Context) error {
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.queue)
-	}
-	jobs := make([]*localJob, 0, len(l.jobs))
-	//lint:nondeterministic-ok shutdown cancels every job; cancellation order is immaterial
-	for _, j := range l.jobs {
-		jobs = append(jobs, j)
-	}
-	l.mu.Unlock()
-	select {
-	case <-l.idle:
-		return nil
-	case <-ctx.Done():
-		for _, j := range jobs {
-			j.cancel()
-		}
-		<-l.idle
-		return ctx.Err()
-	}
-}
-
-// bump wakes Watch subscribers; caller holds j.mu.
-func (j *localJob) bump() {
-	close(j.update)
-	j.update = make(chan struct{})
-}
-
-// publish appends one event to the job's log.
-func (j *localJob) publish(ev Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.bump()
-	j.mu.Unlock()
-}
-
-// runJob executes one dequeued job on the calling worker.
-func (l *Local) runJob(j *localJob) {
-	j.mu.Lock()
-	if j.status.State != JobQueued { // cancelled while waiting
-		// Cancel already took the job off the JobsQueued gauge when it made
-		// the job terminal; this dequeue only frees the channel slot.
-		j.mu.Unlock()
-		return
-	}
-	j.status.State = JobRunning
-	j.bump()
-	j.mu.Unlock()
-	l.mu.Lock()
-	l.metrics.JobsQueued--
-	l.metrics.JobsRunning++
-	l.mu.Unlock()
-
-	design, results, err := l.execute(j)
-
-	state, errMsg := JobDone, ""
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		state, errMsg = JobCancelled, err.Error()
-	default:
-		state, errMsg = JobFailed, err.Error()
-	}
-	// Publish last: the cache entry, the counters and the retirement are in
-	// place before the job reads as terminal, so a request made right after
-	// Result observes them — an identical resubmission is a cache hit, never
-	// a dedup onto this finished job.
-	if state == JobDone && l.cache != nil {
-		if err := CachePut(l.cache, &CachedResult{Key: j.key, Design: design, Results: results}); err != nil {
-			l.mu.Lock()
-			l.metrics.StoreErrors++
-			l.mu.Unlock()
-		}
-	}
-	l.mu.Lock()
-	l.metrics.JobsRunning--
-	switch state {
-	case JobDone:
-		l.metrics.JobsDone++
-		for _, r := range results {
-			l.metrics.STAEvals += r.STAEvals
-			l.metrics.CandEvals += r.CandEvals
-			l.metrics.SimNs += r.SimTime.Nanoseconds()
-		}
-	case JobCancelled:
-		l.metrics.JobsCancelled++
-	default:
-		l.metrics.JobsFailed++
-	}
-	l.retire(j)
-	l.mu.Unlock()
-
-	j.mu.Lock()
-	j.status.Design = design // set even on failure — mapping may have finished
-	j.status.State = state
-	j.status.Error = errMsg
-	if state == JobDone {
-		j.status.Results = results
-	}
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	l.journalTerminal(j)
+	return l.table.Close(ctx, func() { close(l.queue) }, l.idle)
 }
 
 // stripResults copies results without their scaled Circuits, so neither the
@@ -629,120 +256,54 @@ func stripResults(results []*FlowResult) []*FlowResult {
 	return out
 }
 
-// retire does the bookkeeping of a finishing job that a later request can
-// observe, so it runs before the terminal state is published: it drops the
-// in-flight entry (later identical submissions start fresh or hit the result
-// cache, never adopt this job), frees the input (the parsed network and any
-// inline BLIF text are dead weight once the run is over), and enters the job
-// into the bounded history, forgetting the oldest terminal jobs past the
-// bound; caller holds l.mu.
-func (l *Local) retire(j *localJob) {
-	if cur, ok := l.inflight[j.key]; ok && cur == j.status.ID {
-		delete(l.inflight, j.key)
-	}
-	j.net = nil
-	j.spec.BLIF = ""
-	l.retired = append(l.retired, j.status.ID)
-	for len(l.retired) > l.history {
-		delete(l.jobs, l.retired[0])
-		l.retired = l.retired[1:]
-	}
-}
-
-// journalTerminal appends a published terminal job's record to the attached
-// JobStore. Call without l.mu held, after the terminal state is published.
-func (l *Local) journalTerminal(j *localJob) {
-	if l.journal == nil {
-		return
-	}
-	if err := l.journal.Append(JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
-		l.mu.Lock()
-		l.metrics.StoreErrors++
-		l.mu.Unlock()
-	}
-}
-
-// replayJournal reconstructs the previous life's terminal job history from
-// the attached JobStore: each record becomes a queryable terminal job (empty
-// event log — only the outcome survives a restart), the newest l.history of
-// them are kept, and the submission counter resumes past the largest
-// replayed sequence number so new IDs never collide with journaled ones.
-// Called from NewLocal before the worker pool accepts jobs.
-//
-//lint:unguarded-ok construction: runs before the worker pool starts; no lock needed
-func (l *Local) replayJournal() {
-	type replayed struct {
-		seq int64
-		rec JobRecord
-	}
-	var recs []replayed
-	err := l.journal.Replay(func(rec JobRecord) error {
-		if rec.Status.ID == "" || !rec.Status.State.Terminal() {
-			return nil // skip malformed or non-terminal records
-		}
-		recs = append(recs, replayed{seq: rec.Seq, rec: rec})
-		if rec.Seq > l.order {
-			l.order = rec.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		l.metrics.StoreErrors++
-	}
-	if len(recs) > l.history {
-		recs = recs[len(recs)-l.history:]
-	}
-	for _, r := range recs {
-		st := r.rec.Status
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		j := &localJob{
-			key:    r.rec.Key,
-			seq:    r.seq,
-			ctx:    ctx,
-			cancel: cancel,
-			status: st,
-			update: make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		close(j.done)
-		l.jobs[st.ID] = j
-		l.retired = append(l.retired, st.ID)
-	}
-}
-
 // execute runs the job's flow under its per-job context: prepare (map,
 // relax, measure), then the requested algorithms in order. Progress events
 // land on the job's log via the observer. Everything published — events,
 // status results, cache entries — is Circuit-stripped: the job surface is
 // transport-shaped, and scaled netlists must not pin memory in the event
 // log or job history (in-process callers who want the netlist use Flow).
-func (l *Local) execute(j *localJob) (*DesignInfo, []*FlowResult, error) {
+func (l *Local) execute(j *JobEntry) Outcome {
+	job, net := j.input()
 	if l.warmLimit > 0 {
-		return l.executeWarm(j)
+		return l.executeWarm(j, job, net)
 	}
 	flow := New(
-		FromConfig(j.spec.Config),
-		WithAlgorithms(j.spec.algorithms()...),
+		FromConfig(job.Config),
+		WithAlgorithms(job.algorithms()...),
 		WithObserver(jobObserver(j)),
 	)
-	d, err := flow.Prepare(j.ctx, j.net)
+	d, err := flow.Prepare(j.ctx, net)
 	if err != nil {
-		return nil, nil, err
+		return outcome(nil, nil, err)
 	}
-	design := &DesignInfo{
+	design := designInfo(d)
+	results, err := flow.Run(j.ctx, d)
+	return outcome(design, results, err)
+}
+
+// outcome classifies a local run's end: done, cancelled by its context
+// (Cancel, Close's expiry, or its budget), or failed.
+func outcome(design *DesignInfo, results []*FlowResult, err error) Outcome {
+	switch {
+	case err == nil:
+		return Outcome{State: JobDone, Design: design, Results: stripResults(results), Computed: true}
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return Outcome{State: JobCancelled, Error: err.Error(), Design: design}
+	default:
+		return Outcome{State: JobFailed, Error: err.Error(), Design: design}
+	}
+}
+
+// designInfo summarizes a prepared design.
+func designInfo(d *Design) *DesignInfo {
+	return &DesignInfo{
 		Name: d.Name, Gates: d.Circuit.NumLiveGates(),
 		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
 	}
-	results, err := flow.Run(j.ctx, d)
-	if err != nil {
-		return design, nil, err
-	}
-	return design, stripResults(results), nil
 }
 
 // jobObserver publishes flow events onto the job's log, Circuit-stripped.
-func jobObserver(j *localJob) Observer {
+func jobObserver(j *JobEntry) Observer {
 	return func(ev Event) {
 		if er, ok := ev.(EventResult); ok && er.Result != nil && er.Result.Circuit != nil {
 			res := *er.Result
@@ -750,7 +311,7 @@ func jobObserver(j *localJob) Observer {
 			er.Result = &res
 			ev = er
 		}
-		j.publish(ev)
+		j.Publish(ev)
 	}
 }
 
@@ -759,49 +320,38 @@ func jobObserver(j *localJob) Observer {
 // and every member only re-converges its own low rail. The first member to
 // arrive builds; the EventMapped the build does not replay per job is
 // synthesized onto each member's log, so Watch streams look the same warm and
-// cold (the same parity completeFromCache keeps for cache hits).
-func (l *Local) executeWarm(j *localJob) (*DesignInfo, []*FlowResult, error) {
-	key, err := warmPrepKey(j.net, j.spec.Config)
+// cold (the same parity a cache hit's synthetic history keeps).
+func (l *Local) executeWarm(j *JobEntry, job Job, net *logic.Network) Outcome {
+	key, err := warmPrepKey(net, job.Config)
 	if err != nil {
-		return nil, nil, err
+		return outcome(nil, nil, err)
 	}
 	entry := l.warmGet(key)
 	built := false
 	entry.once.Do(func() {
 		built = true
-		flow := New(FromConfig(j.spec.Config))
-		entry.wd, entry.err = flow.PrepareWarm(context.Background(), j.net)
+		flow := New(FromConfig(job.Config))
+		entry.wd, entry.err = flow.PrepareWarm(context.Background(), net)
 	})
-	l.mu.Lock()
-	if built {
-		l.metrics.PrepBuilds++
-	} else {
-		l.metrics.PrepReuses++
-	}
-	l.mu.Unlock()
+	l.table.Count(func(m *Metrics) {
+		if built {
+			m.PrepBuilds++
+		} else {
+			m.PrepReuses++
+		}
+	})
 	if entry.err != nil {
-		return nil, nil, entry.err
+		return outcome(nil, nil, entry.err)
 	}
 	if err := j.ctx.Err(); err != nil {
-		return nil, nil, err // cancelled while the group was being prepared
+		return outcome(nil, nil, err) // cancelled while the group was being prepared
 	}
-	d := entry.wd.Design
-	design := &DesignInfo{
-		Name: d.Name, Gates: d.Circuit.NumLiveGates(),
-		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
-	}
-	j.publish(EventMapped{
-		Circuit: design.Name, Gates: design.Gates,
-		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
-	})
-	j.mu.Lock()
-	j.status.Warm = true
-	j.mu.Unlock()
-	results, err := entry.wd.RunAt(j.ctx, j.spec.Config.RailList(), j.spec.algorithms(), jobObserver(j))
-	if err != nil {
-		return design, nil, err
-	}
-	return design, stripResults(results), nil
+	design := designInfo(entry.wd.Design)
+	j.Publish(design.mapped())
+	results, err := entry.wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), jobObserver(j))
+	out := outcome(design, results, err)
+	out.Warm = true
+	return out
 }
 
 // warmGet returns the job's warm-prep group, creating it (and evicting the

@@ -138,21 +138,22 @@ func TestRetireFreesParsedNetwork(t *testing.T) {
 		}
 	}
 
-	// retire frees the input before it appends the ID to l.retired under
-	// l.mu, so once the ID shows up there the nil writes are visible here.
+	// retire frees the input before it appends the ID to the table's
+	// retired list under its mu, so once the ID shows up there the nil
+	// writes are visible here.
 	deadline := time.Now().Add(time.Minute)
 	for _, id := range []JobID{computed, hit} {
 		for {
-			l.mu.Lock()
+			l.table.mu.Lock()
 			seen := false
-			for _, rid := range l.retired {
+			for _, rid := range l.table.retired {
 				if rid == id {
 					seen = true
 					break
 				}
 			}
-			j := l.jobs[id]
-			l.mu.Unlock()
+			j := l.table.jobs[id]
+			l.table.mu.Unlock()
 			if seen {
 				if j == nil {
 					t.Fatalf("job %s missing from history", id)

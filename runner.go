@@ -43,8 +43,9 @@ type Runner interface {
 	// final status. A done ctx abandons the wait with ctx.Err() — the job
 	// keeps running.
 	Result(ctx context.Context, id JobID) (*JobStatus, error)
-	// Cancel stops a queued or running job. Cancelling a terminal job is a
-	// no-op.
+	// Cancel stops a queued or running job: a queued job reads cancelled
+	// as soon as Cancel returns, a running one stops at its next
+	// cancellation check. Cancelling a terminal job is a no-op.
 	Cancel(ctx context.Context, id JobID) error
 }
 
@@ -285,6 +286,12 @@ type DesignInfo struct {
 	OrgPower float64 `json:"org_power_w"`
 }
 
+// mapped is the EventMapped a job reports for this design: cache hits and
+// warm runs synthesize it, since neither maps the circuit itself.
+func (d *DesignInfo) mapped() EventMapped {
+	return EventMapped{Circuit: d.Name, Gates: d.Gates, MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower}
+}
+
 // JobStatus is a snapshot of one job. Terminal snapshots are immutable.
 type JobStatus struct {
 	ID    JobID    `json:"id"`
@@ -366,8 +373,9 @@ type Metrics struct {
 
 	// Fleet-level gauges, set only by a fleet.Coordinator. WorkersLive and
 	// WorkersDead partition the registered worker set by health;
-	// PointsInFlight counts accepted jobs not yet terminal; Redispatches
-	// counts jobs moved off a dead worker onto a live one.
+	// PointsInFlight counts accepted jobs not yet terminal (JobsQueued +
+	// JobsRunning); Redispatches counts jobs moved off a dead worker onto a
+	// live one.
 	WorkersLive    int   `json:"workers_live,omitempty"`
 	WorkersDead    int   `json:"workers_dead,omitempty"`
 	PointsInFlight int   `json:"points_in_flight,omitempty"`
