@@ -9,8 +9,8 @@ import (
 )
 
 // Batch fans a fixed list of independent work items across a bounded worker
-// pool. It is the engine behind suite-scale evaluation (internal/harness,
-// cmd/tables, the benchmark suites): results come back in input order
+// pool. It is the engine behind suite-scale evaluation (Sweep, the Local
+// worker pool, the benchmark suites): results come back in input order
 // regardless of scheduling, and the reported error is deterministic — so a
 // parallel run is bit-identical to a serial one whenever the per-item work
 // is itself deterministic, which the seeded flow guarantees.

@@ -20,7 +20,6 @@ import (
 
 	"dualvdd"
 	"dualvdd/internal/cell"
-	"dualvdd/internal/harness"
 	"dualvdd/internal/netlist"
 	"dualvdd/internal/report"
 	"dualvdd/internal/sim"
@@ -46,11 +45,7 @@ func BenchmarkTable1(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var row report.Row
 			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = harness.Run(name, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				row = tableRows(b, cfg, 1, name)[0]
 			}
 			b.ReportMetric(row.OrgPwrUW, "orgPwr_uW")
 			b.ReportMetric(row.CVSPct, "CVS_%")
@@ -79,11 +74,7 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var row report.Row
 			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = harness.Run(name, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				row = tableRows(b, cfg, 1, name)[0]
 			}
 			b.ReportMetric(float64(row.OrgGates), "gates")
 			b.ReportMetric(row.CVSRatio, "CVS_lowRatio")
@@ -95,7 +86,7 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSuite sweeps the routine subset through the Batch runner at
+// BenchmarkBatchSuite sweeps the routine subset through the tables path at
 // increasing worker counts: the wall-clock ratio to workers=1 is the
 // parallel-evaluation win, on results that are bit-identical by
 // construction (TestBatchDeterminismAcrossWorkers).
@@ -105,12 +96,7 @@ func BenchmarkBatchSuite(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var rows []report.Row
 			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = harness.RunAllContext(context.Background(), cfg,
-					harness.Options{Circuits: smallSuite, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+				rows = tableRows(b, cfg, workers, smallSuite...)
 			}
 			avg := report.Averages(rows)
 			b.ReportMetric(avg.GscalePct, "Gscale_%")
@@ -128,15 +114,14 @@ func BenchmarkAblationGreedyDscale(b *testing.B) {
 			label = "greedy"
 		}
 		b.Run(label, func(b *testing.B) {
-			cfg := dualvdd.DefaultConfig()
-			cfg.GreedySelect = greedy
+			ctx, flow := context.Background(), dualvdd.New(dualvdd.WithGreedySelect(greedy))
 			var pct float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C880", cfg)
+				d, err := flow.PrepareBenchmark(ctx, "C880")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunDscale()
+				res, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -156,15 +141,14 @@ func BenchmarkAblationGreedySizing(b *testing.B) {
 			label = "single-gate"
 		}
 		b.Run(label, func(b *testing.B) {
-			cfg := dualvdd.DefaultConfig()
-			cfg.GreedySizing = greedy
+			ctx, flow := context.Background(), dualvdd.New(dualvdd.WithGreedySizing(greedy))
 			var pct, ratio float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C499", cfg)
+				d, err := flow.PrepareBenchmark(ctx, "C499")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,15 +166,14 @@ func BenchmarkAblationGreedySizing(b *testing.B) {
 func BenchmarkAblationVlowSweep(b *testing.B) {
 	for _, vlow := range []float64{4.7, 4.5, 4.3, 4.0, 3.7, 3.4} {
 		b.Run(fmt.Sprintf("vlow=%.1f", vlow), func(b *testing.B) {
-			cfg := dualvdd.DefaultConfig()
-			cfg.Vlow = vlow
+			ctx, flow := context.Background(), dualvdd.New(dualvdd.WithVoltages(5.0, vlow))
 			var pct, ratio float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C880", cfg)
+				d, err := flow.PrepareBenchmark(ctx, "C880")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,15 +190,14 @@ func BenchmarkAblationVlowSweep(b *testing.B) {
 func BenchmarkAblationMaxIter(b *testing.B) {
 	for _, maxIter := range []int{0, 1, 3, 10, 30} {
 		b.Run(fmt.Sprintf("maxIter=%d", maxIter), func(b *testing.B) {
-			cfg := dualvdd.DefaultConfig()
-			cfg.MaxIter = maxIter
+			ctx, flow := context.Background(), dualvdd.New(dualvdd.WithMaxIter(maxIter))
 			var pct float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("alu2", cfg)
+				d, err := flow.PrepareBenchmark(ctx, "alu2")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +217,7 @@ func BenchmarkAblationMaxIter(b *testing.B) {
 func BenchmarkSim(b *testing.B) {
 	cfg := dualvdd.DefaultConfig()
 	for _, name := range []string{"C880", "alu4", "des"} {
-		d, err := dualvdd.PrepareBenchmark(name, cfg)
+		d, err := dualvdd.New().PrepareBenchmark(context.Background(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,9 +256,8 @@ func BenchmarkSim(b *testing.B) {
 // voltage flips and resizes across the circuit, mimicking what CVS/Dscale/
 // Gscale apply.
 func BenchmarkIncrementalSTA(b *testing.B) {
-	cfg := dualvdd.DefaultConfig()
 	for _, name := range []string{"C880", "alu2", "des"} {
-		d, err := dualvdd.PrepareBenchmark(name, cfg)
+		d, err := dualvdd.New().PrepareBenchmark(context.Background(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,35 +312,35 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 // BenchmarkSubstrates times the building blocks in isolation so regressions
 // in the underlying engines are visible independently of the full flow.
 func BenchmarkSubstrates(b *testing.B) {
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("alu4", cfg)
+	ctx, flow := context.Background(), dualvdd.New()
+	d, err := flow.PrepareBenchmark(ctx, "alu4")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("PrepareC880", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dualvdd.PrepareBenchmark("C880", cfg); err != nil {
+			if _, err := flow.PrepareBenchmark(ctx, "C880"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("CVS-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunCVS(); err != nil {
+			if _, err := d.RunAlgorithm(ctx, dualvdd.AlgoCVS); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Dscale-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunDscale(); err != nil {
+			if _, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Gscale-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunGscale(); err != nil {
+			if _, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale); err != nil {
 				b.Fatal(err)
 			}
 		}

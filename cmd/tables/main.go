@@ -3,14 +3,15 @@
 // Table 2 (low-voltage gate profiles and sizing overhead) across the
 // 39-circuit MCNC stand-in suite, printing the published numbers alongside.
 //
-// The sweep fans the circuits across a worker pool (the Batch runner); row
-// values are bit-identical at any -parallel setting because the flow is
+// The tables are one Sweep at the paper's configuration, one point per
+// circuit, run on a cache-less Local whose worker pool is -parallel wide;
+// row values are bit-identical at any -parallel setting because the flow is
 // seeded and circuits share no state.
 //
 // Usage:
 //
 //	tables [-table 1|2|all] [-circuits name,name,...] [-parallel N]
-//	       [-markdown] [-check] [-quiet] [-bench-json file]
+//	       [-markdown] [-check] [-quiet]
 //	       [-cpuprofile file] [-memprofile file]
 package main
 
@@ -25,7 +26,6 @@ import (
 	"sync"
 
 	"dualvdd"
-	"dualvdd/internal/harness"
 	"dualvdd/internal/report"
 )
 
@@ -43,7 +43,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit Markdown (for EXPERIMENTS.md)")
 	check := flag.Bool("check", false, "run trend-shape assertions against the paper's claims")
 	quiet := flag.Bool("quiet", false, "suppress per-circuit progress lines")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable perf snapshot (per-circuit ms, STA/candidate evals) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-sweep) to this file")
 	flag.Parse()
@@ -60,7 +59,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := dualvdd.DefaultConfig()
 	var names []string
 	if *circuits != "" {
 		for _, name := range strings.Split(*circuits, ",") {
@@ -70,37 +68,37 @@ func main() {
 		names = dualvdd.Benchmarks()
 	}
 
-	// Progress: one line per finished algorithm run, one per finished
-	// circuit. The observer runs on the pool's workers, so serialize prints.
-	var mu sync.Mutex
-	done := 0
-	opts := harness.Options{
-		Circuits: names,
-		Workers:  *parallel,
-		OnRow: func(i int, row report.Row) {
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "[%2d/%d] %s\n", done, len(names), row)
-			}
-		},
-	}
+	// Progress: each finished point prints its three results and a count.
+	// The observer runs on the sweep's workers, so serialize prints.
+	opts := []dualvdd.SweepOption{dualvdd.SweepInFlight(*parallel)}
 	if !*quiet {
-		opts.Observer = func(ev dualvdd.Event) {
-			e, ok := ev.(dualvdd.EventResult)
+		var mu sync.Mutex
+		done := 0
+		opts = append(opts, dualvdd.SweepObserver(func(ev dualvdd.Event) {
+			e, ok := ev.(dualvdd.EventSweepPoint)
 			if !ok {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			fmt.Fprintf(os.Stderr, "        %-10s %-7s %6.2f%%  (%d low, %d sized, %d STA evals)\n",
-				e.Circuit, e.Result.Algorithm, e.Result.ImprovePct,
-				e.Result.LowGates, e.Result.Sized, e.Result.STAEvals)
-		}
+			done++
+			for _, r := range e.Results {
+				fmt.Fprintf(os.Stderr, "        %-10s %-7s %6.2f%%  (%d low, %d sized, %d STA evals)\n",
+					e.Circuit, r.Algorithm, r.ImprovePct, r.LowGates, r.Sized, r.STAEvals)
+			}
+			fmt.Fprintf(os.Stderr, "[%2d/%d] %s\n", done, e.Total, e.Circuit)
+		}))
 	}
 
-	rows, err := harness.RunAllContext(context.Background(), cfg, opts)
+	local := dualvdd.NewLocal(dualvdd.LocalWorkers(*parallel), dualvdd.LocalCacheEntries(0))
+	results, err := dualvdd.Sweep{Circuits: dualvdd.SweepBenchmarks(names...)}.Run(context.Background(), local, opts...)
+	if cerr := local.Close(context.Background()); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		die(err)
+	}
+	rows, err := report.TableRows(results)
 	if err != nil {
 		die(err)
 	}
@@ -116,17 +114,6 @@ func main() {
 		}
 		f.Close()
 	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			die(err)
-		}
-		if err := report.WriteBenchJSON(f, rows); err != nil {
-			die(err)
-		}
-		f.Close()
-	}
-
 	if *markdown {
 		if err := report.WriteMarkdown(os.Stdout, rows); err != nil {
 			die(err)

@@ -81,9 +81,6 @@ func TestDegenerateConfigNeverReachesNaN(t *testing.T) {
 	bad := dualvdd.DefaultConfig()
 	bad.Vlow, bad.Vhigh = 5.0, 0 // zero high rail: 1/Vhigh² is +Inf
 
-	if _, err := dualvdd.PrepareBenchmark("x2", bad); !errors.Is(err, dualvdd.ErrInvalidConfig) {
-		t.Fatalf("legacy Prepare returned %v, want ErrInvalidConfig", err)
-	}
 	flow := dualvdd.New(dualvdd.FromConfig(bad))
 	if _, err := flow.PrepareBenchmark(ctx, "x2"); !errors.Is(err, dualvdd.ErrInvalidConfig) {
 		t.Fatalf("Flow.PrepareBenchmark returned %v, want ErrInvalidConfig", err)

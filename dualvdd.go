@@ -12,31 +12,20 @@
 // See internal/core for the algorithmics and DESIGN.md for the full map
 // from the paper to this repository.
 //
-// The primary surface is the context-aware Flow, built with functional
-// options; it supports cancellation, deadlines and typed progress events,
-// and composes with Batch for parallel suite evaluation:
+// The entry point is the context-aware Flow, built with functional options;
+// it supports cancellation, deadlines and typed progress events, and
+// composes with Batch for parallel suite evaluation:
 //
 //	flow := dualvdd.New(
 //		dualvdd.WithVoltages(5.0, 4.3),
 //		dualvdd.WithObserver(func(ev dualvdd.Event) { ... }),
 //	)
 //	d, err := flow.PrepareBenchmark(ctx, "C880")
-//	res, err := d.RunGscaleContext(ctx)
+//	res, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 //	fmt.Printf("%.2f%% power saved\n", res.ImprovePct)
 //
-// # Migration from Config
-//
-// The flat Config struct and the context-free entry points predate Flow and
-// remain as thin compatibility wrappers: Prepare(net, cfg) is
-// New(FromConfig(cfg)).Prepare(context.Background(), net), and
-// Design.RunGscale is RunGscaleContext(context.Background()). New code
-// should build a Flow with options — FromConfig bridges code that still
-// assembles a Config. Each With* option corresponds to one Config field
-// (WithVoltages ↔ Vhigh/Vlow, WithSlackFactor ↔ SlackFactor, WithAreaBudget
-// ↔ MaxAreaIncrease, WithMaxIter ↔ MaxIter, WithSimWords ↔ SimWords,
-// WithSimWorkers ↔ SimWorkers, WithSeed ↔ Seed, WithClock ↔ Fclk,
-// WithGreedySelect/WithGreedySizing ↔ the ablation knobs); WithAlgorithms
-// and WithObserver have no Config counterpart.
+// Code that still assembles the flat Config struct builds its Flow with
+// FromConfig.
 package dualvdd
 
 import (
@@ -235,18 +224,6 @@ type Design struct {
 	obs Observer
 }
 
-// Prepare maps a logic network and measures its original power.
-// Compatibility wrapper; new code uses Flow.Prepare or PrepareContext.
-func Prepare(net *logic.Network, cfg Config) (*Design, error) {
-	return PrepareContext(context.Background(), net, cfg)
-}
-
-// PrepareContext is Prepare honoring a context: cancellation is checked
-// between the pipeline's stages (mapping, power measurement).
-func PrepareContext(ctx context.Context, net *logic.Network, cfg Config) (*Design, error) {
-	return prepare(ctx, net, cfg, nil)
-}
-
 func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) (*Design, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -287,28 +264,8 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 	return d, nil
 }
 
-// PrepareBenchmark generates one of the 39 MCNC stand-in benchmarks and
-// prepares it. Compatibility wrapper; new code uses Flow.PrepareBenchmark.
-func PrepareBenchmark(name string, cfg Config) (*Design, error) {
-	return prepareBenchmark(context.Background(), name, cfg, nil)
-}
-
 func prepareBenchmark(ctx context.Context, name string, cfg Config, obs Observer) (*Design, error) {
 	net, err := mcnc.Generate(name)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(ctx, net, cfg, obs)
-}
-
-// LoadBLIF reads a technology-independent BLIF model and prepares it.
-// Compatibility wrapper; new code uses Flow.LoadBLIF.
-func LoadBLIF(r io.Reader, cfg Config) (*Design, error) {
-	return loadBLIF(context.Background(), r, cfg, nil)
-}
-
-func loadBLIF(ctx context.Context, r io.Reader, cfg Config, obs Observer) (*Design, error) {
-	net, err := blif.ParseNetwork(r)
 	if err != nil {
 		return nil, err
 	}
@@ -500,43 +457,6 @@ func (d *Design) run(ctx context.Context, name string, algo func(*netlist.Circui
 	railBreakdown(fr, ckt, d.Lib)
 	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil
-}
-
-// RunCVS applies clustered voltage scaling to a clone of the design.
-// Compatibility wrapper around RunCVSContext.
-func (d *Design) RunCVS() (*FlowResult, error) {
-	return d.RunCVSContext(context.Background())
-}
-
-// RunCVSContext is RunCVS honoring a context: a cancelled or expired context
-// aborts the sweep promptly and returns ctx.Err(). The design's pristine
-// Circuit is never touched — algorithms run on clones.
-func (d *Design) RunCVSContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "CVS", core.RunCVS)
-}
-
-// RunDscale applies the paper's Dscale algorithm to a clone of the design.
-// Compatibility wrapper around RunDscaleContext.
-func (d *Design) RunDscale() (*FlowResult, error) {
-	return d.RunDscaleContext(context.Background())
-}
-
-// RunDscaleContext is RunDscale honoring a context: a cancelled or expired
-// context aborts within one slack-harvesting round with ctx.Err().
-func (d *Design) RunDscaleContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "Dscale", core.Dscale)
-}
-
-// RunGscale applies the paper's Gscale algorithm to a clone of the design.
-// Compatibility wrapper around RunGscaleContext.
-func (d *Design) RunGscale() (*FlowResult, error) {
-	return d.RunGscaleContext(context.Background())
-}
-
-// RunGscaleContext is RunGscale honoring a context: a cancelled or expired
-// context aborts within one TCB push with ctx.Err().
-func (d *Design) RunGscaleContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "Gscale", core.Gscale)
 }
 
 // WriteBLIF exports a mapped (possibly scaled) circuit as .gate-form BLIF

@@ -2,6 +2,7 @@ package dualvdd_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -12,8 +13,7 @@ import (
 )
 
 func TestPrepareBenchmarkBasics(t *testing.T) {
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("z4ml", cfg)
+	d, err := dualvdd.New().PrepareBenchmark(context.Background(), "z4ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPrepareBenchmarkBasics(t *testing.T) {
 }
 
 func TestPrepareBenchmarkUnknownName(t *testing.T) {
-	if _, err := dualvdd.PrepareBenchmark("nonesuch", dualvdd.DefaultConfig()); err == nil {
+	if _, err := dualvdd.New().PrepareBenchmark(context.Background(), "nonesuch"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -42,29 +42,29 @@ func TestBenchmarksListMatchesPaperCount(t *testing.T) {
 }
 
 func TestRunsDoNotMutateDesign(t *testing.T) {
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("x2", cfg)
+	ctx := context.Background()
+	d, err := dualvdd.New().PrepareBenchmark(ctx, "x2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := d.Circuit.CollectStats()
-	if _, err := d.RunGscale(); err != nil {
+	if _, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale); err != nil {
 		t.Fatal(err)
 	}
 	if after := d.Circuit.CollectStats(); after != before {
-		t.Fatalf("RunGscale mutated the pristine circuit: %+v -> %+v", before, after)
+		t.Fatalf("Gscale mutated the pristine circuit: %+v -> %+v", before, after)
 	}
 }
 
 func TestFlowResultTimingAlwaysMet(t *testing.T) {
-	cfg := dualvdd.DefaultConfig()
+	ctx := context.Background()
 	for _, name := range []string{"z4ml", "b9", "C432"} {
-		d, err := dualvdd.PrepareBenchmark(name, cfg)
+		d, err := dualvdd.New().PrepareBenchmark(ctx, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, run := range []func() (*dualvdd.FlowResult, error){d.RunCVS, d.RunDscale, d.RunGscale} {
-			res, err := run()
+		for _, algo := range dualvdd.Algorithms() {
+			res, err := d.RunAlgorithm(ctx, algo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +81,12 @@ func TestFlowResultTimingAlwaysMet(t *testing.T) {
 }
 
 func TestWriteBLIFRoundTripPreservesScaling(t *testing.T) {
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("b9", cfg)
+	ctx := context.Background()
+	d, err := dualvdd.New().PrepareBenchmark(ctx, "b9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.RunDscale()
+	res, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,15 @@ func TestLoadBLIFFlow(t *testing.T) {
 01 1
 .end
 `
-	d, err := dualvdd.LoadBLIF(strings.NewReader(src), dualvdd.DefaultConfig())
+	ctx := context.Background()
+	d, err := dualvdd.New().LoadBLIF(ctx, strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Name != "tiny" {
 		t.Fatalf("name = %s", d.Name)
 	}
-	res, err := d.RunCVS()
+	res, err := d.RunAlgorithm(ctx, dualvdd.AlgoCVS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ package dualvdd
 //	}))
 //
 // Events are emitted synchronously from the algorithm loops: an observer must
-// be cheap and must not call back into the emitting Design. When a Design is
-// evaluated through Batch (or internal/harness at Workers > 1), the observer
-// is invoked concurrently from multiple worker goroutines and must be safe
-// for concurrent use — wrap it with a mutex if it writes shared state.
+// be cheap and must not call back into the emitting Design. When Designs are
+// evaluated through Batch or a sweep with several points in flight, the
+// observer is invoked concurrently from multiple worker goroutines and must
+// be safe for concurrent use — wrap it with a mutex if it writes shared state.
 type Event interface{ isEvent() }
 
 // EventMapped reports a prepared design: the circuit has been technology

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,9 +17,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	net := mcnc.Adder("adder16", 16)
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.Prepare(net, cfg)
+	d, err := dualvdd.New().Prepare(ctx, net)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,8 +30,8 @@ func main() {
 		"algo", "power(uW)", "saved%", "low", "LCs", "sized", "area")
 
 	var best *dualvdd.FlowResult
-	for _, run := range []func() (*dualvdd.FlowResult, error){d.RunCVS, d.RunDscale, d.RunGscale} {
-		res, runErr := run()
+	for _, algo := range dualvdd.Algorithms() {
+		res, runErr := d.RunAlgorithm(ctx, algo)
 		if runErr != nil {
 			log.Fatal(runErr)
 		}

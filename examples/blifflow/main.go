@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -30,12 +31,12 @@ func main() {
 	fmt.Printf("serialised %s: %d bytes of .names-form BLIF\n", net.Name, src.Len())
 
 	// 2. Load through the public entry point and run the paper's flow.
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.LoadBLIF(bytes.NewReader(src.Bytes()), cfg)
+	ctx := context.Background()
+	d, err := dualvdd.New().LoadBLIF(ctx, bytes.NewReader(src.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := d.RunDscale()
+	res, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale)
 	if err != nil {
 		log.Fatal(err)
 	}

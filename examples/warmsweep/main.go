@@ -1,5 +1,5 @@
-// Warmsweep is the PR 6 benchmark and self-check: the paper-style 9-point
-// VDDL curve on rot/C7552/des, run twice through the Runner API — once cold
+// Warmsweep is the warm-sweep self-check: the paper-style 9-point VDDL
+// curve on rot/C7552/des, run twice through the Runner API — once cold
 // (every point a standalone Flow: map, simulate, analyze, relax from
 // scratch) and once warm (LocalWarmPrep + SweepWarm: one prepared state per
 // circuit, every point re-converging only its own low rail on it). The
@@ -11,21 +11,19 @@
 //     gate-evals + incremental STA evals + candidate evals) shrinks by at
 //     least -minx (default 5x).
 //
-// It writes the measurement as JSON (-out, default BENCH_PR6.json) and
-// exits non-zero on any violation, so CI can run it as a smoke under -race:
+// It prints the evaluation bill of both phases and exits non-zero on any
+// violation, so CI can run it as a smoke under -race:
 //
 //	go run ./examples/warmsweep
-//	go run -race ./examples/warmsweep -simwords 64 -out /tmp/bench.json
+//	go run -race ./examples/warmsweep -bench rot,C7552 -simwords 64
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -39,13 +37,13 @@ import (
 // counters is one phase's evaluation bill, as deltas of the process-wide
 // counters plus the per-result eval totals the flow reports.
 type counters struct {
-	SimRuns      int64 `json:"sim_runs"`
-	SimWordEvals int64 `json:"sim_word_evals"`
-	FullAnalyses int64 `json:"sta_full_analyses"`
-	FullEvals    int64 `json:"sta_full_evals"`
-	IncSTAEvals  int64 `json:"inc_sta_evals"`
-	CandEvals    int64 `json:"cand_evals"`
-	WallMs       int64 `json:"wall_ms"`
+	SimRuns      int64
+	SimWordEvals int64
+	FullAnalyses int64
+	FullEvals    int64
+	IncSTAEvals  int64
+	CandEvals    int64
+	WallMs       int64
 }
 
 // combined is the total evaluation count the reduction factor is computed
@@ -113,34 +111,11 @@ func diffRows(pt dualvdd.SweepPoint, cold, warm *dualvdd.JobStatus) int {
 	return bad
 }
 
-type benchJSON struct {
-	Schema     string    `json:"schema"`
-	Go         string    `json:"go"`
-	GoMaxProcs int       `json:"gomaxprocs"`
-	Circuits   []string  `json:"circuits"`
-	VDDL       []float64 `json:"vddl"`
-	SimWords   int       `json:"sim_words"`
-	Points     int       `json:"points"`
-	Rows       int       `json:"rows"`
-	PrepBuilds int64     `json:"prep_builds"`
-	PrepReuses int64     `json:"prep_reuses"`
-	Cold       counters  `json:"cold"`
-	Warm       counters  `json:"warm"`
-	// CombinedX is cold.combined()/warm.combined(): how many times fewer
-	// evaluations the warm sweep spent end to end.
-	CombinedX float64 `json:"combined_x"`
-	// SimWordEvalsX / STAFullEvalsX isolate the prepared-state work the warm
-	// path amortizes (one build per circuit instead of one per point).
-	SimWordEvalsX float64 `json:"sim_word_evals_x"`
-	STAFullEvalsX float64 `json:"sta_full_evals_x"`
-}
-
 func main() {
 	bench := flag.String("bench", "rot,C7552,des", "comma-separated benchmarks")
 	vddl := flag.String("vddl", "3.1,3.3,3.5,3.7,3.9,4.1,4.3,4.5,4.7", "VDDL axis (comma list, volts)")
 	simwords := flag.Int("simwords", 256, "simulation words per power estimate")
 	minx := flag.Float64("minx", 5, "minimum combined-eval reduction factor")
-	out := flag.String("out", "BENCH_PR6.json", "benchmark JSON output path (empty = skip)")
 	timeout := flag.Duration("timeout", 15*time.Minute, "overall deadline")
 	flag.Parse()
 
@@ -251,28 +226,6 @@ func main() {
 	}
 	fmt.Printf("wall clock: cold %dms, warm %dms (%d prep builds, %d reuses)\n",
 		coldC.WallMs, warmC.WallMs, m.PrepBuilds, m.PrepReuses)
-
-	if *out != "" {
-		b := benchJSON{
-			Schema: "dualvdd-warmbench/1", Go: runtime.Version(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Circuits:   benches, VDDL: vals, SimWords: *simwords,
-			Points: len(points), Rows: rows,
-			PrepBuilds: m.PrepBuilds, PrepReuses: m.PrepReuses,
-			Cold: coldC, Warm: warmC,
-			CombinedX:     combinedX,
-			SimWordEvalsX: ratio(coldC.SimWordEvals, warmC.SimWordEvals),
-			STAFullEvalsX: ratio(coldC.FullEvals, warmC.FullEvals),
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 
 	if bad > 0 {
 		log.Fatalf("%d mismatches between cold and warm rows", bad)

@@ -6,11 +6,12 @@
 package dualvdd_test
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"dualvdd"
-	"dualvdd/internal/harness"
 	"dualvdd/internal/report"
 )
 
@@ -22,17 +23,43 @@ var experimentCircuits = []string{
 	"apex7", "my_adder", "i2", "lal", "x2", "pm1", "pcle", "term1",
 }
 
+// tableRows regenerates Table 1/2 rows for the named circuits the way
+// cmd/tables does: one Sweep over them at base on a cache-less Local with
+// the given worker count.
+func tableRows(tb testing.TB, base dualvdd.Config, workers int, names ...string) []report.Row {
+	tb.Helper()
+	ctx := context.Background()
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(workers), dualvdd.LocalCacheEntries(0))
+	results, err := dualvdd.Sweep{Circuits: dualvdd.SweepBenchmarks(names...), Base: base}.
+		Run(ctx, l, dualvdd.SweepInFlight(workers))
+	if cerr := l.Close(ctx); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows, err := report.TableRows(results)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+// stripTimes zeroes the wall-clock fields, the only legitimate difference
+// between runs.
+func stripTimes(rows []report.Row) {
+	for i := range rows {
+		rows[i].CPUSec, rows[i].CVSSec, rows[i].DscaleSec, rows[i].SimSec = 0, 0, 0, 0
+	}
+}
+
 func runExperiments(t *testing.T) []report.Row {
 	t.Helper()
-	cfg := dualvdd.DefaultConfig()
-	// The slice runs through the Batch engine at full width; rows are
-	// worker-count independent (TestBatchDeterminismAcrossWorkers).
-	rows, err := harness.RunAllContext(context.Background(), cfg, harness.Options{
-		Circuits: experimentCircuits,
-		OnRow:    func(i int, row report.Row) { t.Log(row) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The slice runs at full width; rows are worker-count independent
+	// (TestBatchDeterminismAcrossWorkers).
+	rows := tableRows(t, dualvdd.DefaultConfig(), runtime.GOMAXPROCS(0), experimentCircuits...)
+	for _, row := range rows {
+		t.Log(row)
 	}
 	return rows
 }
@@ -107,23 +134,92 @@ func TestExperimentShapesMatchPaper(t *testing.T) {
 }
 
 func TestDeterministicReproduction(t *testing.T) {
-	// The whole flow is seeded; two runs must agree bit-for-bit.
+	// The whole flow is seeded; two runs must agree bit-for-bit. Wall clock
+	// is the only legitimate difference; the STA eval counts must agree
+	// exactly or the incremental engine took a different path.
+	a := tableRows(t, dualvdd.DefaultConfig(), 1, "C880")
+	b := tableRows(t, dualvdd.DefaultConfig(), 1, "C880")
+	stripTimes(a)
+	stripTimes(b)
+	if a[0] != b[0] {
+		t.Fatalf("non-deterministic evaluation:\n%+v\n%+v", a[0], b[0])
+	}
+}
+
+func TestRunProducesConsistentRow(t *testing.T) {
 	cfg := dualvdd.DefaultConfig()
-	a, err := harness.Run("C880", cfg)
-	if err != nil {
+	row := tableRows(t, cfg, 1, "x2")[0]
+	if row.Name != "x2" || row.OrgPwrUW <= 0 || row.OrgGates <= 0 {
+		t.Fatalf("degenerate row: %+v", row)
+	}
+	// Internal consistency of the row's own fields.
+	if row.GscalePct < row.CVSPct-1e-9 {
+		t.Fatalf("Gscale %.2f below CVS %.2f", row.GscalePct, row.CVSPct)
+	}
+	if row.CVSLow > row.OrgGates || row.GscaleLow > row.OrgGates {
+		t.Fatalf("low counts exceed gate count: %+v", row)
+	}
+	if row.CVSRatio < 0 || row.CVSRatio > 1 || row.GscRatio < 0 || row.GscRatio > 1 {
+		t.Fatalf("ratios out of range: %+v", row)
+	}
+	if row.AreaInc > cfg.MaxAreaIncrease+1e-9 {
+		t.Fatalf("area increase %.3f over budget", row.AreaInc)
+	}
+}
+
+// determinismSuite spans the generator families without making the test
+// slow: balanced (mux), arithmetic (z4ml), random logic (x2, b9), folded
+// (pm1), control (sct).
+var determinismSuite = []string{"z4ml", "mux", "x2", "pm1", "b9", "sct"}
+
+// TestBatchDeterminismAcrossWorkers is the parallelism gate of the tables
+// path: Table 1/2 rows must be bit-identical at 1, 4 and GOMAXPROCS workers,
+// including the rendered tables the golden-file tests pin. CI runs this
+// under -race at GOMAXPROCS=2 and 8.
+func TestBatchDeterminismAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-flow determinism sweep is not short")
+	}
+	cfg := dualvdd.DefaultConfig()
+
+	serial := tableRows(t, cfg, 1, determinismSuite...)
+	stripTimes(serial)
+	var wantT1, wantT2 bytes.Buffer
+	if err := report.WriteTable1(&wantT1, serial); err != nil {
 		t.Fatal(err)
 	}
-	b, err := harness.Run("C880", cfg)
-	if err != nil {
+	if err := report.WriteTable2(&wantT2, serial); err != nil {
 		t.Fatal(err)
 	}
-	// Wall clock is the only legitimate difference; the STA eval counts must
-	// agree exactly or the incremental engine took a different path.
-	a.CPUSec, b.CPUSec = 0, 0
-	a.CVSSec, b.CVSSec = 0, 0
-	a.DscaleSec, b.DscaleSec = 0, 0
-	a.SimSec, b.SimSec = 0, 0
-	if a != b {
-		t.Fatalf("non-deterministic evaluation:\n%+v\n%+v", a, b)
+
+	// Sweep both axes of parallelism: the runner's worker pool (workers)
+	// and the compiled simulation's word-parallel workers (simWorkers).
+	// Every combination must reproduce the serial rows and the rendered
+	// tables byte for byte — the sim workers reduce integer statistics in
+	// fixed order, so their count can never leak into a result.
+	for _, combo := range []struct{ workers, simWorkers int }{
+		{4, 0}, {runtime.GOMAXPROCS(0), 0}, {1, 2}, {1, 5}, {2, 3},
+	} {
+		cfg := cfg
+		cfg.SimWorkers = combo.simWorkers
+		rows := tableRows(t, cfg, combo.workers, determinismSuite...)
+		stripTimes(rows)
+		for i := range serial {
+			if rows[i] != serial[i] {
+				t.Fatalf("workers=%d simWorkers=%d: row %d diverged from serial run:\n%+v\n%+v",
+					combo.workers, combo.simWorkers, i, rows[i], serial[i])
+			}
+		}
+		var gotT1, gotT2 bytes.Buffer
+		if err := report.WriteTable1(&gotT1, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := report.WriteTable2(&gotT2, rows); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotT1.Bytes(), wantT1.Bytes()) || !bytes.Equal(gotT2.Bytes(), wantT2.Bytes()) {
+			t.Fatalf("workers=%d simWorkers=%d: rendered tables differ from the serial rendering",
+				combo.workers, combo.simWorkers)
+		}
 	}
 }

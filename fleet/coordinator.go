@@ -589,6 +589,14 @@ func (c *Coordinator) runOn(w *workerState, j *dualvdd.JobEntry, relayed *int) (
 			c.table.Finish(j, cancelled)
 			return hopServed, nil
 		}
+		// The worker's copy of the budget, shrunk by the hop reserve,
+		// expires before ours: that is the budget running out, not the
+		// worker, so the job ends cancelled and the breaker is left alone.
+		if left, ok := dualvdd.JobBudget(wctx); ok && left <= 0 {
+			c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobCancelled,
+				Error: fmt.Sprintf("%v on worker %s", dualvdd.ErrBudgetExhausted, w.name)})
+			return hopEnded, nil
+		}
 		// The worker cancelled a job we did not: it is draining. Move on.
 		return hopFailed, fmt.Errorf("fleet: worker %s cancelled the job while draining", w.name)
 	}

@@ -635,3 +635,45 @@ func TestFleetSpentHopBudgetLeavesWorkerLive(t *testing.T) {
 		t.Fatalf("next job on the untouched worker ended %s: %s", st.State, st.Error)
 	}
 }
+
+// TestFleetWorkerBudgetExpiryLeavesWorkerLive pins the other end of the
+// budget: the worker's copy, shrunk by the hop reserve, expires first, so the
+// worker ends the job cancelled while the coordinator's own deadline is
+// still ahead. That is the budget running out, not a draining worker.
+func TestFleetWorkerBudgetExpiryLeavesWorkerLive(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// An hour between probes: only the dispatch path can move the breaker.
+	co := newFleet(t, []*testWorker{newWorker(t)},
+		fleet.WithHealth(time.Hour, 0, 0), fleet.WithHopBudget(2*time.Second))
+
+	// The worker gets 300 ms of the 2.3 s: far too little for des at 4096
+	// words, while the coordinator's deadline is 2 s further out.
+	tight := dualvdd.WithJobBudget(ctx, 2300*time.Millisecond)
+	id, err := co.Submit(tight, dualvdd.BenchmarkJob("des", dualvdd.WithSimWords(4096)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := co.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobCancelled || !strings.Contains(st.Error, "budget exhausted") {
+		t.Fatalf("job whose budget ran out on the worker ended %s: %q; want cancelled naming the budget", st.State, st.Error)
+	}
+	if m := co.Metrics(); m.WorkersDead != 0 || m.QuarantinedJobs != 0 || m.Redispatches != 0 {
+		t.Fatalf("a budget spent on the worker was charged to it: dead=%d quarantined=%d redispatches=%d",
+			m.WorkersDead, m.QuarantinedJobs, m.Redispatches)
+	}
+
+	id, err = co.Submit(ctx, dualvdd.BenchmarkJob("mux", dualvdd.WithSimWords(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = co.Result(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobDone {
+		t.Fatalf("next job on the untouched worker ended %s: %s", st.State, st.Error)
+	}
+}

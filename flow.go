@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"dualvdd/internal/blif"
+	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 )
 
@@ -161,7 +163,11 @@ func (f *Flow) PrepareBenchmark(ctx context.Context, name string) (*Design, erro
 
 // LoadBLIF reads a technology-independent BLIF model and prepares it.
 func (f *Flow) LoadBLIF(ctx context.Context, r io.Reader) (*Design, error) {
-	return loadBLIF(ctx, r, f.cfg, f.obs)
+	net, err := blif.ParseNetwork(r)
+	if err != nil {
+		return nil, err
+	}
+	return prepare(ctx, net, f.cfg, f.obs)
 }
 
 // Run executes the Flow's configured algorithms on the design, each on a
@@ -180,15 +186,18 @@ func (f *Flow) Run(ctx context.Context, d *Design) ([]*FlowResult, error) {
 	return results, nil
 }
 
-// RunAlgorithm runs one named algorithm on a clone of the design.
+// RunAlgorithm runs one named algorithm on a clone of the design; the
+// pristine Circuit is never touched. A cancelled or expired context aborts
+// the run promptly (Dscale within one slack-harvesting round, Gscale within
+// one TCB push) and returns ctx.Err().
 func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
 	switch algo {
 	case AlgoCVS:
-		return d.RunCVSContext(ctx)
+		return d.run(ctx, string(algo), core.RunCVS)
 	case AlgoDscale:
-		return d.RunDscaleContext(ctx)
+		return d.run(ctx, string(algo), core.Dscale)
 	case AlgoGscale:
-		return d.RunGscaleContext(ctx)
+		return d.run(ctx, string(algo), core.Gscale)
 	}
 	return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
 }

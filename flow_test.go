@@ -45,24 +45,14 @@ func TestFlowOptionsResolveToConfig(t *testing.T) {
 }
 
 func TestFlowMatchesLegacyConfigAPI(t *testing.T) {
-	// The Flow surface is a re-plumbing, not a re-computation: results must
-	// be bit-identical to the legacy Config path.
+	// A legacy Config reaches the flow through FromConfig, and the default
+	// Flow runs the paper's three algorithms in its presentation order.
 	ctx := context.Background()
-	cfg := dualvdd.DefaultConfig()
-
-	old, err := dualvdd.PrepareBenchmark("x2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow := dualvdd.New(dualvdd.FromConfig(cfg))
+	flow := dualvdd.New(dualvdd.FromConfig(dualvdd.DefaultConfig()))
 	d, err := flow.PrepareBenchmark(ctx, "x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.OrgPower != old.OrgPower || d.Tspec != old.Tspec || d.MinDelay != old.MinDelay {
-		t.Fatalf("prepared designs differ: %+v vs %+v", d, old)
-	}
-
 	results, err := flow.Run(ctx, d)
 	if err != nil {
 		t.Fatal(err)
@@ -70,18 +60,9 @@ func TestFlowMatchesLegacyConfigAPI(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("default Flow must run all three algorithms, got %d results", len(results))
 	}
-	legacy := []func() (*dualvdd.FlowResult, error){old.RunCVS, old.RunDscale, old.RunGscale}
-	for i, run := range legacy {
-		want, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[i]
-		if got.Algorithm != want.Algorithm || got.Power != want.Power ||
-			got.ImprovePct != want.ImprovePct || got.LowGates != want.LowGates ||
-			got.LCs != want.LCs || got.Sized != want.Sized || got.STAEvals != want.STAEvals {
-			t.Fatalf("%s: Flow result diverged from legacy API:\n%+v\n%+v",
-				want.Algorithm, got, want)
+	for i, algo := range dualvdd.Algorithms() {
+		if results[i].Algorithm != string(algo) {
+			t.Fatalf("result %d is %s, want %s", i, results[i].Algorithm, algo)
 		}
 	}
 }
@@ -186,7 +167,7 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 	}
 	before := d.Circuit.CollectStats()
 
-	_, err = d.RunGscaleContext(ctx)
+	_, err = d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Gscale returned %v, want context.Canceled", err)
 	}
@@ -197,7 +178,7 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 		t.Fatalf("cancellation corrupted the pristine circuit: %+v -> %+v", before, after)
 	}
 	// The design stays usable: a fresh context completes normally.
-	res, err := d.RunGscaleContext(context.Background())
+	res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,22 +188,20 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 }
 
 func TestRunContextAlreadyCancelled(t *testing.T) {
-	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("z4ml", cfg)
+	flow := dualvdd.New()
+	d, err := flow.PrepareBenchmark(context.Background(), "z4ml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, run := range []func(context.Context) (*dualvdd.FlowResult, error){
-		d.RunCVSContext, d.RunDscaleContext, d.RunGscaleContext,
-	} {
-		if _, err := run(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
+	for _, algo := range dualvdd.Algorithms() {
+		if _, err := d.RunAlgorithm(ctx, algo); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on a pre-cancelled context: got %v, want context.Canceled", algo, err)
 		}
 	}
-	if _, err := dualvdd.PrepareContext(ctx, nil, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PrepareContext ignored cancelled context: %v", err)
+	if _, err := flow.Prepare(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Prepare ignored cancelled context: %v", err)
 	}
 }
 

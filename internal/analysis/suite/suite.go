@@ -5,7 +5,6 @@ package suite
 
 import (
 	"dualvdd/internal/analysis"
-	"dualvdd/internal/analysis/passes/copylocks"
 	"dualvdd/internal/analysis/passes/ctxflow"
 	"dualvdd/internal/analysis/passes/detrange"
 	"dualvdd/internal/analysis/passes/eventreg"
@@ -19,7 +18,6 @@ import (
 // Analyzers returns the full suite, alphabetical by name.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		copylocks.Analyzer,
 		ctxflow.Analyzer,
 		detrange.Analyzer,
 		eventreg.Analyzer,

@@ -75,18 +75,3 @@ func TestGoldenMarkdown(t *testing.T) {
 	}
 	checkGolden(t, "markdown", buf.Bytes())
 }
-
-// TestGoldenBenchJSON pins the BENCH_*.json schema WriteBenchJSON emits, so
-// the machine-readable perf snapshots CI uploads cannot drift silently. The
-// environment columns (Go version, GOMAXPROCS) are pinned to fixed values —
-// they describe the machine, not the schema.
-func TestGoldenBenchJSON(t *testing.T) {
-	snap := Snapshot(goldenRows())
-	snap.Go = "go1.0-golden"
-	snap.MaxProcs = 8
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "benchjson", buf.Bytes())
-}

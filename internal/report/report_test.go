@@ -2,8 +2,12 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"dualvdd"
 )
 
 func sampleRows() []Row {
@@ -108,5 +112,67 @@ func TestRowString(t *testing.T) {
 	s := sampleRows()[0].String()
 	if !strings.Contains(s, "C880") || !strings.Contains(s, "Gscale=22.00%") {
 		t.Fatalf("row string: %s", s)
+	}
+}
+
+// tablePoint is one point of a Tables 1/2 sweep over hand-built results.
+func tablePoint(i int, name string, orgPower float64, results ...*dualvdd.FlowResult) dualvdd.SweepPointResult {
+	return dualvdd.SweepPointResult{
+		Point: dualvdd.SweepPoint{Index: i, Circuit: dualvdd.SweepCircuit{Benchmark: name}},
+		Status: &dualvdd.JobStatus{
+			State:   dualvdd.JobDone,
+			Design:  &dualvdd.DesignInfo{Name: name, OrgPower: orgPower},
+			Results: results,
+		},
+	}
+}
+
+func TestTableRows(t *testing.T) {
+	cvs := &dualvdd.FlowResult{Algorithm: "CVS", ImprovePct: 15.25, Gates: 157, LowGates: 105,
+		LowRatio: 0.67, Runtime: 10 * time.Millisecond, SimTime: time.Millisecond}
+	ds := &dualvdd.FlowResult{Algorithm: "Dscale", ImprovePct: 17.5, Gates: 157, LowGates: 111,
+		LowRatio: 0.71, LCs: 2, STAEvals: 1365, CandEvals: 420,
+		Runtime: 250 * time.Millisecond, SimTime: 2 * time.Millisecond}
+	gs := &dualvdd.FlowResult{Algorithm: "Gscale", ImprovePct: 22.75, Gates: 157, LowGates: 148,
+		LowRatio: 0.94, Sized: 18, AreaIncrease: 0.095, STAEvals: 3608,
+		Runtime: 1500 * time.Millisecond, SimTime: 4 * time.Millisecond}
+	c880 := tablePoint(0, "C880", 80.12e-6, cvs, ds, gs)
+	// Results are looked up by algorithm, not by position.
+	mux := tablePoint(1, "mux", 18.5e-6, gs, cvs, ds)
+
+	rows, err := TableRows([]dualvdd.SweepPointResult{c880, mux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(name string, orgPower float64) Row {
+		return Row{
+			Name: name, OrgPwrUW: orgPower * 1e6, CVSPct: 15.25, DscalePct: 17.5, GscalePct: 22.75,
+			CPUSec: 1.5, CVSSec: 0.01, DscaleSec: 0.25, SimSec: (7 * time.Millisecond).Seconds(),
+			DscaleEvals: 1365, GscaleEvals: 3608, DscaleCandEvals: 420,
+			OrgGates: 157, CVSLow: 105, CVSRatio: 0.67, DscaleLow: 111, DscaleRatio: 0.71,
+			GscaleLow: 148, GscRatio: 0.94, Sized: 18, AreaInc: 0.095, DscaleLCs: 2,
+		}
+	}
+	if want := []Row{row("C880", 80.12e-6), row("mux", 18.5e-6)}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows do not match the results in point order:\n got %+v\nwant %+v", rows, want)
+	}
+
+	noStatus := c880
+	noStatus.Status = nil
+	noDesign := tablePoint(1, "x2", 1e-5, cvs, ds, gs)
+	noDesign.Status.Design = nil
+	for _, bad := range []struct {
+		name string
+		pr   dualvdd.SweepPointResult
+	}{
+		{"nil status", noStatus},
+		{"no design", noDesign},
+		{"no CVS", tablePoint(1, "x2", 1e-5, ds, gs)},
+		{"no Dscale", tablePoint(1, "x2", 1e-5, cvs, gs, nil)},
+		{"no Gscale", tablePoint(1, "x2", 1e-5, cvs, ds)},
+	} {
+		if rows, err := TableRows([]dualvdd.SweepPointResult{mux, bad.pr}); err == nil {
+			t.Errorf("%s: accepted as %+v", bad.name, rows)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dualvdd"
 )
 
 // Row is one circuit's measured results across both tables.
@@ -32,6 +34,55 @@ type Row struct {
 	Sized                           int
 	AreaInc                         float64
 	DscaleLCs                       int
+}
+
+// TableRows assembles one row per sweep point, in point order. Tables 1 and
+// 2 are a Sweep at the paper's configuration with CVS, Dscale and Gscale on
+// every point; a point without a status, a design summary or any of the
+// three results cannot fill a row and is an error.
+func TableRows(results []dualvdd.SweepPointResult) ([]Row, error) {
+	rows := make([]Row, 0, len(results))
+	for _, pr := range results {
+		st := pr.Status
+		if st == nil || st.Design == nil {
+			return nil, fmt.Errorf("report: sweep point %d has no prepared design", pr.Point.Index)
+		}
+		byAlgo := map[dualvdd.Algorithm]*dualvdd.FlowResult{}
+		for _, fr := range st.Results {
+			if fr != nil {
+				byAlgo[dualvdd.Algorithm(fr.Algorithm)] = fr
+			}
+		}
+		cvs, ds, gs := byAlgo[dualvdd.AlgoCVS], byAlgo[dualvdd.AlgoDscale], byAlgo[dualvdd.AlgoGscale]
+		if cvs == nil || ds == nil || gs == nil {
+			return nil, fmt.Errorf("report: sweep point %d (%s) lacks a CVS, Dscale or Gscale result", pr.Point.Index, st.Design.Name)
+		}
+		rows = append(rows, Row{
+			Name:            st.Design.Name,
+			OrgPwrUW:        st.Design.OrgPower * 1e6,
+			CVSPct:          cvs.ImprovePct,
+			DscalePct:       ds.ImprovePct,
+			GscalePct:       gs.ImprovePct,
+			CPUSec:          gs.Runtime.Seconds(),
+			CVSSec:          cvs.Runtime.Seconds(),
+			DscaleSec:       ds.Runtime.Seconds(),
+			SimSec:          (cvs.SimTime + ds.SimTime + gs.SimTime).Seconds(),
+			DscaleEvals:     ds.STAEvals,
+			GscaleEvals:     gs.STAEvals,
+			DscaleCandEvals: ds.CandEvals,
+			OrgGates:        cvs.Gates,
+			CVSLow:          cvs.LowGates,
+			CVSRatio:        cvs.LowRatio,
+			DscaleLow:       ds.LowGates,
+			DscaleRatio:     ds.LowRatio,
+			GscaleLow:       gs.LowGates,
+			GscRatio:        gs.LowRatio,
+			Sized:           gs.Sized,
+			AreaInc:         gs.AreaIncrease,
+			DscaleLCs:       ds.LCs,
+		})
+	}
+	return rows, nil
 }
 
 // Averages computes the column averages the paper reports.

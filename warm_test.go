@@ -128,7 +128,7 @@ func TestWarmCancelRestoresBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare cold: %v", err)
 	}
-	cold, err := d.RunDscaleContext(ctx)
+	cold, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
