@@ -345,21 +345,43 @@ type LCCrossing struct {
 	LCs  int `json:"lcs"`
 }
 
-// railBreakdown fills the multi-rail result columns from a scaled circuit;
-// a no-op at two rails, where the classic columns already carry everything.
-func railBreakdown(fr *FlowResult, ckt *netlist.Circuit, lib *cell.Library) {
-	n := lib.NumRails()
-	if n <= 2 {
-		return
+// result builds the FlowResult of one verified algorithm run from the scaled
+// circuit ckt under lib and what the run measured: its total power pw, its
+// critical-path arrival and its wall clock. Cold and warm runs both build
+// their results here, so the fields their bit-identity contract covers are
+// derived in one place; SimTime and Circuit are the caller's to set. The
+// multi-rail columns stay empty at two rails, where the classic ones already
+// say everything.
+func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cres *core.Result, pw, arrival float64, runtime time.Duration) *FlowResult {
+	lcs := ckt.NumLCs()
+	fr := &FlowResult{
+		Algorithm:    algo,
+		Power:        pw,
+		ImprovePct:   (d.OrgPower - pw) / d.OrgPower * 100,
+		Gates:        ckt.NumLiveGates() - lcs,
+		LowGates:     ckt.NumLowGates(),
+		LCs:          lcs,
+		Sized:        cres.Sized,
+		AreaIncrease: ckt.Area()/d.Circuit.Area() - 1,
+		WorstSlack:   d.Tspec - arrival,
+		Runtime:      runtime,
+		STAEvals:     cres.STAEvals,
+		CandEvals:    cres.CandEvals,
 	}
-	fr.RailGates = ckt.RailGateCounts(n)
-	for from, row := range ckt.LCCrossingCounts(n) {
-		for to, k := range row {
-			if k > 0 {
-				fr.LCCross = append(fr.LCCross, LCCrossing{From: from, To: to, LCs: k})
+	if fr.Gates > 0 {
+		fr.LowRatio = float64(fr.LowGates) / float64(fr.Gates)
+	}
+	if n := lib.NumRails(); n > 2 {
+		fr.RailGates = ckt.RailGateCounts(n)
+		for from, row := range ckt.LCCrossingCounts(n) {
+			for to, k := range row {
+				if k > 0 {
+					fr.LCCross = append(fr.LCCross, LCCrossing{From: from, To: to, LCs: k})
+				}
 			}
 		}
 	}
+	return fr
 }
 
 // coreOptions converts the config for internal/core.
@@ -429,32 +451,8 @@ func (d *Design) run(ctx context.Context, name string, algo func(*netlist.Circui
 		return nil, err
 	}
 	simTime := cres.SimTime + time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-	gates := 0
-	for _, g := range ckt.Gates {
-		if !g.Dead && !g.IsLC {
-			gates++
-		}
-	}
-	fr := &FlowResult{
-		Algorithm:    name,
-		Power:        pb.Total,
-		ImprovePct:   (d.OrgPower - pb.Total) / d.OrgPower * 100,
-		Gates:        gates,
-		LowGates:     ckt.NumLowGates(),
-		LCs:          ckt.NumLCs(),
-		Sized:        cres.Sized,
-		AreaIncrease: ckt.Area()/d.Circuit.Area() - 1,
-		WorstSlack:   d.Tspec - t.WorstArrival,
-		Runtime:      elapsed,
-		STAEvals:     cres.STAEvals,
-		CandEvals:    cres.CandEvals,
-		SimTime:      simTime,
-		Circuit:      ckt,
-	}
-	if gates > 0 {
-		fr.LowRatio = float64(fr.LowGates) / float64(gates)
-	}
-	railBreakdown(fr, ckt, d.Lib)
+	fr := d.result(name, ckt, d.Lib, cres, pb.Total, t.WorstArrival, elapsed)
+	fr.SimTime, fr.Circuit = simTime, ckt
 	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil
 }

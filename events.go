@@ -103,10 +103,6 @@ type EventSweepPoint struct {
 	// Cached reports that the runner answered the point from its
 	// content-addressed result cache without recomputation.
 	Cached bool `json:"cached,omitempty"`
-	// Warm reports that the point executed on a shared warm-prepared state
-	// (see LocalWarmPrep); false for cold runs and cache hits. Warm results
-	// are bit-identical to cold ones.
-	Warm bool `json:"warm,omitempty"`
 	// Results holds one FlowResult per algorithm, in request order. Like all
 	// job-surface results they never carry a Circuit.
 	Results []*FlowResult `json:"results"`

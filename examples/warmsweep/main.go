@@ -1,11 +1,11 @@
 // Warmsweep is the warm-sweep self-check: the paper-style 9-point VDDL
-// curve on rot/C7552/des, run twice through the Runner API — once cold
-// (every point a standalone Flow: map, simulate, analyze, relax from
-// scratch) and once warm (LocalWarmPrep + SweepWarm: one prepared state per
-// circuit, every point re-converging only its own low rail on it). The
-// program then enforces the two properties the warm path promises:
+// curve on rot/C7552/des, computed twice — once cold (every point a
+// standalone Flow: map, simulate, analyze, relax from scratch) and once as a
+// Sweep on a Local runner (one prepared state per circuit, every point
+// re-converging only its own low rail on it). The program then enforces the
+// two properties the runner's shared prepared state promises:
 //
-//  1. every warm row is bit-identical to its cold row — same power, same
+//  1. every sweep row is bit-identical to its cold row — same power, same
 //     slack, same gate/LC/eval counts, down to the float bits, and
 //  2. the combined evaluation count (simulation word-evals + full STA
 //     gate-evals + incremental STA evals + candidate evals) shrinks by at
@@ -59,8 +59,8 @@ func snapshot() (simRuns, simWords, fullA, fullE int64) {
 	return sim.Runs(), sim.WordEvals(), sta.FullAnalyses(), sta.FullEvals()
 }
 
-// measure runs one sweep phase and bills it.
-func measure(f func() ([]dualvdd.SweepPointResult, error)) ([]dualvdd.SweepPointResult, counters, error) {
+// measure runs one phase, which returns each point's results, and bills it.
+func measure(f func() ([][]*dualvdd.FlowResult, error)) ([][]*dualvdd.FlowResult, counters, error) {
 	r0, w0, a0, e0 := snapshot()
 	start := time.Now()
 	results, err := f()
@@ -71,11 +71,8 @@ func measure(f func() ([]dualvdd.SweepPointResult, error)) ([]dualvdd.SweepPoint
 		FullAnalyses: a1 - a0, FullEvals: e1 - e0,
 		WallMs: wall.Milliseconds(),
 	}
-	for _, pr := range results {
-		if pr.Status == nil {
-			continue
-		}
-		for _, fr := range pr.Status.Results {
+	for _, point := range results {
+		for _, fr := range point {
 			c.IncSTAEvals += fr.STAEvals
 			c.CandEvals += fr.CandEvals
 		}
@@ -87,15 +84,15 @@ func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b
 
 // diffRows compares one point's cold and warm results field by field and
 // reports the number of mismatches (printing each).
-func diffRows(pt dualvdd.SweepPoint, cold, warm *dualvdd.JobStatus) int {
+func diffRows(pt dualvdd.SweepPoint, cold, warm []*dualvdd.FlowResult) int {
 	label := fmt.Sprintf("%s vddl=%.1f", pt.Circuit.Benchmark, pt.Config.Vlow)
-	if len(cold.Results) != len(warm.Results) {
-		fmt.Printf("FAIL %s: %d cold results vs %d warm\n", label, len(cold.Results), len(warm.Results))
+	if len(cold) != len(warm) {
+		fmt.Printf("FAIL %s: %d cold results vs %d warm\n", label, len(cold), len(warm))
 		return 1
 	}
 	bad := 0
-	for i, c := range cold.Results {
-		w := warm.Results[i]
+	for i, c := range cold {
+		w := warm[i]
 		ok := c.Algorithm == w.Algorithm &&
 			bitEq(c.Power, w.Power) && bitEq(c.ImprovePct, w.ImprovePct) &&
 			bitEq(c.LowRatio, w.LowRatio) && bitEq(c.AreaIncrease, w.AreaIncrease) &&
@@ -149,52 +146,52 @@ func main() {
 		log.Fatal(err)
 	}
 
-	closeLocal := func(l *dualvdd.Local) {
-		cctx, ccancel := context.WithTimeout(context.Background(), time.Minute)
-		defer ccancel()
-		_ = l.Close(cctx)
-	}
-
-	// Cold: every point is a standalone Flow run inside the runner — the
-	// oracle the warm rows are diffed against.
-	fmt.Printf("cold sweep: %d points (%d circuits x %d rails), %d sim words\n",
+	// Cold: every point is a standalone Flow run — the oracle the sweep rows
+	// are diffed against.
+	fmt.Printf("cold: %d standalone Flow runs (%d circuits x %d rails), %d sim words\n",
 		len(points), len(benches), len(vals), *simwords)
-	coldLocal := dualvdd.NewLocal(dualvdd.LocalWorkers(runtime.GOMAXPROCS(0)))
-	coldRes, coldC, err := measure(func() ([]dualvdd.SweepPointResult, error) {
-		return sweep.Run(ctx, coldLocal)
+	coldRes, coldC, err := measure(func() ([][]*dualvdd.FlowResult, error) {
+		return dualvdd.BatchMap(ctx, dualvdd.Batch{}, len(points),
+			func(ctx context.Context, i int) ([]*dualvdd.FlowResult, error) {
+				pt := points[i]
+				flow := dualvdd.New(dualvdd.FromConfig(pt.Config), dualvdd.WithAlgorithms(pt.Algorithms...))
+				d, err := flow.PrepareBenchmark(ctx, pt.Circuit.Benchmark)
+				if err != nil {
+					return nil, err
+				}
+				return flow.Run(ctx, d)
+			})
 	})
-	closeLocal(coldLocal)
 	if err != nil {
-		log.Fatalf("cold sweep: %v", err)
+		log.Fatalf("cold runs: %v", err)
 	}
 
-	// Warm: one prepared state per circuit, chained point order per circuit.
-	fmt.Println("warm sweep: shared prepared state per circuit")
-	warmLocal := dualvdd.NewLocal(
-		dualvdd.LocalWorkers(runtime.GOMAXPROCS(0)),
-		dualvdd.LocalWarmPrep(len(benches)))
-	warmRes, warmC, err := measure(func() ([]dualvdd.SweepPointResult, error) {
-		return sweep.Run(ctx, warmLocal, dualvdd.SweepWarm(true))
+	// Warm: a Sweep on a Local, one prepared state per circuit.
+	fmt.Println("sweep: shared prepared state per circuit")
+	local := dualvdd.NewLocal(dualvdd.LocalWorkers(runtime.GOMAXPROCS(0)))
+	warmRes, warmC, err := measure(func() ([][]*dualvdd.FlowResult, error) {
+		rows, err := sweep.Run(ctx, local)
+		out := make([][]*dualvdd.FlowResult, len(rows))
+		for i, row := range rows {
+			if row.Status != nil {
+				out[i] = row.Status.Results
+			}
+		}
+		return out, err
 	})
-	m := warmLocal.Metrics()
-	closeLocal(warmLocal)
+	m := local.Metrics()
+	cctx, ccancel := context.WithTimeout(context.Background(), time.Minute)
+	_ = local.Close(cctx)
+	ccancel()
 	if err != nil {
-		log.Fatalf("warm sweep: %v", err)
+		log.Fatalf("sweep: %v", err)
 	}
 
 	// Bit-identity, point by point.
 	bad, rows := 0, 0
 	for i := range coldRes {
-		cs, ws := coldRes[i].Status, warmRes[i].Status
-		if cs == nil || ws == nil {
-			log.Fatalf("point %d: missing status", i)
-		}
-		if !ws.Warm {
-			fmt.Printf("FAIL point %d: warm sweep ran cold\n", i)
-			bad++
-		}
-		rows += len(cs.Results)
-		bad += diffRows(coldRes[i].Point, cs, ws)
+		rows += len(coldRes[i])
+		bad += diffRows(points[i], coldRes[i], warmRes[i])
 	}
 	if m.PrepBuilds != int64(len(benches)) || m.PrepReuses != int64(len(points)-len(benches)) {
 		fmt.Printf("FAIL prep accounting: %d builds / %d reuses, want %d / %d\n",

@@ -579,7 +579,7 @@ func (c *Coordinator) runOn(w *workerState, j *dualvdd.JobEntry, relayed *int) (
 		// A result the worker itself served from its cache adds nothing to
 		// the eval counters: no computation happened anywhere.
 		c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobDone, Design: st.Design,
-			Results: st.Results, Warm: st.Warm, Computed: !st.Cached})
+			Results: st.Results, Computed: !st.Cached})
 		return hopServed, nil
 	case dualvdd.JobFailed:
 		c.table.Finish(j, dualvdd.Outcome{State: dualvdd.JobFailed, Error: st.Error, Design: st.Design})

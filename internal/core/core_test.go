@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualvdd/internal/cell"
+	"dualvdd/internal/graph"
 	"dualvdd/internal/mapper"
 	"dualvdd/internal/mcnc"
 	"dualvdd/internal/netlist"
@@ -249,6 +250,26 @@ func TestDscaleBeatsOrEqualsCVS(t *testing.T) {
 		if c2.NumLowGates() < c1.NumLowGates() {
 			t.Fatalf("seed %d: Dscale lowered fewer gates (%d) than CVS (%d)",
 				seed, c2.NumLowGates(), c1.NumLowGates())
+		}
+	}
+}
+
+// TestSizingWeightSaturates pins the separator weight's range: a ratio past
+// graph.Inf saturates there instead of converting out of int64's range (and
+// being floored to the cheapest weight), and tiny ratios floor at 1.
+func TestSizingWeightSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		dArea, gain float64
+		want        int64
+	}{
+		{2, 0.5, 4e6},
+		{1e-9, 1e3, 1},
+		{1, 1e-12, 1e18},
+		{1, 1e-13, graph.Inf},
+		{1, 1e-300, graph.Inf},
+	} {
+		if got := sizingWeight(tc.dArea, tc.gain); got != tc.want {
+			t.Errorf("sizingWeight(%g, %g) = %d, want %d", tc.dArea, tc.gain, got, tc.want)
 		}
 	}
 }

@@ -444,6 +444,9 @@ func DscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 			}
 			st.weighted = st.weighted[:0]
 			for _, c := range cands {
+				// A gain is a share of the circuit's power, far below a watt,
+				// so the scaled weight and the antichain's flow sums stay
+				// orders of magnitude inside int64.
 				w := int64(c.gain * weightScale)
 				if w <= 0 {
 					w = 1

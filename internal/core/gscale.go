@@ -83,6 +83,19 @@ func sizingGain(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, g
 	return up, gain, up.Area - g.Cell.Area, true
 }
 
+// sizingWeight is an up-sizable gate's separator weight: its area penalty per
+// ns of net gain, scaled to an integer of at least 1. A vanishing gain can
+// push the ratio past int64's range, where the conversion is
+// implementation-defined (MinInt64 on amd64, which the floor of 1 would turn
+// into the cheapest gate); such a gate saturates at graph.Inf instead, as
+// good as unsizable.
+func sizingWeight(dArea, gain float64) int64 {
+	if r := dArea / gain * 1e6; r < float64(graph.Inf) {
+		return max(int64(r), 1)
+	}
+	return graph.Inf
+}
+
 // tcbEqual compares two sorted TCB slices.
 func tcbEqual(a, b []int) bool {
 	if len(a) != len(b) {
@@ -166,11 +179,7 @@ func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 				continue
 			}
 			ups[i] = up
-			w := int64(dArea / gain * 1e6)
-			if w < 1 {
-				w = 1
-			}
-			weight[i] = w
+			weight[i] = sizingWeight(dArea, gain)
 		}
 		succ := make([][]int, n)
 		hasPred := make([]bool, n)

@@ -77,7 +77,9 @@ func (g *Network) push(id int, f int64) {
 
 // MaxFlowEK computes the maximum s→t flow with the Edmonds–Karp algorithm
 // (BFS augmenting paths), the variant the paper cites for Gscale's separator
-// computation.
+// computation. A flow that reaches Inf is reported as exactly Inf: every cut
+// then crosses an Inf arc, and stopping there keeps further Inf augmenting
+// paths from wrapping the int64 sum negative.
 func (g *Network) MaxFlowEK(s, t int) int64 {
 	if s == t {
 		return 0
@@ -126,12 +128,16 @@ func (g *Network) MaxFlowEK(s, t int) int64 {
 			v = g.arcs[id^1].to
 		}
 		total += bottleneck
+		if total >= Inf {
+			return Inf
+		}
 	}
 }
 
 // MaxFlowDinic computes the maximum s→t flow with Dinic's algorithm. It is
 // used for the larger min-flow networks behind the independent-set selection,
-// where Edmonds–Karp's O(VE²) bound would be uncomfortable.
+// where Edmonds–Karp's O(VE²) bound would be uncomfortable. Like MaxFlowEK it
+// saturates: a flow that reaches Inf is reported as exactly Inf.
 func (g *Network) MaxFlowDinic(s, t int) int64 {
 	if s == t {
 		return 0
@@ -151,6 +157,9 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 				break
 			}
 			total += f
+			if total >= Inf {
+				return Inf
+			}
 		}
 	}
 	return total

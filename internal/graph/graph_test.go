@@ -230,6 +230,103 @@ func TestMinVertexCutVsBruteRandom(t *testing.T) {
 	}
 }
 
+// TestMinVertexCutManyInfChains is the Gscale overflow regression: eight
+// parallel entry→exit chains whose every node weighs Inf. Each chain is an
+// augmenting path of capacity Inf, so an unsaturated int64 flow sum wraps
+// negative past the seventh; the cut must still be reported infeasible.
+func TestMinVertexCutManyInfChains(t *testing.T) {
+	for _, chains := range []int{1, 7, 8, 9, 16} {
+		const length = 3
+		n := chains * length
+		succ := make([][]int, n)
+		weight := make([]int64, n)
+		isEntry := make([]bool, n)
+		isExit := make([]bool, n)
+		for c := 0; c < chains; c++ {
+			for k := 0; k < length; k++ {
+				v := c*length + k
+				weight[v] = Inf
+				if k+1 < length {
+					succ[v] = []int{v + 1}
+				}
+			}
+			isEntry[c*length] = true
+			isExit[c*length+length-1] = true
+		}
+		cut, flow, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		if ok || cut != nil || flow != Inf {
+			t.Fatalf("%d Inf chains: cut=%v flow=%d ok=%v, want no cut, flow Inf, ok false", chains, cut, flow, ok)
+		}
+	}
+}
+
+// TestMaxFlowSaturatesAtInf pins both max-flow engines' saturation: however
+// many Inf paths run in parallel, the flow reads exactly Inf.
+func TestMaxFlowSaturatesAtInf(t *testing.T) {
+	build := func(paths int) *Network {
+		g := NewNetwork(paths + 2)
+		for p := 0; p < paths; p++ {
+			g.AddArc(0, p+2, Inf)
+			g.AddArc(p+2, 1, Inf)
+		}
+		g.AddArc(0, 1, 5) // a finite arc alongside
+		return g
+	}
+	for _, paths := range []int{8, 9, 20} {
+		if got := build(paths).MaxFlowEK(0, 1); got != Inf {
+			t.Errorf("EK over %d Inf paths = %d, want Inf", paths, got)
+		}
+		if got := build(paths).MaxFlowDinic(0, 1); got != Inf {
+			t.Errorf("Dinic over %d Inf paths = %d, want Inf", paths, got)
+		}
+	}
+}
+
+// TestMinVertexCutVsBruteWithInf is the brute-force differential on graphs
+// where some nodes — sometimes all of them — weigh Inf, the shape Gscale
+// builds when gates cannot be upsized within the area budget.
+func TestMinVertexCutVsBruteWithInf(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(12)
+		succ := randDAG(rng, n, 0.3)
+		infShare := rng.Float64()
+		weight := make([]int64, n)
+		isEntry := make([]bool, n)
+		isExit := make([]bool, n)
+		for i := range weight {
+			weight[i] = int64(1 + rng.Intn(15))
+			if rng.Float64() < infShare {
+				weight[i] = Inf
+			}
+		}
+		for i := 0; i < n; i++ {
+			isEntry[i] = i < (n+1)/2 && rng.Intn(2) == 0
+			isExit[i] = i >= n/2 && rng.Intn(2) == 0
+		}
+		cut, got, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		want := VertexCutBrute(n, succ, weight, isEntry, isExit)
+		if !ok {
+			if want < Inf || got != Inf {
+				t.Fatalf("trial %d: infeasible with flow %d, brute found %d (succ=%v w=%v entry=%v exit=%v)",
+					trial, got, want, succ, weight, isEntry, isExit)
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("trial %d: cut weight %d != brute %d (succ=%v w=%v entry=%v exit=%v)",
+				trial, got, want, succ, weight, isEntry, isExit)
+		}
+		mask := 0
+		for _, v := range cut {
+			mask |= 1 << uint(v)
+		}
+		if !cutsAll(n, succ, isEntry, isExit, mask) {
+			t.Fatalf("trial %d: cut %v does not separate", trial, cut)
+		}
+	}
+}
+
 func TestMaxFlowEKMatchesDinic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

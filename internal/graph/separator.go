@@ -64,7 +64,8 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 }
 
 // VertexCutBrute exhaustively finds the minimum-weight vertex cut for
-// differential testing; n must be small.
+// differential testing; n must be small. Cut weights saturate at Inf, so Inf
+// means no finite-weight cut exists.
 func VertexCutBrute(n int, succ [][]int, weight []int64, isEntry, isExit []bool) int64 {
 	if n > 20 {
 		panic("graph: VertexCutBrute limited to 20 nodes")
@@ -74,7 +75,7 @@ func VertexCutBrute(n int, succ [][]int, weight []int64, isEntry, isExit []bool)
 		var w int64
 		for v := 0; v < n; v++ {
 			if mask>>uint(v)&1 == 1 {
-				w += weight[v]
+				w = min(w+weight[v], Inf) // saturate like the max flow does
 			}
 		}
 		if w >= best {

@@ -39,10 +39,6 @@ type SweepRow struct {
 	Algorithm string `json:"algorithm"`
 	// Cached reports the point was served from the runner's result cache.
 	Cached bool `json:"cached,omitempty"`
-	// Warm reports the point executed on a shared warm-prepared state.
-	// JSON-only: the CSV column set is pinned and warm results are
-	// bit-identical to cold ones, so the flag is reuse accounting, not data.
-	Warm bool `json:"warm,omitempty"`
 	// PowerUW is the post-scaling power in microwatts; ImprovePct the
 	// improvement over the point's own original power.
 	PowerUW    float64 `json:"power_uw"`
@@ -116,7 +112,6 @@ func BuildSweep(results []dualvdd.SweepPointResult) *SweepResult {
 				Seed:         pr.Point.Config.Seed,
 				Algorithm:    fr.Algorithm,
 				Cached:       pr.Status.Cached,
-				Warm:         pr.Status.Warm,
 				PowerUW:      fr.Power * 1e6,
 				ImprovePct:   fr.ImprovePct,
 				WorstSlackNs: fr.WorstSlack,

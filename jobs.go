@@ -69,7 +69,6 @@ type Outcome struct {
 	// failure); Results are set only when the job is done.
 	Design  *DesignInfo
 	Results []*FlowResult
-	Warm    bool
 	// Computed marks results this run computed: their evaluation totals
 	// count in the metrics. A result a worker served from its own cache
 	// adds nothing, which keeps the eval counters an honest proof of work.
@@ -298,7 +297,7 @@ func (t *JobTable) finish(j *JobEntry, out Outcome, queuedOnly bool) {
 		t.hooks.Release(j.tenant)
 	}
 	j.status = JobStatus{ID: j.status.ID, State: out.State, Error: out.Error,
-		Cached: out.cached, Warm: out.Warm, Design: out.Design, Results: out.Results}
+		Cached: out.cached, Design: out.Design, Results: out.Results}
 	j.bump()
 	j.mu.Unlock()
 	j.cancel()

@@ -4,15 +4,16 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
-
-	"dualvdd/internal/logic"
 )
 
 // Local is the in-process Runner: a bounded job queue drained by a worker
 // pool (fanned out by the same Batch primitive that powers suite
-// evaluation), per-job contexts for cancellation, and a content-addressed
-// result cache so identical submissions are answered without recomputation.
+// evaluation), per-job contexts for cancellation, a content-addressed
+// result cache so identical submissions are answered without recomputation,
+// and warm-prep groups so jobs on one circuit and high rail share one
+// prepared state (see execute).
 // It is the reference implementation of the Runner contract — the server
 // package puts an HTTP surface in front of exactly this, and the httptest
 // integration suite holds the two to the same behavior.
@@ -26,7 +27,6 @@ type Local struct {
 	workers    int
 	cacheLimit int
 	history    int
-	warmLimit  int
 
 	// cache is the content-addressed result store (nil = caching disabled)
 	// and journal the optional durability log of terminal jobs. Both default
@@ -43,6 +43,10 @@ type Local struct {
 	warm    map[string]*list.Element // guarded by mu
 	warmLRU *list.List               // guarded by mu; front = most recent; values are *warmEntry
 }
+
+// warmGroups bounds how many warm-prep groups a Local keeps resident. Past
+// the bound the least-recently-used group is dropped and rebuilt on next use.
+const warmGroups = 4
 
 // warmEntry is one warm-prep group: every job whose warmPrepKey matches
 // shares the WarmDesign built by the group's first runner. The build runs
@@ -122,23 +126,6 @@ func LocalJobHistory(n int) LocalOption {
 	return func(l *Local) {
 		if n > 0 {
 			l.history = n
-		}
-	}
-}
-
-// LocalWarmPrep enables warm prepared-state sharing and bounds how many
-// prepared groups stay resident (0, the default, disables it). With it on,
-// jobs whose circuit and high-rail configuration match share one prepared
-// state — mapped netlist, baseline timing engine, activity table — and each
-// job re-converges only its own low rail on it instead of rebuilding
-// everything from scratch. Results, job content addresses and cache behavior
-// are bit-identical to cold execution (the differential suite holds them to
-// it); only the wall clock and the evaluation totals change. Past the bound
-// the least-recently-used group is dropped and rebuilt on next use.
-func LocalWarmPrep(n int) LocalOption {
-	return func(l *Local) {
-		if n >= 0 {
-			l.warmLimit = n
 		}
 	}
 }
@@ -242,96 +229,39 @@ func (l *Local) Close(ctx context.Context) error {
 	return l.table.Close(ctx, func() { close(l.queue) }, l.idle)
 }
 
-// stripResults copies results without their scaled Circuits, so neither the
-// job history nor the cache pins netlists the wire never serves. Every
-// JobStatus therefore carries nil Circuits — local and wire-decoded results
-// have the same shape.
-func stripResults(results []*FlowResult) []*FlowResult {
-	out := make([]*FlowResult, len(results))
-	for i, r := range results {
-		c := *r
-		c.Circuit = nil
-		out[i] = &c
-	}
-	return out
-}
-
-// execute runs the job's flow under its per-job context: prepare (map,
-// relax, measure), then the requested algorithms in order. Progress events
-// land on the job's log via the observer. Everything published — events,
-// status results, cache entries — is Circuit-stripped: the job surface is
-// transport-shaped, and scaled netlists must not pin memory in the event
-// log or job history (in-process callers who want the netlist use Flow).
-func (l *Local) execute(j *JobEntry) Outcome {
-	job, net := j.input()
-	if l.warmLimit > 0 {
-		return l.executeWarm(j, job, net)
-	}
-	flow := New(
-		FromConfig(job.Config),
-		WithAlgorithms(job.algorithms()...),
-		WithObserver(jobObserver(j)),
-	)
-	d, err := flow.Prepare(j.ctx, net)
-	if err != nil {
-		return outcome(nil, nil, err)
-	}
-	design := designInfo(d)
-	results, err := flow.Run(j.ctx, d)
-	return outcome(design, results, err)
-}
-
-// outcome classifies a local run's end: done, cancelled by its context
-// (Cancel, Close's expiry, or its budget), or failed.
-func outcome(design *DesignInfo, results []*FlowResult, err error) Outcome {
-	switch {
-	case err == nil:
-		return Outcome{State: JobDone, Design: design, Results: stripResults(results), Computed: true}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return Outcome{State: JobCancelled, Error: err.Error(), Design: design}
-	default:
-		return Outcome{State: JobFailed, Error: err.Error(), Design: design}
-	}
-}
-
-// designInfo summarizes a prepared design.
-func designInfo(d *Design) *DesignInfo {
-	return &DesignInfo{
-		Name: d.Name, Gates: d.Circuit.NumLiveGates(),
-		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
-	}
-}
-
-// jobObserver publishes flow events onto the job's log, Circuit-stripped.
-func jobObserver(j *JobEntry) Observer {
-	return func(ev Event) {
-		if er, ok := ev.(EventResult); ok && er.Result != nil && er.Result.Circuit != nil {
-			res := *er.Result
-			res.Circuit = nil
-			er.Result = &res
-			ev = er
-		}
-		j.Publish(ev)
-	}
-}
-
-// executeWarm runs the job on its warm-prep group's shared state: the mapped
+// execute runs the job on its warm-prep group's shared state: the mapped
 // netlist, baseline timing engine and activity table are built once per group
-// and every member only re-converges its own low rail. The first member to
-// arrive builds; the EventMapped the build does not replay per job is
-// synthesized onto each member's log, so Watch streams look the same warm and
-// cold (the same parity a cache hit's synthetic history keeps).
-func (l *Local) executeWarm(j *JobEntry, job Job, net *logic.Network) Outcome {
+// and every member only re-converges its own rails on it, with results
+// bit-identical to a standalone Flow. The first member to arrive builds; the
+// EventMapped the build does not replay per job is synthesized onto each
+// member's log, the same parity a cache hit's synthetic history keeps.
+//
+// A panic anywhere in the run fails the job instead of the process, and the
+// group is dropped so the next member rebuilds rather than trust state the
+// panic unwound through.
+func (l *Local) execute(j *JobEntry) (out Outcome) {
+	var entry *warmEntry
+	defer func() {
+		if p := recover(); p != nil {
+			if entry != nil {
+				l.warmDrop(entry)
+			}
+			out = Outcome{State: JobFailed, Error: fmt.Sprintf("dualvdd: job panicked: %v", p)}
+		}
+	}()
+	if err := j.ctx.Err(); err != nil {
+		return outcome(nil, nil, err) // cancelled or out of budget while queued: build nothing
+	}
+	job, net := j.input()
 	key, err := warmPrepKey(net, job.Config)
 	if err != nil {
 		return outcome(nil, nil, err)
 	}
-	entry := l.warmGet(key)
+	entry = l.warmGet(key)
 	built := false
 	entry.once.Do(func() {
 		built = true
-		flow := New(FromConfig(job.Config))
-		entry.wd, entry.err = flow.PrepareWarm(context.Background(), net)
+		entry.wd, entry.err = New(FromConfig(job.Config)).PrepareWarm(context.Background(), net)
 	})
 	l.table.Count(func(m *Metrics) {
 		if built {
@@ -348,10 +278,29 @@ func (l *Local) executeWarm(j *JobEntry, job Job, net *logic.Network) Outcome {
 	}
 	design := designInfo(entry.wd.Design)
 	j.Publish(design.mapped())
-	results, err := entry.wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), jobObserver(j))
-	out := outcome(design, results, err)
-	out.Warm = true
-	return out
+	results, err := entry.wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), j.Publish)
+	return outcome(design, results, err)
+}
+
+// outcome classifies a local run's end: done, cancelled by its context
+// (Cancel, Close's expiry, or its budget), or failed.
+func outcome(design *DesignInfo, results []*FlowResult, err error) Outcome {
+	switch {
+	case err == nil:
+		return Outcome{State: JobDone, Design: design, Results: results, Computed: true}
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return Outcome{State: JobCancelled, Error: err.Error(), Design: design}
+	default:
+		return Outcome{State: JobFailed, Error: err.Error(), Design: design}
+	}
+}
+
+// designInfo summarizes a prepared design.
+func designInfo(d *Design) *DesignInfo {
+	return &DesignInfo{
+		Name: d.Name, Gates: d.Circuit.NumLiveGates(),
+		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
+	}
 }
 
 // warmGet returns the job's warm-prep group, creating it (and evicting the
@@ -365,10 +314,21 @@ func (l *Local) warmGet(key string) *warmEntry {
 	}
 	e := &warmEntry{key: key}
 	l.warm[key] = l.warmLRU.PushFront(e)
-	for l.warmLRU.Len() > l.warmLimit {
+	for l.warmLRU.Len() > warmGroups {
 		oldest := l.warmLRU.Back()
 		l.warmLRU.Remove(oldest)
 		delete(l.warm, oldest.Value.(*warmEntry).key)
 	}
 	return e
+}
+
+// warmDrop removes the group from the LRU unless it was already evicted (and
+// possibly replaced by a fresh group under the same key).
+func (l *Local) warmDrop(e *warmEntry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.warm[e.key]; ok && el.Value.(*warmEntry) == e {
+		l.warmLRU.Remove(el)
+		delete(l.warm, e.key)
+	}
 }

@@ -3,6 +3,7 @@ package dualvdd
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -202,5 +203,145 @@ func TestHistoryEvictsOldestExactlyAtBound(t *testing.T) {
 				t.Fatalf("after %d jobs, oldest returned %v, want ErrJobNotFound", i+1, err)
 			}
 		}
+	}
+}
+
+// stripWallClock copies results without their wall-clock fields, so two runs
+// of the same point compare with reflect.DeepEqual.
+func stripWallClock(results []*FlowResult) []FlowResult {
+	out := make([]FlowResult, len(results))
+	for i, r := range results {
+		out[i] = *r
+		out[i].Runtime, out[i].SimTime, out[i].Circuit = 0, 0, nil
+	}
+	return out
+}
+
+// TestLocalPanicFailsJobAndDropsGroup plants the state a panic during a group
+// build leaves behind — the sync.Once spent, no design, no error — under a
+// job's group key. Running on it panics; the job must end failed with a
+// deterministic error naming the panic value, the process must stay up, and
+// the broken group must be gone, so a resubmission rebuilds it and matches a
+// standalone Flow.
+func TestLocalPanicFailsJobAndDropsGroup(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1), LocalCacheEntries(0))
+	defer drain(t, l)
+
+	job := BenchmarkJob("z4ml", WithSimWords(16))
+	key, err := job.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.warmGet(key).once.Do(func() {})
+
+	id, err := l.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "dualvdd: job panicked: runtime error: invalid memory address or nil pointer dereference"
+	if st.State != JobFailed || st.Error != want {
+		t.Fatalf("job ended %s with %q, want failed with %q", st.State, st.Error, want)
+	}
+	l.mu.Lock()
+	_, resident := l.warm[key]
+	l.mu.Unlock()
+	if resident {
+		t.Fatal("the group a panic unwound through is still resident")
+	}
+
+	id, err = l.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = l.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("resubmission ended %s: %s", st.State, st.Error)
+	}
+	flow := New(FromConfig(job.Config))
+	d, err := flow.PrepareBenchmark(ctx, "z4ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := flow.Run(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripWallClock(st.Results), stripWallClock(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt group's results differ from a standalone Flow:\n got  %+v\n want %+v", got, want)
+	}
+	m := l.Metrics()
+	if m.PrepBuilds != 1 || m.PrepReuses != 1 || m.JobsFailed != 1 {
+		t.Fatalf("builds/reuses/failed = %d/%d/%d, want 1/1/1", m.PrepBuilds, m.PrepReuses, m.JobsFailed)
+	}
+}
+
+// TestLocalExpiredBudgetBuildsNothing holds the worker inside a group build
+// while a second job's budget runs out in the queue: when the worker reaches
+// it, the job must end cancelled without building its own group.
+func TestLocalExpiredBudgetBuildsNothing(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1), LocalCacheEntries(0))
+	defer drain(t, l)
+
+	first := BenchmarkJob("z4ml", WithSimWords(16))
+	key, err := first.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the first job's group build open until the second job expired.
+	entry := l.warmGet(key)
+	release := make(chan struct{})
+	building := make(chan struct{})
+	go entry.once.Do(func() {
+		close(building)
+		<-release
+		entry.wd, entry.err = New(FromConfig(first.Config)).PrepareWarmBenchmark(ctx, "z4ml")
+	})
+	<-building
+	firstID, err := l.Submit(ctx, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := BenchmarkJob("rot", WithSimWords(16))
+	lateID, err := l.Submit(WithJobBudget(ctx, 20*time.Millisecond), late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.table.mu.Lock()
+	lateJob := l.table.jobs[lateID]
+	l.table.mu.Unlock()
+	<-lateJob.Context().Done() // the budget ran out while the job waited
+	close(release)
+
+	if st, err := l.Result(ctx, firstID); err != nil || st.State != JobDone {
+		t.Fatalf("first job: %+v, %v", st, err)
+	}
+	st, err := l.Result(ctx, lateID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobCancelled || st.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("expired job ended %s with %q, want cancelled by its deadline", st.State, st.Error)
+	}
+	lateKey, err := late.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	_, built := l.warm[lateKey]
+	l.mu.Unlock()
+	if built {
+		t.Fatal("a job whose budget expired in the queue joined a warm group")
+	}
+	if m := l.Metrics(); m.PrepBuilds != 0 || m.PrepReuses != 1 {
+		t.Fatalf("builds/reuses = %d/%d, want 0/1 (only the first job, on the planted group)", m.PrepBuilds, m.PrepReuses)
 	}
 }

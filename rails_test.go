@@ -4,9 +4,9 @@ package dualvdd_test
 // here: (1) `Rails: [vhigh, vlow]` is not "almost" the legacy pair — it is
 // byte-identical on the wire, address-identical in the caches, and
 // bit-identical in the results; (2) a genuinely multi-rail sweep (three or
-// more supplies) runs end to end through both runner shapes — a warm Local
-// and a fleet coordinator — with warm-group affinity intact and the second
-// pass answered entirely from cache.
+// more supplies) runs end to end through both runner shapes — a Local and a
+// fleet coordinator — with warm-group affinity intact and the second pass
+// answered entirely from cache.
 
 import (
 	"context"
@@ -101,13 +101,13 @@ func sweepPointEvents(ctx context.Context, t *testing.T, s dualvdd.Sweep, r dual
 
 // sweepEventsDigest hashes a sweep's point-event envelopes after zeroing the
 // fields that legitimately differ between two identical computations: wall
-// clock (Runtime/SimTime) and scheduling provenance (Cached/Warm). What
-// remains is the deterministic wire content of the sweep.
+// clock (Runtime/SimTime) and scheduling provenance (Cached). What remains
+// is the deterministic wire content of the sweep.
 func sweepEventsDigest(t *testing.T, evs []dualvdd.EventSweepPoint) string {
 	t.Helper()
 	h := sha256.New()
 	for _, ev := range evs {
-		ev.Cached, ev.Warm = false, false
+		ev.Cached = false
 		results := make([]*dualvdd.FlowResult, len(ev.Results))
 		for i, r := range ev.Results {
 			cp := *r
@@ -255,29 +255,31 @@ func requireSameRows(t *testing.T, want, got []dualvdd.SweepPointResult) {
 	}
 }
 
-// TestThreeRailSweepLocalWarm drives the three-rail grid through a warm
-// Local: the rows must carry a consistent per-rail breakdown, the prep
-// metrics must show exactly one build per (circuit, rail-table) warm group
-// with the two classic pairs sharing one group, and an immediate re-run must
-// be answered 100% from cache with bit-identical rows.
+// TestThreeRailSweepLocalWarm drives the three-rail grid through a Local:
+// the rows must carry a consistent per-rail breakdown and match standalone
+// Flow runs, the prep metrics must show exactly one build per (circuit,
+// rail-table) warm group with the two classic pairs sharing one group, and
+// an immediate re-run must be answered 100% from cache with bit-identical
+// rows.
 func TestThreeRailSweepLocalWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e sweep is slow")
 	}
 	ctx := context.Background()
 	sweep := threeRailSweep()
-	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2), dualvdd.LocalWarmPrep(8))
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
 	defer func() {
 		cctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		_ = l.Close(cctx)
 	}()
 
-	rows, err := sweep.Run(ctx, l, dualvdd.SweepWarm(true))
+	rows, err := sweep.Run(ctx, l)
 	if err != nil {
 		t.Fatalf("three-rail sweep: %v", err)
 	}
 	checkThreeRailRows(t, rows)
+	requireSameRows(t, flowOracle(ctx, t, sweep), rows)
 
 	// Warm groups: per circuit, the two classic pairs share one group (the
 	// low rail is retargeted, not re-prepared) and the three-rail table has
@@ -313,10 +315,10 @@ func TestThreeRailSweepLocalWarm(t *testing.T) {
 }
 
 // TestThreeRailSweepFleet drives the same three-rail grid through a fleet
-// coordinator over two warm HTTP workers. The coordinator shards by
+// coordinator over two HTTP workers. The coordinator shards by
 // Job.GroupKey, so every warm group must land whole on one worker — observed
 // as exactly one prepared-state build per group fleet-wide — and the rows
-// must match the single-Local run bit for bit. A second pass is answered
+// must match standalone Flow runs bit for bit. A second pass is answered
 // entirely from the coordinator's result cache.
 func TestThreeRailSweepFleet(t *testing.T) {
 	if testing.Short() {
@@ -325,20 +327,13 @@ func TestThreeRailSweepFleet(t *testing.T) {
 	ctx := context.Background()
 	sweep := threeRailSweep()
 
-	baseline := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
-	want, err := sweep.Run(ctx, baseline)
-	if err != nil {
-		t.Fatalf("baseline sweep: %v", err)
-	}
+	want := flowOracle(ctx, t, sweep)
 	checkThreeRailRows(t, want)
-	cctx, cancel := context.WithTimeout(ctx, time.Minute)
-	_ = baseline.Close(cctx)
-	cancel()
 
 	var workers []*dualvdd.Local
 	var urls []string
 	for i := 0; i < 2; i++ {
-		w := dualvdd.NewLocal(dualvdd.LocalWarmPrep(8))
+		w := dualvdd.NewLocal()
 		ts := httptest.NewServer(server.New(w))
 		workers = append(workers, w)
 		urls = append(urls, ts.URL)
@@ -361,7 +356,7 @@ func TestThreeRailSweepFleet(t *testing.T) {
 		_ = co.Close(cctx)
 	}()
 
-	rows, err := sweep.Run(ctx, co, dualvdd.SweepWarm(true))
+	rows, err := sweep.Run(ctx, co)
 	if err != nil {
 		t.Fatalf("fleet sweep: %v", err)
 	}

@@ -211,7 +211,7 @@ func (j Job) key() (string, *logic.Network, error) {
 
 // GroupKey returns the job's placement address: like Key, but with Vlow and
 // the algorithm list excluded (and SimWorkers, as always). It is exactly the
-// warm-prep grouping of LocalWarmPrep — every point of one circuit's
+// warm-prep group a Local runs the job in — every point of one circuit's
 // low-rail sweep shares a GroupKey — which is why a fleet coordinator shards
 // on it: repeat traffic for one circuit lands on the worker whose prepared
 // state is already warm for it. A multi-rail config keeps its full Rails
@@ -287,7 +287,7 @@ type DesignInfo struct {
 }
 
 // mapped is the EventMapped a job reports for this design: cache hits and
-// warm runs synthesize it, since neither maps the circuit itself.
+// Local runs synthesize it, since neither maps the circuit for the job.
 func (d *DesignInfo) mapped() EventMapped {
 	return EventMapped{Circuit: d.Name, Gates: d.Gates, MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower}
 }
@@ -301,11 +301,6 @@ type JobStatus struct {
 	// Cached reports that the job was answered from the result cache
 	// without recomputation.
 	Cached bool `json:"cached,omitempty"`
-	// Warm reports that the job executed on a shared warm-prepared state
-	// (LocalWarmPrep) instead of a from-scratch flow. Warm results are
-	// bit-identical to cold ones; the flag exists for reuse accounting.
-	// Cache hits leave it false — they did not execute at all.
-	Warm bool `json:"warm,omitempty"`
 	// Design summarizes the prepared circuit once mapping finished.
 	Design *DesignInfo `json:"design,omitempty"`
 	// Results holds one FlowResult per requested algorithm, in request
@@ -356,17 +351,17 @@ type Metrics struct {
 	// rather than the paper's classic two-rail setup. Cache hits and dedups
 	// add nothing; like the eval counters, it measures actual computation.
 	MultiRailJobs int64 `json:"multi_rail_jobs,omitempty"`
-	// PrepBuilds and PrepReuses count warm prepared-state constructions and
-	// the runs that rode an existing one (LocalWarmPrep); PrepGroups is the
-	// current resident group count. Reuses/Builds is the warm path's
-	// amortization ratio.
+	// PrepBuilds and PrepReuses count the warm prepared states a Local built
+	// and the runs that rode an existing one; PrepGroups is the current
+	// resident group count. Reuses/Builds is the amortization ratio.
 	PrepBuilds int64 `json:"prep_builds,omitempty"`
 	PrepReuses int64 `json:"prep_reuses,omitempty"`
 	PrepGroups int   `json:"prep_groups,omitempty"`
 	// STAEvals and CandEvals total the incremental-timing and Dscale
 	// candidate evaluations spent by completed runs; SimNs totals their
 	// logic-simulation wall clock. Cache hits add nothing — the triple is
-	// how a test proves "no recomputation".
+	// how a test proves "no recomputation". SimNs reads 0 for jobs a runner
+	// executes: they run on shared prepared state, which never simulates.
 	STAEvals  int64 `json:"sta_evals"`
 	CandEvals int64 `json:"cand_evals"`
 	SimNs     int64 `json:"sim_ns"`

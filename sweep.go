@@ -13,12 +13,12 @@ import (
 // Sweep is a design-space exploration over the flow's configuration axes:
 // the grid the paper's single (VDDH, VDDL, slack) point is one corner of.
 // Each listed axis value set is crossed with every other, per circuit, and
-// the resulting points are executed through any Runner — a Local fans them
-// across its worker pool and dedupes shared points through its
-// content-addressed cache, a client.Client runs the identical sweep against
-// a remote `dualvdd serve`. Results aggregate in expansion order regardless
-// of scheduling, so a sweep is as deterministic as the single runs it is
-// made of.
+// the resulting points are executed through any Runner — a Local runs each
+// circuit's points on one shared prepared state and dedupes shared points
+// through its content-addressed cache, a client.Client runs the identical
+// sweep against a remote `dualvdd serve`. Results aggregate in expansion
+// order regardless of scheduling, so a sweep is as deterministic as the
+// single runs it is made of.
 //
 // Expansion order (Points) is fixed and documented: circuits outermost, then
 // the supply axis (whole rail tables when Axes.Rails is set, otherwise VDDH
@@ -98,8 +98,9 @@ type SweepPoint struct {
 	Config     Config       `json:"config"`
 	Algorithms []Algorithm  `json:"algorithms"`
 
-	// ci is the circuit's position in Sweep.Circuits, for labelling inline
-	// models ("blif#<ci>"). Process-local: it never crosses the wire.
+	// ci is the circuit's position in Sweep.Circuits: Run's chain key, and
+	// the label of inline models ("blif#<ci>"). Process-local: it never
+	// crosses the wire.
 	ci int
 }
 
@@ -288,16 +289,16 @@ type sweepRun struct {
 	inFlight int
 	obs      Observer
 	forward  bool
-	warm     bool
 }
 
 // SweepOption configures Sweep.Run.
 type SweepOption func(*sweepRun)
 
-// SweepInFlight bounds how many points are submitted to the runner at once
-// (default: GOMAXPROCS, capped at 16). It should not exceed the runner's
-// queue depth by much — a full queue is retried, not fatal, but the retries
-// are wasted round trips on a remote transport.
+// SweepInFlight bounds how many circuit chains run at once, each with one
+// point submitted to the runner (default: GOMAXPROCS, capped at 16). It
+// should not exceed the runner's queue depth by much — a full queue is
+// retried, not fatal, but the retries are wasted round trips on a remote
+// transport.
 func SweepInFlight(n int) SweepOption {
 	return func(r *sweepRun) {
 		if n > 0 {
@@ -324,27 +325,17 @@ func SweepJobEvents(on bool) SweepOption {
 	return func(r *sweepRun) { r.forward = on }
 }
 
-// SweepWarm schedules the sweep for warm prepared-state reuse: each
-// circuit's points run as one sequential chain in expansion order (so
-// points that share a prepared state arrive back to back on the runner and
-// the warm groups of a LocalWarmPrep runner are never contended), while
-// distinct circuits still run in parallel up to SweepInFlight. The option
-// changes scheduling only — results stay in expansion order and every point
-// computes exactly what it would cold; pair it with LocalWarmPrep on the
-// runner to actually share the prepared work. On error the sweep reports the
-// earliest-chain failure; later points of a failed chain are skipped (nil
-// holes), other chains run to completion or cancellation like cold Run.
-func SweepWarm(on bool) SweepOption {
-	return func(r *sweepRun) { r.warm = on }
-}
-
 // Run expands the sweep and executes every point through the runner,
-// returning the results in expansion order. Submission fans out across at
-// most SweepInFlight points; a runner whose queue is momentarily full is
-// retried. The first failing point aborts the sweep deterministically (the
-// lowest-index intrinsic failure is reported, the Batch contract); on error
-// the returned slice still holds every completed point, with nil holes for
-// failed and skipped ones.
+// returning the results in expansion order. Each circuit entry's points run
+// as one sequential chain in expansion order, so points that share prepared
+// state arrive back to back on the runner (a Local's warm-prep group, a
+// fleet worker's shard) instead of contending for it; distinct entries run
+// in parallel up to SweepInFlight. A runner whose queue is momentarily full
+// is retried. Every chain is a contiguous run of points, so the first
+// failing point aborts the sweep deterministically: the lowest-index
+// failure is reported (the Batch contract), the rest of its chain is
+// skipped, and the returned slice still holds every completed point, with
+// nil holes for failed and skipped ones.
 //
 // Cancellation: when ctx ends, in-flight jobs are cancelled on the runner
 // and Run returns ctx.Err(). Points the runner answered from its cache
@@ -358,58 +349,39 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 	if err != nil {
 		return nil, err
 	}
+	// One chain per circuit entry: expansion order keeps an entry's points
+	// contiguous with the rails varying fastest, so chain c is the index
+	// range [starts[c], starts[c+1]) and walks its voltage axis neighbor to
+	// neighbor.
+	starts := make([]int, 0, len(s.Circuits)+1)
+	for i, p := range points {
+		if i == 0 || p.ci != points[i-1].ci {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(points))
 	var cached atomic.Int64
-	runPoint := func(ctx context.Context, i int) (SweepPointResult, error) {
-		st, err := runSweepPoint(ctx, r, points[i], run)
-		if err != nil {
-			return SweepPointResult{}, err
-		}
-		res := SweepPointResult{Point: points[i], Status: st}
-		if run.obs != nil {
-			run.obs.emit(sweepPointEvent(points[i], len(points), st))
-		}
-		if st.Cached {
-			cached.Add(1)
-		}
-		return res, nil
-	}
-	var results []SweepPointResult
-	if run.warm {
-		// One sequential chain per circuit, chains in parallel. Expansion
-		// order groups each circuit's points contiguously with VDDL varying
-		// fastest, so a chain walks its voltage axis neighbor to neighbor —
-		// exactly the access pattern a warm-prep runner amortizes best.
-		chains := make([][]int, 0, len(s.Circuits))
-		chainOf := map[SweepCircuit]int{}
-		for i, p := range points {
-			ci, ok := chainOf[p.Circuit]
-			if !ok {
-				ci = len(chains)
-				chainOf[p.Circuit] = ci
-				chains = append(chains, nil)
-			}
-			chains[ci] = append(chains[ci], i)
-		}
-		results = make([]SweepPointResult, len(points))
-		// Distinct chains write distinct slots, so the shared slice needs no
-		// lock; failed and skipped slots keep the zero SweepPointResult.
-		_, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(chains),
-			func(ctx context.Context, c int) (struct{}, error) {
-				for _, i := range chains[c] {
-					res, err := runPoint(ctx, i)
-					if err != nil {
-						return struct{}{}, err
-					}
-					results[i] = res
+	results := make([]SweepPointResult, len(points))
+	// Distinct chains write distinct slots, so the shared slice needs no
+	// lock; failed and skipped slots keep the zero SweepPointResult.
+	_, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(starts)-1,
+		func(ctx context.Context, c int) (struct{}, error) {
+			for i := starts[c]; i < starts[c+1]; i++ {
+				st, err := runSweepPoint(ctx, r, points[i], run)
+				if err != nil {
+					return struct{}{}, err
 				}
-				return struct{}{}, nil
-			})
-	} else {
-		results, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(points), runPoint)
-	}
+				results[i] = SweepPointResult{Point: points[i], Status: st}
+				if run.obs != nil {
+					run.obs.emit(sweepPointEvent(points[i], len(points), st))
+				}
+				if st.Cached {
+					cached.Add(1)
+				}
+			}
+			return struct{}{}, nil
+		})
 	if err != nil {
-		// Failed and skipped slots hold the zero SweepPointResult, per the
-		// BatchMap contract.
 		return results, err
 	}
 	if run.obs != nil {
@@ -530,7 +502,6 @@ func sweepPointEvent(pt SweepPoint, total int, st *JobStatus) EventSweepPoint {
 		SimWords:    pt.Config.SimWords,
 		Algorithms:  append([]Algorithm(nil), pt.Algorithms...),
 		Cached:      st.Cached,
-		Warm:        st.Warm,
 		Results:     st.Results,
 	}
 }

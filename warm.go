@@ -34,8 +34,8 @@ import (
 //
 // A WarmDesign serializes its runs: RunAt holds an internal lock, so
 // concurrent callers take turns on the one engine. Sweep-level parallelism
-// comes from using one WarmDesign per circuit, which is exactly how the warm
-// scheduler partitions its grid.
+// comes from using one WarmDesign per circuit, which is exactly how
+// Sweep.Run's chains and a Local's warm-prep groups partition the grid.
 type WarmDesign struct {
 	// Design is the prepared benchmark the runs share. Its pristine Circuit
 	// is never touched; the WarmDesign works on its own clone.
@@ -178,31 +178,9 @@ func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (
 	// level-converter activities) — bit-identical to the cold path's fresh
 	// simulate-and-estimate, without the simulation.
 	pb := power.Estimate(w.work, lib, cres.Act, d.cfg.Fclk)
-	gates := 0
-	for _, g := range w.work.Gates {
-		if !g.Dead && !g.IsLC {
-			gates++
-		}
-	}
-	fr := &FlowResult{
-		Algorithm:    string(algo),
-		Power:        pb.Total,
-		ImprovePct:   (d.OrgPower - pb.Total) / d.OrgPower * 100,
-		Gates:        gates,
-		LowGates:     w.work.NumLowGates(),
-		LCs:          w.work.NumLCs(),
-		Sized:        cres.Sized,
-		AreaIncrease: w.work.Area()/d.Circuit.Area() - 1,
-		WorstSlack:   d.Tspec - w.inc.WorstArrival(),
-		Runtime:      elapsed,
-		STAEvals:     cres.STAEvals,
-		CandEvals:    cres.CandEvals,
-		SimTime:      0,
-	}
-	if gates > 0 {
-		fr.LowRatio = float64(fr.LowGates) / float64(gates)
-	}
-	railBreakdown(fr, w.work, lib)
+	// No simulation ran and the working clone is rolled back, so SimTime
+	// stays 0 and Circuit nil.
+	fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
 	w.runs++
 	obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil

@@ -135,11 +135,35 @@ func TestWarmCancelRestoresBaseline(t *testing.T) {
 	requireSameResult(t, "Dscale-after-cancel", cold, res[0])
 }
 
-// TestWarmSweepMatchesColdSweep is the end-to-end warm path: the same sweep
-// run cold on one Local and warm (LocalWarmPrep + SweepWarm) on another must
-// produce bit-identical rows, with every warm point flagged and the prep
-// metrics accounting for one build per circuit and one reuse for every other
-// point.
+// flowOracle runs every point of the sweep as a standalone Flow — prepared
+// from scratch at the point's own rails, the reference every runner row is
+// held to — and returns the rows in expansion order.
+func flowOracle(ctx context.Context, t *testing.T, s dualvdd.Sweep) []dualvdd.SweepPointResult {
+	t.Helper()
+	points, err := s.Points()
+	if err != nil {
+		t.Fatalf("expand: %v", err)
+	}
+	rows := make([]dualvdd.SweepPointResult, len(points))
+	for i, pt := range points {
+		flow := dualvdd.New(dualvdd.FromConfig(pt.Config), dualvdd.WithAlgorithms(pt.Algorithms...))
+		d, err := flow.PrepareBenchmark(ctx, pt.Circuit.Benchmark)
+		if err != nil {
+			t.Fatalf("point %d: prepare: %v", i, err)
+		}
+		res, err := flow.Run(ctx, d)
+		if err != nil {
+			t.Fatalf("point %d: run: %v", i, err)
+		}
+		rows[i] = dualvdd.SweepPointResult{Point: pt, Status: &dualvdd.JobStatus{State: dualvdd.JobDone, Results: res}}
+	}
+	return rows
+}
+
+// TestWarmSweepMatchesColdSweep is the end-to-end warm path: a sweep on a
+// Local runs every point on its circuit's shared prepared state, and its rows
+// must be bit-identical to standalone Flow runs, with the prep metrics
+// accounting for one build per circuit and one reuse for every other point.
 func TestWarmSweepMatchesColdSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -150,58 +174,77 @@ func TestWarmSweepMatchesColdSweep(t *testing.T) {
 		Base:     dualvdd.Config{SimWords: 64},
 		Axes:     dualvdd.Axes{VDDL: []float64{3.3, 3.7, 4.3}},
 	}
+	want := flowOracle(ctx, t, sweep)
 
-	cold := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
-	coldRes, err := sweep.Run(ctx, cold)
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
+	rows, err := sweep.Run(ctx, l)
 	if err != nil {
-		t.Fatalf("cold sweep: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
-	if cerr := cold.Close(ctx); cerr != nil {
-		t.Fatalf("close cold: %v", cerr)
-	}
+	requireSameRows(t, want, rows)
 
-	warm := dualvdd.NewLocal(dualvdd.LocalWorkers(2),
-		dualvdd.LocalWarmPrep(len(sweep.Circuits)))
-	warmRes, err := sweep.Run(ctx, warm, dualvdd.SweepWarm(true))
-	if err != nil {
-		t.Fatalf("warm sweep: %v", err)
-	}
-
-	if len(warmRes) != len(coldRes) {
-		t.Fatalf("%d warm results vs %d cold", len(warmRes), len(coldRes))
-	}
-	for i := range coldRes {
-		cs, ws := coldRes[i].Status, warmRes[i].Status
-		if cs == nil || ws == nil {
-			t.Fatalf("point %d: nil status (cold=%v warm=%v)", i, cs == nil, ws == nil)
-		}
-		if cs.Warm {
-			t.Errorf("point %d: cold run flagged warm", i)
-		}
-		if !ws.Warm {
-			t.Errorf("point %d: warm run not flagged", i)
-		}
-		if len(ws.Results) != len(cs.Results) {
-			t.Fatalf("point %d: %d warm results vs %d cold", i, len(ws.Results), len(cs.Results))
-		}
-		for j := range cs.Results {
-			label := coldRes[i].Point.Circuit.Benchmark + "/" + cs.Results[j].Algorithm
-			requireSameResult(t, label, cs.Results[j], ws.Results[j])
-		}
-	}
-
-	m := warm.Metrics()
-	points := len(warmRes)
+	m := l.Metrics()
 	if m.PrepBuilds != int64(len(sweep.Circuits)) {
 		t.Errorf("PrepBuilds = %d, want %d (one per circuit)", m.PrepBuilds, len(sweep.Circuits))
 	}
-	if m.PrepReuses != int64(points-len(sweep.Circuits)) {
-		t.Errorf("PrepReuses = %d, want %d", m.PrepReuses, points-len(sweep.Circuits))
+	if m.PrepReuses != int64(len(rows)-len(sweep.Circuits)) {
+		t.Errorf("PrepReuses = %d, want %d", m.PrepReuses, len(rows)-len(sweep.Circuits))
 	}
 	if m.PrepGroups != len(sweep.Circuits) {
 		t.Errorf("PrepGroups = %d, want %d", m.PrepGroups, len(sweep.Circuits))
 	}
-	if cerr := warm.Close(ctx); cerr != nil {
-		t.Fatalf("close warm: %v", cerr)
+	if cerr := l.Close(ctx); cerr != nil {
+		t.Fatalf("close: %v", cerr)
+	}
+}
+
+// TestLocalWarmGroupsConcurrent submits two circuits' points at once to a
+// four-worker Local, so members of both warm-prep groups race for the group
+// build and then take turns on each shared engine. Every result must still
+// match a standalone Flow bit for bit, and each group must be built exactly
+// once. CI runs it in a -race loop.
+func TestLocalWarmGroupsConcurrent(t *testing.T) {
+	ctx := context.Background()
+	sweep := dualvdd.Sweep{
+		Circuits: dualvdd.SweepBenchmarks("z4ml", "rot"),
+		Base:     dualvdd.Config{SimWords: 16},
+		Axes:     dualvdd.Axes{VDDL: []float64{3.3, 3.5, 3.7, 3.9, 4.1, 4.3}},
+	}
+	want := flowOracle(ctx, t, sweep)
+
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(4))
+	defer func() {
+		if err := l.Close(ctx); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}()
+	// Interleave the circuits so the first workers to dequeue hold members
+	// of both groups.
+	half := len(want) / 2
+	ids := make([]dualvdd.JobID, len(want))
+	for k := 0; k < len(want); k++ {
+		i := k/2 + (k%2)*half
+		id, err := l.Submit(ctx, want[i].Point.Job())
+		if err != nil {
+			t.Fatalf("submit point %d: %v", i, err)
+		}
+		ids[i] = id
+	}
+	got := make([]dualvdd.SweepPointResult, len(want))
+	for i, id := range ids {
+		st, err := l.Result(ctx, id)
+		if err != nil {
+			t.Fatalf("result point %d: %v", i, err)
+		}
+		if st.State != dualvdd.JobDone {
+			t.Fatalf("point %d ended %s: %s", i, st.State, st.Error)
+		}
+		got[i] = dualvdd.SweepPointResult{Point: want[i].Point, Status: st}
+	}
+	requireSameRows(t, want, got)
+
+	m := l.Metrics()
+	if m.PrepBuilds != 2 || m.PrepReuses != 10 {
+		t.Errorf("prep builds/reuses = %d/%d, want 2/10 (one build per circuit)", m.PrepBuilds, m.PrepReuses)
 	}
 }
