@@ -2,7 +2,6 @@ package dualvdd
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,12 +87,7 @@ func BatchMap[T any](ctx context.Context, b Batch, n int, fn func(ctx context.Co
 				r, err := fn(ctx, i)
 				if err != nil {
 					errs[i] = err
-					for {
-						cur := failedMin.Load()
-						if int64(i) >= cur || failedMin.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
+					lowerTo(&failedMin, i)
 					cancel()
 					continue
 				}
@@ -106,7 +100,22 @@ func BatchMap[T any](ctx context.Context, b Batch, n int, fn func(ctx context.Co
 	}
 	close(idx)
 	wg.Wait()
+	return results, firstError(errs)
+}
 
+// lowerTo lowers v to i unless it already holds a smaller value.
+func lowerTo(v *atomic.Int64, i int) {
+	for {
+		cur := v.Load()
+		if int64(i) >= cur || v.CompareAndSwap(cur, int64(i)) {
+			return
+		}
+	}
+}
+
+// firstError picks the error to report from per-item errors kept in index
+// order under BatchMap's skip rule.
+func firstError(errs []error) error {
 	var first error
 	for _, err := range errs {
 		if err == nil {
@@ -115,16 +124,15 @@ func BatchMap[T any](ctx context.Context, b Batch, n int, fn func(ctx context.Co
 		if first == nil {
 			first = err
 		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if !cancelled(err) {
 			// The skip rule guarantees every error sits at or above the
 			// lowest intrinsically-failing index, so the first hard error
 			// of this index-order scan is that item's. Cancellation-class
 			// errors below it can only come from the caller's own ctx
 			// expiring, in which case a hard failure that did complete is
 			// the more informative report.
-			first = err
-			break
+			return err
 		}
 	}
-	return results, first
+	return first
 }

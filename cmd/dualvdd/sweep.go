@@ -26,10 +26,13 @@ import (
 //	dualvdd sweep -bench des -addr http://127.0.0.1:8080 -progress
 //	dualvdd sweep -bench C880 -rails "5.0,4.3;5.0,4.3,3.6"
 //
-// Each circuit's points run as one chain on the runner, which prepares the
-// circuit once (mapping, baseline timing analysis, switching activities)
-// and re-converges only the rails per point — bit-identical to preparing
-// every point from scratch, at a fraction of the work.
+// Points that share prepared state (one circuit under one high rail, slack
+// factor and sim-words setting) run as a chain on the runner, which prepares
+// the circuit once (mapping, baseline timing analysis, switching activities)
+// and re-converges only the low rails per point — bit-identical to preparing
+// every point from scratch, at a fraction of the work. Up to -inflight
+// chains run at once; with fewer groups than that, long chains are cut into
+// pieces that share the one prepared state.
 //
 // Axis flags accept either a comma list ("4.3,4.1,3.9") or an inclusive
 // range "lo:hi:step"; -algos takes comma-separated sets whose members join
@@ -52,7 +55,7 @@ func runSweep(args []string) {
 	out := fs.String("out", "table", "output format: table, json or csv")
 	addr := fs.String("addr", "", "run against a remote dualvdd serve at this base URL instead of in-process")
 	workers := fs.Int("workers", 0, "in-process job workers (0 = GOMAXPROCS); ignored with -addr")
-	inflight := fs.Int("inflight", 0, "points submitted to the runner at once (0 = default)")
+	inflight := fs.Int("inflight", 0, "points submitted to the runner at once, one per chain (0 = GOMAXPROCS, at most 16)")
 	progress := fs.Bool("progress", false, "stream per-point progress to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit)")
 	fs.Parse(args)

@@ -647,9 +647,10 @@ func TestFleetWorkerBudgetExpiryLeavesWorkerLive(t *testing.T) {
 	co := newFleet(t, []*testWorker{newWorker(t)},
 		fleet.WithHealth(time.Hour, 0, 0), fleet.WithHopBudget(2*time.Second))
 
-	// The worker gets 300 ms of the 2.3 s: far too little for des at 4096
-	// words, while the coordinator's deadline is 2 s further out.
-	tight := dualvdd.WithJobBudget(ctx, 2300*time.Millisecond)
+	// The worker gets 50 ms of the 2.05 s: far too little for des at 4096
+	// words (mapping alone takes about 100 ms on two vCPUs), while the
+	// coordinator's deadline is 2 s further out.
+	tight := dualvdd.WithJobBudget(ctx, 2050*time.Millisecond)
 	id, err := co.Submit(tight, dualvdd.BenchmarkJob("des", dualvdd.WithSimWords(4096)))
 	if err != nil {
 		t.Fatal(err)

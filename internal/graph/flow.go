@@ -136,8 +136,7 @@ func (g *Network) MaxFlowEK(s, t int) int64 {
 
 // MaxFlowDinic computes the maximum s→t flow with Dinic's algorithm. It is
 // used for the larger min-flow networks behind the independent-set selection,
-// where Edmonds–Karp's O(VE²) bound would be uncomfortable. Like MaxFlowEK it
-// saturates: a flow that reaches Inf is reported as exactly Inf.
+// where Edmonds–Karp's O(VE²) bound would be uncomfortable.
 func (g *Network) MaxFlowDinic(s, t int) int64 {
 	if s == t {
 		return 0
@@ -157,9 +156,6 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 				break
 			}
 			total += f
-			if total >= Inf {
-				return Inf
-			}
 		}
 	}
 	return total

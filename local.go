@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Local is the in-process Runner: a bounded job queue drained by a worker
@@ -44,21 +45,29 @@ type Local struct {
 	warmLRU *list.List               // guarded by mu; front = most recent; values are *warmEntry
 }
 
-// warmGroups bounds how many warm-prep groups a Local keeps resident. Past
-// the bound the least-recently-used group is dropped and rebuilt on next use.
+// warmGroups is the least number of warm-prep groups a Local keeps resident;
+// a Local with more workers keeps one per worker, so the groups of jobs
+// running side by side never push each other out. Past the bound the
+// least-recently-used group is dropped and rebuilt on next use.
 const warmGroups = 4
 
 // warmEntry is one warm-prep group: every job whose warmPrepKey matches
-// shares the WarmDesign built by the group's first runner. The build runs
-// exactly once (sync.Once) under the background context — the group outlives
-// any one job, so a member's cancellation must not poison it. A failed build
-// is cached too: the failure is a deterministic property of the circuit and
-// config, so every member fails identically instead of rebuilding in a loop.
+// shares the prepared design built by the group's first member, exactly once
+// (sync.Once), under that member's context. A failed build is cached: the
+// failure is a deterministic property of the circuit and config, so every
+// member fails identically instead of rebuilding in a loop. A build cut short
+// by its member's context is not: it says nothing about the group, so the
+// builder drops the group and the next member builds afresh.
+//
+// wd is the group's shared engine. A member that finds it busy runs on a
+// private engine over the same design instead of waiting for it, so a
+// multi-worker Local runs one group's members side by side.
 type warmEntry struct {
 	key  string
 	once sync.Once
 	wd   *WarmDesign
 	err  error
+	busy atomic.Bool // wd is running a member
 }
 
 // LocalOption configures NewLocal.
@@ -249,20 +258,29 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 			out = Outcome{State: JobFailed, Error: fmt.Sprintf("dualvdd: job panicked: %v", p)}
 		}
 	}()
-	if err := j.ctx.Err(); err != nil {
-		return outcome(nil, nil, err) // cancelled or out of budget while queued: build nothing
-	}
 	job, net := j.input()
 	key, err := warmPrepKey(net, job.Config)
 	if err != nil {
 		return outcome(nil, nil, err)
 	}
-	entry = l.warmGet(key)
 	built := false
-	entry.once.Do(func() {
-		built = true
-		entry.wd, entry.err = New(FromConfig(job.Config)).PrepareWarm(context.Background(), net)
-	})
+	for {
+		if err := j.ctx.Err(); err != nil {
+			return outcome(nil, nil, err) // cancelled or out of budget: build nothing
+		}
+		entry = l.warmGet(key)
+		entry.once.Do(func() {
+			built = true
+			entry.wd, entry.err = New(FromConfig(job.Config)).PrepareWarm(j.ctx, net)
+		})
+		if !cancelled(entry.err) {
+			break
+		}
+		// A build its member's context cut short says nothing about the
+		// group: drop it, and let this job's own context decide whether to
+		// build afresh.
+		l.warmDrop(entry)
+	}
 	l.table.Count(func(m *Metrics) {
 		if built {
 			m.PrepBuilds++
@@ -273,12 +291,20 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 	if entry.err != nil {
 		return outcome(nil, nil, entry.err)
 	}
-	if err := j.ctx.Err(); err != nil {
-		return outcome(nil, nil, err) // cancelled while the group was being prepared
-	}
 	design := designInfo(entry.wd.Design)
 	j.Publish(design.mapped())
-	results, err := entry.wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), j.Publish)
+	wd, shared := entry.wd, entry.busy.CompareAndSwap(false, true)
+	if !shared {
+		if wd, err = NewWarmDesign(entry.wd.Design); err != nil {
+			return outcome(design, nil, err)
+		}
+	}
+	results, err := wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), j.Publish)
+	if shared {
+		// Not deferred: an engine a panic unwound through stays busy, so no
+		// member still holding the group runs on it again.
+		entry.busy.Store(false)
+	}
 	return outcome(design, results, err)
 }
 
@@ -288,11 +314,16 @@ func outcome(design *DesignInfo, results []*FlowResult, err error) Outcome {
 	switch {
 	case err == nil:
 		return Outcome{State: JobDone, Design: design, Results: results, Computed: true}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case cancelled(err):
 		return Outcome{State: JobCancelled, Error: err.Error(), Design: design}
 	default:
 		return Outcome{State: JobFailed, Error: err.Error(), Design: design}
 	}
+}
+
+// cancelled reports whether err is a context's cancellation or deadline.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // designInfo summarizes a prepared design.
@@ -314,7 +345,7 @@ func (l *Local) warmGet(key string) *warmEntry {
 	}
 	e := &warmEntry{key: key}
 	l.warm[key] = l.warmLRU.PushFront(e)
-	for l.warmLRU.Len() > warmGroups {
+	for l.warmLRU.Len() > max(l.workers, warmGroups) {
 		oldest := l.warmLRU.Back()
 		l.warmLRU.Remove(oldest)
 		delete(l.warm, oldest.Value.(*warmEntry).key)

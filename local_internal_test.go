@@ -3,6 +3,7 @@ package dualvdd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -343,5 +344,160 @@ func TestLocalExpiredBudgetBuildsNothing(t *testing.T) {
 	}
 	if m := l.Metrics(); m.PrepBuilds != 0 || m.PrepReuses != 1 {
 		t.Fatalf("builds/reuses = %d/%d, want 0/1 (only the first job, on the planted group)", m.PrepBuilds, m.PrepReuses)
+	}
+}
+
+// TestLocalWaiterRebuildsCancelledGroup plants a group whose build its
+// member's context cut short. That failure says nothing about the group: a
+// job with a live context that finds it must build a fresh group and finish,
+// not inherit the cancellation.
+func TestLocalWaiterRebuildsCancelledGroup(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1), LocalCacheEntries(0))
+	defer drain(t, l)
+
+	job := BenchmarkJob("z4ml", WithSimWords(16))
+	key, err := job.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := l.warmGet(key)
+	planted.once.Do(func() { planted.err = context.Canceled })
+
+	id, err := l.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("job ended %s with %q, want done on a rebuilt group", st.State, st.Error)
+	}
+	l.mu.Lock()
+	el, resident := l.warm[key]
+	l.mu.Unlock()
+	if !resident || el.Value.(*warmEntry) == planted {
+		t.Fatal("the job did not replace the cancelled group with a fresh one")
+	}
+	if m := l.Metrics(); m.PrepBuilds != 1 || m.PrepReuses != 0 {
+		t.Fatalf("builds/reuses = %d/%d, want 1/0", m.PrepBuilds, m.PrepReuses)
+	}
+}
+
+// TestLocalBudgetEndsOwnBuild gives a job a budget far shorter than mapping
+// des takes. The budget must stop the job's own group build — at the latest
+// at the check between mapping and simulation — so the job ends cancelled
+// by its deadline and leaves no group behind, where a build the job's
+// context could not reach would run to the end and stay resident.
+func TestLocalBudgetEndsOwnBuild(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1), LocalCacheEntries(0))
+	defer drain(t, l)
+
+	job := BenchmarkJob("des", WithSimWords(64))
+	id, err := l.Submit(WithJobBudget(ctx, 5*time.Millisecond), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobCancelled || st.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("job ended %s with %q, want cancelled by its deadline", st.State, st.Error)
+	}
+	key, err := job.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	_, resident := l.warm[key]
+	l.mu.Unlock()
+	if resident {
+		t.Fatal("a build its job's budget cut short stayed resident")
+	}
+	if m := l.Metrics(); m.PrepBuilds != 0 || m.PrepReuses != 0 {
+		t.Fatalf("builds/reuses = %d/%d, want 0/0", m.PrepBuilds, m.PrepReuses)
+	}
+}
+
+// TestLocalBusyEngineRunsPrivate marks a built group's shared engine busy,
+// as a member running on it would. The next member must not wait for it: it
+// runs on a private engine over the same prepared design, reusing the group,
+// and its results match a standalone Flow.
+func TestLocalBusyEngineRunsPrivate(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1), LocalCacheEntries(0))
+	defer drain(t, l)
+
+	first := BenchmarkJob("z4ml", WithSimWords(16))
+	id, err := l.Submit(ctx, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := l.Result(ctx, id); err != nil || st.State != JobDone {
+		t.Fatalf("first job: %+v, %v", st, err)
+	}
+	key, err := first.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	entry := l.warm[key].Value.(*warmEntry)
+	l.mu.Unlock()
+	entry.busy.Store(true)
+	runs := entry.wd.Runs()
+
+	second := BenchmarkJob("z4ml", WithSimWords(16), WithVoltages(5.0, 3.9))
+	id, err = l.Submit(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("second job ended %s: %s", st.State, st.Error)
+	}
+	if got := entry.wd.Runs(); got != runs {
+		t.Fatalf("the busy shared engine ran %d more algorithms", got-runs)
+	}
+	if m := l.Metrics(); m.PrepBuilds != 1 || m.PrepReuses != 1 {
+		t.Fatalf("builds/reuses = %d/%d, want 1/1", m.PrepBuilds, m.PrepReuses)
+	}
+	flow := New(FromConfig(second.Config))
+	d, err := flow.PrepareBenchmark(ctx, "z4ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := flow.Run(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripWallClock(st.Results), stripWallClock(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("private engine's results differ from a standalone Flow:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestLocalKeepsOneGroupPerWorker pins the LRU bound: a Local keeps at least
+// warmGroups groups, and one per worker when it has more workers, so the
+// groups of jobs running side by side never evict each other.
+func TestLocalKeepsOneGroupPerWorker(t *testing.T) {
+	for _, tc := range []struct{ workers, resident int }{{1, warmGroups}, {warmGroups + 2, warmGroups + 2}} {
+		l := NewLocal(LocalWorkers(tc.workers), LocalCacheEntries(0))
+		for i := 0; i <= tc.resident; i++ {
+			l.warmGet(fmt.Sprint("group-", i))
+		}
+		l.mu.Lock()
+		_, oldest := l.warm["group-0"]
+		l.mu.Unlock()
+		if got := l.Metrics().PrepGroups; got != tc.resident || oldest {
+			t.Fatalf("%d workers: %d groups resident (oldest kept: %v), want %d without the oldest",
+				tc.workers, got, oldest, tc.resident)
+		}
+		drain(t, l)
 	}
 }

@@ -13,12 +13,12 @@ import (
 // Sweep is a design-space exploration over the flow's configuration axes:
 // the grid the paper's single (VDDH, VDDL, slack) point is one corner of.
 // Each listed axis value set is crossed with every other, per circuit, and
-// the resulting points are executed through any Runner — a Local runs each
-// circuit's points on one shared prepared state and dedupes shared points
-// through its content-addressed cache, a client.Client runs the identical
-// sweep against a remote `dualvdd serve`. Results aggregate in expansion
-// order regardless of scheduling, so a sweep is as deterministic as the
-// single runs it is made of.
+// the resulting points are executed through any Runner — a Local runs the
+// points that share a circuit and high rail on one prepared state and
+// dedupes shared points through its content-addressed cache, a client.Client
+// runs the identical sweep against a remote `dualvdd serve`. Results
+// aggregate in expansion order regardless of scheduling, so a sweep is as
+// deterministic as the single runs it is made of.
 //
 // Expansion order (Points) is fixed and documented: circuits outermost, then
 // the supply axis (whole rail tables when Axes.Rails is set, otherwise VDDH
@@ -98,9 +98,9 @@ type SweepPoint struct {
 	Config     Config       `json:"config"`
 	Algorithms []Algorithm  `json:"algorithms"`
 
-	// ci is the circuit's position in Sweep.Circuits: Run's chain key, and
-	// the label of inline models ("blif#<ci>"). Process-local: it never
-	// crosses the wire.
+	// ci is the circuit's position in Sweep.Circuits: part of Run's chain
+	// key, and the label of inline models ("blif#<ci>"). Process-local: it
+	// never crosses the wire.
 	ci int
 }
 
@@ -294,11 +294,11 @@ type sweepRun struct {
 // SweepOption configures Sweep.Run.
 type SweepOption func(*sweepRun)
 
-// SweepInFlight bounds how many circuit chains run at once, each with one
-// point submitted to the runner (default: GOMAXPROCS, capped at 16). It
-// should not exceed the runner's queue depth by much — a full queue is
-// retried, not fatal, but the retries are wasted round trips on a remote
-// transport.
+// SweepInFlight bounds how many points are submitted to the runner at once
+// (default: GOMAXPROCS, capped at 16): Run keeps up to this many chains going,
+// each with one point in flight. It should not exceed the runner's queue
+// depth by much — a full queue is retried, not fatal, but the retries are
+// wasted round trips on a remote transport.
 func SweepInFlight(n int) SweepOption {
 	return func(r *sweepRun) {
 		if n > 0 {
@@ -326,16 +326,16 @@ func SweepJobEvents(on bool) SweepOption {
 }
 
 // Run expands the sweep and executes every point through the runner,
-// returning the results in expansion order. Each circuit entry's points run
-// as one sequential chain in expansion order, so points that share prepared
-// state arrive back to back on the runner (a Local's warm-prep group, a
-// fleet worker's shard) instead of contending for it; distinct entries run
-// in parallel up to SweepInFlight. A runner whose queue is momentarily full
-// is retried. Every chain is a contiguous run of points, so the first
-// failing point aborts the sweep deterministically: the lowest-index
-// failure is reported (the Batch contract), the rest of its chain is
-// skipped, and the returned slice still holds every completed point, with
-// nil holes for failed and skipped ones.
+// returning the results in expansion order. Points run in chains (see
+// sweepChains): a chain submits its points one at a time in index order, so
+// points that share prepared state reach the runner (a Local's warm-prep
+// group, a fleet worker's shard) one after another instead of contending for
+// it, and up to SweepInFlight chains run at once. A runner whose queue is
+// momentarily full is retried. The first failing point aborts the sweep
+// deterministically: a point is skipped only when a lower-index point has
+// already failed, so the lowest-index failure always runs and is the one
+// reported (the Batch contract). On error the returned slice still holds
+// every completed point, with nil holes for failed and skipped ones.
 //
 // Cancellation: when ctx ends, in-flight jobs are cancelled on the runner
 // and Run returns ctx.Err(). Points the runner answered from its cache
@@ -349,38 +349,38 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 	if err != nil {
 		return nil, err
 	}
-	// One chain per circuit entry: expansion order keeps an entry's points
-	// contiguous with the rails varying fastest, so chain c is the index
-	// range [starts[c], starts[c+1]) and walks its voltage axis neighbor to
-	// neighbor.
-	starts := make([]int, 0, len(s.Circuits)+1)
-	for i, p := range points {
-		if i == 0 || p.ci != points[i-1].ci {
-			starts = append(starts, i)
-		}
-	}
-	starts = append(starts, len(points))
+	chains := sweepChains(points, run.inFlight)
 	var cached atomic.Int64
-	results := make([]SweepPointResult, len(points))
-	// Distinct chains write distinct slots, so the shared slice needs no
+	var failedMin atomic.Int64 // lowest point index that failed so far
+	failedMin.Store(int64(len(points)))
+	// Distinct chains write distinct slots, so the shared slices need no
 	// lock; failed and skipped slots keep the zero SweepPointResult.
-	_, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(starts)-1,
-		func(ctx context.Context, c int) (struct{}, error) {
-			for i := starts[c]; i < starts[c+1]; i++ {
-				st, err := runSweepPoint(ctx, r, points[i], run)
-				if err != nil {
-					return struct{}{}, err
-				}
-				results[i] = SweepPointResult{Point: points[i], Status: st}
-				if run.obs != nil {
-					run.obs.emit(sweepPointEvent(points[i], len(points), st))
-				}
-				if st.Cached {
-					cached.Add(1)
-				}
+	results := make([]SweepPointResult, len(points))
+	errs := make([]error, len(points))
+	err = Batch{Workers: run.inFlight}.Each(ctx, len(chains), func(ctx context.Context, c int) error {
+		for _, i := range chains[c] {
+			if failedMin.Load() < int64(i) {
+				return nil // a lower-index point failed: skip the rest
 			}
-			return struct{}{}, nil
-		})
+			st, err := runSweepPoint(ctx, r, points[i], run)
+			if err != nil {
+				errs[i] = err
+				lowerTo(&failedMin, i)
+				return nil
+			}
+			results[i] = SweepPointResult{Point: points[i], Status: st}
+			if run.obs != nil {
+				run.obs.emit(sweepPointEvent(points[i], len(points), st))
+			}
+			if st.Cached {
+				cached.Add(1)
+			}
+		}
+		return nil
+	})
+	if perr := firstError(errs); perr != nil {
+		err = perr // Each only reports a ctx that ended before a chain started
+	}
 	if err != nil {
 		return results, err
 	}
@@ -396,6 +396,54 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 		})
 	}
 	return results, nil
+}
+
+// sweepChains partitions the points into Run's chains, each a list of point
+// indices in increasing order. Points that share prepared state — one
+// circuit entry under one warm-prep config (prepConfig: everything but the
+// low rail and the simulation workers) — form one chain, so a runner prepares
+// the state once and every later point of the chain reuses it, instead of
+// alternating between groups and evicting them. When there are fewer groups
+// than slots, spare slots go to the groups with the longest chains, each cut
+// into contiguous pieces, so a sweep over few groups still keeps every slot
+// busy; a Local runs a group's concurrent members on private engines over
+// the one prepared design.
+func sweepChains(points []SweepPoint, slots int) [][]int {
+	var groups [][]int
+	group := map[string]int{}
+	for i, p := range points {
+		k := fmt.Sprint(p.ci, prepConfig(p.Config))
+		g, ok := group[k]
+		if !ok {
+			g = len(groups)
+			group[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	pieces := make([]int, len(groups))
+	for g := range pieces {
+		pieces[g] = 1
+	}
+	for n := len(groups); n < slots; n++ {
+		best := -1 // the group with the longest pieces that can still be cut
+		for g, pts := range groups {
+			if pieces[g] < len(pts) && (best < 0 || len(pts)*pieces[best] > len(groups[best])*pieces[g]) {
+				best = g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pieces[best]++
+	}
+	var chains [][]int
+	for g, pts := range groups {
+		for k := 0; k < pieces[g]; k++ {
+			chains = append(chains, pts[k*len(pts)/pieces[g]:(k+1)*len(pts)/pieces[g]])
+		}
+	}
+	return chains
 }
 
 // sweepDrainTimeout bounds how long a completed point waits for the tail of

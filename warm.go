@@ -33,9 +33,10 @@ import (
 // the evaluation totals differ.
 //
 // A WarmDesign serializes its runs: RunAt holds an internal lock, so
-// concurrent callers take turns on the one engine. Sweep-level parallelism
-// comes from using one WarmDesign per circuit, which is exactly how
-// Sweep.Run's chains and a Local's warm-prep groups partition the grid.
+// concurrent callers take turns on the one engine. Parallelism comes from
+// more engines: NewWarmDesign over the same Design builds another for the
+// price of one timing analysis, which is how a Local runs a warm-prep
+// group's members side by side.
 type WarmDesign struct {
 	// Design is the prepared benchmark the runs share. Its pristine Circuit
 	// is never touched; the WarmDesign works on its own clone.
@@ -202,10 +203,7 @@ func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
 	if err := blif.WriteNetwork(&canon, net); err != nil {
 		return "", err
 	}
-	hashCfg := cfg.Normalized()
-	hashCfg.Vlow = 0
-	hashCfg.SimWorkers = 0
-	b, err := json.Marshal(hashCfg)
+	b, err := json.Marshal(prepConfig(cfg))
 	if err != nil {
 		return "", err
 	}
@@ -213,4 +211,13 @@ func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
 	fmt.Fprintf(h, "dualvdd-warmprep/1\n%s\n", b)
 	h.Write(canon.Bytes())
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// prepConfig is the part of a Config that a warm-prep group depends on: its
+// canonical form with Vlow and SimWorkers zeroed (see warmPrepKey).
+func prepConfig(cfg Config) Config {
+	c := cfg.Normalized()
+	c.Vlow = 0
+	c.SimWorkers = 0
+	return c
 }

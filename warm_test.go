@@ -200,9 +200,10 @@ func TestWarmSweepMatchesColdSweep(t *testing.T) {
 
 // TestLocalWarmGroupsConcurrent submits two circuits' points at once to a
 // four-worker Local, so members of both warm-prep groups race for the group
-// build and then take turns on each shared engine. Every result must still
-// match a standalone Flow bit for bit, and each group must be built exactly
-// once. CI runs it in a -race loop.
+// build and then run side by side, on the group's shared engine or on a
+// private one when it is busy. Every result must still match a standalone
+// Flow bit for bit, and each group must be built exactly once. CI runs it in
+// a -race loop.
 func TestLocalWarmGroupsConcurrent(t *testing.T) {
 	ctx := context.Background()
 	sweep := dualvdd.Sweep{
