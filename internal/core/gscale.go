@@ -150,7 +150,12 @@ func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
-		if ckt.Area() >= maxArea-1e-12 {
+		// The circuit does not change until the cut is applied, so one sum
+		// serves the round's area checks up to then. A running total would
+		// add the cells in a different order and could move the last bit
+		// that area+dArea > maxArea compares.
+		area := ckt.Area()
+		if area >= maxArea-1e-12 {
 			break // no further area increase is allowed
 		}
 		if err := selfCheck(inc, opts); err != nil {
@@ -174,7 +179,7 @@ func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 		ups := make([]*cell.Cell, n)
 		for i, gi := range gates {
 			up, gain, dArea, ok := sizingGain(ckt, lib, inc, gi)
-			if !ok || ckt.Area()+dArea > maxArea {
+			if !ok || area+dArea > maxArea {
 				weight[i] = graph.Inf
 				continue
 			}

@@ -35,27 +35,56 @@ func MaxWeightAntichain(n int, succ [][]int, weight []int64) ([]int, int64) {
 		return nil, 0
 	}
 
-	// Node v becomes arc v_in(2v) → v_out(2v+1); s = 2n, t = 2n+1.
-	s, t := 2*n, 2*n+1
-	g := NewNetwork(2*n + 2)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	feasible := sc.antichainNetwork(n, succ, weight)
 
-	indeg := make([]int, n)
-	for _, vs := range succ {
-		for _, v := range vs {
-			indeg[v]++
+	// Phase 2: reduce the feasible flow to its minimum with a max-flow run
+	// from t to s over the residual network.
+	g, s, t := &sc.net, 2*n, 2*n+1
+	reduced := g.MaxFlowDinic(t, s)
+	minFlow := feasible - reduced
+
+	// Extract the antichain from the min cut: X is the t-side; a weighted
+	// node whose arc crosses from outside X into X is pinned at its lower
+	// bound and no other such node is reachable from it.
+	inX := g.ReachableFrom(t)
+	var set []int
+	var got int64
+	for v := 0; v < n; v++ {
+		if weight[v] > 0 && inX[2*v+1] && !inX[2*v] {
+			set = append(set, v)
+			got = got + weight[v]
 		}
 	}
+	if got != minFlow {
+		// The duality argument guarantees equality; failing it means the
+		// network construction is broken, which tests guard against.
+		panic("graph: antichain weight does not match min-flow value")
+	}
+	return set, got
+}
 
-	nodeArc := make([]int, n)
+// antichainNetwork builds MaxWeightAntichain's node-split network in sc.net
+// and seeds it with a feasible flow (phase 1), with each node arc's
+// cancelable flow trimmed to its lower bound. Node v becomes arc
+// v_in(2v) → v_out(2v+1); s = 2n, t = 2n+1. It returns the feasible flow's
+// value.
+func (sc *scratch) antichainNetwork(n int, succ [][]int, weight []int64) int64 {
+	s, t := 2*n, 2*n+1
+	g := &sc.net
+	g.reset(2*n + 2)
+
+	sc.nodeArc = grow(sc.nodeArc, n)
+	nodeArc := sc.nodeArc
 	for v := 0; v < n; v++ {
 		nodeArc[v] = g.AddArc(2*v, 2*v+1, Inf)
 	}
-	// pathUp[v]: a predecessor to route feasible flow through (or -1 for a
+	// pathUp[v]: a predecessor to route feasible flow through (-1 marks a
 	// DAG source); upArc[v]: the arc (pathUp[v]_out → v_in).
-	pathUp := make([]int, n)
-	upArc := make([]int, n)
-	pathDown := make([]int, n)
-	downArc := make([]int, n)
+	sc.pathUp, sc.upArc = grow(sc.pathUp, n), grow(sc.upArc, n)
+	sc.pathDown, sc.downArc = grow(sc.pathDown, n), grow(sc.downArc, n)
+	pathUp, upArc, pathDown, downArc := sc.pathUp, sc.upArc, sc.pathDown, sc.downArc
 	for v := 0; v < n; v++ {
 		pathUp[v], pathDown[v] = -1, -1
 		upArc[v], downArc[v] = -1, -1
@@ -73,11 +102,11 @@ func MaxWeightAntichain(n int, succ [][]int, weight []int64) ([]int, int64) {
 			}
 		}
 	}
-	srcArc := make([]int, n)
-	sinkArc := make([]int, n)
+	sc.srcArc, sc.sinkArc = grow(sc.srcArc, n), grow(sc.sinkArc, n)
+	srcArc, sinkArc := sc.srcArc, sc.sinkArc
 	for v := 0; v < n; v++ {
 		srcArc[v], sinkArc[v] = -1, -1
-		if indeg[v] == 0 {
+		if pathUp[v] < 0 {
 			srcArc[v] = g.AddArc(s, 2*v, Inf)
 		}
 		if len(succ[v]) == 0 {
@@ -111,34 +140,13 @@ func MaxWeightAntichain(n int, succ [][]int, weight []int64) ([]int, int64) {
 		g.push(sinkArc[u], w)
 	}
 
-	// Phase 2: enforce lower bounds by trimming each node arc's cancelable
-	// flow to (flow − weight), then reduce the total flow to its minimum
-	// with a max-flow run from t to s over the residual network.
+	// Enforce lower bounds: no node's flow may be cancelled below its
+	// weight.
 	for v := 0; v < n; v++ {
 		rev := nodeArc[v] ^ 1
 		g.SetCap(rev, g.ResidualCap(rev)-weight[v])
 	}
-	reduced := g.MaxFlowDinic(t, s)
-	minFlow := feasible - reduced
-
-	// Extract the antichain from the min cut: X is the t-side; a weighted
-	// node whose arc crosses from outside X into X is pinned at its lower
-	// bound and no other such node is reachable from it.
-	inX := g.ReachableFrom(t)
-	var set []int
-	var got int64
-	for v := 0; v < n; v++ {
-		if weight[v] > 0 && inX[2*v+1] && !inX[2*v] {
-			set = append(set, v)
-			got = got + weight[v]
-		}
-	}
-	if got != minFlow {
-		// The duality argument guarantees equality; failing it means the
-		// network construction is broken, which tests guard against.
-		panic("graph: antichain weight does not match min-flow value")
-	}
-	return set, got
+	return feasible
 }
 
 // AntichainBrute computes the maximum-weight antichain by exhaustive search
@@ -169,10 +177,6 @@ func AntichainBrute(n int, succ [][]int, weight []int64) int64 {
 			// u must be incomparable with everything chosen so far.
 			if mask&(1<<uint(u)) != 0 {
 				continue
-			}
-			if reach[u]&mask != 0 {
-				// u reaches a chosen node... need both directions; compute
-				// chosen-reaches-u via mask check below instead.
 			}
 			conflict := false
 			for c := 0; c < n; c++ {

@@ -13,7 +13,10 @@
 // int64; callers scale float weights before building networks.
 package graph
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Inf is the capacity used for uncuttable arcs. It is large enough to
 // dominate any realistic weight sum yet leaves headroom against overflow.
@@ -32,16 +35,58 @@ type Network struct {
 	n    int
 	arcs []arc
 	head [][]int32 // per node, indices into arcs
-	// scratch reused across BFS runs
+	// Scratch retained across max-flow and reachability runs, and across
+	// reset, so a pooled network searches without allocating. level holds
+	// Dinic's BFS levels or Edmonds–Karp's parent arcs; queue is the BFS
+	// queue or the DFS stack.
 	level []int32
-	queue []int32
 	iter  []int32
+	queue []int32
+	seen  []bool
 }
 
 // NewNetwork creates a network with n nodes and no arcs.
 func NewNetwork(n int) *Network {
 	return &Network{n: n, head: make([][]int32, n)}
 }
+
+// reset empties the network to n nodes and no arcs, keeping the capacity of
+// the arc list, of every node's adjacency and of the scratch buffers.
+func (g *Network) reset(n int) {
+	g.n = n
+	g.arcs = g.arcs[:0]
+	if cap(g.head) < n {
+		// Extend over the full capacity so the adjacency slices parked
+		// beyond the old length are kept.
+		g.head = append(g.head[:cap(g.head)], make([][]int32, n-cap(g.head))...)
+	}
+	g.head = g.head[:n]
+	for u := range g.head {
+		g.head[u] = g.head[u][:0]
+	}
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short. The contents are unspecified; callers initialise what they read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scratch is one solver call's working state: the node-split network and
+// the per-node arc and path tables that build it. MaxWeightAntichain and
+// MinVertexCut borrow it from scratchPool, so a steady stream of solves
+// reuses the same buffers instead of allocating a fresh network each time.
+type scratch struct {
+	net                     Network
+	nodeArc, upArc, downArc []int
+	pathUp, pathDown        []int
+	srcArc, sinkArc         []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // NumNodes returns the node count.
 func (g *Network) NumNodes() int { return g.n }
@@ -84,19 +129,19 @@ func (g *Network) MaxFlowEK(s, t int) int64 {
 	if s == t {
 		return 0
 	}
-	parentArc := make([]int32, g.n)
+	g.level = grow(g.level, g.n)
+	parentArc := g.level
 	var total int64
 	for {
 		for i := range parentArc {
 			parentArc[i] = -1
 		}
 		parentArc[s] = -2
-		q := []int32{int32(s)}
+		g.queue = append(g.queue[:0], int32(s))
 		found := false
 	bfs:
-		for len(q) > 0 {
-			u := q[0]
-			q = q[1:]
+		for qi := 0; qi < len(g.queue); qi++ {
+			u := g.queue[qi]
 			for _, id := range g.head[u] {
 				a := g.arcs[id]
 				if a.cap <= 0 || parentArc[a.to] != -1 {
@@ -107,7 +152,7 @@ func (g *Network) MaxFlowEK(s, t int) int64 {
 					found = true
 					break bfs
 				}
-				q = append(q, int32(a.to))
+				g.queue = append(g.queue, int32(a.to))
 			}
 		}
 		if !found {
@@ -141,15 +186,11 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 	if s == t {
 		return 0
 	}
-	if g.level == nil {
-		g.level = make([]int32, g.n)
-		g.iter = make([]int32, g.n)
-	}
+	g.level = grow(g.level, g.n)
+	g.iter = grow(g.iter, g.n)
 	var total int64
 	for g.bfsLevel(s, t) {
-		for i := range g.iter {
-			g.iter[i] = 0
-		}
+		clear(g.iter)
 		for {
 			f := g.dfsBlock(s, t, Inf)
 			if f == 0 {
@@ -161,24 +202,33 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 	return total
 }
 
+// bfsLevel labels nodes with their BFS distance from s in the residual
+// network (-1 for unlabelled) and reports whether t is reachable. It returns
+// the moment it labels t. Nodes pop in nondecreasing distance, so by then
+// every node closer to s than t is labelled; the nodes left unlabelled lie at
+// t's distance or beyond, cannot be on a shortest augmenting path, and
+// dfsBlock would find nothing behind them. The pushes, and so the residual
+// network and its min cut, are those of a full BFS.
 func (g *Network) bfsLevel(s, t int) bool {
 	for i := range g.level {
 		g.level[i] = -1
 	}
 	g.level[s] = 0
-	g.queue = g.queue[:0]
-	g.queue = append(g.queue, int32(s))
+	g.queue = append(g.queue[:0], int32(s))
 	for qi := 0; qi < len(g.queue); qi++ {
 		u := g.queue[qi]
 		for _, id := range g.head[u] {
 			a := g.arcs[id]
 			if a.cap > 0 && g.level[a.to] < 0 {
 				g.level[a.to] = g.level[u] + 1
+				if a.to == t {
+					return true
+				}
 				g.queue = append(g.queue, int32(a.to))
 			}
 		}
 	}
-	return g.level[t] >= 0
+	return false
 }
 
 func (g *Network) dfsBlock(u, t int, limit int64) int64 {
@@ -205,11 +255,14 @@ func (g *Network) dfsBlock(u, t int, limit int64) int64 {
 
 // ReachableFrom returns the set of nodes reachable from src through arcs with
 // positive residual capacity — the source side of a minimum cut after a
-// max-flow run.
+// max-flow run. The slice belongs to the network: the next ReachableFrom call
+// on it overwrites the contents.
 func (g *Network) ReachableFrom(src int) []bool {
-	seen := make([]bool, g.n)
+	g.seen = grow(g.seen, g.n)
+	seen := g.seen
+	clear(seen)
 	seen[src] = true
-	stack := []int{src}
+	stack := append(g.queue[:0], int32(src))
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -217,9 +270,10 @@ func (g *Network) ReachableFrom(src int) []bool {
 			a := g.arcs[id]
 			if a.cap > 0 && !seen[a.to] {
 				seen[a.to] = true
-				stack = append(stack, a.to)
+				stack = append(stack, int32(a.to))
 			}
 		}
 	}
+	g.queue = stack
 	return seen
 }

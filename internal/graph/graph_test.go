@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -325,29 +330,311 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 	}
 }
 
+// randNetwork builds a random flow network from seed: 4 to 13 nodes and up
+// to 3n arcs of capacity 1 to 30. The same seed builds the same network.
+func randNetwork(seed int64) (*Network, int) {
+	n := 4 + rand.New(rand.NewSource(seed)).Intn(10)
+	g := NewNetwork(n)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 3*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			g.AddArc(u, v, int64(1+rng.Intn(30)))
+		}
+	}
+	return g, n
+}
+
 func TestMaxFlowEKMatchesDinic(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(10)
-		build := func() *Network {
-			g := NewNetwork(n)
-			rng2 := rand.New(rand.NewSource(seed))
-			for i := 0; i < 3*n; i++ {
-				u, v := rng2.Intn(n), rng2.Intn(n)
-				if u != v {
-					g.AddArc(u, v, int64(1+rng2.Intn(30)))
-				}
-			}
-			return g
-		}
-		ek := build().MaxFlowEK(0, n-1)
-		di := build().MaxFlowDinic(0, n-1)
-		return ek == di
+		ek, n := randNetwork(seed)
+		di, _ := randNetwork(seed)
+		return ek.MaxFlowEK(0, n-1) == di.MaxFlowDinic(0, n-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// bfsLevelUncut is bfsLevel without the cutoff at the sink: it labels every
+// node reachable from src. It also returns how many nodes other than the sink
+// it labelled at the sink's level or beyond, the nodes the cutoff leaves
+// unlabelled.
+func bfsLevelUncut(g *Network, src, sink int) (bool, int) {
+	for i := range g.level {
+		g.level[i] = -1
+	}
+	g.level[src] = 0
+	g.queue = append(g.queue[:0], int32(src))
+	for qi := 0; qi < len(g.queue); qi++ {
+		u := g.queue[qi]
+		for _, id := range g.head[u] {
+			a := g.arcs[id]
+			if a.cap > 0 && g.level[a.to] < 0 {
+				g.level[a.to] = g.level[u] + 1
+				g.queue = append(g.queue, int32(a.to))
+			}
+		}
+	}
+	past := 0
+	for u, l := range g.level {
+		if g.level[sink] >= 0 && l >= g.level[sink] && u != sink {
+			past++
+		}
+	}
+	return g.level[sink] >= 0, past
+}
+
+// maxFlowDinicUncut is MaxFlowDinic on bfsLevelUncut, the reference for the
+// level cutoff. It returns the flow and the nodes bfsLevelUncut labelled at
+// or past the sink's level, summed over all phases.
+func maxFlowDinicUncut(g *Network, src, sink int) (flow int64, past int) {
+	g.level = grow(g.level, g.n)
+	g.iter = grow(g.iter, g.n)
+	for {
+		ok, p := bfsLevelUncut(g, src, sink)
+		if !ok {
+			return flow, past
+		}
+		past += p
+		clear(g.iter)
+		for {
+			f := g.dfsBlock(src, sink, Inf)
+			if f == 0 {
+				break
+			}
+			flow += f
+		}
+	}
+}
+
+func cloneNetwork(g *Network) *Network {
+	c := &Network{n: g.n, arcs: slices.Clone(g.arcs), head: make([][]int32, g.n)}
+	for u := range g.head {
+		c.head[u] = slices.Clone(g.head[u])
+	}
+	return c
+}
+
+// TestDinicLevelCutoffChangesNothing holds MaxFlowDinic, whose level BFS stops
+// when it reaches the sink, to the uncut reference: after the run, every arc's
+// residual capacity and the set of nodes reachable from the source must be
+// identical — on random networks, and on the min-flow networks
+// MaxWeightAntichain builds from random DAGs.
+func TestDinicLevelCutoffChangesNothing(t *testing.T) {
+	skipped := 0
+	check := func(what string, cut, ref *Network, src, sink int) {
+		t.Helper()
+		fc := cut.MaxFlowDinic(src, sink)
+		fr, past := maxFlowDinicUncut(ref, src, sink)
+		skipped += past
+		if fc != fr {
+			t.Fatalf("%s: flow %d with the cutoff, %d without", what, fc, fr)
+		}
+		for id := range cut.arcs {
+			if cut.arcs[id] != ref.arcs[id] {
+				t.Fatalf("%s: arc %d is %+v with the cutoff, %+v without", what, id, cut.arcs[id], ref.arcs[id])
+			}
+		}
+		if rc, rr := cut.ReachableFrom(src), ref.ReachableFrom(src); !slices.Equal(rc, rr) {
+			t.Fatalf("%s: reachable set %v with the cutoff, %v without", what, rc, rr)
+		}
+	}
+	for seed := int64(0); seed < 500; seed++ {
+		cut, n := randNetwork(seed)
+		ref, _ := randNetwork(seed)
+		check(fmt.Sprintf("random network %d", seed), cut, ref, 0, n-1)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(60)
+		succ := randDAG(rng, n, 0.1)
+		weight := make([]int64, n)
+		for i := range weight {
+			if rng.Float64() < 0.7 {
+				weight[i] = int64(rng.Intn(50))
+			}
+		}
+		var sc scratch
+		sc.antichainNetwork(n, succ, weight)
+		// The antichain's max-flow runs from t = 2n+1 back to s = 2n.
+		check(fmt.Sprintf("antichain network %d", trial), &sc.net, cloneNetwork(&sc.net), 2*n+1, 2*n)
+	}
+	if skipped == 0 {
+		t.Fatal("no run labelled a node at or past the sink's level; the cutoff was never exercised")
+	}
+}
+
+// solveCase is one input of the solver-reuse tests: a random DAG with
+// antichain weights, and separator weights, entries and exits on the same
+// graph.
+type solveCase struct {
+	n               int
+	succ            [][]int
+	weight, sepW    []int64
+	isEntry, isExit []bool
+}
+
+func randCase(rng *rand.Rand, n int) solveCase {
+	c := solveCase{
+		n:       n,
+		succ:    randDAG(rng, n, min(0.3, 4/float64(n))),
+		weight:  make([]int64, n),
+		sepW:    make([]int64, n),
+		isEntry: make([]bool, n),
+		isExit:  make([]bool, n),
+	}
+	for v := 0; v < n; v++ {
+		if rng.Float64() < 0.7 {
+			c.weight[v] = int64(rng.Intn(1000))
+		}
+		c.sepW[v] = int64(1 + rng.Intn(1000))
+		if rng.Float64() < 0.02 {
+			c.sepW[v] = Inf
+		}
+		c.isEntry[v] = v < (n+1)/2 && rng.Intn(4) == 0
+		c.isExit[v] = v >= n/2 && rng.Intn(4) == 0
+	}
+	c.isEntry[0], c.isExit[n-1] = true, true
+	return c
+}
+
+// solveAnswer is everything the two solvers return for one solveCase.
+type solveAnswer struct {
+	set    []int
+	weight int64
+	cut    []int
+	cutW   int64
+	ok     bool
+}
+
+func (c solveCase) solve() solveAnswer {
+	var a solveAnswer
+	a.set, a.weight = MaxWeightAntichain(c.n, c.succ, c.weight)
+	a.cut, a.cutW, a.ok = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
+	return a
+}
+
+// reuseCases are the inputs of TestSolverReuse: sizes alternate between a few
+// hundred nodes and a few dozen, so the pooled networks grow and shrink.
+func reuseCases() []solveCase {
+	rng := rand.New(rand.NewSource(17))
+	cases := make([]solveCase, 16)
+	for i := range cases {
+		n := 2 + rng.Intn(40)
+		if i%2 == 0 {
+			n = 100 + rng.Intn(300)
+		}
+		cases[i] = randCase(rng, n)
+	}
+	return cases
+}
+
+// solveTwice solves every case twice: first in order, then in reverse order
+// rotated by half. A case's two solves sit at least len(cases)/2+1 calls
+// apart and follow different predecessors, so state one call leaks into the
+// next changes one of the two answers. It returns both passes' answers.
+func solveTwice(cases []solveCase) (first, second []solveAnswer) {
+	k := len(cases)
+	first, second = make([]solveAnswer, k), make([]solveAnswer, k)
+	for i, c := range cases {
+		first[i] = c.solve()
+	}
+	for j := 0; j < k; j++ {
+		i := ((k/2-1-j)%k + k) % k
+		second[i] = cases[i].solve()
+	}
+	return first, second
+}
+
+// TestSolverReuse pins that the pooled solver scratch carries no state from
+// one call to the next: each input, solved twice far apart in a sequence of
+// growing and shrinking inputs, gets identical answers, and four goroutines
+// running the sequence at once get the same answers as one.
+func TestSolverReuse(t *testing.T) {
+	cases := reuseCases()
+	want, again := solveTwice(cases)
+	for i := range cases {
+		if !reflect.DeepEqual(want[i], again[i]) {
+			t.Fatalf("case %d (n=%d): first solve %+v, second %+v", i, cases[i].n, want[i], again[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			first, second := solveTwice(cases)
+			for i := range cases {
+				if !reflect.DeepEqual(first[i], want[i]) || !reflect.DeepEqual(second[i], want[i]) {
+					t.Errorf("goroutine %d, case %d: answers %+v and %+v, want %+v", w, i, first[i], second[i], want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// appendAllocs is the number of allocations appending k elements one at a
+// time to a nil slice makes.
+func appendAllocs(k int) int {
+	var s []int
+	n := 0
+	for i := 0; i < k; i++ {
+		if len(s) == cap(s) {
+			n++
+		}
+		s = append(s, i)
+	}
+	return n
+}
+
+// TestSolverWarmCallAllocatesOnlyResult pins the pooled scratch: once the
+// pool holds a network large enough, a solve allocates only the growth of
+// the slice it returns.
+func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	// A collection empties the pool, so none may run while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := randCase(rand.New(rand.NewSource(5)), 500)
+	a := c.solve()
+	if len(a.set) == 0 || !a.ok || len(a.cut) == 0 {
+		t.Fatalf("degenerate input: antichain %v, cut %v ok=%v", a.set, a.cut, a.ok)
+	}
+	got := testing.AllocsPerRun(20, func() { MaxWeightAntichain(c.n, c.succ, c.weight) })
+	if want := appendAllocs(len(a.set)); got != float64(want) {
+		t.Errorf("MaxWeightAntichain: %v allocations per warm call, want %d (the growth of its %d-node set)", got, want, len(a.set))
+	}
+	got = testing.AllocsPerRun(20, func() { MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit) })
+	if want := appendAllocs(len(a.cut)); got != float64(want) {
+		t.Errorf("MinVertexCut: %v allocations per warm call, want %d (the growth of its %d-node cut)", got, want, len(a.cut))
+	}
+}
+
+func BenchmarkMaxWeightAntichain(b *testing.B) {
+	c := randCase(rand.New(rand.NewSource(1)), 1000)
+	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight) // fill the pool, so even -benchtime 1x measures a warm call
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+	}
+}
+
+func BenchmarkMinVertexCut(b *testing.B) {
+	c := randCase(rand.New(rand.NewSource(1)), 1000)
+	benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit) // fill the pool, so even -benchtime 1x measures a warm call
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
+	}
+}
+
+// benchSet keeps the benchmarked calls from being optimised away.
+var benchSet []int
 
 func TestNetworkFlowConservation(t *testing.T) {
 	// After a max-flow run, net flow out of every interior node is zero.

@@ -21,15 +21,17 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 	if n == 0 {
 		return nil, 0, true
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	s, t := 2*n, 2*n+1
-	g := NewNetwork(2*n + 2)
-	nodeArc := make([]int, n)
+	g := &sc.net
+	g.reset(2*n + 2)
 	for v := 0; v < n; v++ {
 		w := weight[v]
 		if w <= 0 {
 			panic("graph: MinVertexCut requires positive weights (use Inf for fixed nodes)")
 		}
-		nodeArc[v] = g.AddArc(2*v, 2*v+1, w)
+		g.AddArc(2*v, 2*v+1, w)
 	}
 	for u := 0; u < n; u++ {
 		for _, v := range succ[u] {

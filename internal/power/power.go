@@ -45,8 +45,13 @@ func Switch(act, fclk, loadPF, vdd float64) float64 {
 // Estimate computes the power breakdown of a circuit from per-signal
 // activities (as produced by sim.Run) at clock frequency fclk.
 func Estimate(c *netlist.Circuit, lib *cell.Library, act []float64, fclk float64) *Breakdown {
-	fan := c.BuildFanouts()
-	load := sta.Loads(c, lib, fan)
+	return EstimateWithLoads(c, lib, act, sta.Loads(c, lib, c.BuildFanouts()), fclk)
+}
+
+// EstimateWithLoads is Estimate with the per-signal capacitive loads
+// supplied, for a caller that already maintains them bit-identical to
+// sta.Loads — an sta.Incremental's Load, say.
+func EstimateWithLoads(c *netlist.Circuit, lib *cell.Library, act, load []float64, fclk float64) *Breakdown {
 	b := &Breakdown{PerGate: make([]float64, len(c.Gates))}
 	for gi, g := range c.Gates {
 		if g.Dead {

@@ -5,7 +5,8 @@ package sta_test
 // mutations (plus the structural level-converter operations Dscale performs)
 // are applied through sta.Incremental, and the resulting arrival, required,
 // slack and load annotations are compared against a fresh sta.Analyze — the
-// reference oracle — to 1e-9, including after Rollback.
+// reference oracle — to 1e-9, including after Rollback. The loads are also
+// held to sta.Loads bit for bit after every step.
 
 import (
 	"fmt"
@@ -43,6 +44,22 @@ func assertMatches(tb testing.TB, inc *sta.Incremental, what string) {
 	tb.Helper()
 	if err := inc.Check(diffEps); err != nil {
 		tb.Fatalf("%s: %v", what, err)
+	}
+}
+
+// assertLoadsExact holds the engine's loads to sta.Loads over a fresh fanout
+// table bit for bit — not to diffEps: warm power estimates read the engine's
+// loads in place of recomputing them.
+func assertLoadsExact(tb testing.TB, inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, what string) {
+	tb.Helper()
+	want := sta.Loads(ckt, lib, ckt.BuildFanouts())
+	if len(inc.Load) != len(want) {
+		tb.Fatalf("%s: engine has %d loads, sta.Loads %d", what, len(inc.Load), len(want))
+	}
+	for s := range want {
+		if math.Float64bits(inc.Load[s]) != math.Float64bits(want[s]) {
+			tb.Fatalf("%s: load of signal %d is %v, sta.Loads gives %v", what, s, inc.Load[s], want[s])
+		}
 	}
 }
 
@@ -141,6 +158,7 @@ func TestIncrementalDifferentialAllCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertMatches(t, inc, "fresh engine")
+			assertLoadsExact(t, inc, ckt, lib, "fresh engine")
 			rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
 			steps := 60
 			if testing.Short() {
@@ -148,6 +166,7 @@ func TestIncrementalDifferentialAllCircuits(t *testing.T) {
 			}
 			for step := 0; step < steps; step++ {
 				mutate(rng, inc, ckt, lib)
+				assertLoadsExact(t, inc, ckt, lib, fmt.Sprintf("after %d mutations", step+1))
 				if step%5 == 4 {
 					assertMatches(t, inc, fmt.Sprintf("after %d mutations", step+1))
 				}
@@ -160,6 +179,7 @@ func TestIncrementalDifferentialAllCircuits(t *testing.T) {
 			mark := inc.Checkpoint()
 			for i := 0; i < 15; i++ {
 				mutate(rng, inc, ckt, lib)
+				assertLoadsExact(t, inc, ckt, lib, fmt.Sprintf("after %d mutations past checkpoint", i+1))
 			}
 			assertMatches(t, inc, "mutated past checkpoint")
 			inc.Rollback(mark)
@@ -167,6 +187,7 @@ func TestIncrementalDifferentialAllCircuits(t *testing.T) {
 				t.Fatalf("rollback drifted: %v", err)
 			}
 			assertMatches(t, inc, "after rollback")
+			assertLoadsExact(t, inc, ckt, lib, "after rollback")
 		})
 	}
 }
@@ -197,12 +218,15 @@ func TestIncrementalStructuralOps(t *testing.T) {
 		// consumer through it.
 		conns := append([]netlist.Conn(nil), fan.Conns[out]...)
 		inc.SetVolt(gi, cell.VLow)
+		assertLoadsExact(t, inc, ckt, lib, "after lowering")
 		lcGi, lcSig := inc.AddGate(fmt.Sprintf("$lc_t%d", gi), lib.LevelConverter(), out)
 		ckt.Gates[lcGi].IsLC = true
+		assertLoadsExact(t, inc, ckt, lib, "after AddGate")
 		for _, cn := range conns {
 			if err := inc.RewirePin(cn.Gate, cn.Pin, lcSig); err != nil {
 				t.Fatal(err)
 			}
+			assertLoadsExact(t, inc, ckt, lib, "after rewiring onto the LC")
 		}
 		assertMatches(t, inc, "after LC insertion")
 
@@ -211,10 +235,12 @@ func TestIncrementalStructuralOps(t *testing.T) {
 			if err := inc.RewirePin(cn.Gate, cn.Pin, out); err != nil {
 				t.Fatal(err)
 			}
+			assertLoadsExact(t, inc, ckt, lib, "after rewiring past the LC")
 		}
 		if err := inc.KillGate(lcGi); err != nil {
 			t.Fatal(err)
 		}
+		assertLoadsExact(t, inc, ckt, lib, "after KillGate")
 		assertMatches(t, inc, "after bypass and kill")
 
 		// Roll the whole structural episode back.
@@ -226,6 +252,7 @@ func TestIncrementalStructuralOps(t *testing.T) {
 			t.Fatalf("rolled-back converter still present")
 		}
 		assertMatches(t, inc, "after structural rollback")
+		assertLoadsExact(t, inc, ckt, lib, "after structural rollback")
 		inserted++
 	}
 	if inserted == 0 {

@@ -176,9 +176,11 @@ func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (
 			algo, d.Name, w.inc.WorstArrival(), d.Tspec)
 	}
 	// Power from the baseline activity table (extended by the run's aliased
-	// level-converter activities) — bit-identical to the cold path's fresh
-	// simulate-and-estimate, without the simulation.
-	pb := power.Estimate(w.work, lib, cres.Act, d.cfg.Fclk)
+	// level-converter activities) and the engine's loads — bit-identical to
+	// the cold path's fresh simulate-and-estimate, without the simulation or
+	// a fanout rebuild: the engine keeps its loads equal to sta.Loads bit for
+	// bit.
+	pb := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
 	// No simulation ran and the working clone is rolled back, so SimTime
 	// stays 0 and Circuit nil.
 	fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
