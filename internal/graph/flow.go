@@ -66,28 +66,6 @@ func (g *Network) reset(n int) {
 	}
 }
 
-// grow returns s resized to n elements, reallocating only when its capacity
-// is short. The contents are unspecified; callers initialise what they read.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// scratch is one solver call's working state: the node-split network and
-// the per-node arc and path tables that build it. MaxWeightAntichain and
-// MinVertexCut borrow it from scratchPool, so a steady stream of solves
-// reuses the same buffers instead of allocating a fresh network each time.
-type scratch struct {
-	net                     Network
-	nodeArc, upArc, downArc []int
-	pathUp, pathDown        []int
-	srcArc, sinkArc         []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // NumNodes returns the node count.
 func (g *Network) NumNodes() int { return g.n }
 
@@ -277,3 +255,25 @@ func (g *Network) ReachableFrom(src int) []bool {
 	g.queue = stack
 	return seen
 }
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short. The contents are unspecified; callers initialise what they read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scratch is one solver call's working state: the node-split network and
+// the per-node arc and path tables that build it. MaxWeightAntichain and
+// MinVertexCut borrow it from scratchPool, so a steady stream of solves
+// reuses the same buffers instead of allocating a fresh network each time.
+type scratch struct {
+	net                     Network
+	nodeArc, upArc, downArc []int
+	pathUp, pathDown        []int
+	srcArc, sinkArc         []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

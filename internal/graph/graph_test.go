@@ -357,46 +357,43 @@ func TestMaxFlowEKMatchesDinic(t *testing.T) {
 }
 
 // bfsLevelUncut is bfsLevel without the cutoff at the sink: it labels every
-// node reachable from src. It also returns how many nodes other than the sink
-// it labelled at the sink's level or beyond, the nodes the cutoff leaves
-// unlabelled.
+// node reachable from src. It also returns how many nodes it labelled after
+// the sink, the nodes the cutoff leaves unlabelled.
 func bfsLevelUncut(g *Network, src, sink int) (bool, int) {
 	for i := range g.level {
 		g.level[i] = -1
 	}
 	g.level[src] = 0
 	g.queue = append(g.queue[:0], int32(src))
+	extra := 0
 	for qi := 0; qi < len(g.queue); qi++ {
 		u := g.queue[qi]
 		for _, id := range g.head[u] {
 			a := g.arcs[id]
 			if a.cap > 0 && g.level[a.to] < 0 {
+				if g.level[sink] >= 0 {
+					extra++
+				}
 				g.level[a.to] = g.level[u] + 1
 				g.queue = append(g.queue, int32(a.to))
 			}
 		}
 	}
-	past := 0
-	for u, l := range g.level {
-		if g.level[sink] >= 0 && l >= g.level[sink] && u != sink {
-			past++
-		}
-	}
-	return g.level[sink] >= 0, past
+	return g.level[sink] >= 0, extra
 }
 
 // maxFlowDinicUncut is MaxFlowDinic on bfsLevelUncut, the reference for the
-// level cutoff. It returns the flow and the nodes bfsLevelUncut labelled at
-// or past the sink's level, summed over all phases.
-func maxFlowDinicUncut(g *Network, src, sink int) (flow int64, past int) {
+// level cutoff. It returns the flow and the nodes bfsLevelUncut labelled
+// after the sink, summed over all phases.
+func maxFlowDinicUncut(g *Network, src, sink int) (flow int64, extra int) {
 	g.level = grow(g.level, g.n)
 	g.iter = grow(g.iter, g.n)
 	for {
-		ok, p := bfsLevelUncut(g, src, sink)
+		ok, e := bfsLevelUncut(g, src, sink)
 		if !ok {
-			return flow, past
+			return flow, extra
 		}
-		past += p
+		extra += e
 		clear(g.iter)
 		for {
 			f := g.dfsBlock(src, sink, Inf)
@@ -426,8 +423,8 @@ func TestDinicLevelCutoffChangesNothing(t *testing.T) {
 	check := func(what string, cut, ref *Network, src, sink int) {
 		t.Helper()
 		fc := cut.MaxFlowDinic(src, sink)
-		fr, past := maxFlowDinicUncut(ref, src, sink)
-		skipped += past
+		fr, extra := maxFlowDinicUncut(ref, src, sink)
+		skipped += extra
 		if fc != fr {
 			t.Fatalf("%s: flow %d with the cutoff, %d without", what, fc, fr)
 		}
@@ -461,7 +458,7 @@ func TestDinicLevelCutoffChangesNothing(t *testing.T) {
 		check(fmt.Sprintf("antichain network %d", trial), &sc.net, cloneNetwork(&sc.net), 2*n+1, 2*n)
 	}
 	if skipped == 0 {
-		t.Fatal("no run labelled a node at or past the sink's level; the cutoff was never exercised")
+		t.Fatal("no BFS labelled a node after the sink; the cutoff was never exercised")
 	}
 }
 
@@ -615,7 +612,8 @@ func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
 
 func BenchmarkMaxWeightAntichain(b *testing.B) {
 	c := randCase(rand.New(rand.NewSource(1)), 1000)
-	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight) // fill the pool, so even -benchtime 1x measures a warm call
+	// Fill the pool first, so even -benchtime 1x measures a warm call.
+	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -625,7 +623,8 @@ func BenchmarkMaxWeightAntichain(b *testing.B) {
 
 func BenchmarkMinVertexCut(b *testing.B) {
 	c := randCase(rand.New(rand.NewSource(1)), 1000)
-	benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit) // fill the pool, so even -benchtime 1x measures a warm call
+	// Fill the pool first, so even -benchtime 1x measures a warm call.
+	benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
