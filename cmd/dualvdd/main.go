@@ -59,8 +59,8 @@ func main() {
 	bench := flag.String("bench", "", "MCNC benchmark name (alternative to -in)")
 	algo := flag.String("algo", "all", "algorithm: cvs, dscale, gscale or all")
 	out := flag.String("out", "", "write the scaled mapped netlist as BLIF")
-	vhigh := flag.Float64("vhigh", def.Vhigh, "high supply voltage")
-	vlow := flag.Float64("vlow", def.Vlow, "low supply voltage")
+	vhigh := flag.Float64("vhigh", def.Rails[0], "high supply voltage")
+	vlow := flag.Float64("vlow", def.Rails[1], "low supply voltage")
 	seed := flag.Uint64("seed", def.Seed, "random-simulation seed")
 	slack := flag.Float64("slack", def.SlackFactor, "timing constraint relaxation over the minimum-delay mapping")
 	simwords := flag.Int("simwords", def.SimWords, "64-vector words for random power estimation")

@@ -48,8 +48,8 @@ func runSweep(args []string) {
 	slack := fs.String("slack", "", `slack-factor axis: "lo:hi:step" or comma list`)
 	simwords := fs.String("simwords", "", `sim-words axis: "lo:hi:step" or comma list of ints`)
 	algos := fs.String("algos", "", `algorithm-set axis: sets separated by ',', members by '+' (e.g. "cvs+dscale,gscale")`)
-	baseVhigh := fs.Float64("base-vhigh", def.Vhigh, "base high supply when -vddh is not swept")
-	baseVlow := fs.Float64("base-vlow", def.Vlow, "base low supply when -vddl is not swept")
+	baseVhigh := fs.Float64("base-vhigh", def.Rails[0], "base high supply when -vddh is not swept")
+	baseVlow := fs.Float64("base-vlow", def.Rails[1], "base low supply when -vddl is not swept")
 	seed := fs.Uint64("seed", def.Seed, "random-simulation seed")
 	pareto := fs.Bool("pareto", false, "report only the per-circuit Pareto frontier")
 	out := fs.String("out", "table", "output format: table, json or csv")
@@ -69,7 +69,7 @@ func runSweep(args []string) {
 	}
 
 	sweep := dualvdd.Sweep{Base: def}
-	sweep.Base.Vhigh, sweep.Base.Vlow = *baseVhigh, *baseVlow
+	sweep.Base.Rails = []float64{*baseVhigh, *baseVlow}
 	sweep.Base.Seed = *seed
 	switch {
 	case *bench != "" && *in == "":

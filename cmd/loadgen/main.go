@@ -174,7 +174,7 @@ func main() {
 			for i := range work {
 				p := draws[i]
 				job := dualvdd.BenchmarkJob(p.circuit,
-					dualvdd.WithVoltages(def.Vhigh, p.vddl),
+					dualvdd.WithVoltages(def.Rails[0], p.vddl),
 					dualvdd.WithSimWords(*simWords),
 					dualvdd.WithAlgorithms(algos...),
 				)

@@ -2,8 +2,11 @@ package dualvdd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,15 +34,15 @@ func TestConfigValidate(t *testing.T) {
 		{"zero max iter", mutate(func(c *dualvdd.Config) { c.MaxIter = 0 }), ""},
 		{"one sim word", mutate(func(c *dualvdd.Config) { c.SimWords = 1 }), ""},
 
-		{"zero config", dualvdd.Config{}, "vhigh"},
-		{"vddl equals vddh", mutate(func(c *dualvdd.Config) { c.Vlow = c.Vhigh }), "vlow"},
-		{"vddl above vddh", mutate(func(c *dualvdd.Config) { c.Vlow = c.Vhigh + 0.1 }), "vlow"},
-		{"zero vddl", mutate(func(c *dualvdd.Config) { c.Vlow = 0 }), "vlow"},
-		{"negative vddl", mutate(func(c *dualvdd.Config) { c.Vlow = -4.3 }), "vlow"},
-		{"zero vddh", mutate(func(c *dualvdd.Config) { c.Vhigh = 0 }), "vhigh"},
-		{"negative vddh", mutate(func(c *dualvdd.Config) { c.Vhigh = -5 }), "vhigh"},
-		{"NaN vddh", mutate(func(c *dualvdd.Config) { c.Vhigh = math.NaN() }), "vhigh"},
-		{"infinite vddl", mutate(func(c *dualvdd.Config) { c.Vlow = math.Inf(1) }), "vlow"},
+		{"zero config", dualvdd.Config{}, "rails"},
+		{"vddl equals vddh", mutate(func(c *dualvdd.Config) { c.Rails[1] = c.Rails[0] }), "vlow"},
+		{"vddl above vddh", mutate(func(c *dualvdd.Config) { c.Rails[1] = c.Rails[0] + 0.1 }), "vlow"},
+		{"zero vddl", mutate(func(c *dualvdd.Config) { c.Rails[1] = 0 }), "vlow"},
+		{"negative vddl", mutate(func(c *dualvdd.Config) { c.Rails[1] = -4.3 }), "vlow"},
+		{"zero vddh", mutate(func(c *dualvdd.Config) { c.Rails[0] = 0 }), "vhigh"},
+		{"negative vddh", mutate(func(c *dualvdd.Config) { c.Rails[0] = -5 }), "vhigh"},
+		{"NaN vddh", mutate(func(c *dualvdd.Config) { c.Rails[0] = math.NaN() }), "vhigh"},
+		{"infinite vddl", mutate(func(c *dualvdd.Config) { c.Rails[1] = math.Inf(1) }), "vlow"},
 		{"sub-1 slack factor", mutate(func(c *dualvdd.Config) { c.SlackFactor = 0.9 }), "slack_factor"},
 		{"NaN slack factor", mutate(func(c *dualvdd.Config) { c.SlackFactor = math.NaN() }), "slack_factor"},
 		{"negative area budget", mutate(func(c *dualvdd.Config) { c.MaxAreaIncrease = -0.1 }), "max_area_increase"},
@@ -79,7 +82,7 @@ func TestConfigValidate(t *testing.T) {
 func TestDegenerateConfigNeverReachesNaN(t *testing.T) {
 	ctx := context.Background()
 	bad := dualvdd.DefaultConfig()
-	bad.Vlow, bad.Vhigh = 5.0, 0 // zero high rail: 1/Vhigh² is +Inf
+	bad.Rails = []float64{0, 5.0} // zero high rail: 1/Vhigh² is +Inf
 
 	flow := dualvdd.New(dualvdd.FromConfig(bad))
 	if _, err := flow.PrepareBenchmark(ctx, "x2"); !errors.Is(err, dualvdd.ErrInvalidConfig) {
@@ -97,5 +100,44 @@ func TestDegenerateConfigNeverReachesNaN(t *testing.T) {
 	s := dualvdd.Sweep{Circuits: dualvdd.SweepBenchmarks("x2"), Base: bad}
 	if _, err := s.Points(); !errors.Is(err, dualvdd.ErrInvalidConfig) {
 		t.Fatalf("sweep expansion returned %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestConfigJSONGolden pins the exact wire bytes of Config, which Job.Key and
+// Job.GroupKey hash: the rail list goes out as the "vhigh"/"vlow" pair it was
+// before the list existed, plus "rails" only past two rails. Each line also
+// decodes back to the Config it came from, and JSON null leaves a Config
+// untouched.
+func TestConfigJSONGolden(t *testing.T) {
+	configs := []struct {
+		name string
+		opts []dualvdd.Option
+	}{
+		{"default", nil},
+		{"rails3", []dualvdd.Option{dualvdd.WithRails(5.0, 4.3, 3.6)}},
+		{"simworkers3", []dualvdd.Option{dualvdd.WithSimWorkers(3)}},
+		{"greedy", []dualvdd.Option{dualvdd.WithGreedySelect(true), dualvdd.WithGreedySizing(true)}},
+	}
+	var b strings.Builder
+	for _, c := range configs {
+		cfg := dualvdd.New(c.opts...).Config()
+		enc, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", c.name, enc)
+		var back dualvdd.Config
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("%s: decoding %s: %v", c.name, enc, err)
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Errorf("%s: %s decodes to %+v, want %+v", c.name, enc, back, cfg)
+		}
+	}
+	checkGolden(t, "config.golden", b.String())
+
+	cfg := dualvdd.DefaultConfig()
+	if err := json.Unmarshal([]byte("null"), &cfg); err != nil || !reflect.DeepEqual(cfg, dualvdd.DefaultConfig()) {
+		t.Fatalf("null changed the Config to %+v (err %v)", cfg, err)
 	}
 }

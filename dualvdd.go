@@ -30,6 +30,7 @@ package dualvdd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -49,21 +50,18 @@ import (
 )
 
 // Config collects every knob of the paper's evaluation setup; DefaultConfig
-// reproduces the published numbers' conditions.
+// reproduces the published numbers' conditions. Its JSON form is written by
+// MarshalJSON, which keeps the supply list on the wire as it was before the
+// list existed.
 type Config struct {
-	// Vhigh, Vlow are the two supply rails; the paper uses (5, 4.3) "in
-	// accordance with our internal design project".
-	Vhigh float64 `json:"vhigh"`
-	Vlow  float64 `json:"vlow"`
-	// Rails generalizes the pair to a sorted (strictly descending) supply
-	// list of two or more rails, following the multi-supply-voltage line of
-	// the related work: gates demote one rail step at a time and level
-	// converters are charged per crossed boundary. Vhigh/Vlow stay exact
-	// aliases for the first and last entry. A two-entry Rails is canonically
-	// equivalent to setting Vhigh/Vlow directly — Normalized folds it into
-	// the aliases and drops the list, so two-rail configs keep their legacy
-	// JSON bytes and content addresses. Empty means "use Vhigh/Vlow".
-	Rails []float64 `json:"rails,omitempty"`
+	// Rails is the sorted (strictly descending) supply list of two or more
+	// rails; Rails[0] is the nominal supply. The paper uses the pair (5, 4.3)
+	// "in accordance with our internal design project". Longer lists follow
+	// the multi-supply-voltage line of the related work: gates demote one
+	// rail step at a time and level converters are charged per crossed
+	// boundary. On the wire the list is "vhigh" and "vlow" (its first and
+	// last rail), plus "rails" when there are three or more.
+	Rails []float64 `json:"-"`
 	// SlackFactor loosens the timing constraint over the minimum-delay
 	// mapping (1.2 = the paper's 20%).
 	SlackFactor float64 `json:"slack_factor"`
@@ -91,8 +89,7 @@ type Config struct {
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		Vhigh:           5.0,
-		Vlow:            4.3,
+		Rails:           []float64{5.0, 4.3},
 		SlackFactor:     1.2,
 		MaxAreaIncrease: 0.10,
 		MaxIter:         10,
@@ -102,41 +99,64 @@ func DefaultConfig() Config {
 	}
 }
 
-// Normalized returns the canonical form of the configuration: when Rails is
-// set, Vhigh and Vlow are derived from its first and last entry, and a
-// two-entry Rails — fully redundant with the aliases — is dropped. The
-// canonical form is what every content address, wire encoding and library
-// construction uses, which is how `Rails: [5.0, 4.3]` produces bit-identical
-// JSON, cache keys and results to the legacy Vhigh/Vlow pair. Configs without
-// Rails are returned unchanged.
-func (c Config) Normalized() Config {
-	if len(c.Rails) == 0 {
-		return c
-	}
-	c.Rails = append([]float64(nil), c.Rails...)
-	c.Vhigh = c.Rails[0]
-	c.Vlow = c.Rails[len(c.Rails)-1]
-	if len(c.Rails) == 2 {
-		c.Rails = nil
-	}
-	return c
+// railHead is the supply part of a Config's wire form: the first and last
+// rail as "vhigh" and "vlow", and the whole list as "rails" only past two
+// entries, so a two-rail Config keeps the bytes and content addresses it had
+// as a plain pair.
+type railHead struct {
+	Vhigh float64   `json:"vhigh"`
+	Vlow  float64   `json:"vlow"`
+	Rails []float64 `json:"rails,omitempty"`
 }
 
-// RailList resolves the full sorted rail list: Rails when set, otherwise the
-// [Vhigh, Vlow] pair. The returned slice is always a fresh copy.
-func (c Config) RailList() []float64 {
-	if len(c.Rails) >= 2 {
-		return append([]float64(nil), c.Rails...)
+// head returns the rail head of the Config's wire form; an empty list writes
+// a zero pair.
+func (c Config) head() railHead {
+	var h railHead
+	if n := len(c.Rails); n > 0 {
+		h.Vhigh, h.Vlow = c.Rails[0], c.Rails[n-1]
+		if n > 2 {
+			h.Rails = c.Rails
+		}
 	}
-	return []float64{c.Vhigh, c.Vlow}
+	return h
 }
 
-// NumRails reports how many supply rails the configuration resolves to.
-func (c Config) NumRails() int {
-	if len(c.Rails) >= 2 {
-		return len(c.Rails)
+// configFields is Config without its JSON methods: it encodes every field but
+// Rails, in declaration order.
+type configFields Config
+
+// configWire is the wire form of a Config: embedded struct fields encode in
+// place, so the rail head comes first and every other field follows.
+type configWire struct {
+	*railHead
+	*configFields
+}
+
+// MarshalJSON writes the wire form: the rail head, then every other field in
+// declaration order.
+func (c Config) MarshalJSON() ([]byte, error) { return c.encode(c.head()) }
+
+// encode writes the Config's fields behind the given rail head.
+func (c Config) encode(h railHead) ([]byte, error) {
+	return json.Marshal(configWire{&h, (*configFields)(&c)})
+}
+
+// UnmarshalJSON reads the wire form. The rail list is "rails" when present,
+// otherwise the [vhigh, vlow] pair. JSON null leaves the Config untouched.
+func (c *Config) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
 	}
-	return 2
+	var h railHead
+	if err := json.Unmarshal(b, &configWire{&h, (*configFields)(c)}); err != nil {
+		return err
+	}
+	c.Rails = h.Rails
+	if c.Rails == nil {
+		c.Rails = []float64{h.Vhigh, h.Vlow}
+	}
+	return nil
 }
 
 // ErrInvalidConfig is the sentinel every Config.Validate failure wraps. The
@@ -152,32 +172,32 @@ func configErr(field, format string, args ...any) error {
 
 // Validate checks the configuration for the degenerate shapes that would
 // otherwise slip through to meaningless numbers (a zero or negative rail
-// makes the delay derate and power ratio NaN or infinite, Vlow ≥ Vhigh
-// inverts equation (1), zero simulation words divide by zero in activity
+// makes the delay derate and power ratio NaN or infinite, an unsorted rail
+// list inverts equation (1), zero simulation words divide by zero in activity
 // estimation). Every entry point that accepts a Config — Prepare, Job
 // submission, sweep expansion — validates before touching the circuit.
-// Failures wrap ErrInvalidConfig.
+// Failures wrap ErrInvalidConfig. A rail error names the field the wire form
+// carries: vhigh or vlow for a pair, rails for a longer list.
 func (c Config) Validate() error {
 	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-	if len(c.Rails) == 1 {
-		return configErr("rails", "a rail list needs at least two supplies, got 1")
+	if len(c.Rails) < 2 {
+		return configErr("rails", "a rail list needs at least two supplies, got %d", len(c.Rails))
+	}
+	railErr := func(i int, format string, args ...any) error {
+		if len(c.Rails) == 2 {
+			return configErr([2]string{"vhigh", "vlow"}[i], format, args...)
+		}
+		return configErr("rails", "rail %d: "+format, append([]any{i}, args...)...)
 	}
 	for i, r := range c.Rails {
-		if !finite(r) || r <= 0 {
-			return configErr("rails", "rail %d: supply %g must be a positive, finite voltage", i, r)
-		}
-		if i > 0 && r >= c.Rails[i-1] {
-			return configErr("rails", "rail %d: supply %g must sit strictly below rail %d (%g) — rails are sorted descending", i, r, i-1, c.Rails[i-1])
+		switch {
+		case !finite(r) || r <= 0:
+			return railErr(i, "supply %g must be a positive, finite voltage", r)
+		case i > 0 && r >= c.Rails[i-1]:
+			return railErr(i, "supply %g must sit strictly below the rail above it (%g)", r, c.Rails[i-1])
 		}
 	}
-	c = c.Normalized() // derive the Vhigh/Vlow aliases the checks below see
 	switch {
-	case !finite(c.Vhigh) || c.Vhigh <= 0:
-		return configErr("vhigh", "supply %g must be a positive, finite voltage", c.Vhigh)
-	case !finite(c.Vlow) || c.Vlow <= 0:
-		return configErr("vlow", "supply %g must be a positive, finite voltage", c.Vlow)
-	case c.Vlow >= c.Vhigh:
-		return configErr("vlow", "low rail %g must sit strictly below vhigh %g", c.Vlow, c.Vhigh)
 	case !finite(c.SlackFactor) || c.SlackFactor < 1:
 		return configErr("slack_factor", "%g must be ≥ 1 (1 = no relaxation)", c.SlackFactor)
 	case !finite(c.MaxAreaIncrease) || c.MaxAreaIncrease < 0:
@@ -231,8 +251,7 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.Normalized()
-	lib := cell.Compass06Rails(cfg.RailList())
+	lib := cell.Compass06Rails(cfg.Rails)
 	mopts := mapper.DefaultOptions()
 	mopts.SlackFactor = cfg.SlackFactor
 	res, err := mapper.Map(net, lib, mopts)
@@ -323,7 +342,7 @@ type FlowResult struct {
 	// own activity estimation plus the final power measurement.
 	SimTime time.Duration `json:"sim_ns"`
 	// RailGates counts live ordinary gates per rail index (RailGates[i] =
-	// gates at rail i of Config.RailList) and LCCross breaks the level
+	// gates at rail i of Config.Rails) and LCCross breaks the level
 	// converters down per crossed rail pair. Both are populated only for
 	// configurations of more than two rails — at the classic two-rail setup
 	// Gates/LowGates/LCs already say everything and the wire bytes stay
@@ -371,7 +390,7 @@ func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cr
 	if fr.Gates > 0 {
 		fr.LowRatio = float64(fr.LowGates) / float64(fr.Gates)
 	}
-	if n := lib.NumRails(); n > 2 {
+	if n := len(lib.Rails()); n > 2 {
 		fr.RailGates = ckt.RailGateCounts(n)
 		for from, row := range ckt.LCCrossingCounts(n) {
 			for to, k := range row {

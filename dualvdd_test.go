@@ -144,7 +144,7 @@ func TestVoltageSweepMonotonicPotential(t *testing.T) {
 	// delay penalty rises too — but the library-level ratio must be.)
 	prev := 1.0
 	for _, vlow := range []float64{4.7, 4.3, 3.9} {
-		lib := cell.Compass06At(5.0, vlow)
+		lib := cell.Compass06Rails([]float64{5.0, vlow})
 		if r := lib.PowerRatio(); r >= prev {
 			t.Fatalf("power ratio %.3f not decreasing at Vlow=%.1f", r, vlow)
 		} else {

@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d gates, constraint %.2f ns, original power %.2f uW at (%.1fV only)\n\n",
-		d.Name, d.Circuit.NumLiveGates(), d.Tspec, d.OrgPower*1e6, cfg.Vhigh)
+		d.Name, d.Circuit.NumLiveGates(), d.Tspec, d.OrgPower*1e6, cfg.Rails[0])
 
 	results, err := flow.Run(ctx, d)
 	if err != nil {
@@ -54,7 +54,7 @@ func main() {
 	}
 	for _, res := range results {
 		fmt.Printf("%-7s saves %5.2f%%  (%d of %d gates at %.1fV, %d level converters, %d resized)\n",
-			res.Algorithm, res.ImprovePct, res.LowGates, res.Gates, cfg.Vlow, res.LCs, res.Sized)
+			res.Algorithm, res.ImprovePct, res.LowGates, res.Gates, cfg.Rails[1], res.LCs, res.Sized)
 	}
 	fmt.Println("\nGscale ≥ Dscale ≥ CVS — the paper's Table 1 in miniature.")
 }

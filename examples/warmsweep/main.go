@@ -85,7 +85,7 @@ func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b
 // diffRows compares one point's cold and warm results field by field and
 // reports the number of mismatches (printing each).
 func diffRows(pt dualvdd.SweepPoint, cold, warm []*dualvdd.FlowResult) int {
-	label := fmt.Sprintf("%s vddl=%.1f", pt.Circuit.Benchmark, pt.Config.Vlow)
+	label := fmt.Sprintf("%s vddl=%.1f", pt.Circuit.Benchmark, pt.Config.Rails[1])
 	if len(cold) != len(warm) {
 		fmt.Printf("FAIL %s: %d cold results vs %d warm\n", label, len(cold), len(warm))
 		return 1

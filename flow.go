@@ -49,10 +49,9 @@ func New(opts ...Option) *Flow {
 	for _, opt := range opts {
 		opt(f)
 	}
-	// Canonical form everywhere downstream: a two-entry WithRails folds into
-	// the Vhigh/Vlow aliases here, so jobs, keys and wire bytes built from
-	// this Flow are exactly the legacy ones.
-	f.cfg = f.cfg.Normalized()
+	// The Flow owns its rail list: no caller of FromConfig or WithRails can
+	// change it after New.
+	f.cfg.Rails = append([]float64(nil), f.cfg.Rails...)
 	return f
 }
 
@@ -62,16 +61,17 @@ func FromConfig(cfg Config) Option {
 	return func(f *Flow) { f.cfg = cfg }
 }
 
-// WithVoltages sets the two supply rails (the paper uses 5.0 and 4.3 V).
+// WithVoltages sets the two supply rails (the paper uses 5.0 and 4.3 V). It
+// is WithRails(vhigh, vlow).
 func WithVoltages(vhigh, vlow float64) Option {
-	return func(f *Flow) { f.cfg.Vhigh, f.cfg.Vlow = vhigh, vlow }
+	return WithRails(vhigh, vlow)
 }
 
 // WithRails sets the full sorted supply list for multi-rail scaling (see
-// Config.Rails); it overrides WithVoltages. Two rails are canonically
-// equivalent to WithVoltages(rails[0], rails[1]), bit for bit.
+// Config.Rails). Like every option, a later WithRails or WithVoltages
+// replaces it.
 func WithRails(rails ...float64) Option {
-	return func(f *Flow) { f.cfg.Rails = append([]float64(nil), rails...) }
+	return func(f *Flow) { f.cfg.Rails = rails }
 }
 
 // WithSlackFactor sets how far the timing constraint is loosened over the
@@ -141,8 +141,13 @@ func WithObserver(obs Observer) Option {
 	return func(f *Flow) { f.obs = obs }
 }
 
-// Config returns the legacy Config the Flow's options resolve to.
-func (f *Flow) Config() Config { return f.cfg }
+// Config returns the Config the Flow's options resolve to. The rail list is
+// a copy: changing it does not change the Flow.
+func (f *Flow) Config() Config {
+	c := f.cfg
+	c.Rails = append([]float64(nil), c.Rails...)
+	return c
+}
 
 // Algorithms returns the algorithms Run executes, in order. Together with
 // Config it is the Flow's full serializable state — what a Job carries to a

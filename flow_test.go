@@ -23,7 +23,7 @@ func TestFlowOptionsResolveToConfig(t *testing.T) {
 		dualvdd.WithGreedySizing(true),
 	)
 	want := dualvdd.Config{
-		Vhigh: 3.3, Vlow: 2.5, SlackFactor: 1.3, MaxAreaIncrease: 0.2,
+		Rails: []float64{3.3, 2.5}, SlackFactor: 1.3, MaxAreaIncrease: 0.2,
 		MaxIter: 7, SimWords: 64, Seed: 99, Fclk: 50e6,
 		GreedySelect: true, GreedySizing: true,
 	}
@@ -41,6 +41,35 @@ func TestFlowOptionsResolveToConfig(t *testing.T) {
 	// Later options override FromConfig.
 	if got := dualvdd.New(dualvdd.FromConfig(want), dualvdd.WithSeed(1)).Config().Seed; got != 1 {
 		t.Fatalf("WithSeed after FromConfig ignored: seed=%d", got)
+	}
+}
+
+// TestFlowOwnsItsRails holds a Flow immutable after New: the Config it hands
+// out carries a copy of the rail list, and New does not keep the slices its
+// options were given. The rail options resolve like every other option: the
+// later one wins.
+func TestFlowOwnsItsRails(t *testing.T) {
+	want := []float64{5.0, 4.3, 3.6}
+	given := append([]float64(nil), want...)
+	f := dualvdd.New(dualvdd.WithRails(given...))
+	c := f.Config()
+	c.Rails[1] = 4.0
+	given[2] = 3.0
+	if got := f.Config().Rails; !reflect.DeepEqual(got, want) {
+		t.Fatalf("WithRails Flow's rails changed from outside to %v, want %v", got, want)
+	}
+	base := dualvdd.DefaultConfig()
+	g := dualvdd.New(dualvdd.FromConfig(base))
+	base.Rails[1] = 3.9
+	if got := g.Config().Rails; !reflect.DeepEqual(got, dualvdd.DefaultConfig().Rails) {
+		t.Fatalf("FromConfig Flow's rails changed from outside to %v", got)
+	}
+
+	if got := dualvdd.New(dualvdd.WithRails(want...), dualvdd.WithVoltages(5.0, 3.9)).Config().Rails; !reflect.DeepEqual(got, []float64{5.0, 3.9}) {
+		t.Fatalf("WithVoltages after WithRails resolved to %v, want [5 3.9]", got)
+	}
+	if got := dualvdd.New(dualvdd.WithVoltages(5.0, 3.9), dualvdd.WithRails(want...)).Config().Rails; !reflect.DeepEqual(got, want) {
+		t.Fatalf("WithRails after WithVoltages resolved to %v, want %v", got, want)
 	}
 }
 

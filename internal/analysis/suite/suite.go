@@ -12,7 +12,6 @@ import (
 	"dualvdd/internal/analysis/passes/nilness"
 	"dualvdd/internal/analysis/passes/noclock"
 	"dualvdd/internal/analysis/passes/shadow"
-	"dualvdd/internal/analysis/passes/uncheckederr"
 )
 
 // Analyzers returns the full suite, alphabetical by name.
@@ -25,6 +24,5 @@ func Analyzers() []*analysis.Analyzer {
 		nilness.Analyzer,
 		noclock.Analyzer,
 		shadow.Analyzer,
-		uncheckederr.Analyzer,
 	}
 }

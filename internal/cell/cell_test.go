@@ -124,16 +124,16 @@ func TestInvertingOutputsAreComplemented(t *testing.T) {
 	}
 }
 
-func TestLowDerateAboveOne(t *testing.T) {
+func TestLowRailDerateAboveOne(t *testing.T) {
 	lib := Compass06()
-	if lib.LowDerate() <= 1.0 {
-		t.Fatalf("low-voltage derate %.4f must exceed 1 (low gates are slower)", lib.LowDerate())
+	if lib.Derate(VLow) <= 1.0 {
+		t.Fatalf("low-voltage derate %.4f must exceed 1 (low gates are slower)", lib.Derate(VLow))
 	}
 	if lib.Derate(VHigh) != 1.0 {
 		t.Fatalf("high derate = %v, want 1", lib.Derate(VHigh))
 	}
-	if lib.Derate(VLow) != lib.LowDerate() {
-		t.Fatal("Derate(VLow) disagrees with LowDerate()")
+	if lib.Derate(VLow) != lib.Derate(lib.Deepest()) {
+		t.Fatal("Derate(VLow) disagrees with Derate(Deepest()) on a two-rail library")
 	}
 }
 
@@ -149,11 +149,11 @@ func TestVoltageSweepMonotonicDerate(t *testing.T) {
 	// Lower Vlow must mean more derating and more power saving.
 	prev := 1.0
 	for _, vlow := range []float64{4.7, 4.3, 3.9, 3.5, 3.1} {
-		lib := Compass06At(5.0, vlow)
-		if lib.LowDerate() <= prev {
-			t.Fatalf("derate not increasing as Vlow drops: %.4f at %.1fV", lib.LowDerate(), vlow)
+		lib := Compass06Rails([]float64{5.0, vlow})
+		if lib.Derate(VLow) <= prev {
+			t.Fatalf("derate not increasing as Vlow drops: %.4f at %.1fV", lib.Derate(VLow), vlow)
 		}
-		prev = lib.LowDerate()
+		prev = lib.Derate(VLow)
 	}
 }
 
@@ -192,17 +192,17 @@ func TestDelayModelMonotonicInLoad(t *testing.T) {
 	if c.Delay(0, 0.010, 1.0) <= c.Delay(0, 0.001, 1.0) {
 		t.Fatal("delay must grow with load")
 	}
-	if c.Delay(0, 0.004, lib.LowDerate()) <= c.Delay(0, 0.004, 1.0) {
+	if c.Delay(0, 0.004, lib.Derate(VLow)) <= c.Delay(0, 0.004, 1.0) {
 		t.Fatal("low-voltage delay must exceed high-voltage delay")
 	}
 }
 
 func TestNewLibraryRejectsBadVoltages(t *testing.T) {
 	cells := Compass06().Cells
-	if _, err := NewLibrary("bad", cells, 3.0, 3.5, 0.8, 1.1); err == nil {
+	if _, err := NewLibraryRails("bad", cells, []float64{3.0, 3.5}, 0.8, 1.1); err == nil {
 		t.Fatal("accepted Vlow >= Vhigh")
 	}
-	if _, err := NewLibrary("bad", cells, 5.0, 0.5, 0.8, 1.1); err == nil {
+	if _, err := NewLibraryRails("bad", cells, []float64{5.0, 0.5}, 0.8, 1.1); err == nil {
 		t.Fatal("accepted Vlow <= Vt")
 	}
 }

@@ -99,17 +99,12 @@ func buildFamily(f family) []*Cell {
 // supplies (5 V, 4.3 V) "in accordance with our internal design project" as
 // the paper puts it.
 func Compass06() *Library {
-	return Compass06At(5.0, 4.3)
-}
-
-// Compass06At builds the default library with a custom voltage pair, which
-// the voltage-sweep ablation uses to explore alternatives to (5, 4.3).
-func Compass06At(vhigh, vlow float64) *Library {
-	return Compass06Rails([]float64{vhigh, vlow})
+	return Compass06Rails([]float64{5.0, 4.3})
 }
 
 // Compass06Rails builds the default library over an arbitrary sorted rail
-// table (descending). The two-entry table is exactly Compass06At; longer
+// table (descending): a pair for the classic dual-VDD setup, which the
+// voltage-sweep ablation varies to explore alternatives to (5, 4.3); longer
 // tables add swing-scaled level converters for every rail crossing.
 func Compass06Rails(rails []float64) *Library {
 	var cells []*Cell

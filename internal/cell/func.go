@@ -4,7 +4,7 @@
 // at low-to-high driving boundaries.
 //
 // The paper characterised the low-voltage cells with SPICE; this package
-// substitutes an analytic alpha-power-law derating (see Library.LowDerate),
+// substitutes an analytic alpha-power-law derating (see Library.Derate),
 // which preserves the quantities the algorithms consume: a per-gate delay
 // penalty and a quadratic per-gate power gain when a cell is operated at Vlow.
 package cell

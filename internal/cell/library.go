@@ -86,9 +86,6 @@ func PinName(pin int) string { return string(rune('A' + pin)) }
 type Library struct {
 	// Name identifies the library ("compass06" for the default).
 	Name string
-	// Vhigh and Vlow alias the first and last entries of the rail table: the
-	// nominal supply and the deepest reduced supply, in volts.
-	Vhigh, Vlow float64
 	// Vt is the threshold voltage and Alpha the velocity-saturation exponent
 	// of the alpha-power-law delay model delay ∝ Vdd/(Vdd−Vt)^Alpha.
 	Vt, Alpha float64
@@ -107,9 +104,8 @@ type Library struct {
 	byFunc map[Func][]*Cell // per function, sorted by Size ascending
 	byName map[string]*Cell
 	lconv  *Cell
-	derate float64
 
-	rails    []float64         // sorted descending; rails[0] == Vhigh, rails[len-1] == Vlow
+	rails    []float64         // sorted descending; rails[0] is the nominal supply
 	derates  []float64         // per-rail delay multipliers; derates[0] == 1.0
 	lcPair   [][]*Cell         // [from][to] level converter for a from→to crossing (from > to)
 	lcStatic map[*Cell]float64 // per level-converter cell standing power in watts
@@ -118,18 +114,6 @@ type Library struct {
 // voltageFactor is the alpha-power-law delay factor Vdd/(Vdd−Vt)^Alpha.
 func voltageFactor(vdd, vt, alpha float64) float64 {
 	return vdd / math.Pow(vdd-vt, alpha)
-}
-
-// NewLibrary assembles a classic two-rail library from a cell list and
-// electrical parameters. It is NewLibraryRails at the rail pair [vhigh, vlow].
-func NewLibrary(name string, cells []*Cell, vhigh, vlow, vt, alpha float64) (*Library, error) {
-	if vlow >= vhigh {
-		return nil, fmt.Errorf("cell: Vlow %.2f must be below Vhigh %.2f", vlow, vhigh)
-	}
-	if vlow <= vt {
-		return nil, fmt.Errorf("cell: Vlow %.2f must exceed Vt %.2f", vlow, vt)
-	}
-	return NewLibraryRails(name, cells, []float64{vhigh, vlow}, vt, alpha)
 }
 
 // NewLibraryRails assembles a library over a sorted rail table (descending,
@@ -145,8 +129,6 @@ func NewLibraryRails(name string, cells []*Cell, rails []float64, vt, alpha floa
 	}
 	lib := &Library{
 		Name:             name,
-		Vhigh:            rails[0],
-		Vlow:             rails[len(rails)-1],
 		Vt:               vt,
 		Alpha:            alpha,
 		WireCapPerFanout: 0.0004,
@@ -200,22 +182,20 @@ func validateRails(rails []float64, vt float64) error {
 	return nil
 }
 
-// retarget installs a rail table on the library: the alias fields, the
-// per-rail derate table (the same alpha-power-law ratio NewLibrary has always
-// used, per rail), and the rail-pair level-converter table. The crossing that
-// spans the full table reuses the base FLCONV cell unchanged; narrower
-// crossings get synthesised copies with intrinsic delay, internal switching
-// capacitance and standing power scaled by their relative swing.
+// retarget installs a rail table on the library: the per-rail derate table
+// (the alpha-power-law ratio of each rail to the nominal one) and the
+// rail-pair level-converter table. The crossing that spans the full table
+// reuses the base FLCONV cell unchanged; narrower crossings get synthesised
+// copies with intrinsic delay, internal switching capacitance and standing
+// power scaled by their relative swing.
 func (l *Library) retarget(rails []float64) {
 	l.rails = append([]float64(nil), rails...)
-	l.Vhigh, l.Vlow = rails[0], rails[len(rails)-1]
 	l.derates = make([]float64, len(rails))
 	l.derates[0] = 1.0
 	base := voltageFactor(rails[0], l.Vt, l.Alpha)
 	for i := 1; i < len(rails); i++ {
 		l.derates[i] = voltageFactor(rails[i], l.Vt, l.Alpha) / base
 	}
-	l.derate = l.derates[len(rails)-1]
 
 	span := rails[0] - rails[len(rails)-1]
 	l.lcPair = make([][]*Cell, len(rails))
@@ -241,48 +221,30 @@ func (l *Library) retarget(rails []float64) {
 	}
 }
 
-// AtVlow returns a copy of the library retargeted to a different low rail.
+// AtRails returns a copy of the library retargeted to a different rail table.
 // The copy shares the cell data (the Cells slice, the per-function and
 // per-name indices, the level converter) with the receiver — cells are
-// voltage-independent; only Vlow and the derived low-voltage derate differ —
-// so cell pointers obtained from either library are interchangeable. The
-// derate is computed with exactly the formula NewLibrary uses, making the
-// retargeted library bit-identical to a from-scratch build at the same pair.
+// voltage-independent — so cell pointers obtained from either library are
+// interchangeable. Only the per-rail derates and the rail-pair converter
+// table are recomputed, with exactly the formulas NewLibraryRails uses, so
+// the retargeted library is bit-identical to a from-scratch build at the same
+// table. The nominal rail must match the receiver's: everything prepared at
+// it (mapping, baseline timing, activities) stays valid across the retarget.
 // This is what lets a sweep share one prepared circuit across its VDDL axis.
-func (l *Library) AtVlow(vlow float64) (*Library, error) {
-	if vlow >= l.Vhigh {
-		return nil, fmt.Errorf("cell: Vlow %.2f must be below Vhigh %.2f", vlow, l.Vhigh)
-	}
-	if vlow <= l.Vt {
-		return nil, fmt.Errorf("cell: Vlow %.2f must exceed Vt %.2f", vlow, l.Vt)
-	}
-	return l.AtRails([]float64{l.Vhigh, vlow})
-}
-
-// AtRails returns a copy of the library retargeted to a different rail table.
-// Like AtVlow it shares the cell data with the receiver and recomputes only
-// the per-rail derates and the rail-pair converter table with exactly the
-// formulas NewLibraryRails uses, so the retargeted library is bit-identical
-// to a from-scratch build at the same table. The nominal rail must match the
-// receiver's: everything prepared at Vhigh (mapping, baseline timing,
-// activities) stays valid across the retarget.
 func (l *Library) AtRails(rails []float64) (*Library, error) {
 	if err := validateRails(rails, l.Vt); err != nil {
 		return nil, err
 	}
-	if rails[0] != l.Vhigh {
-		return nil, fmt.Errorf("cell: retarget rail[0] %.2f must keep Vhigh %.2f", rails[0], l.Vhigh)
+	if rails[0] != l.rails[0] {
+		return nil, fmt.Errorf("cell: retarget rail[0] %.2f must keep the nominal rail %.2f", rails[0], l.rails[0])
 	}
 	cp := *l
 	cp.retarget(rails)
 	return &cp, nil
 }
 
-// LowDerate returns the delay multiplier applied to cells powered at the
-// deepest rail. It is strictly greater than 1: low-voltage gates are slower.
-func (l *Library) LowDerate() float64 { return l.derate }
-
-// Derate returns the delay multiplier of a rail (1.0 at VHigh).
+// Derate returns the delay multiplier of a rail: 1.0 at VHigh, and strictly
+// greater below it — low-voltage gates are slower.
 func (l *Library) Derate(v VoltLevel) float64 { return l.derates[v] }
 
 // VddOf returns the rail voltage of a level.
@@ -292,16 +254,14 @@ func (l *Library) VddOf(v VoltLevel) float64 { return l.rails[v] }
 // modify it.
 func (l *Library) Rails() []float64 { return l.rails }
 
-// NumRails returns how many supply rails the library carries.
-func (l *Library) NumRails() int { return len(l.rails) }
-
 // Deepest returns the lowest rail's level index.
 func (l *Library) Deepest() VoltLevel { return VoltLevel(len(l.rails) - 1) }
 
-// PowerRatio returns (Vlow/Vhigh)², the per-gate switching power ratio that
-// motivates the whole exercise (equation (1) of the paper).
+// PowerRatio returns (Vlow/Vhigh)² for the deepest and the nominal rail, the
+// per-gate switching power ratio that motivates the whole exercise (equation
+// (1) of the paper).
 func (l *Library) PowerRatio() float64 {
-	r := l.Vlow / l.Vhigh
+	r := l.rails[len(l.rails)-1] / l.rails[0]
 	return r * r
 }
 

@@ -6,13 +6,10 @@ import (
 )
 
 // TestRailTableAccessors pins the rail-indexed view of a three-rail library:
-// the table, the alias fields, the per-rail derates, and the level indices.
+// the table, its ends, the per-rail derates, and the level indices.
 func TestRailTableAccessors(t *testing.T) {
 	rails := []float64{5.0, 4.3, 3.6}
 	lib := Compass06Rails(rails)
-	if got := lib.NumRails(); got != 3 {
-		t.Fatalf("NumRails() = %d, want 3", got)
-	}
 	got := lib.Rails()
 	if len(got) != 3 {
 		t.Fatalf("Rails() has %d entries, want 3", len(got))
@@ -25,22 +22,18 @@ func TestRailTableAccessors(t *testing.T) {
 			t.Fatalf("VddOf(%d) = %v, want %v", i, v, r)
 		}
 	}
-	if lib.Vhigh != 5.0 || lib.Vlow != 3.6 {
-		t.Fatalf("alias pair = (%v, %v), want (5, 3.6)", lib.Vhigh, lib.Vlow)
+	if lib.VddOf(VHigh) != 5.0 || lib.VddOf(lib.Deepest()) != 3.6 {
+		t.Fatalf("rail ends = (%v, %v), want (5, 3.6)", lib.VddOf(VHigh), lib.VddOf(lib.Deepest()))
 	}
 	if lib.Deepest() != VoltLevel(2) {
 		t.Fatalf("Deepest() = %v, want V2", lib.Deepest())
 	}
-	// Derates strictly increase down the table and the deepest one is the
-	// library's LowDerate.
+	// Derates strictly increase down the table.
 	if lib.Derate(VHigh) != 1.0 {
 		t.Fatalf("Derate(VHigh) = %v, want 1", lib.Derate(VHigh))
 	}
 	if !(lib.Derate(VLow) > 1.0 && lib.Derate(2) > lib.Derate(VLow)) {
 		t.Fatalf("derates not increasing: %v, %v", lib.Derate(VLow), lib.Derate(2))
-	}
-	if lib.Derate(lib.Deepest()) != lib.LowDerate() {
-		t.Fatal("Derate(Deepest()) disagrees with LowDerate()")
 	}
 }
 
@@ -103,7 +96,7 @@ func TestLevelConverterPairTable(t *testing.T) {
 }
 
 // TestAtRailsMatchesFreshBuild pins the retarget identity the sweep engine
-// leans on: a library retargeted with AtRails/AtVlow is bit-identical to one
+// leans on: a library retargeted with AtRails is bit-identical to one
 // built from scratch at the same table, and shares the receiver's cell data.
 func TestAtRailsMatchesFreshBuild(t *testing.T) {
 	baseRails := Compass06Rails([]float64{5.0, 4.3, 3.6})
@@ -112,9 +105,9 @@ func TestAtRailsMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := Compass06Rails([]float64{5.0, 3.9, 3.2})
-	if re.Vlow != fresh.Vlow || re.LowDerate() != fresh.LowDerate() {
+	if re.VddOf(re.Deepest()) != fresh.VddOf(fresh.Deepest()) || re.Derate(re.Deepest()) != fresh.Derate(fresh.Deepest()) {
 		t.Fatalf("retargeted (Vlow %v, derate %v) != fresh (%v, %v)",
-			re.Vlow, re.LowDerate(), fresh.Vlow, fresh.LowDerate())
+			re.VddOf(re.Deepest()), re.Derate(re.Deepest()), fresh.VddOf(fresh.Deepest()), fresh.Derate(fresh.Deepest()))
 	}
 	for v := VHigh; v <= re.Deepest(); v++ {
 		if re.Derate(v) != fresh.Derate(v) {
@@ -126,20 +119,20 @@ func TestAtRailsMatchesFreshBuild(t *testing.T) {
 	}
 
 	two := Compass06()
-	low, err := two.AtVlow(3.9)
+	low, err := two.AtRails([]float64{5.0, 3.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Compass06At(5.0, 3.9); low.LowDerate() != want.LowDerate() {
-		t.Fatalf("AtVlow derate %v != fresh %v", low.LowDerate(), want.LowDerate())
+	if want := Compass06Rails([]float64{5.0, 3.9}); low.Derate(VLow) != want.Derate(VLow) {
+		t.Fatalf("AtRails pair derate %v != fresh %v", low.Derate(VLow), want.Derate(VLow))
 	}
 
 	// Retargets that break the table's invariants are rejected.
-	if _, err := two.AtVlow(5.0); err == nil {
-		t.Fatal("AtVlow accepted Vlow >= Vhigh")
+	if _, err := two.AtRails([]float64{5.0, 5.0}); err == nil {
+		t.Fatal("AtRails accepted Vlow >= Vhigh")
 	}
-	if _, err := two.AtVlow(0.5); err == nil {
-		t.Fatal("AtVlow accepted Vlow <= Vt")
+	if _, err := two.AtRails([]float64{5.0, 0.5}); err == nil {
+		t.Fatal("AtRails accepted Vlow <= Vt")
 	}
 	if _, err := baseRails.AtRails([]float64{4.8, 3.9}); err == nil {
 		t.Fatal("AtRails accepted a changed nominal rail")

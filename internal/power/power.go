@@ -72,7 +72,7 @@ func EstimateWithLoads(c *netlist.Circuit, lib *cell.Library, act, load []float6
 		b.PerGate[gi] = p
 	}
 	for pi := 0; pi < c.NumPIs(); pi++ {
-		b.InputNets += Switch(act[pi], fclk, load[pi], lib.Vhigh)
+		b.InputNets += Switch(act[pi], fclk, load[pi], lib.VddOf(cell.VHigh))
 	}
 	b.Total = b.Switching + b.Internal + b.LCStatic
 	return b

@@ -91,6 +91,7 @@ func BuildSweep(results []dualvdd.SweepPointResult) *SweepResult {
 		if d := pr.Status.Design; d != nil {
 			name = d.Name
 		}
+		vhigh, vlow, rails := supplyColumns(pr.Point.Config.Rails)
 		for _, fr := range pr.Status.Results {
 			if math.IsNaN(fr.WorstSlack) || math.IsNaN(fr.Power) {
 				// A NaN objective is never a result — the flow errors on a
@@ -104,9 +105,9 @@ func BuildSweep(results []dualvdd.SweepPointResult) *SweepResult {
 			sr.Rows = append(sr.Rows, SweepRow{
 				Index:        pr.Point.Index,
 				Circuit:      name,
-				Vhigh:        pr.Point.Config.Vhigh,
-				Vlow:         pr.Point.Config.Vlow,
-				Rails:        append([]float64(nil), pr.Point.Config.Rails...),
+				Vhigh:        vhigh,
+				Vlow:         vlow,
+				Rails:        rails,
 				SlackFactor:  pr.Point.Config.SlackFactor,
 				SimWords:     pr.Point.Config.SimWords,
 				Seed:         pr.Point.Config.Seed,
@@ -128,6 +129,19 @@ func BuildSweep(results []dualvdd.SweepPointResult) *SweepResult {
 	}
 	markPareto(sr.Rows, keys)
 	return sr
+}
+
+// supplyColumns splits a point's rail list into its supply columns by the
+// rule of the Config wire form: the first and last rail, and the whole list
+// (copied) only past two rails, so two-rail rows keep their bytes.
+func supplyColumns(rails []float64) (vhigh, vlow float64, multi []float64) {
+	if n := len(rails); n > 0 {
+		vhigh, vlow = rails[0], rails[n-1]
+		if n > 2 {
+			multi = append([]float64(nil), rails...)
+		}
+	}
+	return vhigh, vlow, multi
 }
 
 // markPareto sets the Pareto flag per circuit; keys[i] is row i's circuit

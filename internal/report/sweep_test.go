@@ -18,7 +18,7 @@ import (
 func goldenSweep() []dualvdd.SweepPointResult {
 	cfg := func(vlow float64, words int) dualvdd.Config {
 		c := dualvdd.DefaultConfig()
-		c.Vlow = vlow
+		c.Rails[1] = vlow
 		c.SimWords = words
 		return c
 	}

@@ -133,8 +133,8 @@ func (t *Incremental) Library() *cell.Library { return t.lib }
 
 // SetLibrary swaps the engine's library without re-analysing. It is only
 // legal when the swap preserves the annotation bit for bit: the new library
-// must share the old one's cell data and wire parameters (cell.Library.AtVlow
-// and AtRails guarantee this) and every live gate must sit at VHigh with no
+// must share the old one's cell data and wire parameters (cell.Library.AtRails
+// guarantees this) and every live gate must sit at VHigh with no
 // level converters present — at that baseline the derate of every instance is
 // exactly 1.0 under any reduced-rail table, so arrivals, requireds, slacks
 // and loads are independent of the rails below the nominal one. A warm sweep
@@ -142,7 +142,7 @@ func (t *Incremental) Library() *cell.Library { return t.lib }
 // (or rail-table) axis. The engine checks the gate
 // condition and refuses the swap otherwise.
 func (t *Incremental) SetLibrary(lib *cell.Library) error {
-	if lib.Vhigh != t.lib.Vhigh || lib.WireCapPerFanout != t.lib.WireCapPerFanout ||
+	if lib.VddOf(cell.VHigh) != t.lib.VddOf(cell.VHigh) || lib.WireCapPerFanout != t.lib.WireCapPerFanout ||
 		lib.POLoadCap != t.lib.POLoadCap {
 		return fmt.Errorf("sta: SetLibrary would change high-rail timing parameters")
 	}

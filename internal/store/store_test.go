@@ -389,7 +389,7 @@ func TestJobKeyCanonicalization(t *testing.T) {
 
 	distinct := map[string]dualvdd.Job{}
 	vlow := base
-	vlow.Config.Vlow = 3.9
+	vlow.Config.Rails = []float64{5.0, 3.9}
 	distinct["vlow"] = vlow
 	seed := base
 	seed.Config.Seed = 2

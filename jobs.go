@@ -197,7 +197,7 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 		return "", err
 	}
 	t.metrics.JobsQueued++
-	if job.Config.NumRails() > 2 {
+	if len(job.Config.Rails) > 2 {
 		t.metrics.MultiRailJobs++
 	}
 	t.jobs[id] = j

@@ -299,7 +299,7 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 			return outcome(design, nil, err)
 		}
 	}
-	results, err := wd.RunAt(j.ctx, job.Config.RailList(), job.algorithms(), j.Publish)
+	results, err := wd.RunAt(j.ctx, job.Config.Rails, job.algorithms(), j.Publish)
 	if shared {
 		// Not deferred: an engine a panic unwound through stays busy, so no
 		// member still holding the group runs on it again.

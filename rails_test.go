@@ -27,25 +27,25 @@ import (
 
 // TestRailPairBackCompatAllBenchmarks holds the two-rail compatibility
 // promise job by job across the whole MCNC bed: a two-entry rail table must
-// normalize to byte-identical canonical JSON and identical content and
-// placement addresses as the legacy Vhigh/Vlow pair — which is what lets
-// railed sweeps share cache entries and warm groups with every result
-// computed before the rail list existed.
+// encode to byte-identical JSON and identical content and placement
+// addresses as the legacy WithVoltages pair — which is what lets railed
+// sweeps share cache entries and warm groups with every result computed
+// before the rail list existed. TestJobKeyGolden pins the addresses
+// themselves.
 func TestRailPairBackCompatAllBenchmarks(t *testing.T) {
 	names := dualvdd.Benchmarks()
 	if len(names) != 39 {
 		t.Fatalf("benchmark bed has %d circuits, want the paper's 39", len(names))
 	}
 	for _, name := range names {
-		legacy := dualvdd.BenchmarkJob(name)
-		railed := legacy
-		railed.Config.Rails = []float64{legacy.Config.Vhigh, legacy.Config.Vlow}
+		legacy := dualvdd.BenchmarkJob(name, dualvdd.WithVoltages(5.0, 4.3))
+		railed := dualvdd.BenchmarkJob(name, dualvdd.WithRails(5.0, 4.3))
 
 		lj, err := json.Marshal(legacy.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rj, err := json.Marshal(railed.Config.Normalized())
+		rj, err := json.Marshal(railed.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,9 +191,9 @@ func (j Job) key() (string, *logic.Network, error) {
 	}
 	// SimWorkers is a scheduling knob with a bit-identical-results
 	// guarantee, so it must not split the content address. The config is
-	// hashed in canonical form: a two-entry Rails folds into Vhigh/Vlow
-	// (Normalized), so `Rails: [5.0, 4.3]` shares the legacy pair's address.
-	hashCfg := j.Config.Normalized()
+	// hashed in its wire form (Config.MarshalJSON), which writes a two-rail
+	// list as the vhigh/vlow pair it was before the list existed.
+	hashCfg := j.Config
 	hashCfg.SimWorkers = 0
 	cfg, err := json.Marshal(hashCfg)
 	if err != nil {
@@ -209,14 +209,14 @@ func (j Job) key() (string, *logic.Network, error) {
 	return hex.EncodeToString(h.Sum(nil)), net, nil
 }
 
-// GroupKey returns the job's placement address: like Key, but with Vlow and
-// the algorithm list excluded (and SimWorkers, as always). It is exactly the
-// warm-prep group a Local runs the job in — every point of one circuit's
-// low-rail sweep shares a GroupKey — which is why a fleet coordinator shards
-// on it: repeat traffic for one circuit lands on the worker whose prepared
-// state is already warm for it. A multi-rail config keeps its full Rails
-// list in the group address, so points with distinct rail tables keep
-// distinct affinity.
+// GroupKey returns the job's placement address: like Key, but with the low
+// rail of a pair and the algorithm list excluded (and SimWorkers, as always).
+// It is exactly the warm-prep group a Local runs the job in — every point of
+// one circuit's low-rail sweep shares a GroupKey — which is why a fleet
+// coordinator shards on it: repeat traffic for one circuit lands on the
+// worker whose prepared state is already warm for it. A multi-rail config
+// keeps its full Rails list in the group address, so points with distinct
+// rail tables keep distinct affinity.
 func (j Job) GroupKey() (string, error) {
 	_, net, err := j.key()
 	if err != nil {

@@ -145,36 +145,34 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 	// The supply dimension: either whole rail tables (the Rails axis) or the
 	// classic VDDH×VDDL cross, never both — a scalar rail override of a swept
 	// table would be silently ignored, so the combination is refused loudly.
-	type railChoice struct {
-		vh, vl float64   // the classic pair (rails == nil)
-		rails  []float64 // a full rail table
-	}
-	var supplies []railChoice
-	if len(s.Axes.Rails) > 0 {
+	supplies := s.Axes.Rails
+	switch {
+	case len(supplies) > 0:
 		if len(s.Axes.VDDH) > 0 || len(s.Axes.VDDL) > 0 {
 			return nil, errors.New("dualvdd: sweep axes: Rails and VDDH/VDDL are mutually exclusive — sweep whole rail tables or the classic pair, not both")
 		}
-		for i, rv := range s.Axes.Rails {
+		for i, rv := range supplies {
 			if len(rv) < 2 {
 				return nil, fmt.Errorf("dualvdd: sweep axes: rails entry %d needs at least two supplies, got %d", i, len(rv))
 			}
-			supplies = append(supplies, railChoice{rails: rv})
 		}
-	} else {
-		if len(base.Rails) > 2 && (len(s.Axes.VDDH) > 0 || len(s.Axes.VDDL) > 0) {
-			return nil, errors.New("dualvdd: sweep axes: VDDH/VDDL cannot sweep a multi-rail Base — use the Rails axis")
+	case len(s.Axes.VDDH) == 0 && len(s.Axes.VDDL) == 0:
+		supplies = [][]float64{base.Rails}
+	default:
+		if len(base.Rails) != 2 {
+			return nil, errors.New("dualvdd: sweep axes: VDDH/VDDL sweep a two-rail Base — use the Rails axis")
 		}
 		vddh := s.Axes.VDDH
 		if len(vddh) == 0 {
-			vddh = []float64{base.Vhigh}
+			vddh = base.Rails[:1]
 		}
 		vddl := s.Axes.VDDL
 		if len(vddl) == 0 {
-			vddl = []float64{base.Vlow}
+			vddl = base.Rails[1:]
 		}
 		for _, vh := range vddh {
 			for _, vl := range vddl {
-				supplies = append(supplies, railChoice{vh: vh, vl: vl})
+				supplies = append(supplies, []float64{vh, vl})
 			}
 		}
 	}
@@ -196,22 +194,14 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 		if (ckt.Benchmark == "") == (ckt.BLIF == "") {
 			return nil, fmt.Errorf("dualvdd: sweep circuit %d needs exactly one of Benchmark or BLIF", ci)
 		}
-		for _, rc := range supplies {
+		for _, rails := range supplies {
 			for _, sf := range slack {
 				for _, sw := range words {
 					for _, algos := range sets {
 						cfg := base
-						if rc.rails != nil {
-							cfg.Rails = append([]float64(nil), rc.rails...)
-						} else {
-							cfg.Vhigh, cfg.Vlow = rc.vh, rc.vl
-						}
+						cfg.Rails = append([]float64(nil), rails...)
 						cfg.SlackFactor = sf
 						cfg.SimWords = sw
-						// Canonical form: a two-entry rail table folds into
-						// the aliases, so its points share content addresses
-						// (and cache entries) with classic-pair points.
-						cfg = cfg.Normalized()
 						pt := SweepPoint{
 							Index:      len(points),
 							Circuit:    ckt,
@@ -223,12 +213,8 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 							return nil, fmt.Errorf("dualvdd: sweep point %d (%s): empty algorithm set", pt.Index, ckt.labelAt(ci))
 						}
 						if err := pt.Job().Validate(); err != nil {
-							if rc.rails != nil {
-								return nil, fmt.Errorf("dualvdd: sweep point %d (%s, rails=%v slack=%g words=%d): %w",
-									pt.Index, ckt.labelAt(ci), rc.rails, sf, sw, err)
-							}
-							return nil, fmt.Errorf("dualvdd: sweep point %d (%s, vddh=%g vddl=%g slack=%g words=%d): %w",
-								pt.Index, ckt.labelAt(ci), rc.vh, rc.vl, sf, sw, err)
+							return nil, fmt.Errorf("dualvdd: sweep point %d (%s, rails=%v slack=%g words=%d): %w",
+								pt.Index, ckt.labelAt(ci), rails, sf, sw, err)
 						}
 						points = append(points, pt)
 					}
@@ -254,14 +240,8 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 // rarer than the partially filled Base the old rule broke on.
 func mergeDefaults(base Config) Config {
 	def := DefaultConfig()
-	// A Base that speaks Rails has its Vhigh/Vlow aliases derived first, so
-	// the pair merge below never fights the rail table.
-	base = base.Normalized()
-	if base.Vhigh == 0 {
-		base.Vhigh = def.Vhigh
-	}
-	if base.Vlow == 0 {
-		base.Vlow = def.Vlow
+	if len(base.Rails) == 0 {
+		base.Rails = def.Rails
 	}
 	if base.SlackFactor == 0 {
 		base.SlackFactor = def.SlackFactor
@@ -400,10 +380,10 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 
 // sweepChains partitions the points into Run's chains, each a list of point
 // indices in increasing order. Points that share prepared state — one
-// circuit entry under one warm-prep config (prepConfig: everything but the
-// low rail and the simulation workers) — form one chain, so a runner prepares
-// the state once and every later point of the chain reuses it, instead of
-// alternating between groups and evicting them. When there are fewer groups
+// circuit entry with the same prepWire bytes, which the warm-prep group key
+// hashes — form one chain, so a runner prepares the state once and every
+// later point of the chain reuses it, instead of alternating between groups
+// and evicting them. When there are fewer groups
 // than slots, spare slots go to the groups with the longest chains, each cut
 // into contiguous pieces, so a sweep over few groups still keeps every slot
 // busy; a Local runs a group's concurrent members on private engines over
@@ -412,7 +392,9 @@ func sweepChains(points []SweepPoint, slots int) [][]int {
 	var groups [][]int
 	group := map[string]int{}
 	for i, p := range points {
-		k := fmt.Sprint(p.ci, prepConfig(p.Config))
+		// Points are validated, so their configs encode.
+		b, _ := prepWire(p.Config)
+		k := fmt.Sprintf("%d %s", p.ci, b)
 		g, ok := group[k]
 		if !ok {
 			g = len(groups)
@@ -539,13 +521,14 @@ func sweepPointEvent(pt SweepPoint, total int, st *JobStatus) EventSweepPoint {
 	if st.Design != nil {
 		name = st.Design.Name
 	}
+	h := pt.Config.head()
 	return EventSweepPoint{
 		Index:       pt.Index,
 		Total:       total,
 		Circuit:     name,
-		Vhigh:       pt.Config.Vhigh,
-		Vlow:        pt.Config.Vlow,
-		Rails:       append([]float64(nil), pt.Config.Rails...),
+		Vhigh:       h.Vhigh,
+		Vlow:        h.Vlow,
+		Rails:       append([]float64(nil), h.Rails...),
 		SlackFactor: pt.Config.SlackFactor,
 		SimWords:    pt.Config.SimWords,
 		Algorithms:  append([]Algorithm(nil), pt.Algorithms...),

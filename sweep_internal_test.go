@@ -113,9 +113,9 @@ func TestMergeDefaults(t *testing.T) {
 		},
 		{
 			name: "explicit values survive",
-			base: Config{Vhigh: 3.3, Vlow: 2.4, SlackFactor: 1.5, MaxAreaIncrease: 0.2,
+			base: Config{Rails: []float64{3.3, 2.4}, SlackFactor: 1.5, MaxAreaIncrease: 0.2,
 				MaxIter: 3, SimWords: 64, Seed: 9, Fclk: 1e6},
-			want: Config{Vhigh: 3.3, Vlow: 2.4, SlackFactor: 1.5, MaxAreaIncrease: 0.2,
+			want: Config{Rails: []float64{3.3, 2.4}, SlackFactor: 1.5, MaxAreaIncrease: 0.2,
 				MaxIter: 3, SimWords: 64, Seed: 9, Fclk: 1e6},
 		},
 		{
@@ -161,8 +161,8 @@ func TestSweepPointsPartialBase(t *testing.T) {
 	}
 	def := DefaultConfig()
 	for i, p := range points {
-		if p.Config.Vhigh != def.Vhigh {
-			t.Fatalf("point %d: Vhigh = %g, want inherited default %g", i, p.Config.Vhigh, def.Vhigh)
+		if p.Config.Rails[0] != def.Rails[0] {
+			t.Fatalf("point %d: Vhigh = %g, want inherited default %g", i, p.Config.Rails[0], def.Rails[0])
 		}
 		if p.Config.SimWords != 64 || p.Config.Seed != 11 {
 			t.Fatalf("point %d: explicit base fields lost: %+v", i, p.Config)
@@ -271,7 +271,7 @@ func (r *scriptedRunner) Submit(ctx context.Context, job Job) (JobID, error) {
 	id := JobID(fmt.Sprintf("job-%d", len(r.jobs)))
 	cfg := job.Config
 	r.jobs[id] = cfg
-	r.order[cfg.SlackFactor] = append(r.order[cfg.SlackFactor], cfg.Vlow)
+	r.order[cfg.SlackFactor] = append(r.order[cfg.SlackFactor], cfg.Rails[1])
 	r.inFlight[cfg.SlackFactor]++
 	r.maxFlight = max(r.maxFlight, r.inFlight[cfg.SlackFactor])
 	return id, nil
@@ -321,7 +321,7 @@ func TestSweepReportsLowestFailureAcrossChains(t *testing.T) {
 	for _, inFlight := range []int{1, 2, 3, 8} {
 		r := &scriptedRunner{
 			fail: func(c Config) bool {
-				return (c.SlackFactor == 1.2 && c.Vlow == 3.9) || (c.SlackFactor == 1.1 && c.Vlow == 3.7)
+				return (c.SlackFactor == 1.2 && c.Rails[1] == 3.9) || (c.SlackFactor == 1.1 && c.Rails[1] == 3.7)
 			},
 			slow:     func(c Config) bool { return c.SlackFactor == 1.2 },
 			jobs:     map[JobID]Config{},

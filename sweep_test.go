@@ -72,8 +72,8 @@ func TestSweepPointsExpansionOrder(t *testing.T) {
 			rest /= dims[d]
 		}
 		if pt.Circuit != s.Circuits[tuple[0]] ||
-			pt.Config.Vhigh != s.Axes.VDDH[tuple[1]] ||
-			pt.Config.Vlow != s.Axes.VDDL[tuple[2]] ||
+			pt.Config.Rails[0] != s.Axes.VDDH[tuple[1]] ||
+			pt.Config.Rails[1] != s.Axes.VDDL[tuple[2]] ||
 			pt.Config.SlackFactor != s.Axes.SlackFactor[tuple[3]] ||
 			pt.Config.SimWords != s.Axes.SimWords[tuple[4]] ||
 			!reflect.DeepEqual(pt.Algorithms, s.Axes.AlgorithmSets[tuple[5]]) {
@@ -195,8 +195,8 @@ func TestSweepExpansionProperties(t *testing.T) {
 			if err := pt.Job().Validate(); err != nil {
 				t.Fatalf("trial %d: expanded point invalid: %v", trial, err)
 			}
-			key := fmt.Sprintf("%s|%v|%v|%v|%v|%v", pt.Circuit.Benchmark, pt.Config.Vhigh,
-				pt.Config.Vlow, pt.Config.SlackFactor, pt.Config.SimWords, pt.Algorithms)
+			key := fmt.Sprintf("%s|%v|%v|%v|%v", pt.Circuit.Benchmark, pt.Config.Rails,
+				pt.Config.SlackFactor, pt.Config.SimWords, pt.Algorithms)
 			if seen[key] {
 				t.Fatalf("trial %d: duplicate point %s", trial, key)
 			}

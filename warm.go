@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -191,21 +190,13 @@ func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (
 
 // warmPrepKey is the content address of a warm-prep group: jobs with the same
 // key share one WarmDesign. It hashes the canonical BLIF of the input network
-// and the Config with Vlow and SimWorkers zeroed — the mapping, the timing
-// constraint, the activity table and the original power are all properties of
-// the circuit under the high rail, never of the low one (the library is
-// retargeted per point via AtRails), and SimWorkers is a pure scheduling knob.
-// The algorithm list is excluded too: one prepared state serves any algorithm.
-// The config is hashed in canonical form, so a two-entry Rails groups exactly
-// like the legacy pair; a longer Rails list stays in the address — multi-rail
-// points share prepared state (and fleet placement) only with points on the
-// same rail table.
+// and prepWire's config bytes.
 func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
 	var canon bytes.Buffer
 	if err := blif.WriteNetwork(&canon, net); err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(prepConfig(cfg))
+	b, err := prepWire(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -215,11 +206,18 @@ func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// prepConfig is the part of a Config that a warm-prep group depends on: its
-// canonical form with Vlow and SimWorkers zeroed (see warmPrepKey).
-func prepConfig(cfg Config) Config {
-	c := cfg.Normalized()
-	c.Vlow = 0
-	c.SimWorkers = 0
-	return c
+// prepWire is the wire form of the part of a Config a warm-prep group
+// depends on: "vlow" is written as 0 and SimWorkers dropped. The mapping, the
+// timing constraint, the activity table and the original power are all
+// properties of the circuit under the nominal rail, never of the lower ones
+// (the library is retargeted per point via AtRails), and SimWorkers is a pure
+// scheduling knob. The algorithm list is excluded too: one prepared state
+// serves any algorithm. A list of three or more rails stays whole in the
+// bytes, so multi-rail points share prepared state (and fleet placement) only
+// with points on the same rail table. Sweep chains group by the same bytes.
+func prepWire(cfg Config) ([]byte, error) {
+	cfg.SimWorkers = 0
+	h := cfg.head()
+	h.Vlow = 0
+	return cfg.encode(h)
 }
