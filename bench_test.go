@@ -133,7 +133,8 @@ func BenchmarkAblationGreedyDscale(b *testing.B) {
 }
 
 // BenchmarkAblationGreedySizing compares Gscale's minimum-weight separator
-// (the paper's Edmonds–Karp formulation) against sizing one gate at a time.
+// (the paper's min-cut formulation, which it solves with Edmonds–Karp; the
+// Dinic solver here finds the same cut) against sizing one gate at a time.
 func BenchmarkAblationGreedySizing(b *testing.B) {
 	for _, greedy := range []bool{false, true} {
 		label := "separator"

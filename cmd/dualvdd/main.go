@@ -64,7 +64,6 @@ func main() {
 	seed := flag.Uint64("seed", def.Seed, "random-simulation seed")
 	slack := flag.Float64("slack", def.SlackFactor, "timing constraint relaxation over the minimum-delay mapping")
 	simwords := flag.Int("simwords", def.SimWords, "64-vector words for random power estimation")
-	simworkers := flag.Int("simworkers", 0, "word-parallel simulation workers (0 = GOMAXPROCS); never changes results")
 	fclk := flag.Float64("fclk", def.Fclk, "power-estimation clock frequency (Hz)")
 	greedySelect := flag.Bool("greedy-select", false, "ablation: greedy Dscale selection instead of MWIS")
 	greedySizing := flag.Bool("greedy-sizing", false, "ablation: single-gate Gscale sizing instead of the separator cut")
@@ -95,7 +94,6 @@ func main() {
 		dualvdd.WithSeed(*seed),
 		dualvdd.WithSlackFactor(*slack),
 		dualvdd.WithSimWords(*simwords),
-		dualvdd.WithSimWorkers(*simworkers),
 		dualvdd.WithClock(*fclk),
 		dualvdd.WithGreedySelect(*greedySelect),
 		dualvdd.WithGreedySizing(*greedySizing),

@@ -20,6 +20,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add(legacy)
 	f.Add([]byte(`{"rails":[5,3.9],"slack_factor":1.2,"sim_words":8,"fclk_hz":1e6}`))
 	f.Add([]byte(`{"vhigh":3,"vlow":4,"rails":[5,4.3,3.6],"slack_factor":1.1,"sim_words":8,"fclk_hz":1e6}`))
+	// A Config written while the retired sim_workers field existed.
+	f.Add([]byte(`{"vhigh":5,"vlow":4.3,"slack_factor":1.2,"max_area_increase":0.1,"max_iter":10,"sim_words":256,"sim_workers":3,"seed":1,"fclk_hz":20000000}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 

@@ -49,7 +49,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max iter", mutate(func(c *dualvdd.Config) { c.MaxIter = -1 }), "max_iter"},
 		{"zero sim words", mutate(func(c *dualvdd.Config) { c.SimWords = 0 }), "sim_words"},
 		{"negative sim words", mutate(func(c *dualvdd.Config) { c.SimWords = -8 }), "sim_words"},
-		{"negative sim workers", mutate(func(c *dualvdd.Config) { c.SimWorkers = -1 }), "sim_workers"},
 		{"zero clock", mutate(func(c *dualvdd.Config) { c.Fclk = 0 }), "fclk_hz"},
 		{"negative clock", mutate(func(c *dualvdd.Config) { c.Fclk = -1e6 }), "fclk_hz"},
 	}
@@ -115,7 +114,6 @@ func TestConfigJSONGolden(t *testing.T) {
 	}{
 		{"default", nil},
 		{"rails3", []dualvdd.Option{dualvdd.WithRails(5.0, 4.3, 3.6)}},
-		{"simworkers3", []dualvdd.Option{dualvdd.WithSimWorkers(3)}},
 		{"greedy", []dualvdd.Option{dualvdd.WithGreedySelect(true), dualvdd.WithGreedySizing(true)}},
 	}
 	var b strings.Builder

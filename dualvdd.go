@@ -71,10 +71,6 @@ type Config struct {
 	MaxIter int `json:"max_iter"`
 	// SimWords is the number of 64-vector words for power estimation.
 	SimWords int `json:"sim_words"`
-	// SimWorkers bounds the word-parallel workers of the compiled logic
-	// simulation; 0 means GOMAXPROCS. Any setting produces bit-identical
-	// estimates — the workers reduce integer statistics in fixed order.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Seed drives the random simulation.
 	Seed uint64 `json:"seed"`
 	// Fclk is the power-estimation clock (20 MHz in the paper).
@@ -206,8 +202,6 @@ func (c Config) Validate() error {
 		return configErr("max_iter", "%d must be non-negative", c.MaxIter)
 	case c.SimWords < 1:
 		return configErr("sim_words", "%d must be at least 1", c.SimWords)
-	case c.SimWorkers < 0:
-		return configErr("sim_workers", "%d must be non-negative (0 = GOMAXPROCS)", c.SimWorkers)
 	case !finite(c.Fclk) || c.Fclk <= 0:
 		return configErr("fclk_hz", "%g must be a positive, finite frequency", c.Fclk)
 	}
@@ -236,8 +230,8 @@ type Design struct {
 
 	// act is the baseline per-signal switching activity from the original
 	// power measurement. Activities depend only on the logic, the seed and
-	// the word count — never on voltages — so the table prepared here serves
-	// every point of a warm sweep.
+	// the word count — never on voltages — so the table prepared here
+	// weights Dscale in every run, cold or warm, at every rail.
 	act []float64
 
 	cfg Config
@@ -270,7 +264,7 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pb, sres, err := power.EstimateRandomParallel(res.Circuit, lib, cfg.SimWords, cfg.Seed, cfg.Fclk, cfg.SimWorkers)
+	pb, sres, err := power.EstimateRandom(res.Circuit, lib, cfg.SimWords, cfg.Seed, cfg.Fclk)
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +332,9 @@ type FlowResult struct {
 	// other algorithms); a full per-round rescan would pay roughly
 	// gates × rounds. See core.Result.CandEvals.
 	CandEvals int64 `json:"cand_evals"`
-	// SimTime is the wall clock spent in logic simulation: the algorithm's
-	// own activity estimation plus the final power measurement.
+	// SimTime is the wall clock spent in logic simulation: the final power
+	// measurement of a Flow run, zero for a warm run (which reads power from
+	// the prepared activity table).
 	SimTime time.Duration `json:"sim_ns"`
 	// RailGates counts live ordinary gates per rail index (RailGates[i] =
 	// gates at rail i of Config.Rails) and LCCross breaks the level
@@ -403,18 +398,43 @@ func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cr
 	return fr
 }
 
-// coreOptions converts the config for internal/core.
-func (d *Design) coreOptions() core.Options {
+// coreOptions converts the config for internal/core: a run under ctx,
+// reporting to obs, over the design's activity table.
+func (d *Design) coreOptions(ctx context.Context, obs Observer) core.Options {
 	o := core.DefaultOptions(d.Tspec)
 	o.MaxIter = d.cfg.MaxIter
 	o.MaxAreaIncrease = d.cfg.MaxAreaIncrease
-	o.SimWords = d.cfg.SimWords
-	o.SimWorkers = d.cfg.SimWorkers
-	o.Seed = d.cfg.Seed
 	o.Fclk = d.cfg.Fclk
 	o.GreedySelect = d.cfg.GreedySelect
 	o.GreedySizing = d.cfg.GreedySizing
+	o.Ctx = ctx
+	o.Observer = coreObserver(d.Name, obs)
+	o.Activities = d.act
 	return o
+}
+
+// coreEntry maps an algorithm to its internal/core entry point. Every entry
+// point runs on an incremental engine the caller owns.
+func coreEntry(algo Algorithm) (func(*sta.Incremental, *netlist.Circuit, *cell.Library, core.Options) (*core.Result, error), error) {
+	switch algo {
+	case AlgoCVS:
+		return core.RunCVS, nil
+	case AlgoDscale:
+		return core.Dscale, nil
+	case AlgoGscale:
+		return core.Gscale, nil
+	}
+	return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
+}
+
+// runErr wraps a failed run's error with the algorithm and circuit. A
+// cancelled or expired context surfaces as exactly ctx.Err(), unwrapped, so
+// callers can compare against context.Canceled.
+func (d *Design) runErr(algo Algorithm, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return fmt.Errorf("dualvdd: %s on %s: %w", algo, d.Name, err)
 }
 
 // coreObserver bridges internal/core progress events onto a flow Observer;
@@ -436,41 +456,55 @@ func coreObserver(circuit string, obs Observer) core.Observer {
 	}
 }
 
-func (d *Design) run(ctx context.Context, name string, algo func(*netlist.Circuit, *cell.Library, core.Options) (*core.Result, error)) (*FlowResult, error) {
+// RunAlgorithm runs one named algorithm on a clone of the design; the
+// pristine Circuit is never touched. It is the cold reference run: the
+// algorithm runs on a fresh clone and a fresh engine, and the result is
+// verified by a fresh full analysis and measured by a fresh power simulation
+// of the scaled clone. A cancelled or expired context aborts the run promptly
+// (Dscale within one slack-harvesting round, Gscale within one TCB push) and
+// returns ctx.Err().
+func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
+	entry, err := coreEntry(algo)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts := d.coreOptions()
-	opts.Ctx = ctx
-	opts.Observer = coreObserver(d.Name, d.obs)
+	opts := d.coreOptions(ctx, d.obs)
 	ckt := d.Circuit.Clone()
 	start := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	cres, err := algo(ckt, d.Lib, opts)
+	inc, err := sta.NewIncremental(ckt, d.Lib, d.Tspec)
 	if err != nil {
-		// A cancelled or expired context surfaces as exactly ctx.Err(),
-		// unwrapped, so callers can compare against context.Canceled.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dualvdd: %s on %s: %w", name, d.Name, err)
+		return nil, d.runErr(algo, err)
+	}
+	cres, err := entry(inc, ckt, d.Lib, opts)
+	if err != nil {
+		return nil, d.runErr(algo, err)
 	}
 	elapsed := time.Since(start) //lint:wallclock-ok timing metric only; never feeds results
 	// The constraint must hold after every algorithm — verify, don't trust.
+	// The fresh analysis must also agree with the engine the algorithm ran
+	// on, bit for bit: that engine is all a warm run has to go by.
 	t, err := sta.Analyze(ckt, d.Lib, d.Tspec)
 	if err != nil {
 		return nil, err
 	}
 	if !t.Meets(1e-6) {
 		return nil, fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
-			name, d.Name, t.WorstArrival, d.Tspec)
+			algo, d.Name, t.WorstArrival, d.Tspec)
+	}
+	if t.WorstArrival != inc.WorstArrival() {
+		return nil, fmt.Errorf("dualvdd: %s on %s: engine worst arrival %v, fresh analysis %v",
+			algo, d.Name, inc.WorstArrival(), t.WorstArrival)
 	}
 	simStart := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	pb, _, err := power.EstimateRandomParallel(ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk, d.cfg.SimWorkers)
+	pb, _, err := power.EstimateRandom(ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk)
 	if err != nil {
 		return nil, err
 	}
-	simTime := cres.SimTime + time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-	fr := d.result(name, ckt, d.Lib, cres, pb.Total, t.WorstArrival, elapsed)
+	simTime := time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
+	fr := d.result(string(algo), ckt, d.Lib, cres, pb.Total, t.WorstArrival, elapsed)
 	fr.SimTime, fr.Circuit = simTime, ckt
 	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil

@@ -173,7 +173,7 @@ func TestRunProducesConsistentRow(t *testing.T) {
 var determinismSuite = []string{"z4ml", "mux", "x2", "pm1", "b9", "sct"}
 
 // TestBatchDeterminismAcrossWorkers is the parallelism gate of the tables
-// path: Table 1/2 rows must be bit-identical at 1, 4 and GOMAXPROCS workers,
+// path: Table 1/2 rows must be bit-identical at 1, 2, 4 and GOMAXPROCS workers,
 // including the rendered tables the golden-file tests pin. CI runs this
 // under -race at GOMAXPROCS=2 and 8.
 func TestBatchDeterminismAcrossWorkers(t *testing.T) {
@@ -192,22 +192,16 @@ func TestBatchDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sweep both axes of parallelism: the runner's worker pool (workers)
-	// and the compiled simulation's word-parallel workers (simWorkers).
-	// Every combination must reproduce the serial rows and the rendered
-	// tables byte for byte — the sim workers reduce integer statistics in
-	// fixed order, so their count can never leak into a result.
-	for _, combo := range []struct{ workers, simWorkers int }{
-		{4, 0}, {runtime.GOMAXPROCS(0), 0}, {1, 2}, {1, 5}, {2, 3},
-	} {
-		cfg := cfg
-		cfg.SimWorkers = combo.simWorkers
-		rows := tableRows(t, cfg, combo.workers, determinismSuite...)
+	// Every worker count must reproduce the serial rows and the rendered
+	// tables byte for byte. (The compiled simulation's own word-parallel
+	// workers are held to the serial interpreter by the internal/sim tests.)
+	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		rows := tableRows(t, cfg, workers, determinismSuite...)
 		stripTimes(rows)
 		for i := range serial {
 			if rows[i] != serial[i] {
-				t.Fatalf("workers=%d simWorkers=%d: row %d diverged from serial run:\n%+v\n%+v",
-					combo.workers, combo.simWorkers, i, rows[i], serial[i])
+				t.Fatalf("workers=%d: row %d diverged from serial run:\n%+v\n%+v",
+					workers, i, rows[i], serial[i])
 			}
 		}
 		var gotT1, gotT2 bytes.Buffer
@@ -218,8 +212,7 @@ func TestBatchDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotT1.Bytes(), wantT1.Bytes()) || !bytes.Equal(gotT2.Bytes(), wantT2.Bytes()) {
-			t.Fatalf("workers=%d simWorkers=%d: rendered tables differ from the serial rendering",
-				combo.workers, combo.simWorkers)
+			t.Fatalf("workers=%d: rendered tables differ from the serial rendering", workers)
 		}
 	}
 }

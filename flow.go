@@ -2,11 +2,9 @@ package dualvdd
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"dualvdd/internal/blif"
-	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 )
 
@@ -97,13 +95,6 @@ func WithSimWords(n int) Option {
 	return func(f *Flow) { f.cfg.SimWords = n }
 }
 
-// WithSimWorkers bounds the word-parallel workers of the compiled logic
-// simulation (0 = GOMAXPROCS). Estimates are bit-identical at any setting;
-// the knob trades sim wall clock against CPU contention with the Batch pool.
-func WithSimWorkers(n int) Option {
-	return func(f *Flow) { f.cfg.SimWorkers = n }
-}
-
 // WithSeed sets the random-simulation seed; the whole flow is deterministic
 // in it.
 func WithSeed(seed uint64) Option {
@@ -189,20 +180,4 @@ func (f *Flow) Run(ctx context.Context, d *Design) ([]*FlowResult, error) {
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-// RunAlgorithm runs one named algorithm on a clone of the design; the
-// pristine Circuit is never touched. A cancelled or expired context aborts
-// the run promptly (Dscale within one slack-harvesting round, Gscale within
-// one TCB push) and returns ctx.Err().
-func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
-	switch algo {
-	case AlgoCVS:
-		return d.run(ctx, string(algo), core.RunCVS)
-	case AlgoDscale:
-		return d.run(ctx, string(algo), core.Dscale)
-	case AlgoGscale:
-		return d.run(ctx, string(algo), core.Gscale)
-	}
-	return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
 }

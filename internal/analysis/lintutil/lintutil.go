@@ -160,10 +160,3 @@ func CommentAbove(pass *analysis.Pass, pos token.Pos) string {
 	}
 	return strings.Join(out, "\n")
 }
-
-// WordBoundary wraps name so it matches as a whole dotted-path component in
-// a guard comment ("caller holds mu" matches guard "mu"; "caller holds
-// muxer" does not).
-func WordBoundary(name string) *regexp.Regexp {
-	return regexp.MustCompile(`(^|[^\w.])` + regexp.QuoteMeta(name) + `($|[^\w])`)
-}

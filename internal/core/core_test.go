@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dualvdd/internal/cell"
@@ -37,6 +38,26 @@ func buildChainTree(depth int) *netlist.Circuit {
 	return c
 }
 
+// entryPoint is the signature the three algorithm entry points share.
+type entryPoint = func(*sta.Incremental, *netlist.Circuit, *cell.Library, Options) (*Result, error)
+
+// runFresh runs algo on c the way a cold run does: on a fresh incremental
+// engine, weighting with the activity table of a words×64-vector simulation
+// of c at seed 1.
+func runFresh(t *testing.T, algo entryPoint, c *netlist.Circuit, opts Options, words int) (*Result, error) {
+	t.Helper()
+	inc, err := sta.NewIncremental(c, lib, opts.Tspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run(c, words, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Activities = r.Act
+	return algo(inc, c, lib, opts)
+}
+
 // tspecOf returns the circuit's own critical delay (the paper's constraint).
 func tspecOf(t *testing.T, c *netlist.Circuit) float64 {
 	t.Helper()
@@ -50,7 +71,7 @@ func tspecOf(t *testing.T, c *netlist.Circuit) float64 {
 func TestCVSLowersSlackSideOnly(t *testing.T) {
 	c := buildChainTree(10)
 	tspec := tspecOf(t, c)
-	res, err := CVS(c, lib, tspec, 1e-9)
+	res, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +102,7 @@ func TestCVSClusterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randomCircuit(rng, 8, 120)
 	tspec := 1.08 * tspecOf(t, c) // give it some uniform slack to work with
-	if _, err := CVS(c, lib, tspec, 1e-9); err != nil {
+	if _, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterInvariant(t, c)
@@ -155,13 +176,12 @@ func TestDscaleInvariants(t *testing.T) {
 		c := randomCircuit(rng, 10, 150)
 		tspec := 1.1 * tspecOf(t, c)
 		opts := DefaultOptions(tspec)
-		opts.SimWords = 32
-		before := measurePower(t, c, opts)
-		res, err := Dscale(c, lib, opts)
+		before := measurePower(t, c, opts, 32)
+		res, err := runFresh(t, Dscale, c, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		after := measurePower(t, c, opts)
+		after := measurePower(t, c, opts, 32)
 		assertTiming(t, c, tspec)
 		assertLCDiscipline(t, c)
 		if after > before {
@@ -205,9 +225,11 @@ func assertLCDiscipline(t *testing.T, c *netlist.Circuit) {
 	}
 }
 
-func measurePower(t *testing.T, c *netlist.Circuit, opts Options) float64 {
+// measurePower is the circuit's total power at opts.Fclk under a
+// words×64-vector simulation at seed 1.
+func measurePower(t *testing.T, c *netlist.Circuit, opts Options, words int) float64 {
 	t.Helper()
-	r, err := sim.Run(c, opts.SimWords, opts.Seed)
+	r, err := sim.Run(c, words, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +257,14 @@ func TestDscaleBeatsOrEqualsCVS(t *testing.T) {
 		c2 := c1.Clone()
 		tspec := 1.1 * tspecOf(t, c1)
 		opts := DefaultOptions(tspec)
-		opts.SimWords = 32
-		if _, err := CVS(c1, lib, tspec, opts.Eps); err != nil {
+		if _, err := runFresh(t, RunCVS, c1, opts, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dscale(c2, lib, opts); err != nil {
+		if _, err := runFresh(t, Dscale, c2, opts, 32); err != nil {
 			t.Fatal(err)
 		}
-		pCVS := measurePower(t, c1, opts)
-		pDs := measurePower(t, c2, opts)
+		pCVS := measurePower(t, c1, opts, 32)
+		pDs := measurePower(t, c2, opts, 32)
 		if pDs > pCVS+1e-15 {
 			t.Fatalf("seed %d: Dscale power %.4g exceeds CVS power %.4g", seed, pDs, pCVS)
 		}
@@ -281,8 +302,7 @@ func TestGscaleInvariants(t *testing.T) {
 		tspec := tspecOf(t, c) // zero slack: Gscale must create its own
 		areaBefore := c.Area()
 		opts := DefaultOptions(tspec)
-		opts.SimWords = 32
-		res, err := Gscale(c, lib, opts)
+		res, err := runFresh(t, Gscale, c, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -323,17 +343,15 @@ func TestGscaleCreatesSlackOnBalancedTree(t *testing.T) {
 	c.AddPO("parity", layer[0])
 	tspec := tspecOf(t, c)
 
-	cvsC := c.Clone()
-	r1, err := CVS(cvsC, lib, tspec, 1e-9)
+	opts := DefaultOptions(tspec)
+	r1, err := runFresh(t, RunCVS, c.Clone(), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Lowered != 0 {
 		t.Fatalf("balanced tree: CVS lowered %d gates, want 0", r1.Lowered)
 	}
-	opts := DefaultOptions(tspec)
-	opts.SimWords = 32
-	res, err := Gscale(c, lib, opts)
+	res, err := runFresh(t, Gscale, c, opts, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +366,9 @@ func TestGscaleRespectsTinyAreaBudget(t *testing.T) {
 	c := randomCircuit(rng, 8, 100)
 	tspec := tspecOf(t, c)
 	opts := DefaultOptions(tspec)
-	opts.SimWords = 32
 	opts.MaxAreaIncrease = 0.005 // nearly nothing
 	areaBefore := c.Area()
-	if _, err := Gscale(c, lib, opts); err != nil {
+	if _, err := runFresh(t, Gscale, c, opts, 32); err != nil {
 		t.Fatal(err)
 	}
 	if grow := c.Area()/areaBefore - 1; grow > 0.005+1e-9 {
@@ -363,9 +380,8 @@ func TestGscaleMaxIterZeroStillRunsCVS(t *testing.T) {
 	c := buildChainTree(10)
 	tspec := tspecOf(t, c)
 	opts := DefaultOptions(tspec)
-	opts.SimWords = 16
 	opts.MaxIter = 0
-	res, err := Gscale(c, lib, opts)
+	res, err := runFresh(t, Gscale, c, opts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,17 +476,16 @@ func TestGreedySelectNeverBeatsMWIS(t *testing.T) {
 		c2 := c1.Clone()
 		tspec := 1.1 * tspecOf(t, c1)
 		optsM := DefaultOptions(tspec)
-		optsM.SimWords = 32
 		optsG := optsM
 		optsG.GreedySelect = true
-		if _, err := Dscale(c1, lib, optsM); err != nil {
+		if _, err := runFresh(t, Dscale, c1, optsM, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dscale(c2, lib, optsG); err != nil {
+		if _, err := runFresh(t, Dscale, c2, optsG, 32); err != nil {
 			t.Fatal(err)
 		}
-		pM := measurePower(t, c1, optsM)
-		pG := measurePower(t, c2, optsG)
+		pM := measurePower(t, c1, optsM, 32)
+		pG := measurePower(t, c2, optsG, 32)
 		if pG < pM*0.98 {
 			t.Fatalf("seed %d: greedy (%.4g) beat MWIS (%.4g) by >2%%: selection bug", seed, pG, pM)
 		}
@@ -488,15 +503,14 @@ func TestAlgorithmsSelfCheckAgainstFullSTA(t *testing.T) {
 		c := randomCircuit(rng, 9, 120)
 		tspec := 1.1 * tspecOf(t, c)
 		opts := DefaultOptions(tspec)
-		opts.SimWords = 32
 		opts.SelfCheck = true
-		if _, err := Dscale(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(t, Dscale, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: Dscale self-check: %v", seed, err)
 		}
-		if _, err := Gscale(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(t, Gscale, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: Gscale self-check: %v", seed, err)
 		}
-		if _, err := RunCVS(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(t, RunCVS, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: CVS self-check: %v", seed, err)
 		}
 	}
@@ -511,21 +525,20 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 	c := randomCircuit(rng, 10, 160)
 	tspec := 1.1 * tspecOf(t, c)
 	opts := DefaultOptions(tspec)
-	opts.SimWords = 32
-	run := func(algo func(*netlist.Circuit, *cell.Library, Options) (*Result, error)) (Result, Result) {
-		a, err := algo(c.Clone(), lib, opts)
+	run := func(algo entryPoint) (Result, Result) {
+		a, err := runFresh(t, algo, c.Clone(), opts, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := opts
 		chk.SelfCheck = true
-		b, err := algo(c.Clone(), lib, chk)
+		b, err := runFresh(t, algo, c.Clone(), chk, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return *a, *b
 	}
-	for name, algo := range map[string]func(*netlist.Circuit, *cell.Library, Options) (*Result, error){
+	for name, algo := range map[string]entryPoint{
 		"Dscale": Dscale, "Gscale": Gscale, "CVS": RunCVS,
 	} {
 		a, b := run(algo)
@@ -535,12 +548,34 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 	}
 }
 
+// TestActivityTableMustCoverSignals pins the entry points' input check: an
+// activity table with a missing or extra entry (or none at all) is an error,
+// not an index panic inside the run.
+func TestActivityTableMustCoverSignals(t *testing.T) {
+	c := buildChainTree(6)
+	opts := DefaultOptions(tspecOf(t, c))
+	n := c.NumSignals()
+	for name, algo := range map[string]entryPoint{"CVS": RunCVS, "Dscale": Dscale, "Gscale": Gscale} {
+		for _, act := range [][]float64{nil, make([]float64, n-1), make([]float64, n+1)} {
+			inc, err := sta.NewIncremental(c, lib, opts.Tspec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := opts
+			o.Activities = act
+			if _, err := algo(inc, c, lib, o); err == nil || !strings.Contains(err.Error(), "activity table") {
+				t.Fatalf("%s with %d activities for %d signals: err %v, want an activity table error", name, len(act), n, err)
+			}
+		}
+	}
+}
+
 func TestTCBDefinition(t *testing.T) {
 	// Paper §2: a TCB node (1) violates timing if scaled and (2) has a
 	// low-voltage fanout (or drives the boundary). Verify on the chain-tree.
 	c := buildChainTree(6)
 	tspec := tspecOf(t, c)
-	res, err := CVS(c, lib, tspec, 1e-9)
+	res, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +589,7 @@ func TestTCBDefinition(t *testing.T) {
 			t.Fatalf("TCB gate %s is low", g.Name)
 		}
 		out := c.GateSignal(gi)
-		if delta := tm.DeltaLow(gi); tm.Slack[out]-delta >= 1e-9 {
+		if delta := tm.DeltaStep(gi); tm.Slack[out]-delta >= 1e-9 {
 			t.Fatalf("TCB gate %s could actually be scaled (slack %.4f, delta %.4f)",
 				g.Name, tm.Slack[out], delta)
 		}
@@ -582,9 +617,8 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions(mres.Tspec)
-			opts.SimWords = 64
 			opts.SelfCheck = true
-			res, err := Dscale(mres.Circuit, lib, opts)
+			res, err := runFresh(t, Dscale, mres.Circuit, opts, 64)
 			if err != nil {
 				t.Fatalf("Dscale self-check on %s: %v", name, err)
 			}
@@ -670,8 +704,7 @@ func TestDscaleCandidateEvalsDropOnLargeCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := DefaultOptions(mres.Tspec)
-			res, err := Dscale(mres.Circuit, lib, opts)
+			res, err := runFresh(t, Dscale, mres.Circuit, DefaultOptions(mres.Tspec), 256)
 			if err != nil {
 				t.Fatal(err)
 			}

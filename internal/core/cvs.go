@@ -17,33 +17,21 @@ type CVSResult struct {
 	TCB []int
 }
 
-// CVS runs clustered voltage scaling: a single reverse-topological sweep from
-// the primary outputs (the breadth-first traversal of Usami & Horowitz). A
-// gate is examined only once all of its fanouts have been decided; it takes
-// Vlow when the incurred delay fits its slack, otherwise it stays high and
-// joins the TCB. CVS may be called again after the circuit gains slack (this
-// is how Gscale pushes the TCB): already-low gates are kept and the cluster
-// is extended from its current boundary.
-func CVS(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (*CVSResult, error) {
-	inc, err := sta.NewIncremental(ckt, lib, tspec)
-	if err != nil {
-		return nil, err
-	}
-	opts := DefaultOptions(tspec)
-	opts.Eps = eps
-	return cvsOn(inc, ckt, &opts, "CVS", 1)
-}
-
 // ctxStride is how many gates the CVS sweep examines between context checks;
 // the sweep is a single algorithm iteration, so this bounds cancellation
 // latency well below one iteration on large circuits.
 const ctxStride = 256
 
-// cvsOn is CVS on a live incremental engine, so Gscale's repeated TCB pushes
-// and Dscale's initial clustering share one timing state. Each accepted move
-// re-times only the affected cones (the paper's update_timing) instead of the
-// whole circuit. Progress events report under algo (the outer algorithm when
-// nested) with the given round number.
+// cvsOn runs clustered voltage scaling on a live incremental engine: a
+// single reverse-topological sweep from the primary outputs (the
+// breadth-first traversal of Usami & Horowitz). A gate is examined only once
+// all of its fanouts have been decided; it takes Vlow when the incurred delay
+// fits its slack, otherwise it stays high and joins the TCB. Each accepted
+// move re-times only the affected cones (the paper's update_timing) instead
+// of the whole circuit. cvsOn may run again after the circuit gains slack
+// (this is how Gscale pushes the TCB): already-low gates are kept and the
+// cluster is extended from its current boundary. Progress events report
+// under algo (the outer algorithm when nested) with the given round number.
 //
 // Under a multi-rail library each gate is demoted one rail step at a time
 // while the clustering rule holds at the next step (every consumer already at
@@ -90,25 +78,18 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 	return res, nil
 }
 
-// RunCVS applies CVS once and reports circuit-level results, for symmetric
-// use with Dscale and Gscale.
-func RunCVS(ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	inc, err := sta.NewIncremental(ckt, lib, opts.Tspec)
+// RunCVS applies CVS once on an incremental engine whose annotation is
+// settled for ckt under lib, and reports circuit-level results, for
+// symmetric use with Dscale and Gscale. The caller owns the engine: a cold
+// run builds a fresh one, a warm sweep fences each run on one shared engine
+// with Checkpoint/Rollback. Evaluation counts in events and the Result are
+// deltas from run entry, so both report the same numbers.
+func RunCVS(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
+	areaBefore := ckt.Area()
+	act, err := opts.start(inc, ckt)
 	if err != nil {
 		return nil, err
 	}
-	return RunCVSOn(inc, ckt, lib, opts)
-}
-
-// RunCVSOn is RunCVS on a caller-supplied incremental engine whose annotation
-// is already settled for ckt under lib — the warm-sweep entry point: one
-// baseline engine (one full analysis) serves many runs, each fenced by the
-// caller's Checkpoint/Rollback. Evaluation counts in events and the Result
-// are deltas from run entry, so a warm run reports exactly what a cold one
-// would.
-func RunCVSOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	areaBefore := ckt.Area()
-	opts.evalsBase = inc.Evals()
 	r, err := cvsOn(inc, ckt, &opts, "CVS", 1)
 	if err != nil {
 		return nil, err
@@ -127,9 +108,7 @@ func RunCVSOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 		Iterations:   1,
 		TCB:          r.TCB,
 		STAEvals:     inc.Evals() - opts.evalsBase,
-	}
-	if opts.Activities != nil {
-		res.Act = opts.Activities
+		Act:          act,
 	}
 	return res, nil
 }

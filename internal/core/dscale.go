@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/graph"
 	"dualvdd/internal/netlist"
 	"dualvdd/internal/power"
-	"dualvdd/internal/sim"
 	"dualvdd/internal/sta"
 )
 
@@ -367,44 +365,22 @@ func (st *dscaleState) verify() error {
 // round (per the engine's change journal), which drops per-round evaluation
 // work from live-gates to the size of the disturbed region while producing
 // the exact decisions of a full rescan.
-func Dscale(ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	inc, err := sta.NewIncremental(ckt, lib, opts.Tspec)
+//
+// Dscale runs on an incremental engine whose annotation is settled for ckt
+// under lib, and weights its candidates with Options.Activities: switching
+// activities are a property of the logic alone, and the level converters
+// inserted below are buffers whose output toggles exactly like their source,
+// so their activities are aliased on insertion and the run needs no
+// simulation. With KeepJournal set the caller's Checkpoint mark survives and
+// one Rollback undoes the whole run.
+func Dscale(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
+	areaBefore := ckt.Area()
+	act, err := opts.start(inc, ckt)
 	if err != nil {
 		return nil, err
 	}
-	return DscaleOn(inc, ckt, lib, opts)
-}
-
-// DscaleOn is Dscale on a caller-supplied incremental engine whose annotation
-// is already settled for ckt under lib — the warm-sweep entry point. With
-// Options.Activities set the run is simulation-free; with KeepJournal set the
-// caller's Checkpoint mark survives and one Rollback undoes the whole run.
-func DscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	areaBefore := ckt.Area()
-	opts.evalsBase = inc.Evals()
 	if _, err := cvsOn(inc, ckt, &opts, "Dscale", 0); err != nil {
 		return nil, err
-	}
-	// Switching activities are a property of the logic alone: voltage moves
-	// never change them, and the level converters inserted below are buffers
-	// whose output toggles exactly like their source. One simulation serves
-	// the whole run; LC activities are aliased on insertion. A caller-supplied
-	// table (Options.Activities) serves even wider — one simulation per
-	// circuit across a whole sweep. The three-index slice expression caps the
-	// shared table's capacity so the aliasing appends below copy instead of
-	// scribbling on it.
-	var act []float64
-	var simTime time.Duration
-	if opts.Activities != nil {
-		act = opts.Activities[:len(opts.Activities):len(opts.Activities)]
-	} else {
-		simStart := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-		simRes, err := sim.RunParallel(ckt, opts.SimWords, opts.Seed, opts.SimWorkers)
-		if err != nil {
-			return nil, err
-		}
-		simTime = time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-		act = simRes.Act
 	}
 	st := newDscaleState(ckt, lib, inc, &opts, act)
 	res := &Result{}
@@ -490,10 +466,7 @@ func DscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 	res.AreaIncrease = ckt.Area()/areaBefore - 1
 	res.STAEvals = inc.Evals() - opts.evalsBase
 	res.CandEvals = st.candEvals
-	res.SimTime = simTime
-	if opts.Activities != nil {
-		res.Act = st.act
-	}
+	res.Act = st.act
 	return res, nil
 }
 

@@ -112,32 +112,27 @@ func tcbEqual(a, b []int) bool {
 // Gscale runs the paper's §3 algorithm: CVS sets the initial low cluster,
 // then each iteration speeds up the paths into the time-critical boundary by
 // up-sizing a minimum-weight separator of the critical path network (weights
-// are area-penalty over timing-gain, computed by Edmonds–Karp
-// max-flow/min-cut), re-times incrementally, and re-runs CVS to push the TCB
+// are area-penalty over timing-gain; the paper computes the max-flow/min-cut
+// with Edmonds–Karp, graph.MinVertexCut with Dinic's algorithm, which finds
+// the same cut), re-times incrementally, and re-runs CVS to push the TCB
 // toward the primary inputs. Batches are applied transactionally: a cut that
 // misses the constraint is rolled back through the engine's journal instead
 // of being unwound by hand. The loop stops when the area budget is exhausted
 // or after MaxIter consecutive pushes that leave the TCB unchanged. No level
 // converters are needed: the low gates always form one cluster.
-func Gscale(ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	inc, err := sta.NewIncremental(ckt, lib, opts.Tspec)
+//
+// Gscale runs on an incremental engine whose annotation is settled for ckt
+// under lib, and its final safety check is the engine's own Meets: the
+// engine is bit-identical to a fresh full analysis by contract, and the
+// differential suite holds it to that. With KeepJournal set the caller's
+// Checkpoint mark survives and one Rollback undoes the whole run.
+func Gscale(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
+	areaBefore := ckt.Area()
+	maxArea := areaBefore * (1 + opts.MaxAreaIncrease)
+	act, err := opts.start(inc, ckt)
 	if err != nil {
 		return nil, err
 	}
-	return GscaleOn(inc, ckt, lib, opts)
-}
-
-// GscaleOn is Gscale on a caller-supplied incremental engine whose annotation
-// is already settled for ckt under lib — the warm-sweep entry point. With
-// KeepJournal set the per-iteration Commits are skipped (the caller's
-// Checkpoint mark survives, one Rollback undoes the whole run) and the final
-// safety check uses the engine's own Meets instead of a fresh full analysis:
-// the engine is bit-identical to Analyze by contract, and the differential
-// suite holds it to that.
-func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	areaBefore := ckt.Area()
-	maxArea := areaBefore * (1 + opts.MaxAreaIncrease)
-	opts.evalsBase = inc.Evals()
 	cvsRes, err := cvsOn(inc, ckt, &opts, "Gscale", 0)
 	if err != nil {
 		return nil, err
@@ -314,23 +309,9 @@ func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 			break // sizing can make no further difference
 		}
 	}
-	// Safety: Gscale must never violate the constraint. The full analysis is
-	// the reference oracle here — one last cross-check of the whole run. In
-	// KeepJournal (warm) mode the engine's own annotation stands in for it:
-	// the two are bit-identical by contract, and paying a full analysis per
-	// point is exactly what the warm path exists to avoid.
-	if opts.KeepJournal {
-		if !inc.Meets(opts.Eps) {
-			return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
-		}
-	} else {
-		t, err := sta.Analyze(ckt, lib, opts.Tspec)
-		if err != nil {
-			return nil, err
-		}
-		if !t.Meets(opts.Eps) {
-			return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", t.WorstArrival, opts.Tspec)
-		}
+	// Safety: Gscale must never violate the constraint.
+	if !inc.Meets(opts.Eps) {
+		return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
 	}
 	//lint:nondeterministic-ok commutative counting of resized gates; order-free
 	for gi, orig := range originalCell {
@@ -343,8 +324,6 @@ func GscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 	res.AreaIncrease = ckt.Area()/areaBefore - 1
 	res.TCB = tcb
 	res.STAEvals = inc.Evals() - opts.evalsBase
-	if opts.Activities != nil {
-		res.Act = opts.Activities
-	}
+	res.Act = act
 	return res, nil
 }

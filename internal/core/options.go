@@ -20,10 +20,11 @@ package core
 
 import (
 	"context"
-	"time"
+	"fmt"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
+	"dualvdd/internal/sta"
 )
 
 // Options configures the scaling algorithms. The defaults reproduce the
@@ -41,16 +42,6 @@ type Options struct {
 	// MaxAreaIncrease is Gscale's global area budget as a fraction of the
 	// original area; the paper uses 0.10.
 	MaxAreaIncrease float64
-	// SimWords is the number of 64-vector words used for activity
-	// estimation when weighting Dscale candidates.
-	SimWords int
-	// SimWorkers bounds the word-parallel workers of the compiled logic
-	// simulation; 0 means GOMAXPROCS. The worker count never changes any
-	// simulated statistic (integer reductions in fixed order), only the
-	// wall clock.
-	SimWorkers int
-	// Seed drives the random-vector simulation.
-	Seed uint64
 	// Fclk is the clock frequency for power weighting (20 MHz in the paper).
 	Fclk float64
 	// GreedySelect replaces Dscale's maximum-weight-independent-set
@@ -66,21 +57,19 @@ type Options struct {
 	// hook; far too slow for production runs.
 	SelfCheck bool
 	// KeepJournal keeps the engine's undo journal intact across the run: the
-	// internal Commit calls that normally cap journal growth are skipped, so
-	// a Checkpoint mark taken by the caller before the run survives it and a
-	// single Rollback restores the pre-run circuit exactly. Gscale's final
-	// full-analysis safety check is also replaced by the engine's own Meets
-	// (the engine is bit-identical to Analyze by contract) — a full analysis
-	// is pointless work when the caller is about to roll everything back.
+	// Commit that otherwise ends each round (capping journal growth) is
+	// skipped, so a Checkpoint mark taken by the caller before the run
+	// survives it and a single Rollback restores the pre-run circuit exactly.
 	// This is the warm-sweep mode: one baseline engine serves many points.
 	KeepJournal bool
-	// Activities, when non-nil, is the per-signal 0→1 switching activity of
-	// the input circuit (sim.Result.Act layout) and Dscale uses it instead of
-	// running its own simulation. Activities are a property of the logic
-	// alone — voltage moves never change them and inserted level converters
-	// are buffers that toggle exactly like their source — so a table computed
-	// once per circuit serves every voltage point. The slice is never
-	// mutated: Dscale extends a copy and returns it in Result.Act.
+	// Activities is the per-signal 0→1 switching activity of the input
+	// circuit (sim.Result.Act layout, one entry per signal) and is required:
+	// Dscale weights its candidates with it. Activities are a property of the
+	// logic alone — voltage moves never change them and inserted level
+	// converters are buffers that toggle exactly like their source — so a
+	// table computed once per circuit serves every run and every voltage
+	// point. The slice is never mutated: Dscale extends a copy and returns it
+	// in Result.Act.
 	Activities []float64
 	// Ctx, when non-nil, is checked at every algorithm iteration (every
 	// Dscale round, every Gscale push, and periodically inside the CVS
@@ -96,8 +85,8 @@ type Options struct {
 
 	// evalsBase is the engine's evaluation count at run entry; events and
 	// results report deltas against it, so a run on a shared warm engine
-	// reports exactly what a run on a fresh engine would. Set by the *On
-	// entry points.
+	// reports exactly what a run on a fresh engine would. Set by the entry
+	// points.
 	evalsBase int64
 }
 
@@ -157,6 +146,19 @@ func (o *Options) emit(ev Event) {
 	}
 }
 
+// start prepares a run on inc over ckt: it records the engine's evaluation
+// count for the run's deltas and returns the activity table with its
+// capacity capped, so the level-converter activities Dscale appends copy
+// instead of scribbling on the caller's table.
+func (o *Options) start(inc *sta.Incremental, ckt *netlist.Circuit) ([]float64, error) {
+	o.evalsBase = inc.Evals()
+	n := len(o.Activities)
+	if n != ckt.NumSignals() {
+		return nil, fmt.Errorf("core: activity table has %d entries for %d signals", n, ckt.NumSignals())
+	}
+	return o.Activities[:n:n], nil
+}
+
 // DefaultOptions returns the paper's parameters (Tspec must still be set by
 // the caller, normally from the mapper's Result).
 func DefaultOptions(tspec float64) Options {
@@ -165,8 +167,6 @@ func DefaultOptions(tspec float64) Options {
 		Eps:             1e-9,
 		MaxIter:         10,
 		MaxAreaIncrease: 0.10,
-		SimWords:        256,
-		Seed:            1,
 		Fclk:            20e6,
 	}
 }
@@ -198,13 +198,9 @@ type Result struct {
 	CandEvals int64
 	// Act is the run's per-signal activity table — Options.Activities
 	// extended by the (aliased) activities of inserted level converters.
-	// Set only when Options.Activities was supplied; power.Estimate over it
-	// is bit-identical to a fresh simulate-and-estimate of the scaled
-	// circuit.
+	// power.Estimate over it is bit-identical to a fresh simulate-and-estimate
+	// of the scaled circuit.
 	Act []float64
-	// SimTime is the wall clock the run spent in logic simulation (Dscale's
-	// activity estimation; zero for the sim-free algorithms).
-	SimTime time.Duration
 }
 
 // lowEligible reports whether gate gi may legally take the target rail under

@@ -4,13 +4,15 @@
 //   - the maximum-weight independent set on a transitive graph (Kagaris &
 //     Tragoudas [3]) that Dscale uses to pick a set of gates that can be
 //     scaled simultaneously without two of them sharing a timing path, and
-//   - the minimum-weight separator set, computed via the Edmonds–Karp
-//     max-flow/min-cut algorithm of Cormen et al. [2], that Gscale uses to
-//     pick the cheapest set of gates whose resizing speeds up every critical
-//     path into the time-critical boundary.
+//   - the minimum-weight separator set, a max-flow/min-cut (Cormen et al.
+//     [2]), that Gscale uses to pick the cheapest set of gates whose resizing
+//     speeds up every critical path into the time-critical boundary.
 //
-// Both are built on a shared residual-network flow core. Capacities are
-// int64; callers scale float weights before building networks.
+// Both run on one max-flow solver, Dinic's algorithm. The paper computes the
+// separator with Edmonds–Karp; the cut does not depend on the solver,
+// because the set of nodes reachable from the source in the residual network
+// is the same for every maximum flow. Capacities are int64; callers scale
+// float weights before building networks.
 package graph
 
 import (
@@ -37,8 +39,7 @@ type Network struct {
 	head [][]int32 // per node, indices into arcs
 	// Scratch retained across max-flow and reachability runs, and across
 	// reset, so a pooled network searches without allocating. level holds
-	// Dinic's BFS levels or Edmonds–Karp's parent arcs; queue is the BFS
-	// queue or the DFS stack.
+	// Dinic's BFS levels; queue is the BFS queue or the DFS stack.
 	level []int32
 	iter  []int32
 	queue []int32
@@ -65,9 +66,6 @@ func (g *Network) reset(n int) {
 		g.head[u] = g.head[u][:0]
 	}
 }
-
-// NumNodes returns the node count.
-func (g *Network) NumNodes() int { return g.n }
 
 // AddArc adds a directed arc u→v with the given capacity and returns its arc
 // id, usable with Flow and ResidualCap. A reverse arc of capacity 0 is added
@@ -98,68 +96,10 @@ func (g *Network) push(id int, f int64) {
 	g.arcs[id^1].cap += f
 }
 
-// MaxFlowEK computes the maximum s→t flow with the Edmonds–Karp algorithm
-// (BFS augmenting paths), the variant the paper cites for Gscale's separator
-// computation. A flow that reaches Inf is reported as exactly Inf: every cut
-// then crosses an Inf arc, and stopping there keeps further Inf augmenting
-// paths from wrapping the int64 sum negative.
-func (g *Network) MaxFlowEK(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	g.level = grow(g.level, g.n)
-	parentArc := g.level
-	var total int64
-	for {
-		for i := range parentArc {
-			parentArc[i] = -1
-		}
-		parentArc[s] = -2
-		g.queue = append(g.queue[:0], int32(s))
-		found := false
-	bfs:
-		for qi := 0; qi < len(g.queue); qi++ {
-			u := g.queue[qi]
-			for _, id := range g.head[u] {
-				a := g.arcs[id]
-				if a.cap <= 0 || parentArc[a.to] != -1 {
-					continue
-				}
-				parentArc[a.to] = id
-				if a.to == t {
-					found = true
-					break bfs
-				}
-				g.queue = append(g.queue, int32(a.to))
-			}
-		}
-		if !found {
-			return total
-		}
-		// Find bottleneck and augment.
-		bottleneck := Inf
-		for v := t; v != s; {
-			id := parentArc[v]
-			if g.arcs[id].cap < bottleneck {
-				bottleneck = g.arcs[id].cap
-			}
-			v = g.arcs[id^1].to
-		}
-		for v := t; v != s; {
-			id := parentArc[v]
-			g.push(int(id), bottleneck)
-			v = g.arcs[id^1].to
-		}
-		total += bottleneck
-		if total >= Inf {
-			return Inf
-		}
-	}
-}
-
-// MaxFlowDinic computes the maximum s→t flow with Dinic's algorithm. It is
-// used for the larger min-flow networks behind the independent-set selection,
-// where Edmonds–Karp's O(VE²) bound would be uncomfortable.
+// MaxFlowDinic computes the maximum s→t flow with Dinic's algorithm. A flow
+// that reaches Inf is reported as exactly Inf: every cut then crosses an Inf
+// arc (or finite arcs summing past it), and stopping there keeps further Inf
+// augmenting paths from wrapping the int64 sum negative.
 func (g *Network) MaxFlowDinic(s, t int) int64 {
 	if s == t {
 		return 0
@@ -175,6 +115,9 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 				break
 			}
 			total += f
+			if total >= Inf {
+				return Inf
+			}
 		}
 	}
 	return total

@@ -265,10 +265,9 @@ func TestMinVertexCutManyInfChains(t *testing.T) {
 	}
 }
 
-// TestMaxFlowEKSaturatesAtInf pins the Edmonds–Karp saturation the separator
-// relies on: however many Inf paths run in parallel, the flow reads exactly
-// Inf.
-func TestMaxFlowEKSaturatesAtInf(t *testing.T) {
+// TestMaxFlowDinicSaturatesAtInf pins the saturation the separator relies
+// on: however many Inf paths run in parallel, the flow reads exactly Inf.
+func TestMaxFlowDinicSaturatesAtInf(t *testing.T) {
 	build := func(paths int) *Network {
 		g := NewNetwork(paths + 2)
 		for p := 0; p < paths; p++ {
@@ -279,8 +278,8 @@ func TestMaxFlowEKSaturatesAtInf(t *testing.T) {
 		return g
 	}
 	for _, paths := range []int{8, 9, 20} {
-		if got := build(paths).MaxFlowEK(0, 1); got != Inf {
-			t.Errorf("EK over %d Inf paths = %d, want Inf", paths, got)
+		if got := build(paths).MaxFlowDinic(0, 1); got != Inf {
+			t.Errorf("Dinic over %d Inf paths = %d, want Inf", paths, got)
 		}
 	}
 }
@@ -345,11 +344,35 @@ func randNetwork(seed int64) (*Network, int) {
 	return g, n
 }
 
-func TestMaxFlowEKMatchesDinic(t *testing.T) {
+// bruteCut is the cheapest s–t cut of g by enumeration: the least total
+// capacity of the arcs leaving a node set that holds s but not t. g must not
+// have run a flow yet, so every forward arc still carries its capacity.
+func bruteCut(g *Network, s, t int) int64 {
+	best := Inf
+	for mask := 0; mask < 1<<uint(g.n); mask++ {
+		if mask>>uint(s)&1 == 0 || mask>>uint(t)&1 == 1 {
+			continue
+		}
+		var c int64
+		for id := 0; id < len(g.arcs); id += 2 {
+			u, v := g.arcs[id+1].to, g.arcs[id].to
+			if mask>>uint(u)&1 == 1 && mask>>uint(v)&1 == 0 {
+				c += g.arcs[id].cap
+			}
+		}
+		best = min(best, c)
+	}
+	return best
+}
+
+// TestMaxFlowDinicMatchesBruteCut holds the one max-flow solver to the
+// max-flow/min-cut theorem: on random networks its flow equals the cheapest
+// s–t cut over every node subset.
+func TestMaxFlowDinicMatchesBruteCut(t *testing.T) {
 	f := func(seed int64) bool {
-		ek, n := randNetwork(seed)
-		di, _ := randNetwork(seed)
-		return ek.MaxFlowEK(0, n-1) == di.MaxFlowDinic(0, n-1)
+		g, n := randNetwork(seed)
+		want := bruteCut(g, 0, n-1)
+		return g.MaxFlowDinic(0, n-1) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -650,7 +673,7 @@ func TestNetworkFlowConservation(t *testing.T) {
 		id := g.AddArc(u, v, int64(1+rng.Intn(20)))
 		recs = append(recs, arcRec{u, v, id})
 	}
-	g.MaxFlowEK(0, n-1)
+	g.MaxFlowDinic(0, n-1)
 	net := make([]int64, n)
 	for _, r := range recs {
 		f := g.Flow(r.id)

@@ -10,9 +10,12 @@ package graph
 // two gates on the same path — the property the paper needs so that the
 // timing gains computed before the cut remain valid.
 //
-// The reduction is the textbook node-splitting construction solved with
-// Edmonds–Karp max-flow/min-cut, as the paper prescribes (citing Cormen,
-// Leiserson & Rivest, chapter 27).
+// The reduction is the textbook node-splitting construction solved by
+// max-flow/min-cut (the paper cites Cormen, Leiserson & Rivest, chapter 27,
+// and Edmonds–Karp). The max flow runs on Dinic's algorithm; the cut is the
+// same as Edmonds–Karp's, because it is read off the nodes reachable from the
+// source in the residual network, and that set is the same for every maximum
+// flow.
 //
 // Returns the cut (ascending node indices), its weight, and ok=false when no
 // finite-weight cut exists (every path is blocked by an Inf node, or an entry
@@ -46,7 +49,7 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 			g.AddArc(2*v+1, t, Inf)
 		}
 	}
-	flow := g.MaxFlowEK(s, t)
+	flow := g.MaxFlowDinic(s, t)
 	if flow >= Inf {
 		return nil, flow, false
 	}

@@ -107,10 +107,6 @@ var specs = []Spec{
 		Build: func() *logic.Network { return Adder("z4ml", 6) }},
 }
 
-// Specs returns the benchmark descriptors in the paper's table order. The
-// returned slice is shared; treat it as read-only.
-func Specs() []Spec { return specs }
-
 // Names returns the 39 circuit names in table order.
 func Names() []string {
 	out := make([]string, len(specs))

@@ -82,18 +82,9 @@ func EstimateWithLoads(c *netlist.Circuit, lib *cell.Library, act, load []float6
 // random vectors with the given seed, then estimate power at fclk. The
 // simulation runs on the compiled engine with the default worker count.
 func EstimateRandom(c *netlist.Circuit, lib *cell.Library, words int, seed uint64, fclk float64) (*Breakdown, *sim.Result, error) {
-	return EstimateRandomParallel(c, lib, words, seed, fclk, 0)
-}
-
-// EstimateRandomParallel is EstimateRandom with an explicit simulation worker
-// count (0 means GOMAXPROCS); the result is identical at any setting.
-func EstimateRandomParallel(c *netlist.Circuit, lib *cell.Library, words int, seed uint64, fclk float64, workers int) (*Breakdown, *sim.Result, error) {
-	r, err := sim.RunParallel(c, words, seed, workers)
+	r, err := sim.Run(c, words, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	return Estimate(c, lib, r.Act, fclk), r, nil
 }
-
-// MicroWatts converts watts to the µW unit Table 1 reports.
-func MicroWatts(w float64) float64 { return w * 1e6 }

@@ -104,12 +104,6 @@ func TestEstimateRandomEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMicroWatts(t *testing.T) {
-	if MicroWatts(1.5e-6) != 1.5 {
-		t.Fatal("unit conversion wrong")
-	}
-}
-
 func TestLoweringOneGateSavesExactlyItsShare(t *testing.T) {
 	c := invPair()
 	act := make([]float64, c.NumSignals())

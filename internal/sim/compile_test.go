@@ -130,13 +130,17 @@ func TestCompiledSkipsDeadGates(t *testing.T) {
 // transitions beyond in-word ones) and words == 1 per worker clamping.
 func TestCompiledSingleWord(t *testing.T) {
 	ckt := mappedCircuit(t, "z4ml")
+	p, err := Compile(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, words := range []int{1, 2, blockWords, blockWords + 1} {
 		want, err := RunReference(ckt, words, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range diffWorkers {
-			got, err := RunParallel(ckt, words, 3, workers)
+			got, err := p.Run(words, 3, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,15 +66,8 @@ func piWord(seed uint64, pi, w int) uint64 {
 // switching statistics per signal. Dead gates keep zero activity. It compiles
 // the circuit and executes the tape with the default worker count
 // (GOMAXPROCS); results are bit-identical to RunReference and to any other
-// worker count.
+// worker count (Program.Run).
 func Run(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
-	return RunParallel(c, words, seed, 0)
-}
-
-// RunParallel is Run with an explicit worker count (0 or negative means
-// GOMAXPROCS). The worker count never changes the result, only the wall
-// clock.
-func RunParallel(c *netlist.Circuit, words int, seed uint64, workers int) (*Result, error) {
 	if words < 1 {
 		return nil, fmt.Errorf("sim: need at least one word of vectors, got %d", words)
 	}
@@ -84,7 +77,7 @@ func RunParallel(c *netlist.Circuit, words int, seed uint64, workers int) (*Resu
 	}
 	runs.Add(1)
 	wordEvals.Add(int64(words) * int64(c.NumLiveGates()))
-	return p.Run(words, seed, workers)
+	return p.Run(words, seed, 0)
 }
 
 // RunReference is the original per-gate interpreter, retained as the

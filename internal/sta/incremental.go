@@ -235,16 +235,9 @@ func (t *Incremental) GateArrival(gi int, volt cell.VoltLevel) float64 {
 	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, t.ckt.Gates[gi].Cell, t.lib.Derate(volt), 0)
 }
 
-// DeltaLow returns the arrival increase at gi's output if the gate alone
-// moved to VLow.
-func (t *Incremental) DeltaLow(gi int) float64 {
-	out := t.ckt.GateSignal(gi)
-	return t.GateArrival(gi, cell.VLow) - t.Arrival[out]
-}
-
 // DeltaStep returns the arrival increase at gi's output if the gate alone
 // demoted one rail step (its current level plus one). At a two-rail library
-// a VHigh gate's step is exactly DeltaLow.
+// a VHigh gate's step is its move to VLow.
 func (t *Incremental) DeltaStep(gi int) float64 {
 	out := t.ckt.GateSignal(gi)
 	return t.GateArrival(gi, t.ckt.Gates[gi].Volt+1) - t.Arrival[out]

@@ -106,12 +106,13 @@ func TestLowVoltageSlowsGate(t *testing.T) {
 		t.Fatalf("low-voltage gate did not slow the path: %.4f vs %.4f",
 			after.WorstArrival, before.WorstArrival)
 	}
-	// DeltaLow must predict exactly the arrival change of scaling gate 0.
+	// DeltaStep must predict exactly the arrival change of scaling gate 0
+	// (a VHigh gate, so its step is the move to VLow).
 	inc, err := NewIncremental(c, lib, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := inc.DeltaLow(0)
+	predicted := inc.DeltaStep(0)
 	c.Gates[0].Volt = cell.VLow
 	final, err := Analyze(c, lib, 100)
 	if err != nil {
@@ -119,7 +120,7 @@ func TestLowVoltageSlowsGate(t *testing.T) {
 	}
 	got := final.Arrival[c.GateSignal(0)] - before.Arrival[c.GateSignal(0)]
 	if math.Abs(got-predicted) > 1e-12 {
-		t.Fatalf("DeltaLow predicted %.6f, actual %.6f", predicted, got)
+		t.Fatalf("DeltaStep predicted %.6f, actual %.6f", predicted, got)
 	}
 }
 

@@ -362,7 +362,7 @@ func TestJournalMatchesMemoryJournal(t *testing.T) {
 
 // TestJobKeyCanonicalization pins the no-collision-by-construction property
 // of the content address: every significant dimension of a job moves the
-// key, while pure formatting and pure scheduling knobs do not. Combined with
+// key, while pure formatting does not. Combined with
 // SHA-256 this is what makes CAS key collisions impossible in practice: two
 // jobs share a key only if their canonical encodings are identical, and
 // identical canonical encodings compute identical results.
@@ -380,11 +380,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 	same := dualvdd.BLIFJob(reformatted)
 	if k, err := same.Key(); err != nil || k != baseKey {
 		t.Fatalf("formatting changed the key: %q vs %q (err %v)", k, baseKey, err)
-	}
-	sched := base
-	sched.Config.SimWorkers = 7
-	if k, err := sched.Key(); err != nil || k != baseKey {
-		t.Fatalf("SimWorkers (scheduling knob) changed the key (err %v)", err)
 	}
 
 	distinct := map[string]dualvdd.Job{}

@@ -1,6 +1,7 @@
 package dualvdd_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"dualvdd"
+	"dualvdd/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
@@ -69,6 +71,58 @@ func TestJobKeyGolden(t *testing.T) {
 	line("blif:"+c17.name+" gscale", dualvdd.BLIFJob(c17.model, configs[2].opts...))
 
 	checkGolden(t, "keys.golden", b.String())
+}
+
+// TestRetiredSimWorkerFieldDecodes pins the wire compatibility of the retired
+// sim_workers field. Configs and job requests written while it existed
+// decode as if it were absent, whatever its value: -1, which validation used
+// to reject, included. They pass Validate, re-encode without the field, and
+// keep the content and placement addresses keys.golden pins.
+func TestRetiredSimWorkerFieldDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "keys.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if label, addrs, ok := strings.Cut(line, " key="); ok {
+			golden[label] = "key=" + addrs
+		}
+	}
+	for _, tc := range []struct{ label, config string }{
+		{"x2 default", `{"vhigh":5,"vlow":4.3,"slack_factor":1.2,"max_area_increase":0.1,"max_iter":10,"sim_words":256,%s"seed":1,"fclk_hz":20000000}`},
+		{"x2 slack1.1-words64", `{"vhigh":5,"vlow":4.3,"slack_factor":1.1,"max_area_increase":0.1,"max_iter":10,"sim_words":64,%s"seed":1,"fclk_hz":20000000}`},
+	} {
+		for _, workers := range []int{3, -1} {
+			old := fmt.Sprintf(tc.config, fmt.Sprintf(`"sim_workers":%d,`, workers))
+			var cfg dualvdd.Config
+			if err := json.Unmarshal([]byte(old), &cfg); err != nil {
+				t.Fatalf("%s: decoding %s: %v", tc.label, old, err)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %s does not validate: %v", tc.label, old, err)
+			}
+			if enc, err := json.Marshal(cfg); err != nil || string(enc) != fmt.Sprintf(tc.config, "") {
+				t.Fatalf("%s: %s re-encodes as %s (err %v)", tc.label, old, enc, err)
+			}
+			var req report.JobRequest
+			if err := json.Unmarshal([]byte(`{"benchmark":"x2","config":`+old+`}`), &req); err != nil {
+				t.Fatalf("%s: decoding the job request: %v", tc.label, err)
+			}
+			job := req.Job()
+			key, err := job.Key()
+			if err != nil {
+				t.Fatalf("%s: key: %v", tc.label, err)
+			}
+			group, err := job.GroupKey()
+			if err != nil {
+				t.Fatalf("%s: group key: %v", tc.label, err)
+			}
+			if got := fmt.Sprintf("key=%s group=%s", key, group); got != golden[tc.label] {
+				t.Errorf("%s with sim_workers %d:\n got  %s\n want %s", tc.label, workers, got, golden[tc.label])
+			}
+		}
+	}
 }
 
 // checkGolden compares got with testdata/<name> line by line, or rewrites

@@ -74,8 +74,8 @@ type warmEntry struct {
 type LocalOption func(*Local)
 
 // LocalWorkers bounds the worker pool (default 1, minimum 1). Each worker
-// runs one job at a time; jobs themselves may still parallelize their logic
-// simulation via WithSimWorkers.
+// runs one job at a time; a job's logic simulation still runs word-parallel
+// over GOMAXPROCS workers.
 func LocalWorkers(n int) LocalOption {
 	return func(l *Local) {
 		if n > 0 {

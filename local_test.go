@@ -225,15 +225,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 	if ks == kn {
 		t.Fatal("seed change kept the same key")
 	}
-	// SimWorkers is guaranteed not to change results, so it must not split
-	// the content address.
-	kw, err := dualvdd.BenchmarkJob("x2", dualvdd.WithSimWorkers(4)).Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kw != kn {
-		t.Fatal("SimWorkers split the content address despite the bit-identical guarantee")
-	}
 }
 
 // slowJob is a des run stretched with a large simulation so the test can

@@ -166,10 +166,9 @@ func (j Job) network() (*logic.Network, error) {
 // list. Two jobs with the same key compute the same results, so a runner may
 // answer one from the other's cached FlowResults. Canonicalization goes
 // through parse → deterministic re-emit, so formatting differences (layout,
-// whitespace, continuation lines) do not defeat the cache, and SimWorkers —
-// a pure scheduling knob with a bit-identical-results guarantee — is
-// excluded. Anything that can steer the flow stays significant: signal
-// names, node and cube order, and of course the netlist itself.
+// whitespace, continuation lines) do not defeat the cache. Anything that can
+// steer the flow stays significant: signal names, node and cube order, and
+// of course the netlist itself.
 func (j Job) Key() (string, error) {
 	key, _, err := j.key()
 	return key, err
@@ -189,13 +188,10 @@ func (j Job) key() (string, *logic.Network, error) {
 	if err := blif.WriteNetwork(&canon, net); err != nil {
 		return "", nil, err
 	}
-	// SimWorkers is a scheduling knob with a bit-identical-results
-	// guarantee, so it must not split the content address. The config is
-	// hashed in its wire form (Config.MarshalJSON), which writes a two-rail
-	// list as the vhigh/vlow pair it was before the list existed.
-	hashCfg := j.Config
-	hashCfg.SimWorkers = 0
-	cfg, err := json.Marshal(hashCfg)
+	// The config is hashed in its wire form (Config.MarshalJSON), which
+	// writes a two-rail list as the vhigh/vlow pair it was before the list
+	// existed.
+	cfg, err := json.Marshal(j.Config)
 	if err != nil {
 		return "", nil, err
 	}
@@ -210,7 +206,7 @@ func (j Job) key() (string, *logic.Network, error) {
 }
 
 // GroupKey returns the job's placement address: like Key, but with the low
-// rail of a pair and the algorithm list excluded (and SimWorkers, as always).
+// rail of a pair and the algorithm list excluded.
 // It is exactly the warm-prep group a Local runs the job in — every point of
 // one circuit's low-rail sweep shares a GroupKey — which is why a fleet
 // coordinator shards on it: repeat traffic for one circuit lands on the

@@ -231,13 +231,12 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 // zero voltages and failed validation at the first point. Field-wise merging
 // means "set what you care about, inherit the paper's values for the rest".
 // Only fields whose default is non-zero are merged, so every zero-is-
-// meaningful knob keeps working: SimWorkers 0 already means GOMAXPROCS (the
-// default), and the greedy ablation booleans default to false. The one
-// shape the rule makes inexpressible in Base is an exact zero for
-// MaxAreaIncrease or MaxIter (both merge to the paper's 0.10 / 10); a sweep
-// that wants Gscale pinned down says so with a vanishingly small positive
-// value instead. That corner is documented here on purpose — it is far
-// rarer than the partially filled Base the old rule broke on.
+// meaningful knob keeps working: the greedy ablation booleans default to
+// false. The one shape the rule makes inexpressible in Base is an exact zero
+// for MaxAreaIncrease or MaxIter (both merge to the paper's 0.10 / 10); a
+// sweep that wants Gscale pinned down says so with a vanishingly small
+// positive value instead. That corner is documented here on purpose — it is
+// far rarer than the partially filled Base the old rule broke on.
 func mergeDefaults(base Config) Config {
 	def := DefaultConfig()
 	if len(base.Rails) == 0 {

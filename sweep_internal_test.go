@@ -94,8 +94,7 @@ func TestSweepSurvivesStalledWatchStream(t *testing.T) {
 // TestMergeDefaults pins the field-wise default rule that replaced the old
 // all-or-nothing one: every zero field of a sweep Base inherits the paper's
 // default individually, explicit values always survive, and zero-is-
-// meaningful knobs (SimWorkers, the greedy ablation booleans) pass through
-// untouched.
+// meaningful knobs (the greedy ablation booleans) pass through untouched.
 func TestMergeDefaults(t *testing.T) {
 	def := DefaultConfig()
 	cases := []struct {
@@ -120,18 +119,12 @@ func TestMergeDefaults(t *testing.T) {
 		},
 		{
 			name: "zero-is-meaningful knobs pass through",
-			base: Config{SimWorkers: 0, GreedySelect: true, GreedySizing: true},
+			base: Config{GreedySelect: true, GreedySizing: true},
 			want: func() Config {
 				c := def
-				c.SimWorkers = 0
 				c.GreedySelect, c.GreedySizing = true, true
 				return c
 			}(),
-		},
-		{
-			name: "explicit SimWorkers survives",
-			base: Config{SimWorkers: 3},
-			want: func() Config { c := def; c.SimWorkers = 3; return c }(),
 		},
 	}
 	for _, tc := range cases {

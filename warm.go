@@ -5,13 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"dualvdd/internal/blif"
-	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
 	"dualvdd/internal/power"
@@ -132,13 +130,14 @@ func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	entry, err := coreEntry(algo)
+	if err != nil {
+		return nil, err
+	}
 	d := w.Design
 	lib := w.inc.Library()
-	opts := d.coreOptions()
-	opts.Ctx = ctx
-	opts.Observer = coreObserver(d.Name, obs)
+	opts := d.coreOptions(ctx, obs)
 	opts.KeepJournal = true
-	opts.Activities = d.act
 
 	mark := w.inc.Checkpoint()
 	// Rollback before returning on every path: the baseline must be restored
@@ -147,29 +146,15 @@ func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (
 	defer w.inc.Rollback(mark)
 
 	start := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	var cres *core.Result
-	var err error
-	switch algo {
-	case AlgoCVS:
-		cres, err = core.RunCVSOn(w.inc, w.work, lib, opts)
-	case AlgoDscale:
-		cres, err = core.DscaleOn(w.inc, w.work, lib, opts)
-	case AlgoGscale:
-		cres, err = core.GscaleOn(w.inc, w.work, lib, opts)
-	default:
-		return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
-	}
+	cres, err := entry(w.inc, w.work, lib, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dualvdd: %s on %s: %w", algo, d.Name, err)
+		return nil, d.runErr(algo, err)
 	}
 	elapsed := time.Since(start) //lint:wallclock-ok timing metric only; never feeds results
 	// The constraint must hold after every algorithm — verify, don't trust.
 	// The engine's annotation is bit-identical to a fresh Analyze by contract
-	// (the differential suite holds it to that), so its own verdict stands in
-	// for the cold path's full re-analysis.
+	// (the differential suite and every cold run hold it to that), so its own
+	// verdict stands in for the cold path's full re-analysis.
 	if !w.inc.Meets(1e-6) {
 		return nil, fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
 			algo, d.Name, w.inc.WorstArrival(), d.Tspec)
@@ -207,16 +192,15 @@ func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
 }
 
 // prepWire is the wire form of the part of a Config a warm-prep group
-// depends on: "vlow" is written as 0 and SimWorkers dropped. The mapping, the
-// timing constraint, the activity table and the original power are all
-// properties of the circuit under the nominal rail, never of the lower ones
-// (the library is retargeted per point via AtRails), and SimWorkers is a pure
-// scheduling knob. The algorithm list is excluded too: one prepared state
-// serves any algorithm. A list of three or more rails stays whole in the
-// bytes, so multi-rail points share prepared state (and fleet placement) only
-// with points on the same rail table. Sweep chains group by the same bytes.
+// depends on: "vlow" is written as 0. The mapping, the timing constraint, the
+// activity table and the original power are all properties of the circuit
+// under the nominal rail, never of the lower ones (the library is retargeted
+// per point via AtRails). The algorithm list is excluded too: one prepared
+// state serves any algorithm. A list of three or more rails stays whole in
+// the bytes, so multi-rail points share prepared state (and fleet placement)
+// only with points on the same rail table. Sweep chains group by the same
+// bytes.
 func prepWire(cfg Config) ([]byte, error) {
-	cfg.SimWorkers = 0
 	h := cfg.head()
 	h.Vlow = 0
 	return cfg.encode(h)
