@@ -164,6 +164,16 @@ func main() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dualvdd:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is the line fatal prints: the error with a "dualvdd: " prefix,
+// unless its message already starts with one (the library's own errors do).
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "dualvdd: ") {
+		return msg
+	}
+	return "dualvdd: " + msg
 }

@@ -320,8 +320,11 @@ func (st *dscaleState) verify() error {
 	fan := st.inc.Fanouts()
 	total := 0.0
 	for gi, g := range st.ckt.Gates {
-		// succ must equal a fresh consumer-table walk, element for element
-		// (MWIS arc construction is order-sensitive).
+		// succ must equal a fresh consumer-table walk, element for element.
+		// The MWIS selection depends only on which gates reach which, so a
+		// set comparison would cover it; the exact list is what refreshGate
+		// builds, and comparing it whole also catches a consumer listed
+		// once too often or too seldom.
 		var fresh []int
 		if !g.Dead {
 			for _, cn := range fan.Conns[st.ckt.GateSignal(gi)] {

@@ -13,6 +13,14 @@
 // because the set of nodes reachable from the source in the residual network
 // is the same for every maximum flow. Capacities are int64; callers scale
 // float weights before building networks.
+//
+// The independent set is a maximum-weight antichain, found as a min flow
+// (the weighted Dilworth theorem) on a node-split network. Its min cut picks,
+// among all maximum-weight antichains, the one whose up-set (its members
+// plus every node they reach) is least, and that choice depends only on
+// which weighted nodes reach which. So the network is built on the between
+// region alone, the weighted nodes and the nodes on paths between them,
+// which in a Dscale round is a few percent of the circuit.
 package graph
 
 import (
@@ -208,15 +216,32 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// scratch is one solver call's working state: the node-split network and
-// the per-node arc and path tables that build it. MaxWeightAntichain and
-// MinVertexCut borrow it from scratchPool, so a steady stream of solves
-// reuses the same buffers instead of allocating a fresh network each time.
+// scratch is one solver call's working state: the node-split network, the
+// per-node arc and path tables that build it, and MaxWeightAntichain's
+// between region. MaxWeightAntichain and MinVertexCut borrow it from
+// scratchPool, so a steady stream of solves reuses the same buffers instead
+// of allocating a fresh network each time.
 type scratch struct {
 	net                     Network
 	nodeArc, upArc, downArc []int
 	pathUp, pathDown        []int
 	srcArc, sinkArc         []int
+
+	// The between region: per-node marks and the depth-first stack over
+	// the caller's numbering, the caller's node → region number (valid for
+	// kept nodes) and back, and the region's weights and successor lists
+	// (windows into adj).
+	mark    []uint8
+	stack   []frame
+	region  []int32
+	orig    []int
+	rweight []int64
+	rsucc   [][]int
+	adj     []int
 }
+
+// frame is a depth-first stack entry: a node and the index of the next
+// successor to examine.
+type frame struct{ node, next int32 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

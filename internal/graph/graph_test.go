@@ -155,6 +155,168 @@ func TestMaxWeightAntichainDeepChainStress(t *testing.T) {
 	}
 }
 
+// maxWeightAntichainFull is MaxWeightAntichain on the node-split network of
+// the whole DAG, before the solver cut it down to the between region. It is
+// kept as the reference the region must match.
+func maxWeightAntichainFull(n int, succ [][]int, weight []int64) ([]int, int64) {
+	total := int64(0)
+	for _, w := range weight {
+		total += w
+	}
+	if n == 0 || total == 0 {
+		return nil, 0
+	}
+	var sc scratch
+	feasible := sc.antichainNetwork(n, succ, weight)
+	g, s, t := &sc.net, 2*n, 2*n+1
+	minFlow := feasible - g.MaxFlowDinic(t, s)
+	inX := g.ReachableFrom(t)
+	var set []int
+	var got int64
+	for v := 0; v < n; v++ {
+		if weight[v] > 0 && inX[2*v+1] && !inX[2*v] {
+			set = append(set, v)
+			got += weight[v]
+		}
+	}
+	if got != minFlow {
+		panic("graph: antichain weight does not match min-flow value")
+	}
+	return set, got
+}
+
+// reachMasks returns, per node of a DAG on at most 32 nodes, the bit mask of
+// the nodes it reaches along at least one arc.
+func reachMasks(n int, succ [][]int) []uint32 {
+	reach := make([]uint32, n)
+	order := topoOrder(n, succ)
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		for _, v := range succ[u] {
+			reach[u] |= 1<<uint(v) | reach[v]
+		}
+	}
+	return reach
+}
+
+// maxAntichainUpSets enumerates every antichain of positive-weight nodes and
+// returns the maximum weight and the up-set (the members plus every node
+// they reach, as a bit mask) of each antichain of that weight.
+func maxAntichainUpSets(n int, reach []uint32, weight []int64) (int64, []uint32) {
+	best := int64(0)
+	ups := []uint32{0}
+	var rec func(from int, chosen, up uint32, w int64)
+	rec = func(from int, chosen, up uint32, w int64) {
+		switch {
+		case w > best:
+			best, ups = w, append(ups[:0], up)
+		case w == best:
+			ups = append(ups, up)
+		}
+		for u := from; u < n; u++ {
+			// u joins only if no member reaches it and it reaches no member.
+			if weight[u] == 0 || up&(1<<uint(u)) != 0 || reach[u]&chosen != 0 {
+				continue
+			}
+			rec(u+1, chosen|1<<uint(u), up|1<<uint(u)|reach[u], w+weight[u])
+		}
+	}
+	rec(0, 0, 0, 0)
+	return best, ups
+}
+
+// TestMaxWeightAntichainLeastUpSet pins which maximum-weight antichain the
+// solver returns: the one whose up-set is least, contained in the up-set of
+// every other antichain of that weight. The between region relies on it,
+// because up-set containment depends only on which weighted nodes reach
+// which. Weights from {0, 1, 2, 3} make ties common.
+func TestMaxWeightAntichainLeastUpSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	ties := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(15)
+		succ := randDAG(rng, n, []float64{0.05, 0.15, 0.3, 0.5, 0.8}[trial%5])
+		weight := make([]int64, n)
+		for i := range weight {
+			weight[i] = int64(rng.Intn(4))
+		}
+		reach := reachMasks(n, succ)
+		best, ups := maxAntichainUpSets(n, reach, weight)
+		if len(ups) > 1 {
+			ties++
+		}
+		set, got := MaxWeightAntichain(n, succ, weight)
+		if got != best {
+			t.Fatalf("trial %d: weight %d, brute force %d (succ=%v w=%v)", trial, got, best, succ, weight)
+		}
+		var up uint32
+		for _, v := range set {
+			if weight[v] == 0 {
+				t.Fatalf("trial %d: zero-weight node %d selected", trial, v)
+			}
+			up |= 1<<uint(v) | reach[v]
+		}
+		if !isAntichain(n, succ, set) {
+			t.Fatalf("trial %d: result %v is not an antichain", trial, set)
+		}
+		for _, other := range ups {
+			if up&^other != 0 {
+				t.Fatalf("trial %d: set %v has up-set %b, not inside %b of another antichain of weight %d (succ=%v w=%v)",
+					trial, set, up, other, best, succ, weight)
+			}
+		}
+	}
+	if ties < 1000 {
+		t.Fatalf("only %d of 3000 inputs had tied maximum-weight antichains", ties)
+	}
+}
+
+// randCircuitDAG builds a random DAG shaped like a gate netlist: each node
+// feeds up to deg later nodes, each within a short window or, at
+// probability global, anywhere after it, and a node may be listed twice as a
+// successor (a gate that reads the same signal on two pins).
+func randCircuitDAG(rng *rand.Rand, n, deg int, global float64) [][]int {
+	succ := make([][]int, n)
+	for u := 0; u < n-1; u++ {
+		for k := rng.Intn(deg + 1); k > 0; k-- {
+			span := n - u - 1
+			if rng.Float64() >= global {
+				span = min(span, 16)
+			}
+			v := u + 1 + rng.Intn(span)
+			succ[u] = append(succ[u], v)
+			if rng.Intn(20) == 0 {
+				succ[u] = append(succ[u], v)
+			}
+		}
+	}
+	return succ
+}
+
+// TestMaxWeightAntichainMatchesFullNetwork holds the solver to the whole-DAG
+// network at Dscale's scale: 100 to 1,000 nodes with 2 to 10% of them
+// weighted from a small range, where the between region is a small share of
+// the graph. Sets and weights must be identical.
+func TestMaxWeightAntichainMatchesFullNetwork(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 200; trial++ {
+		n := 100 + rng.Intn(901)
+		succ := randCircuitDAG(rng, n, 1+rng.Intn(4), []float64{0.01, 0.05, 0.25}[trial%3])
+		share := 0.02 + 0.08*rng.Float64()
+		weight := make([]int64, n)
+		for v := range weight {
+			if rng.Float64() < share {
+				weight[v] = 1 + int64(rng.Intn(4))
+			}
+		}
+		set, got := MaxWeightAntichain(n, succ, weight)
+		wantSet, want := maxWeightAntichainFull(n, succ, weight)
+		if got != want || !slices.Equal(set, wantSet) {
+			t.Fatalf("trial %d (n=%d): %v weight %d, whole network %v weight %d", trial, n, set, got, wantSet, want)
+		}
+	}
+}
+
 func TestMinVertexCutSimple(t *testing.T) {
 	// 0 -> 1 -> 2: cheapest separator is the lightest node.
 	succ := [][]int{{1}, {2}, {}}
@@ -535,17 +697,37 @@ func (c solveCase) solve() solveAnswer {
 	return a
 }
 
+// sparseCase is randCase with antichain weights on about share of the
+// nodes, and on at least one, the shape of a Dscale round.
+func sparseCase(rng *rand.Rand, n int, share float64) solveCase {
+	c := randCase(rng, n)
+	for v := range c.weight {
+		c.weight[v] = 0
+		if rng.Float64() < share {
+			c.weight[v] = 1 + int64(rng.Intn(1000))
+		}
+	}
+	c.weight[rng.Intn(n)] = 1 + int64(rng.Intn(1000))
+	return c
+}
+
 // reuseCases are the inputs of TestSolverReuse: sizes alternate between a few
-// hundred nodes and a few dozen, so the pooled networks grow and shrink.
+// hundred nodes and a few dozen, so the pooled networks grow and shrink, and
+// the last eight weight only a few percent of their nodes, so the antichain
+// solver's between region is a small share of the graph.
 func reuseCases() []solveCase {
 	rng := rand.New(rand.NewSource(17))
-	cases := make([]solveCase, 16)
+	cases := make([]solveCase, 24)
 	for i := range cases {
 		n := 2 + rng.Intn(40)
 		if i%2 == 0 {
 			n = 100 + rng.Intn(300)
 		}
-		cases[i] = randCase(rng, n)
+		if i < 16 {
+			cases[i] = randCase(rng, n)
+		} else {
+			cases[i] = sparseCase(rng, n, 0.05)
+		}
 	}
 	return cases
 }
@@ -636,6 +818,18 @@ func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
 func BenchmarkMaxWeightAntichain(b *testing.B) {
 	c := randCase(rand.New(rand.NewSource(1)), 1000)
 	// Fill the pool first, so even -benchtime 1x measures a warm call.
+	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+	}
+}
+
+// BenchmarkMaxWeightAntichainSparse is the shape of a Dscale round: about 5%
+// of a 1,000-node DAG weighted.
+func BenchmarkMaxWeightAntichainSparse(b *testing.B) {
+	c := sparseCase(rand.New(rand.NewSource(1)), 1000, 0.05)
 	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
 	b.ReportAllocs()
 	b.ResetTimer()
