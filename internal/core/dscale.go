@@ -321,10 +321,8 @@ func (st *dscaleState) verify() error {
 	total := 0.0
 	for gi, g := range st.ckt.Gates {
 		// succ must equal a fresh consumer-table walk, element for element.
-		// The MWIS selection depends only on which gates reach which, so a
-		// set comparison would cover it; the exact list is what refreshGate
-		// builds, and comparing it whole also catches a consumer listed
-		// once too often or too seldom.
+		// The MWIS selection needs only reachability, but the exact list is
+		// what refreshGate builds, so any difference is a maintenance bug.
 		var fresh []int
 		if !g.Dead {
 			for _, cn := range fan.Conns[st.ckt.GateSignal(gi)] {

@@ -34,7 +34,7 @@ package graph
 // between). Every such path runs through kept nodes only and a subgraph adds
 // no path, so the region keeps the relation exactly, and the set, its weight
 // and every Dscale decision are those of the whole-DAG network, at a fraction
-// of its size (a Dscale round floods a few percent of the circuit).
+// of its size (in a Dscale round, a few percent of the circuit).
 //
 // succ[v] lists the direct successors of node v; the graph must be a DAG.
 // Returns the selected node indices (ascending) and their total weight.
@@ -252,81 +252,4 @@ func (sc *scratch) antichainNetwork(n int, succ [][]int, weight []int64) int64 {
 		g.SetCap(rev, g.ResidualCap(rev)-weight[v])
 	}
 	return feasible
-}
-
-// AntichainBrute computes the maximum-weight antichain by exhaustive search
-// over subsets. Exposed for differential testing only; n must be small.
-func AntichainBrute(n int, succ [][]int, weight []int64) int64 {
-	if n > 22 {
-		panic("graph: AntichainBrute limited to 22 nodes")
-	}
-	// reach[u] = bitmask of nodes reachable from u (excluding u).
-	reach := make([]uint32, n)
-	order := topoOrder(n, succ)
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		for _, v := range succ[u] {
-			reach[u] |= 1<<uint(v) | reach[v]
-		}
-	}
-	best := int64(0)
-	var rec func(v int, mask uint32, w int64)
-	rec = func(v int, mask uint32, w int64) {
-		if w > best {
-			best = w
-		}
-		for u := v; u < n; u++ {
-			if weight[u] == 0 {
-				continue
-			}
-			// u must be incomparable with everything chosen so far.
-			if mask&(1<<uint(u)) != 0 {
-				continue
-			}
-			conflict := false
-			for c := 0; c < n; c++ {
-				if mask&(1<<uint(c)) == 0 {
-					continue
-				}
-				if reach[c]&(1<<uint(u)) != 0 || reach[u]&(1<<uint(c)) != 0 {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				continue
-			}
-			rec(u+1, mask|1<<uint(u), w+weight[u])
-		}
-	}
-	rec(0, 0, 0)
-	return best
-}
-
-// topoOrder returns a topological order of a DAG given successor lists.
-func topoOrder(n int, succ [][]int) []int {
-	indeg := make([]int, n)
-	for _, vs := range succ {
-		for _, v := range vs {
-			indeg[v]++
-		}
-	}
-	order := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			order = append(order, v)
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		for _, v := range succ[order[i]] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				order = append(order, v)
-			}
-		}
-	}
-	if len(order) != n {
-		panic("graph: cycle in DAG")
-	}
-	return order
 }

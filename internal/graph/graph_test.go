@@ -122,7 +122,7 @@ func TestMaxWeightAntichainVsBruteRandom(t *testing.T) {
 			}
 		}
 		set, got := MaxWeightAntichain(n, succ, weight)
-		want := AntichainBrute(n, succ, weight)
+		want, _ := maxAntichainUpSets(n, reachMasks(n, succ), weight)
 		if got != want {
 			t.Fatalf("trial %d: flow antichain weight %d != brute %d (n=%d succ=%v w=%v)",
 				trial, got, want, n, succ, weight)
@@ -183,6 +183,34 @@ func maxWeightAntichainFull(n int, succ [][]int, weight []int64) ([]int, int64) 
 		panic("graph: antichain weight does not match min-flow value")
 	}
 	return set, got
+}
+
+// topoOrder returns a topological order of a DAG given successor lists.
+func topoOrder(n int, succ [][]int) []int {
+	indeg := make([]int, n)
+	for _, vs := range succ {
+		for _, v := range vs {
+			indeg[v]++
+		}
+	}
+	order := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, v := range succ[order[i]] {
+			indeg[v]--
+			if indeg[v] == 0 {
+				order = append(order, v)
+			}
+		}
+	}
+	if len(order) != n {
+		panic("graph: cycle in DAG")
+	}
+	return order
 }
 
 // reachMasks returns, per node of a DAG on at most 32 nodes, the bit mask of
