@@ -310,6 +310,27 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRunAt times one warm sweep point: all three algorithms on
+// C880's shared prepared state at one low rail per op, walking the 3.00 to
+// 4.80 V axis in 0.02 V steps. It is the go-test view of the engine work
+// behind a `sweep` point: the CVS clustering once, then each algorithm's
+// continuation under the post-CVS mark.
+func BenchmarkWarmRunAt(b *testing.B) {
+	ctx := context.Background()
+	wd, err := dualvdd.New().PrepareWarmBenchmark(ctx, "C880")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vlow := float64(300+2*(i%91)) / 100
+		if _, err := wd.RunAt(ctx, []float64{5.0, vlow}, nil, nil); err != nil {
+			b.Fatalf("at %.2f V: %v", vlow, err)
+		}
+	}
+}
+
 // BenchmarkSubstrates times the building blocks in isolation so regressions
 // in the underlying engines are visible independently of the full flow.
 func BenchmarkSubstrates(b *testing.B) {

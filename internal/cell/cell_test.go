@@ -22,6 +22,13 @@ func TestLibraryHas72CombinationalCells(t *testing.T) {
 	}
 }
 
+// inverting lists the functions whose output inverts its inputs
+// (NAND-like).
+var inverting = map[Func]bool{
+	FINV: true, FNAND2: true, FNAND3: true, FNAND4: true, FNOR2: true, FNOR3: true, FNOR4: true,
+	FXNOR2: true, FAOI21: true, FAOI22: true, FAOI211: true, FOAI21: true, FOAI22: true, FOAI211: true,
+}
+
 func TestSizeStructureMatchesPaper(t *testing.T) {
 	// "Cells with inverted outputs have three different sizes (d0, d1, d2),
 	// while those with non-inverted outputs have only two."
@@ -32,7 +39,7 @@ func TestSizeStructureMatchesPaper(t *testing.T) {
 			t.Fatalf("function %s missing from library", fn)
 		}
 		want := 2
-		if fn.Inverting() {
+		if inverting[fn] {
 			want = 3
 		}
 		if len(cs) != want {
@@ -178,7 +185,7 @@ func TestUpsizeDownsizeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if lib.Upsize(lib.Largest(FINV)) != nil {
+	if invs := lib.CellsOf(FINV); lib.Upsize(invs[len(invs)-1]) != nil {
 		t.Fatal("Upsize of largest cell must be nil")
 	}
 	if lib.Downsize(lib.Smallest(FINV)) != nil {

@@ -94,18 +94,6 @@ var funcInputs = [...]int{
 // NumInputs returns the number of input pins of the function.
 func (f Func) NumInputs() int { return funcInputs[f] }
 
-// Inverting reports whether the cell output is an inverting function of its
-// inputs (NAND-like). In the default library inverting cells have three drive
-// sizes, non-inverting ones two, as the paper describes.
-func (f Func) Inverting() bool {
-	switch f {
-	case FINV, FNAND2, FNAND3, FNAND4, FNOR2, FNOR3, FNOR4,
-		FXNOR2, FAOI21, FAOI22, FAOI211, FOAI21, FOAI22, FOAI211:
-		return true
-	}
-	return false
-}
-
 // Eval computes the function over 64 parallel input patterns. in must hold
 // NumInputs() words; pattern k of the result is the function applied to bit k
 // of every input word.

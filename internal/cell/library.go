@@ -285,15 +285,6 @@ func (l *Library) Smallest(f Func) *Cell {
 	return cs[0]
 }
 
-// Largest returns the maximum-drive cell of a function, or nil.
-func (l *Library) Largest(f Func) *Cell {
-	cs := l.byFunc[f]
-	if len(cs) == 0 {
-		return nil
-	}
-	return cs[len(cs)-1]
-}
-
 // Upsize returns the next larger cell of the same function, or nil when c is
 // already the largest size.
 func (l *Library) Upsize(c *Cell) *Cell {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,8 +41,26 @@ func buildChainTree(depth int) *netlist.Circuit {
 	return c
 }
 
-// entryPoint is the signature the three algorithm entry points share.
+// entryPoint runs one algorithm on an engine and returns its result.
 type entryPoint = func(*sta.Incremental, *netlist.Circuit, *cell.Library, Options) (*Result, error)
+
+// runAlone adapts Run to one named algorithm.
+func runAlone(name string) entryPoint {
+	return func(inc *sta.Incremental, c *netlist.Circuit, l *cell.Library, opts Options) (*Result, error) {
+		var res *Result
+		err := Run(inc, c, l, []string{name}, opts, func(_ int, r *Result) error {
+			res = r
+			return nil
+		})
+		return res, err
+	}
+}
+
+var (
+	runCVS    = runAlone("CVS")
+	runDscale = runAlone("Dscale")
+	runGscale = runAlone("Gscale")
+)
 
 // runFresh runs algo on c the way a cold run does: on a fresh incremental
 // engine, weighting with the activity table of a words×64-vector simulation
@@ -71,7 +92,7 @@ func tspecOf(t *testing.T, c *netlist.Circuit) float64 {
 func TestCVSLowersSlackSideOnly(t *testing.T) {
 	c := buildChainTree(10)
 	tspec := tspecOf(t, c)
-	res, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1)
+	res, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +123,7 @@ func TestCVSClusterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randomCircuit(rng, 8, 120)
 	tspec := 1.08 * tspecOf(t, c) // give it some uniform slack to work with
-	if _, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1); err != nil {
+	if _, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterInvariant(t, c)
@@ -177,7 +198,7 @@ func TestDscaleInvariants(t *testing.T) {
 		tspec := 1.1 * tspecOf(t, c)
 		opts := DefaultOptions(tspec)
 		before := measurePower(t, c, opts, 32)
-		res, err := runFresh(t, Dscale, c, opts, 32)
+		res, err := runFresh(t, runDscale, c, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -257,10 +278,10 @@ func TestDscaleBeatsOrEqualsCVS(t *testing.T) {
 		c2 := c1.Clone()
 		tspec := 1.1 * tspecOf(t, c1)
 		opts := DefaultOptions(tspec)
-		if _, err := runFresh(t, RunCVS, c1, opts, 32); err != nil {
+		if _, err := runFresh(t, runCVS, c1, opts, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runFresh(t, Dscale, c2, opts, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c2, opts, 32); err != nil {
 			t.Fatal(err)
 		}
 		pCVS := measurePower(t, c1, opts, 32)
@@ -302,7 +323,7 @@ func TestGscaleInvariants(t *testing.T) {
 		tspec := tspecOf(t, c) // zero slack: Gscale must create its own
 		areaBefore := c.Area()
 		opts := DefaultOptions(tspec)
-		res, err := runFresh(t, Gscale, c, opts, 32)
+		res, err := runFresh(t, runGscale, c, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -344,14 +365,14 @@ func TestGscaleCreatesSlackOnBalancedTree(t *testing.T) {
 	tspec := tspecOf(t, c)
 
 	opts := DefaultOptions(tspec)
-	r1, err := runFresh(t, RunCVS, c.Clone(), opts, 1)
+	r1, err := runFresh(t, runCVS, c.Clone(), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Lowered != 0 {
 		t.Fatalf("balanced tree: CVS lowered %d gates, want 0", r1.Lowered)
 	}
-	res, err := runFresh(t, Gscale, c, opts, 32)
+	res, err := runFresh(t, runGscale, c, opts, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +389,7 @@ func TestGscaleRespectsTinyAreaBudget(t *testing.T) {
 	opts := DefaultOptions(tspec)
 	opts.MaxAreaIncrease = 0.005 // nearly nothing
 	areaBefore := c.Area()
-	if _, err := runFresh(t, Gscale, c, opts, 32); err != nil {
+	if _, err := runFresh(t, runGscale, c, opts, 32); err != nil {
 		t.Fatal(err)
 	}
 	if grow := c.Area()/areaBefore - 1; grow > 0.005+1e-9 {
@@ -381,7 +402,7 @@ func TestGscaleMaxIterZeroStillRunsCVS(t *testing.T) {
 	tspec := tspecOf(t, c)
 	opts := DefaultOptions(tspec)
 	opts.MaxIter = 0
-	res, err := runFresh(t, Gscale, c, opts, 16)
+	res, err := runFresh(t, runGscale, c, opts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,10 +499,10 @@ func TestGreedySelectNeverBeatsMWIS(t *testing.T) {
 		optsM := DefaultOptions(tspec)
 		optsG := optsM
 		optsG.GreedySelect = true
-		if _, err := runFresh(t, Dscale, c1, optsM, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c1, optsM, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runFresh(t, Dscale, c2, optsG, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c2, optsG, 32); err != nil {
 			t.Fatal(err)
 		}
 		pM := measurePower(t, c1, optsM, 32)
@@ -504,13 +525,13 @@ func TestAlgorithmsSelfCheckAgainstFullSTA(t *testing.T) {
 		tspec := 1.1 * tspecOf(t, c)
 		opts := DefaultOptions(tspec)
 		opts.SelfCheck = true
-		if _, err := runFresh(t, Dscale, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: Dscale self-check: %v", seed, err)
 		}
-		if _, err := runFresh(t, Gscale, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runGscale, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: Gscale self-check: %v", seed, err)
 		}
-		if _, err := runFresh(t, RunCVS, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runCVS, c.Clone(), opts, 32); err != nil {
 			t.Fatalf("seed %d: CVS self-check: %v", seed, err)
 		}
 	}
@@ -539,12 +560,105 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 		return *a, *b
 	}
 	for name, algo := range map[string]entryPoint{
-		"Dscale": Dscale, "Gscale": Gscale, "CVS": RunCVS,
+		"Dscale": runDscale, "Gscale": runGscale, "CVS": runCVS,
 	} {
 		a, b := run(algo)
 		if a.Lowered != b.Lowered || a.LCs != b.LCs || a.Sized != b.Sized || a.Iterations != b.Iterations {
 			t.Fatalf("%s: self-checked run diverged: %+v vs %+v", name, a, b)
 		}
+	}
+}
+
+// TestRunSharesCVSAcrossAlgorithms runs a list of algorithms, in an order
+// with a repeat, through one Run on one engine, which clusters once and
+// continues each algorithm from the post-CVS mark. Every result and every
+// algorithm's event stream must equal a run of that algorithm alone on a
+// fresh engine. Run refuses unknown names and a list without KeepJournal,
+// and a context cancelled between continuations ends the list.
+func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
+	net, err := mcnc.Generate("C880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mres, err := mapper.Map(net, lib, mapper.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mres.Circuit
+	opts := DefaultOptions(mres.Tspec)
+	names := []string{"Gscale", "CVS", "Dscale", "Dscale"}
+	var events []Event
+	opts.Observer = func(ev Event) { events = append(events, ev) }
+
+	var want []*Result
+	var wantEvents [][]Event
+	for _, name := range names {
+		events = nil
+		res, err := runFresh(t, runAlone(name), c.Clone(), opts, 32)
+		if err != nil {
+			t.Fatalf("%s alone: %v", name, err)
+		}
+		if name != "CVS" && res.Iterations == 0 {
+			t.Fatalf("%s alone did nothing past CVS", name)
+		}
+		want = append(want, res)
+		wantEvents = append(wantEvents, events)
+	}
+
+	shared := c.Clone()
+	inc, err := sta.NewIncremental(shared, lib, opts.Tspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run(shared, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Activities = r.Act
+	opts.KeepJournal = true
+	events = nil
+	base, before := inc.Checkpoint(), inc.Evals()
+	var sum int64
+	err = Run(inc, shared, lib, names, opts, func(i int, res *Result) error {
+		if !reflect.DeepEqual(res, want[i]) {
+			t.Errorf("%s (#%d): shared result %+v, alone %+v", names[i], i, res, want[i])
+		}
+		if !reflect.DeepEqual(events, wantEvents[i]) {
+			t.Errorf("%s (#%d): %d shared events differ from %d alone", names[i], i, len(events), len(wantEvents[i]))
+		}
+		events = nil
+		sum += res.STAEvals
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine ran the CVS clustering once, not once per algorithm.
+	if got, cvs := inc.Evals()-before, want[1].STAEvals; got != sum-int64(len(names)-1)*cvs {
+		t.Errorf("engine ran %d evaluations for results summing to %d with CVS at %d", got, sum, cvs)
+	}
+	inc.Rollback(base)
+
+	noop := func(int, *Result) error { return nil }
+	if err := Run(inc, shared, lib, []string{"CVS", "Qscale"}, opts, noop); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("unknown algorithm: err %v", err)
+	}
+	unjournaled := opts
+	unjournaled.KeepJournal = false
+	if err := Run(inc, shared, lib, names, unjournaled, noop); err == nil || !strings.Contains(err.Error(), "KeepJournal") {
+		t.Errorf("list without KeepJournal: err %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	opts.Ctx = ctx
+	err = Run(inc, shared, lib, names, opts, func(i int, _ *Result) error {
+		if i > 0 {
+			t.Errorf("%s (#%d) ran after the cancel", names[i], i)
+		}
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled between continuations: err %v, want context.Canceled", err)
 	}
 }
 
@@ -555,7 +669,7 @@ func TestActivityTableMustCoverSignals(t *testing.T) {
 	c := buildChainTree(6)
 	opts := DefaultOptions(tspecOf(t, c))
 	n := c.NumSignals()
-	for name, algo := range map[string]entryPoint{"CVS": RunCVS, "Dscale": Dscale, "Gscale": Gscale} {
+	for name, algo := range map[string]entryPoint{"CVS": runCVS, "Dscale": runDscale, "Gscale": runGscale} {
 		for _, act := range [][]float64{nil, make([]float64, n-1), make([]float64, n+1)} {
 			inc, err := sta.NewIncremental(c, lib, opts.Tspec)
 			if err != nil {
@@ -575,7 +689,7 @@ func TestTCBDefinition(t *testing.T) {
 	// low-voltage fanout (or drives the boundary). Verify on the chain-tree.
 	c := buildChainTree(6)
 	tspec := tspecOf(t, c)
-	res, err := runFresh(t, RunCVS, c, DefaultOptions(tspec), 1)
+	res, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +732,7 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 			}
 			opts := DefaultOptions(mres.Tspec)
 			opts.SelfCheck = true
-			res, err := runFresh(t, Dscale, mres.Circuit, opts, 64)
+			res, err := runFresh(t, runDscale, mres.Circuit, opts, 64)
 			if err != nil {
 				t.Fatalf("Dscale self-check on %s: %v", name, err)
 			}
@@ -704,7 +818,7 @@ func TestDscaleCandidateEvalsDropOnLargeCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runFresh(t, Dscale, mres.Circuit, DefaultOptions(mres.Tspec), 256)
+			res, err := runFresh(t, runDscale, mres.Circuit, DefaultOptions(mres.Tspec), 256)
 			if err != nil {
 				t.Fatal(err)
 			}

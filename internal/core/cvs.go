@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"dualvdd/internal/cell"
@@ -78,44 +80,132 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 	return res, nil
 }
 
-// RunCVS applies CVS once on an incremental engine whose annotation is
-// settled for ckt under lib, and reports circuit-level results, for
-// symmetric use with Dscale and Gscale. The caller owns the engine: a cold
-// run builds a fresh one, a warm sweep fences each run on one shared engine
-// with Checkpoint/Rollback. Evaluation counts in events and the Result are
-// deltas from run entry, so both report the same numbers.
-func RunCVS(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
+// algorithm is one algorithm's part after the CVS clustering they all start
+// with: the round its initial CVS moves report under, and the continuation
+// that finishes the run from the post-CVS state. cvs is that clustering and
+// areaBefore the circuit's area before it.
+type algorithm struct {
+	round int
+	cont  func(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
+		act []float64, cvs *CVSResult, areaBefore float64) (*Result, error)
+}
+
+// algorithms maps each algorithm name to its implementation.
+var algorithms = map[string]algorithm{
+	"CVS":    {round: 1, cont: cvsFinish},
+	"Dscale": {round: 0, cont: dscaleFrom},
+	"Gscale": {round: 0, cont: gscaleFrom},
+}
+
+// lookup returns the named algorithm.
+func lookup(name string) (algorithm, error) {
+	a, ok := algorithms[name]
+	if !ok {
+		return algorithm{}, fmt.Errorf("core: unknown algorithm %q", name)
+	}
+	return a, nil
+}
+
+// Run runs the named algorithms ("CVS", "Dscale" or "Gscale", at least one,
+// in any order, repeats allowed) on an incremental engine whose annotation is settled for
+// ckt under lib. The caller owns the engine: a cold run builds a fresh one, a
+// warm sweep fences each point on one shared engine with Checkpoint/Rollback.
+//
+// All three algorithms begin with the same CVS clustering, so Run performs it
+// once, takes a Checkpoint, and runs each algorithm's continuation from that
+// post-CVS state in turn. done receives each result while the engine still
+// holds that algorithm's scaled circuit; the engine is then rolled back to
+// the checkpoint for the next one, and the last algorithm's state is left in
+// place. An error from done stops the run and is returned as is; so does an
+// unknown name, when its turn comes.
+//
+// Every result and event is what a run of that algorithm alone would report.
+// Evaluation counts are deltas from run entry, with the shared CVS run's
+// evaluations credited to each algorithm. The shared run's moves are emitted
+// live under the first algorithm and, when an observer is attached, replayed
+// under each later one. More than one algorithm needs KeepJournal: the
+// checkpoint must survive every continuation.
+func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []string, opts Options,
+	done func(i int, res *Result) error) error {
+	if len(names) > 1 && !opts.KeepJournal {
+		return errors.New("core: running more than one algorithm needs KeepJournal")
+	}
+	first, err := lookup(names[0])
+	if err != nil {
+		return err
+	}
 	areaBefore := ckt.Area()
 	act, err := opts.start(inc, ckt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r, err := cvsOn(inc, ckt, &opts, "CVS", 1)
+	shared := opts
+	var moves []int
+	if opts.Observer != nil && len(names) > 1 {
+		shared.Observer = func(ev Event) {
+			moves = append(moves, ev.Gate)
+			opts.Observer(ev)
+		}
+	}
+	cvs, err := cvsOn(inc, ckt, &shared, names[0], first.round)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	cvsEvals := inc.Evals() - opts.evalsBase
+	mark := inc.Checkpoint()
+	for i, name := range names {
+		a, err := lookup(name)
+		if err != nil {
+			return err
+		}
+		o := opts
+		if i > 0 {
+			inc.Rollback(mark)
+			if err := o.interrupted(); err != nil {
+				return err
+			}
+			for _, gi := range moves {
+				o.emit(Event{Algorithm: name, Kind: EventMove, Round: a.round, Gate: gi})
+			}
+		}
+		// Rollback restores the annotation, not the evaluation count.
+		o.evalsBase = inc.Evals() - cvsEvals
+		res, err := a.cont(inc, ckt, lib, &o, act, cvs, areaBefore)
+		if err != nil {
+			return err
+		}
+		if err := done(i, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cvsFinish completes a CVS run: the shared clustering is the whole
+// algorithm, one round.
+func cvsFinish(inc *sta.Incremental, ckt *netlist.Circuit, _ *cell.Library, opts *Options,
+	act []float64, cvs *CVSResult, areaBefore float64) (*Result, error) {
 	if err := selfCheck(inc, opts); err != nil {
 		return nil, err
 	}
 	opts.emit(Event{
-		Algorithm: "CVS", Kind: EventRound, Round: 1, Moves: r.Lowered,
+		Algorithm: "CVS", Kind: EventRound, Round: 1, Moves: cvs.Lowered,
 		LowGates: ckt.NumLowGates(), STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
 	})
-	res := &Result{
+	return &Result{
 		Lowered:      ckt.NumLowGates(),
 		LCs:          ckt.NumLCs(),
 		AreaIncrease: ckt.Area()/areaBefore - 1,
 		Iterations:   1,
-		TCB:          r.TCB,
+		TCB:          cvs.TCB,
 		STAEvals:     inc.Evals() - opts.evalsBase,
 		Act:          act,
-	}
-	return res, nil
+	}, nil
 }
 
 // selfCheck cross-validates the incremental engine against a fresh full
 // analysis when Options.SelfCheck is set — the differential harness hook.
-func selfCheck(inc *sta.Incremental, opts Options) error {
+func selfCheck(inc *sta.Incremental, opts *Options) error {
 	if !opts.SelfCheck {
 		return nil
 	}

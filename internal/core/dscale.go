@@ -352,14 +352,14 @@ func (st *dscaleState) verify() error {
 	return nil
 }
 
-// Dscale runs the paper's §2 algorithm on a mapped circuit: CVS first, then
-// repeated rounds of slack harvesting. Each round gathers every high-voltage
-// gate whose slack covers the Vlow (plus level-converter) delay penalty and
-// whose net power gain is positive, selects a maximum-weight independent set
-// of them on the circuit's transitive graph — so per-round penalties can
-// never accumulate along one path — applies Vlow, inserts level converters
-// at low→high boundaries, and re-times incrementally. It stops when candSet
-// is empty.
+// dscaleFrom continues the paper's §2 algorithm from the CVS clustering Run
+// performed: repeated rounds of slack harvesting. Each round gathers every
+// high-voltage gate whose slack covers the Vlow (plus level-converter) delay
+// penalty and whose net power gain is positive, selects a maximum-weight
+// independent set of them on the circuit's transitive graph — so per-round
+// penalties can never accumulate along one path — applies Vlow, inserts level
+// converters at low→high boundaries, and re-times incrementally. It stops
+// when candSet is empty.
 //
 // Candidates are maintained incrementally: a round re-evaluates only gates
 // whose timing, load, consumer set or neighborhood changed since the last
@@ -367,23 +367,15 @@ func (st *dscaleState) verify() error {
 // work from live-gates to the size of the disturbed region while producing
 // the exact decisions of a full rescan.
 //
-// Dscale runs on an incremental engine whose annotation is settled for ckt
-// under lib, and weights its candidates with Options.Activities: switching
-// activities are a property of the logic alone, and the level converters
-// inserted below are buffers whose output toggles exactly like their source,
-// so their activities are aliased on insertion and the run needs no
-// simulation. With KeepJournal set the caller's Checkpoint mark survives and
-// one Rollback undoes the whole run.
-func Dscale(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	areaBefore := ckt.Area()
-	act, err := opts.start(inc, ckt)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cvsOn(inc, ckt, &opts, "Dscale", 0); err != nil {
-		return nil, err
-	}
-	st := newDscaleState(ckt, lib, inc, &opts, act)
+// Dscale weights its candidates with Options.Activities (act, capped by
+// Run): switching activities are a property of the logic alone, and the
+// level converters inserted below are buffers whose output toggles exactly
+// like their source, so their activities are aliased on insertion and the
+// run needs no simulation. With KeepJournal set the caller's Checkpoint mark
+// survives and one Rollback undoes the whole run.
+func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
+	act []float64, _ *CVSResult, areaBefore float64) (*Result, error) {
+	st := newDscaleState(ckt, lib, inc, opts, act)
 	res := &Result{}
 	for {
 		if err := opts.interrupted(); err != nil {

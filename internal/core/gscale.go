@@ -109,35 +109,27 @@ func tcbEqual(a, b []int) bool {
 	return true
 }
 
-// Gscale runs the paper's §3 algorithm: CVS sets the initial low cluster,
-// then each iteration speeds up the paths into the time-critical boundary by
-// up-sizing a minimum-weight separator of the critical path network (weights
-// are area-penalty over timing-gain; the paper computes the max-flow/min-cut
-// with Edmonds–Karp, graph.MinVertexCut with Dinic's algorithm, which finds
-// the same cut), re-times incrementally, and re-runs CVS to push the TCB
-// toward the primary inputs. Batches are applied transactionally: a cut that
+// gscaleFrom continues the paper's §3 algorithm from the CVS clustering Run
+// performed, which sets the initial low cluster and TCB: each iteration
+// speeds up the paths into the time-critical boundary by up-sizing a
+// minimum-weight separator of the critical path network (weights are
+// area-penalty over timing-gain; the paper computes the max-flow/min-cut with
+// Edmonds–Karp, graph.MinVertexCut with Dinic's algorithm, which finds the
+// same cut), re-times incrementally, and re-runs CVS to push the TCB toward
+// the primary inputs. Batches are applied transactionally: a cut that
 // misses the constraint is rolled back through the engine's journal instead
 // of being unwound by hand. The loop stops when the area budget is exhausted
 // or after MaxIter consecutive pushes that leave the TCB unchanged. No level
 // converters are needed: the low gates always form one cluster.
 //
-// Gscale runs on an incremental engine whose annotation is settled for ckt
-// under lib, and its final safety check is the engine's own Meets: the
-// engine is bit-identical to a fresh full analysis by contract, and the
-// differential suite holds it to that. With KeepJournal set the caller's
-// Checkpoint mark survives and one Rollback undoes the whole run.
-func Gscale(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	areaBefore := ckt.Area()
+// Gscale's final safety check is the engine's own Meets: the engine is
+// bit-identical to a fresh full analysis by contract, and the differential
+// suite holds it to that. With KeepJournal set the caller's Checkpoint mark
+// survives and one Rollback undoes the whole run.
+func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
+	act []float64, cvs *CVSResult, areaBefore float64) (*Result, error) {
 	maxArea := areaBefore * (1 + opts.MaxAreaIncrease)
-	act, err := opts.start(inc, ckt)
-	if err != nil {
-		return nil, err
-	}
-	cvsRes, err := cvsOn(inc, ckt, &opts, "Gscale", 0)
-	if err != nil {
-		return nil, err
-	}
-	tcb := cvsRes.TCB
+	tcb := cvs.TCB
 	originalCell := make(map[int]*cell.Cell)
 	res := &Result{}
 	counter := 0
@@ -289,11 +281,11 @@ func Gscale(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts 
 		if !opts.KeepJournal {
 			inc.Commit()
 		}
-		cvsRes, err = cvsOn(inc, ckt, &opts, "Gscale", res.Iterations)
+		pushed, err := cvsOn(inc, ckt, opts, "Gscale", res.Iterations)
 		if err != nil {
 			return nil, err
 		}
-		tcbNew := cvsRes.TCB
+		tcbNew := pushed.TCB
 		if resized == 0 || tcbEqual(tcbNew, tcb) {
 			counter++
 		} else {

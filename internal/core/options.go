@@ -61,6 +61,8 @@ type Options struct {
 	// skipped, so a Checkpoint mark taken by the caller before the run
 	// survives it and a single Rollback restores the pre-run circuit exactly.
 	// This is the warm-sweep mode: one baseline engine serves many points.
+	// Run needs it for more than one algorithm, whose continuations all roll
+	// back to one post-CVS mark.
 	KeepJournal bool
 	// Activities is the per-signal 0→1 switching activity of the input
 	// circuit (sim.Result.Act layout, one entry per signal) and is required:
@@ -83,10 +85,12 @@ type Options struct {
 	// must not mutate the circuit.
 	Observer Observer
 
-	// evalsBase is the engine's evaluation count at run entry; events and
-	// results report deltas against it, so a run on a shared warm engine
-	// reports exactly what a run on a fresh engine would. Set by the entry
-	// points.
+	// evalsBase is the engine's evaluation count at the algorithm's entry;
+	// events and results report deltas against it, so a run on a shared warm
+	// engine reports exactly what a run on a fresh engine would. Run sets it
+	// per continuation to the count at the continuation's start minus the
+	// shared CVS run's evaluations: Rollback restores the annotation but not
+	// the count, and each algorithm is credited with the CVS run it shares.
 	evalsBase int64
 }
 

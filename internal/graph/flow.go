@@ -39,8 +39,8 @@ type arc struct {
 	cap int64 // remaining residual capacity
 }
 
-// Network is a flow network with residual bookkeeping. The zero value is not
-// usable; create with NewNetwork.
+// Network is a flow network with residual bookkeeping. The solvers draw one
+// from scratchPool and reset it to their node count.
 type Network struct {
 	n    int
 	arcs []arc
@@ -52,11 +52,6 @@ type Network struct {
 	iter  []int32
 	queue []int32
 	seen  []bool
-}
-
-// NewNetwork creates a network with n nodes and no arcs.
-func NewNetwork(n int) *Network {
-	return &Network{n: n, head: make([][]int32, n)}
 }
 
 // reset empties the network to n nodes and no arcs, keeping the capacity of

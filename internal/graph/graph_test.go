@@ -459,7 +459,7 @@ func TestMinVertexCutManyInfChains(t *testing.T) {
 // on: however many Inf paths run in parallel, the flow reads exactly Inf.
 func TestMaxFlowDinicSaturatesAtInf(t *testing.T) {
 	build := func(paths int) *Network {
-		g := NewNetwork(paths + 2)
+		g := newNetwork(paths + 2)
 		for p := 0; p < paths; p++ {
 			g.AddArc(0, p+2, Inf)
 			g.AddArc(p+2, 1, Inf)
@@ -519,11 +519,18 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 	}
 }
 
+// newNetwork creates a network with n nodes and no arcs.
+func newNetwork(n int) *Network {
+	g := new(Network)
+	g.reset(n)
+	return g
+}
+
 // randNetwork builds a random flow network from seed: 4 to 13 nodes and up
 // to 3n arcs of capacity 1 to 30. The same seed builds the same network.
 func randNetwork(seed int64) (*Network, int) {
 	n := 4 + rand.New(rand.NewSource(seed)).Intn(10)
-	g := NewNetwork(n)
+	g := newNetwork(n)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -884,7 +891,7 @@ func TestNetworkFlowConservation(t *testing.T) {
 	// After a max-flow run, net flow out of every interior node is zero.
 	rng := rand.New(rand.NewSource(3))
 	n := 12
-	g := NewNetwork(n)
+	g := newNetwork(n)
 	type arcRec struct{ u, v, id int }
 	var recs []arcRec
 	for i := 0; i < 50; i++ {
@@ -913,7 +920,7 @@ func TestNetworkFlowConservation(t *testing.T) {
 }
 
 func TestReachableFromIsolated(t *testing.T) {
-	g := NewNetwork(3)
+	g := newNetwork(3)
 	g.AddArc(0, 1, 5)
 	seen := g.ReachableFrom(0)
 	if !seen[0] || !seen[1] || seen[2] {

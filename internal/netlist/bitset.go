@@ -33,10 +33,11 @@ func (b *BitSet) Reset() {
 }
 
 // AppendFanoutCone appends to out the gates reachable downstream from gate gi
-// (including gi itself), marking them in seen, and returns the extended out
-// and stack buffers. It is the allocation-free counterpart of FanoutCone:
-// seen must be grown to the gate count and is left holding the cone (callers
-// Reset it between uses when needed); out and stack are reusable scratch.
+// (including gi itself), the forward cone an arrival-time change at gi can
+// influence, marking them in seen, and returns the extended out and stack
+// buffers. It allocates nothing once the buffers have grown: seen must be
+// grown to the gate count and is left holding the cone (callers Reset it
+// between uses when needed); out and stack are reusable scratch.
 func (f *Fanouts) AppendFanoutCone(c *Circuit, gi int, seen *BitSet, out, stack []int) ([]int, []int) {
 	seen.Set(gi)
 	out = append(out, gi)

@@ -378,25 +378,6 @@ func connLess(a, b Conn) bool {
 	return a.Pin < b.Pin
 }
 
-// FanoutCone returns the set of gates reachable downstream from gate gi
-// (excluding gi itself unless it lies on a cycle), the forward cone an
-// arrival-time change at gi can influence.
-func (f *Fanouts) FanoutCone(c *Circuit, gi int) map[int]bool {
-	seen := map[int]bool{gi: true}
-	stack := []int{gi}
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, cn := range f.Conns[c.GateSignal(g)] {
-			if !seen[cn.Gate] {
-				seen[cn.Gate] = true
-				stack = append(stack, cn.Gate)
-			}
-		}
-	}
-	return seen
-}
-
 // Validate checks structural sanity: pin counts match cells, signals are in
 // range and alive, the DAG is acyclic, every PO source is alive, and live
 // gate names are unique.

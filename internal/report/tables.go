@@ -14,7 +14,10 @@ type Row struct {
 	OrgPwrUW float64
 	// Percent improvements over the original power.
 	CVSPct, DscalePct, GscalePct float64
-	// Gscale wall-clock seconds (the paper's CPU column).
+	// Gscale wall-clock seconds (the paper's CPU column). A warm run charges
+	// the CVS clustering its algorithms share to the first one listed, so in
+	// the paper's order this excludes the clustering a cold Gscale run
+	// includes.
 	CPUSec float64
 	// Per-algorithm wall-clock seconds, so scaling-loop speedups are
 	// visible per table row in benchmark output.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -213,8 +214,8 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 							return nil, fmt.Errorf("dualvdd: sweep point %d (%s): empty algorithm set", pt.Index, ckt.labelAt(ci))
 						}
 						if err := pt.Job().Validate(); err != nil {
-							return nil, fmt.Errorf("dualvdd: sweep point %d (%s, rails=%v slack=%g words=%d): %w",
-								pt.Index, ckt.labelAt(ci), rails, sf, sw, err)
+							return nil, &pointError{err: err, point: fmt.Sprintf("dualvdd: sweep point %d (%s, rails=%v slack=%g words=%d)",
+								pt.Index, ckt.labelAt(ci), rails, sf, sw)}
 						}
 						points = append(points, pt)
 					}
@@ -224,6 +225,20 @@ func (s Sweep) Points() ([]SweepPoint, error) {
 	}
 	return points, nil
 }
+
+// pointError is a sweep point's validation failure: the point, then the
+// cause without its own "dualvdd: " prefix, so the message names the package
+// once. errors.Is and errors.As still reach the cause.
+type pointError struct {
+	point string
+	err   error
+}
+
+func (e *pointError) Error() string {
+	return e.point + ": " + strings.TrimPrefix(e.err.Error(), "dualvdd: ")
+}
+
+func (e *pointError) Unwrap() error { return e.err }
 
 // mergeDefaults fills every zero field of a sweep base from DefaultConfig,
 // field by field. The old rule — defaults only when the whole struct was

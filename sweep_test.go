@@ -140,6 +140,9 @@ func TestSweepPointsRejectsDegenerateAxes(t *testing.T) {
 			if tc.invalid && !errors.Is(err, dualvdd.ErrInvalidConfig) {
 				t.Fatalf("error %v does not wrap ErrInvalidConfig", err)
 			}
+			if n := strings.Count(err.Error(), "dualvdd: "); n != 1 {
+				t.Fatalf("error %q names the package %d times, want once", err, n)
+			}
 		})
 	}
 }

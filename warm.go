@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dualvdd/internal/blif"
+	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
 	"dualvdd/internal/power"
@@ -23,11 +24,13 @@ import (
 // the baseline full timing analysis — is a property of the circuit alone, not
 // of the low rail, so a sweep that re-derives it per point pays the same bill
 // over and over. RunAt instead swaps the library's low rail (an annotation
-// no-op at the all-VHigh baseline), runs each algorithm inside a
-// Checkpoint/Rollback fence on the shared engine, and reads power from the
-// baseline activity table. Results are bit-identical to standalone Flow runs
-// (the cold/warm differential suite holds them to it); only the wall clock and
-// the evaluation totals differ.
+// no-op at the all-VHigh baseline), runs the CVS clustering all three
+// algorithms begin with once per point inside a Checkpoint/Rollback fence on
+// the shared engine, continues each algorithm from that post-CVS state, and
+// reads power from the baseline activity table. Results are bit-identical to
+// standalone Flow runs, STAEvals included (the cold/warm differential suite
+// holds them to it); only the wall clock differs, and the engine itself
+// evaluates less than the results' evaluation counts add up to.
 //
 // A WarmDesign serializes its runs: RunAt holds an internal lock, so
 // concurrent callers take turns on the one engine. Parallelism comes from
@@ -85,92 +88,92 @@ func (w *WarmDesign) Runs() int64 {
 	return w.runs
 }
 
-// RunAt executes the given algorithms (all three when empty) at the given
-// rail vector — [vhigh, vlow] for the classic pair, any longer descending
-// list for multi-rail scaling; rails[0] must equal the prepared design's high
-// rail — reusing the shared prepared state. Per algorithm it checkpoints the
-// engine, runs with the journal intact and the baseline activity table, reads
-// the final power from the table, and rolls the working circuit back to the
-// all-VHigh baseline — no mapping, no simulation, no full analysis. Results
-// are bit-identical to Design.RunAlgorithm at the same rails, with two
-// deliberate exceptions: Runtime/SimTime measure the (much smaller) warm work,
-// and Circuit is nil — the working clone is rolled back, so there is no scaled
-// netlist to hand out. A cancelled context aborts within one algorithm
-// iteration with ctx.Err(); the baseline is restored before returning, so the
-// WarmDesign stays valid for further points.
+// RunAt executes the given algorithms (all three when empty, in any order,
+// repeats allowed) at the given rail vector — [vhigh, vlow] for the classic
+// pair, any longer descending list for multi-rail scaling; rails[0] must
+// equal the prepared design's high rail — reusing the shared prepared state.
+// It checkpoints the all-VHigh baseline, runs the CVS clustering every
+// algorithm begins with once, and runs each algorithm's continuation from
+// that post-CVS state with the journal intact and the baseline activity
+// table (core.Run), reading each final power from the table, before rolling
+// the working circuit back to the baseline — no mapping, no simulation, no
+// full analysis. Results are bit-identical to Design.RunAlgorithm at the
+// same rails, with two deliberate exceptions: Runtime/SimTime measure the
+// (much smaller) warm work, and Circuit is nil — the working clone is rolled
+// back, so there is no scaled netlist to hand out. The Runtimes tile the
+// call: the first algorithm's includes the shared CVS run, and each later
+// one's starts where the previous result was finished. A cancelled context
+// aborts within one algorithm iteration with ctx.Err(), alongside the
+// results finished before it; the baseline is restored before returning, so
+// the WarmDesign stays valid for further points.
 func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorithm, obs Observer) ([]*FlowResult, error) {
 	if len(algos) == 0 {
 		algos = Algorithms()
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	lib, err := w.Design.Lib.AtRails(rails)
+	d := w.Design
+	lib, err := d.Lib.AtRails(rails)
 	if err != nil {
-		return nil, fmt.Errorf("dualvdd: warm run on %s: %w", w.Design.Name, err)
+		return nil, fmt.Errorf("dualvdd: warm run on %s: %w", d.Name, err)
 	}
 	// At the all-VHigh baseline every derate is exactly 1.0, so swapping the
 	// low rail preserves the engine's annotation bit for bit.
 	if err := w.inc.SetLibrary(lib); err != nil {
-		return nil, fmt.Errorf("dualvdd: warm run on %s: %w", w.Design.Name, err)
+		return nil, fmt.Errorf("dualvdd: warm run on %s: %w", d.Name, err)
 	}
-	results := make([]*FlowResult, 0, len(algos))
-	for _, algo := range algos {
-		res, err := w.runOne(ctx, algo, obs)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// runOne executes one algorithm inside a Checkpoint/Rollback fence. The
-// caller holds w.mu and has already retargeted the engine's library.
-func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (*FlowResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entry, err := coreEntry(algo)
-	if err != nil {
-		return nil, err
-	}
-	d := w.Design
-	lib := w.inc.Library()
 	opts := d.coreOptions(ctx, obs)
 	opts.KeepJournal = true
 
 	mark := w.inc.Checkpoint()
 	// Rollback before returning on every path: the baseline must be restored
-	// even when the algorithm aborts mid-run (cancellation, a violated
+	// even when an algorithm aborts mid-run (cancellation, a violated
 	// constraint), or the shared state would poison every later point.
 	defer w.inc.Rollback(mark)
 
-	start := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	cres, err := entry(w.inc, w.work, lib, opts)
-	if err != nil {
-		return nil, d.runErr(algo, err)
+	names := make([]string, len(algos))
+	for i, a := range algos {
+		names[i] = string(a)
 	}
-	elapsed := time.Since(start) //lint:wallclock-ok timing metric only; never feeds results
-	// The constraint must hold after every algorithm — verify, don't trust.
-	// The engine's annotation is bit-identical to a fresh Analyze by contract
-	// (the differential suite and every cold run hold it to that), so its own
-	// verdict stands in for the cold path's full re-analysis.
-	if !w.inc.Meets(1e-6) {
-		return nil, fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
-			algo, d.Name, w.inc.WorstArrival(), d.Tspec)
+	results := make([]*FlowResult, 0, len(algos))
+	var violated error
+	last := time.Now() //lint:wallclock-ok timing metric only; never feeds results
+	err = core.Run(w.inc, w.work, lib, names, opts, func(i int, cres *core.Result) error {
+		algo := algos[i]
+		elapsed := time.Since(last) //lint:wallclock-ok timing metric only; never feeds results
+		// The constraint must hold after every algorithm — verify, don't
+		// trust. The engine's annotation is bit-identical to a fresh Analyze
+		// by contract (the differential suite and every cold run hold it to
+		// that), so its own verdict stands in for the cold path's full
+		// re-analysis.
+		if !w.inc.Meets(1e-6) {
+			violated = fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
+				algo, d.Name, w.inc.WorstArrival(), d.Tspec)
+			return violated
+		}
+		// Power from the baseline activity table (extended by the run's
+		// aliased level-converter activities) and the engine's loads —
+		// bit-identical to the cold path's fresh simulate-and-estimate,
+		// without the simulation or a fanout rebuild: the engine keeps its
+		// loads equal to sta.Loads bit for bit.
+		pb := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
+		// No simulation ran and the working clone is rolled back, so SimTime
+		// stays 0 and Circuit nil.
+		fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
+		w.runs++
+		obs.emit(EventResult{Circuit: d.Name, Result: fr})
+		results = append(results, fr)
+		last = time.Now() //lint:wallclock-ok timing metric only; never feeds results
+		return nil
+	})
+	if err != nil && violated == nil {
+		// A failure inside core cut short the first algorithm not finished.
+		err = d.runErr(algos[len(results)], err)
 	}
-	// Power from the baseline activity table (extended by the run's aliased
-	// level-converter activities) and the engine's loads — bit-identical to
-	// the cold path's fresh simulate-and-estimate, without the simulation or
-	// a fanout rebuild: the engine keeps its loads equal to sta.Loads bit for
-	// bit.
-	pb := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
-	// No simulation ran and the working clone is rolled back, so SimTime
-	// stays 0 and Circuit nil.
-	fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
-	w.runs++
-	obs.emit(EventResult{Circuit: d.Name, Result: fr})
-	return fr, nil
+	return results, err
 }
 
 // warmPrepKey is the content address of a warm-prep group: jobs with the same

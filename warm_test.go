@@ -2,7 +2,9 @@ package dualvdd_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dualvdd"
@@ -104,9 +106,10 @@ func TestWarmMatchesColdAcrossPoints(t *testing.T) {
 	}
 }
 
-// TestWarmCancelRestoresBaseline cancels a warm run mid-flight and checks the
-// shared state still produces bit-identical results afterwards — the
-// Rollback-on-every-path contract.
+// TestWarmCancelRestoresBaseline cancels a warm run mid-flight, and stops
+// another at an unknown algorithm after the one before it finished, and
+// checks the shared state still produces bit-identical results afterwards —
+// the Rollback-on-every-path contract.
 func TestWarmCancelRestoresBaseline(t *testing.T) {
 	ctx := context.Background()
 	wd, err := dualvdd.New(dualvdd.WithSimWords(16)).PrepareWarmBenchmark(ctx, "rot")
@@ -118,8 +121,12 @@ func TestWarmCancelRestoresBaseline(t *testing.T) {
 	if _, err := wd.RunAt(cancelled, []float64{5.0, 4.3}, nil, nil); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
+	res, err := wd.RunAt(ctx, []float64{5.0, 4.3}, []dualvdd.Algorithm{dualvdd.AlgoCVS, "Qscale"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "Qscale") || len(res) != 1 {
+		t.Fatalf("unknown algorithm after CVS: %d results, err %v; want CVS's result and an error naming Qscale", len(res), err)
+	}
 
-	res, err := wd.RunAt(ctx, []float64{5.0, 4.3}, []dualvdd.Algorithm{dualvdd.AlgoDscale}, nil)
+	res, err = wd.RunAt(ctx, []float64{5.0, 4.3}, []dualvdd.Algorithm{dualvdd.AlgoDscale}, nil)
 	if err != nil {
 		t.Fatalf("run after cancel: %v", err)
 	}
@@ -133,6 +140,65 @@ func TestWarmCancelRestoresBaseline(t *testing.T) {
 		t.Fatalf("cold run: %v", err)
 	}
 	requireSameResult(t, "Dscale-after-cancel", cold, res[0])
+}
+
+// TestRunAtEventsMatchCold holds RunAt, which runs the CVS clustering once
+// per point and continues each listed algorithm from it, to standalone cold
+// runs of the same list, whatever its order or repeats: every result bit for
+// bit, and the event stream (less preparation's EventMapped) digest for
+// digest. One warm design per circuit serves every rail vector and list, as
+// in a sweep.
+func TestRunAtEventsMatchCold(t *testing.T) {
+	ctx := context.Background()
+	lists := [][]dualvdd.Algorithm{
+		dualvdd.Algorithms(),
+		{dualvdd.AlgoDscale, dualvdd.AlgoGscale},
+		{dualvdd.AlgoGscale, dualvdd.AlgoCVS, dualvdd.AlgoDscale},
+		{dualvdd.AlgoGscale, dualvdd.AlgoGscale, dualvdd.AlgoDscale, dualvdd.AlgoDscale},
+	}
+	railSets := [][]float64{{5, 4.3}, {5, 3.7}, {5, 4.3, 3.6}}
+	for _, circuit := range []string{"x2", "rot", "C880"} {
+		wd, err := dualvdd.New(dualvdd.WithSimWords(16)).PrepareWarmBenchmark(ctx, circuit)
+		if err != nil {
+			t.Fatalf("prepare warm %s: %v", circuit, err)
+		}
+		for _, rails := range railSets {
+			var cold []dualvdd.Event
+			record := func(ev dualvdd.Event) {
+				if _, mapped := ev.(dualvdd.EventMapped); !mapped {
+					cold = append(cold, ev)
+				}
+			}
+			d, err := dualvdd.New(dualvdd.WithSimWords(16), dualvdd.WithRails(rails...),
+				dualvdd.WithObserver(record)).PrepareBenchmark(ctx, circuit)
+			if err != nil {
+				t.Fatalf("prepare cold %s at %v: %v", circuit, rails, err)
+			}
+			for _, list := range lists {
+				label := fmt.Sprintf("%s at %v running %v", circuit, rails, list)
+				cold = nil
+				want, err := dualvdd.New(dualvdd.WithAlgorithms(list...)).Run(ctx, d)
+				if err != nil {
+					t.Fatalf("%s: cold: %v", label, err)
+				}
+				var warm []dualvdd.Event
+				got, err := wd.RunAt(ctx, rails, list, func(ev dualvdd.Event) { warm = append(warm, ev) })
+				if err != nil {
+					t.Fatalf("%s: warm: %v", label, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d warm results, %d cold", label, len(got), len(want))
+				}
+				for i := range want {
+					requireSameResult(t, label+" "+want[i].Algorithm, want[i], got[i])
+				}
+				if digestEvents(t, warm) != digestEvents(t, cold) {
+					t.Errorf("%s: warm event stream (%d events) differs from the cold one (%d)",
+						label, len(warm), len(cold))
+				}
+			}
+		}
+	}
 }
 
 // flowOracle runs every point of the sweep as a standalone Flow — prepared
