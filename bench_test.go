@@ -56,7 +56,6 @@ func BenchmarkTable1(b *testing.B) {
 			b.ReportMetric(row.CVSSec*1e3, "CVS_ms")
 			b.ReportMetric(row.DscaleSec*1e3, "Dscale_ms")
 			b.ReportMetric(row.CPUSec*1e3, "Gscale_ms")
-			b.ReportMetric(row.SimSec*1e3, "sim_ms")
 			b.ReportMetric(float64(row.DscaleEvals), "Dscale_staEvals")
 			b.ReportMetric(float64(row.GscaleEvals), "Gscale_staEvals")
 			// Candidate-cache effectiveness: the full-rescan equivalent is

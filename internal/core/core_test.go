@@ -749,6 +749,73 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 	}
 }
 
+// TestDscaleBypassFixpoint pins what bypassRedundantLCs leaves behind after a
+// Dscale run: no live level converter without consumers, and no
+// converter-fed pin of a live reduced-rail gate that would still pass its
+// bypass check. Each check runs between a Checkpoint and a Rollback, so the
+// probe leaves the scaled circuit as Dscale left it.
+func TestDscaleBypassFixpoint(t *testing.T) {
+	railSets := [][]float64{{5, 3.2}, {5, 3.6}, {5, 4.3, 3.3}}
+	survivors := 0
+	for _, name := range []string{"vda", "apex6", "dalu", "k2", "C3540"} {
+		net, err := mcnc.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rails := range railSets {
+			l := cell.Compass06Rails(rails)
+			mres, err := mapper.Map(net, l, mapper.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mres.Circuit
+			inc, err := sta.NewIncremental(c, l, mres.Tspec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := sim.Run(c, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions(mres.Tspec)
+			opts.Activities = sr.Act
+			res, err := runDscale(inc, c, l, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, rails, err)
+			}
+			st := newDscaleState(c, l, inc, &opts, res.Act)
+			fan := inc.Fanouts()
+			for gi, g := range c.Gates {
+				switch {
+				case g.Dead:
+				case g.IsLC:
+					if fan.Degree(c.GateSignal(gi)) == 0 {
+						t.Errorf("%s %v: converter %s has no consumers", name, rails, g.Name)
+					}
+					survivors++
+				case g.Volt != cell.VHigh:
+					for pin, s := range g.In {
+						if drv := c.GateOf(s); drv == nil || !drv.IsLC || drv.Dead {
+							continue
+						}
+						mark := inc.Checkpoint()
+						if st.tryBypass(gi, pin) {
+							t.Errorf("%s %v: pin %d of %s still bypasses its converter", name, rails, pin, g.Name)
+						}
+						inc.Rollback(mark)
+					}
+				}
+			}
+			if err := inc.Check(1e-9); err != nil {
+				t.Errorf("%s %v: %v", name, rails, err)
+			}
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no level converter survived on any case; the fixpoint checks are vacuous")
+	}
+}
+
 // TestDscaleInnerLoopAllocations pins the steady-state allocation behavior of
 // the Dscale inner machinery: candidate evaluation is allocation-free, and
 // the greedy-selection conflict tracking reuses its bitset scratch.

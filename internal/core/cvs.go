@@ -64,7 +64,7 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 			}
 			out := ckt.GateSignal(gi)
 			delta := inc.DeltaStep(gi)
-			if inc.Slack[out]-delta < opts.Eps {
+			if inc.Slack[out]-delta < slackEps {
 				res.TCB = append(res.TCB, gi)
 				break
 			}

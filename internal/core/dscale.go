@@ -15,10 +15,6 @@ import (
 // network uses. 1e12 keeps sub-µW gains well resolved.
 const weightScale = 1e12
 
-// maxPins is the widest cell in the library; the bypass worklist packs
-// (gate, pin) pairs into gate*maxPins+pin keys.
-const maxPins = 4
-
 // candidate is one Dscale candSet entry.
 type candidate struct {
 	gate     int
@@ -158,18 +154,10 @@ type dscaleState struct {
 	chosen    []int
 	sorted    []candidate
 
-	// Bypass worklist state: pairIndex maps gate*maxPins+pin to 1+index into
-	// pairs while a bypass call is active.
-	pairs     []bypassPair
-	pairIndex []int32
-	lcs       []int
-}
-
-// bypassPair is one (low-voltage gate, LC-driven pin) bypass opportunity.
-type bypassPair struct {
-	gate, pin int
-	dirty     bool // eligibility inputs changed since the last check
-	done      bool // rewired (or structurally gone)
+	// Bypass state: the pending converter-fed (gate, pin) pairs and the live
+	// converters of the current bypassRedundantLCs call.
+	pairs []netlist.Conn
+	lcs   []int
 }
 
 // newDscaleState builds the working set from the post-CVS circuit: full
@@ -248,8 +236,7 @@ func (st *dscaleState) refreshGate(gi int) {
 // absorb drains the engine's change journal and refreshes the state of every
 // gate the changes can influence: the driver of each changed signal (its
 // slack, load, consumer set or attributes moved) and the signal's consumers
-// (their fanin arrivals moved). The drained buffer is kept for callers that
-// layer further invalidation on it (the bypass worklist).
+// (their fanin arrivals moved).
 func (st *dscaleState) absorb() {
 	st.drainBuf = st.inc.DrainChanged(st.drainBuf[:0])
 	st.grow()
@@ -283,14 +270,14 @@ func (st *dscaleState) reeval(gi int) {
 	if st.inc.Fanouts().Degree(out) == 0 {
 		return
 	}
-	if st.inc.Slack[out] <= st.opts.Eps {
+	if st.inc.Slack[out] <= slackEps {
 		return // not in SlkSet
 	}
 	c, ok := evalCandidate(st.ckt, st.lib, st.inc, st.act, st.opts.Fclk, gi)
 	if !ok || c.gain <= 0 {
 		return
 	}
-	if st.inc.Slack[out]-(c.deltaArr+c.lcDelay) < st.opts.Eps {
+	if st.inc.Slack[out]-(c.deltaArr+c.lcDelay) < slackEps {
 		return
 	}
 	st.cand[gi] = c
@@ -442,7 +429,7 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 
 		// update_timing plus a safety net: the per-candidate check is
 		// conservative, so the constraint must still hold.
-		if !inc.Meets(opts.Eps) {
+		if !inc.Meets(slackEps) {
 			return nil, fmt.Errorf("core: Dscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
 		}
 		if opts.Observer != nil {
@@ -585,90 +572,52 @@ func (st *dscaleState) applyLow(gi int) error {
 // its load change, so timing stays safe; the engine re-times each rewire in
 // cone-local work.
 //
-// The candidate (gate, pin) pairs are collected once and then processed as a
-// worklist: a pair whose eligibility check fails stays parked until the nets
-// its check reads are touched by a later rewire or converter removal (tracked
-// through the change journal), instead of being rescanned with the whole
-// gate list after every accepted rewire. The accepted-rewire order — always
-// the lowest (gate, pin) pair that passes, one rewire per sweep, converters
-// collected between rewires in gate order — is exactly the order of the
-// original restart-the-scan loop, so the resulting circuits are identical.
+// The converter-fed pins of live reduced-rail gates are collected once, in
+// (gate, pin) order, together with the live converters. Each pass re-checks
+// the pending pins in order and rewires the first that passes, then removes
+// the converters left without consumers, in gate order, until a pass changes
+// nothing. A pin's check reads only the live engine state, so every pass
+// finds the lowest eligible pin; rewires only detach pins from converters,
+// so no pin and no converter appears while the loop runs.
 func (st *dscaleState) bypassRedundantLCs() {
 	ckt, inc := st.ckt, st.inc
 	fan := inc.Fanouts()
-
-	// Seed the worklist: every LC-driven pin of a live low-voltage gate, in
-	// (gate, pin) order, plus the live converters for the removal sweeps.
-	// Rewires only ever detach pins from converters, so no new pairs (and no
-	// new converters) can appear while the worklist drains.
 	st.pairs = st.pairs[:0]
 	st.lcs = st.lcs[:0]
-	if need := len(ckt.Gates) * maxPins; cap(st.pairIndex) < need {
-		st.pairIndex = make([]int32, need)
-	} else {
-		st.pairIndex = st.pairIndex[:need]
-		for i := range st.pairIndex {
-			st.pairIndex[i] = 0
-		}
-	}
-	for gIdx, g := range ckt.Gates {
-		if g.Dead {
-			continue
-		}
-		if g.IsLC {
-			st.lcs = append(st.lcs, gIdx)
-			continue
-		}
-		if g.Volt == cell.VHigh {
-			continue
-		}
-		if len(g.In) > maxPins {
-			// The pair keys below alias across gates beyond maxPins pins;
-			// the library has no such cell (sim.Compile enforces the same
-			// bound on its tape).
-			panic(fmt.Sprintf("core: gate %s has %d pins, bypass worklist limit is %d", g.Name, len(g.In), maxPins))
-		}
-		for pin, s := range g.In {
-			drv := ckt.GateOf(s)
-			if drv == nil || !drv.IsLC || drv.Dead {
-				continue
+	for gi, g := range ckt.Gates {
+		switch {
+		case g.Dead:
+		case g.IsLC:
+			st.lcs = append(st.lcs, gi)
+		case g.Volt != cell.VHigh:
+			for pin, s := range g.In {
+				if drv := ckt.GateOf(s); drv != nil && drv.IsLC && !drv.Dead {
+					st.pairs = append(st.pairs, netlist.Conn{Gate: gi, Pin: pin})
+				}
 			}
-			st.pairs = append(st.pairs, bypassPair{gate: gIdx, pin: pin, dirty: true})
-			st.pairIndex[gIdx*maxPins+pin] = int32(len(st.pairs))
 		}
 	}
 
-	// Bounded fixpoint (each pass either retires a pair or terminates); the
-	// outer Dscale round loop polls opts.interrupted() every iteration, so
-	// the one-iteration cancellation contract is kept there.
+	// Bounded fixpoint (each pass either retires a pin or a converter, or
+	// terminates); the outer Dscale round loop polls opts.interrupted() every
+	// iteration, so the one-iteration cancellation contract is kept there.
 	//lint:ctx-ok bounded fixpoint; outer round loop polls interrupted()
 	for {
 		changed := false
-		// Scan sweep: apply the first eligible pending pair.
-		for i := range st.pairs {
-			pr := &st.pairs[i]
-			if pr.done || !pr.dirty {
-				continue
+		// One rewire per pass: loads moved, so the engine's fresh state must
+		// back the next decision.
+		for i, p := range st.pairs {
+			if st.tryBypass(p.Gate, p.Pin) {
+				st.pairs = slices.Delete(st.pairs, i, i+1)
+				st.absorb()
+				changed = true
+				break
 			}
-			if !st.tryBypass(pr.gate, pr.pin) {
-				pr.dirty = false
-				continue
-			}
-			pr.done = true
-			st.absorbBypass()
-			changed = true
-			// One rewire at a time: loads moved, so the engine's fresh
-			// state must back the next decision.
-			break
 		}
-		// Removal sweep, in gate order: converters nobody listens to anymore.
 		for _, gi := range st.lcs {
-			g := ckt.Gates[gi]
-			if !g.Dead && g.IsLC && fan.Degree(ckt.GateSignal(gi)) == 0 {
-				if err := inc.KillGate(gi); err == nil {
-					st.absorbBypass()
-					changed = true
-				}
+			if !ckt.Gates[gi].Dead && fan.Degree(ckt.GateSignal(gi)) == 0 && inc.KillGate(gi) == nil {
+				st.absorb()
+				changed = true
 			}
 		}
 		if !changed {
@@ -706,57 +655,8 @@ func (st *dscaleState) tryBypass(gIdx, pin int) bool {
 	dLoad := g.Cell.InputCap[pin] + lib.WireCapPerFanout
 	srcGi := ckt.GateIndex(src)
 	newArr := inc.GateArrivalWithCell(srcGi, srcGate.Cell, dLoad)
-	if newArr-inc.Arrival[src] >= inc.Slack[src]-st.opts.Eps {
+	if newArr-inc.Arrival[src] >= inc.Slack[src]-slackEps {
 		return false
 	}
 	return inc.RewirePin(gIdx, pin, src) == nil
-}
-
-// markPair re-arms a parked pair whose eligibility inputs were touched.
-func (st *dscaleState) markPair(gIdx, pin int) {
-	if pi := st.pairIndex[gIdx*maxPins+pin]; pi > 0 {
-		st.pairs[pi-1].dirty = true
-	}
-}
-
-// touchBypassNet re-arms every pair whose check reads net x: pairs whose pin
-// hangs off x when x is a converter output, and — when x feeds converters —
-// the pairs hanging off those converters (x is their source net, whose
-// slack, arrival and load the check consumes).
-func (st *dscaleState) touchBypassNet(x netlist.Signal) {
-	ckt := st.ckt
-	fan := st.inc.Fanouts()
-	if d := ckt.GateOf(x); d != nil && d.IsLC && !d.Dead {
-		for _, cn := range fan.Conns[x] {
-			st.markPair(cn.Gate, cn.Pin)
-		}
-	}
-	for _, cn := range fan.Conns[x] {
-		c := ckt.Gates[cn.Gate]
-		if !c.IsLC || c.Dead {
-			continue
-		}
-		for _, cn2 := range fan.Conns[ckt.GateSignal(cn.Gate)] {
-			st.markPair(cn2.Gate, cn2.Pin)
-		}
-	}
-}
-
-// absorbBypass is absorb plus pair re-arming: for every changed signal s, the
-// pairs reading s directly (as source or converter net) and the pairs whose
-// source gate consumes s (their hypothetical arrival reads s through the
-// source gate's fanin) are marked dirty.
-func (st *dscaleState) absorbBypass() {
-	st.absorb()
-	fan := st.inc.Fanouts()
-	nSig := st.ckt.NumSignals()
-	for _, s := range st.drainBuf {
-		if int(s) >= nSig {
-			continue
-		}
-		st.touchBypassNet(s)
-		for _, cn := range fan.Conns[s] {
-			st.touchBypassNet(st.ckt.GateSignal(cn.Gate))
-		}
-	}
 }

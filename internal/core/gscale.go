@@ -241,7 +241,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 				applied = append(applied, gi)
 			}
 			if len(applied) > 0 {
-				if inc.Meets(opts.Eps) {
+				if inc.Meets(slackEps) {
 					resized = len(applied)
 					for _, gi := range applied {
 						if _, seen := originalCell[gi]; !seen {
@@ -263,7 +263,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 						prev := g.Cell
 						one := inc.Checkpoint()
 						inc.SetCell(gi, next)
-						if !inc.Meets(opts.Eps) {
+						if !inc.Meets(slackEps) {
 							inc.Rollback(one)
 							continue
 						}
@@ -302,7 +302,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		}
 	}
 	// Safety: Gscale must never violate the constraint.
-	if !inc.Meets(opts.Eps) {
+	if !inc.Meets(slackEps) {
 		return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
 	}
 	//lint:nondeterministic-ok commutative counting of resized gates; order-free

@@ -27,15 +27,18 @@ import (
 	"dualvdd/internal/sta"
 )
 
+// slackEps is the timing slack tolerance (ns): a move must leave at least
+// slackEps of slack margin to be accepted, and a run must meet Tspec within
+// it.
+const slackEps = 1e-9
+
 // Options configures the scaling algorithms. The defaults reproduce the
-// paper's evaluation setup.
+// paper's evaluation setup. The slack tolerance is fixed (slackEps), not an
+// option.
 type Options struct {
 	// Tspec is the timing constraint at every primary output (ns). The
 	// paper uses 1.2× the minimum-delay mapping's critical path.
 	Tspec float64
-	// Eps is the timing slack tolerance (ns); a move must leave at least
-	// Eps of slack margin to be accepted.
-	Eps float64
 	// MaxIter is Gscale's bound on consecutive unsuccessful TCB pushes; the
 	// paper uses 10.
 	MaxIter int
@@ -168,7 +171,6 @@ func (o *Options) start(inc *sta.Incremental, ckt *netlist.Circuit) ([]float64, 
 func DefaultOptions(tspec float64) Options {
 	return Options{
 		Tspec:           tspec,
-		Eps:             1e-9,
 		MaxIter:         10,
 		MaxAreaIncrease: 0.10,
 		Fclk:            20e6,

@@ -236,31 +236,6 @@ func (nd *Node) IsConst() (isConst bool, value bool) {
 	return false, false
 }
 
-// TruthTable computes the node's truth table for up to 6 fanins, with fanin 0
-// as the least significant selector bit.
-func (nd *Node) TruthTable() (uint64, error) {
-	k := len(nd.Fanin)
-	if k > 6 {
-		return 0, fmt.Errorf("logic: node %s has %d fanins, truth table limited to 6", nd.Name, k)
-	}
-	in := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		var w uint64
-		for r := 0; r < 64; r++ {
-			if r>>uint(i)&1 == 1 {
-				w |= 1 << uint(r)
-			}
-		}
-		in[i] = w
-	}
-	tt := nd.EvalNode(in)
-	rows := uint(1) << uint(k)
-	if rows < 64 {
-		tt &= (uint64(1) << rows) - 1
-	}
-	return tt, nil
-}
-
 // Eval simulates the network over bit-parallel input words. piWords[i] is the
 // 64-pattern word of PI i. It returns one word per PO and, if wantAll, the
 // word of every signal.

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func TestEvalCube(t *testing.T) {
 
 func TestNodeTruthTable(t *testing.T) {
 	n := xorNet()
-	tt, err := n.Nodes[0].TruthTable()
+	tt, err := truthTable(n.Nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestTruthTableTooWide(t *testing.T) {
 		fanin[i] = n.AddPI(string(rune('a' + i)))
 	}
 	nd := &Node{Name: "wide", Fanin: fanin, Cubes: []Cube{"1111111"}}
-	if _, err := nd.TruthTable(); err == nil {
+	if _, err := truthTable(nd); err == nil {
 		t.Fatal("7-input truth table must error")
 	}
 }
@@ -266,4 +267,29 @@ func TestTopoOrderCycleDetection(t *testing.T) {
 	if _, err := n.TopoOrder(); err == nil {
 		t.Fatal("cycle undetected")
 	}
+}
+
+// truthTable computes nd's truth table for up to 6 fanins, with fanin 0 as
+// the least significant selector bit.
+func truthTable(nd *Node) (uint64, error) {
+	k := len(nd.Fanin)
+	if k > 6 {
+		return 0, fmt.Errorf("logic: node %s has %d fanins, truth table limited to 6", nd.Name, k)
+	}
+	in := make([]uint64, k)
+	for i := 0; i < k; i++ {
+		var w uint64
+		for r := 0; r < 64; r++ {
+			if r>>uint(i)&1 == 1 {
+				w |= 1 << uint(r)
+			}
+		}
+		in[i] = w
+	}
+	tt := nd.EvalNode(in)
+	rows := uint(1) << uint(k)
+	if rows < 64 {
+		tt &= (uint64(1) << rows) - 1
+	}
+	return tt, nil
 }

@@ -9,25 +9,30 @@ import (
 	"dualvdd/internal/sta"
 )
 
-// Options configures the mapping flow.
+const (
+	// nominalLoad (pF) is the load assumed during covering, before real
+	// fanout loads are known.
+	nominalLoad = 0.004
+	// timingEps is the timing comparison tolerance of area recovery (ns).
+	timingEps = 1e-9
+)
+
+// Options configures the mapping flow. The covering load and the timing
+// tolerance are fixed (nominalLoad, timingEps), not options.
 type Options struct {
 	// SlackFactor loosens the timing constraint relative to the minimum
 	// delay mapping; the paper uses 1.2 ("we loosen the timing constraint by
 	// 20%").
 	SlackFactor float64
-	// NominalLoad (pF) is the load assumed during covering, before real
-	// fanout loads are known.
-	NominalLoad float64
 	// AreaRecovery enables the post-mapping downsizing pass that trades the
 	// loosened timing budget for area, like SIS's area-delay tradeoff map.
+	// Turning it off yields the minimum-delay netlist.
 	AreaRecovery bool
-	// Eps is the timing comparison tolerance in ns.
-	Eps float64
 }
 
 // DefaultOptions mirrors the paper's setup.
 func DefaultOptions() Options {
-	return Options{SlackFactor: 1.2, NominalLoad: 0.004, AreaRecovery: true, Eps: 1e-9}
+	return Options{SlackFactor: 1.2, AreaRecovery: true}
 }
 
 // Result is a mapped design ready for the voltage-scaling algorithms.
@@ -73,7 +78,7 @@ func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
 	}
 	cs := &coverState{
 		lib:        lib,
-		nominal:    opts.NominalLoad,
+		nominal:    nominalLoad,
 		isBoundary: boundary,
 		best:       make(map[*sgNode]*matchRec, len(order)),
 		arr:        make(map[*sgNode]float64, len(order)),
@@ -97,7 +102,7 @@ func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
 	// no non-critical part until Gscale manufactures one.)
 	tspec := minDelay
 	if opts.AreaRecovery {
-		if tspec, err = RecoverArea(ckt, lib, minDelay*opts.SlackFactor, opts.Eps); err != nil {
+		if tspec, err = RecoverArea(ckt, lib, minDelay*opts.SlackFactor, timingEps); err != nil {
 			return nil, err
 		}
 	}

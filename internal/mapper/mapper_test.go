@@ -365,11 +365,11 @@ func TestRecoverAreaMatchesFullAnalysis(t *testing.T) {
 		for _, sf := range []float64{1.0, 1.1, 1.2, 1.5} {
 			tspec := res.MinDelay * sf
 			want, got := res.Circuit.Clone(), res.Circuit.Clone()
-			wantArr, err := recoverAreaFull(want, lib, tspec, noRec.Eps)
+			wantArr, err := recoverAreaFull(want, lib, tspec, timingEps)
 			if err != nil {
 				t.Fatalf("seed %d slack %.1f: reference: %v", seed, sf, err)
 			}
-			gotArr, err := RecoverArea(got, lib, tspec, noRec.Eps)
+			gotArr, err := RecoverArea(got, lib, tspec, timingEps)
 			if err != nil {
 				t.Fatalf("seed %d slack %.1f: RecoverArea: %v", seed, sf, err)
 			}

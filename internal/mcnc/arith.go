@@ -229,62 +229,3 @@ func Priority(name string, width, ways int) *logic.Network {
 	n.AddPO("any", orTree(n, "any_", anyGrant))
 	return n
 }
-
-// Decoder builds a k→2^k line decoder with an enable.
-func Decoder(name string, k int) *logic.Network {
-	n := logic.New(name)
-	sel := make([]logic.Signal, k)
-	for i := 0; i < k; i++ {
-		sel[i] = n.AddPI(fmt.Sprintf("s%d", i))
-	}
-	en := n.AddPI("en")
-	fanin := append(append([]logic.Signal(nil), sel...), en)
-	for v := 0; v < 1<<uint(k); v++ {
-		row := make([]byte, k+1)
-		for i := 0; i < k; i++ {
-			if v>>uint(i)&1 == 1 {
-				row[i] = '1'
-			} else {
-				row[i] = '0'
-			}
-		}
-		row[k] = '1'
-		out := n.AddNode(fmt.Sprintf("y%d", v), fanin, []logic.Cube{logic.Cube(row)})
-		n.AddPO(fmt.Sprintf("o%d", v), out)
-	}
-	return n
-}
-
-// Comparator builds an n-bit magnitude comparator (eq/gt/lt outputs).
-func Comparator(name string, bits int) *logic.Network {
-	n := logic.New(name)
-	a := make([]logic.Signal, bits)
-	b := make([]logic.Signal, bits)
-	for i := 0; i < bits; i++ {
-		a[i] = n.AddPI(fmt.Sprintf("a%d", i))
-	}
-	for i := 0; i < bits; i++ {
-		b[i] = n.AddPI(fmt.Sprintf("b%d", i))
-	}
-	// MSB-first ripple: eq chain and gt accumulation.
-	var eqChain, gt logic.Signal = logic.None, logic.None
-	for i := bits - 1; i >= 0; i-- {
-		eq := n.AddNode(fmt.Sprintf("eq%d", i), []logic.Signal{a[i], b[i]},
-			[]logic.Cube{"11", "00"})
-		gti := n.AddNode(fmt.Sprintf("gtb%d", i), []logic.Signal{a[i], b[i]},
-			[]logic.Cube{"10"})
-		if eqChain == logic.None {
-			eqChain, gt = eq, gti
-			continue
-		}
-		gt = n.AddNode(fmt.Sprintf("gt%d", i), []logic.Signal{gt, eqChain, gti},
-			[]logic.Cube{"1--", "-11"})
-		eqChain = n.AddNode(fmt.Sprintf("eqc%d", i), []logic.Signal{eqChain, eq},
-			[]logic.Cube{"11"})
-	}
-	lt := n.AddNode("lt", []logic.Signal{eqChain, gt}, []logic.Cube{"00"})
-	n.AddPO("eq", eqChain)
-	n.AddPO("gt", gt)
-	n.AddPO("lt", lt)
-	return n
-}

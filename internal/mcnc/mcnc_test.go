@@ -1,6 +1,7 @@
 package mcnc
 
 import (
+	"fmt"
 	"testing"
 
 	"dualvdd/internal/logic"
@@ -178,7 +179,7 @@ func TestPriorityGrantsHighest(t *testing.T) {
 }
 
 func TestComparatorOrdering(t *testing.T) {
-	n := Comparator("c", 4)
+	n := comparator("c", 4)
 	eval := func(a, b uint64) (eq, gt, lt uint64) {
 		words := make([]uint64, 8)
 		for i := 0; i < 4; i++ {
@@ -205,7 +206,7 @@ func TestComparatorOrdering(t *testing.T) {
 }
 
 func TestDecoderOneHot(t *testing.T) {
-	n := Decoder("d", 3)
+	n := decoder("d", 3)
 	words := make([]uint64, len(n.PIs))
 	words[1] = 1 // s1 -> value 2
 	words[3] = 1 // enable
@@ -260,4 +261,63 @@ func TestXorTreeHelperBalanced(t *testing.T) {
 	if po[0]&1 != 1 {
 		t.Fatal("single one must give odd parity")
 	}
+}
+
+// decoder builds a k→2^k line decoder with an enable.
+func decoder(name string, k int) *logic.Network {
+	n := logic.New(name)
+	sel := make([]logic.Signal, k)
+	for i := 0; i < k; i++ {
+		sel[i] = n.AddPI(fmt.Sprintf("s%d", i))
+	}
+	en := n.AddPI("en")
+	fanin := append(append([]logic.Signal(nil), sel...), en)
+	for v := 0; v < 1<<uint(k); v++ {
+		row := make([]byte, k+1)
+		for i := 0; i < k; i++ {
+			if v>>uint(i)&1 == 1 {
+				row[i] = '1'
+			} else {
+				row[i] = '0'
+			}
+		}
+		row[k] = '1'
+		out := n.AddNode(fmt.Sprintf("y%d", v), fanin, []logic.Cube{logic.Cube(row)})
+		n.AddPO(fmt.Sprintf("o%d", v), out)
+	}
+	return n
+}
+
+// comparator builds an n-bit magnitude comparator (eq/gt/lt outputs).
+func comparator(name string, bits int) *logic.Network {
+	n := logic.New(name)
+	a := make([]logic.Signal, bits)
+	b := make([]logic.Signal, bits)
+	for i := 0; i < bits; i++ {
+		a[i] = n.AddPI(fmt.Sprintf("a%d", i))
+	}
+	for i := 0; i < bits; i++ {
+		b[i] = n.AddPI(fmt.Sprintf("b%d", i))
+	}
+	// MSB-first ripple: eq chain and gt accumulation.
+	var eqChain, gt logic.Signal = logic.None, logic.None
+	for i := bits - 1; i >= 0; i-- {
+		eq := n.AddNode(fmt.Sprintf("eq%d", i), []logic.Signal{a[i], b[i]},
+			[]logic.Cube{"11", "00"})
+		gti := n.AddNode(fmt.Sprintf("gtb%d", i), []logic.Signal{a[i], b[i]},
+			[]logic.Cube{"10"})
+		if eqChain == logic.None {
+			eqChain, gt = eq, gti
+			continue
+		}
+		gt = n.AddNode(fmt.Sprintf("gt%d", i), []logic.Signal{gt, eqChain, gti},
+			[]logic.Cube{"1--", "-11"})
+		eqChain = n.AddNode(fmt.Sprintf("eqc%d", i), []logic.Signal{eqChain, eq},
+			[]logic.Cube{"11"})
+	}
+	lt := n.AddNode("lt", []logic.Signal{eqChain, gt}, []logic.Cube{"00"})
+	n.AddPO("eq", eqChain)
+	n.AddPO("gt", gt)
+	n.AddPO("lt", lt)
+	return n
 }

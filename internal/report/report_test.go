@@ -129,13 +129,13 @@ func tablePoint(i int, name string, orgPower float64, results ...*dualvdd.FlowRe
 
 func TestTableRows(t *testing.T) {
 	cvs := &dualvdd.FlowResult{Algorithm: "CVS", ImprovePct: 15.25, Gates: 157, LowGates: 105,
-		LowRatio: 0.67, Runtime: 10 * time.Millisecond, SimTime: time.Millisecond}
+		LowRatio: 0.67, Runtime: 10 * time.Millisecond}
 	ds := &dualvdd.FlowResult{Algorithm: "Dscale", ImprovePct: 17.5, Gates: 157, LowGates: 111,
 		LowRatio: 0.71, LCs: 2, STAEvals: 1365, CandEvals: 420,
-		Runtime: 250 * time.Millisecond, SimTime: 2 * time.Millisecond}
+		Runtime: 250 * time.Millisecond}
 	gs := &dualvdd.FlowResult{Algorithm: "Gscale", ImprovePct: 22.75, Gates: 157, LowGates: 148,
 		LowRatio: 0.94, Sized: 18, AreaIncrease: 0.095, STAEvals: 3608,
-		Runtime: 1500 * time.Millisecond, SimTime: 4 * time.Millisecond}
+		Runtime: 1500 * time.Millisecond}
 	c880 := tablePoint(0, "C880", 80.12e-6, cvs, ds, gs)
 	// Results are looked up by algorithm, not by position.
 	mux := tablePoint(1, "mux", 18.5e-6, gs, cvs, ds)
@@ -147,7 +147,7 @@ func TestTableRows(t *testing.T) {
 	row := func(name string, orgPower float64) Row {
 		return Row{
 			Name: name, OrgPwrUW: orgPower * 1e6, CVSPct: 15.25, DscalePct: 17.5, GscalePct: 22.75,
-			CPUSec: 1.5, CVSSec: 0.01, DscaleSec: 0.25, SimSec: (7 * time.Millisecond).Seconds(),
+			CPUSec: 1.5, CVSSec: 0.01, DscaleSec: 0.25,
 			DscaleEvals: 1365, GscaleEvals: 3608, DscaleCandEvals: 420,
 			OrgGates: 157, CVSLow: 105, CVSRatio: 0.67, DscaleLow: 111, DscaleRatio: 0.71,
 			GscaleLow: 148, GscRatio: 0.94, Sized: 18, AreaInc: 0.095, DscaleLCs: 2,

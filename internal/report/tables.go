@@ -22,9 +22,6 @@ type Row struct {
 	// Per-algorithm wall-clock seconds, so scaling-loop speedups are
 	// visible per table row in benchmark output.
 	CVSSec, DscaleSec float64
-	// SimSec is the wall clock the three runs spent in logic simulation
-	// (activity estimation plus final power measurement).
-	SimSec float64
 	// Incremental-STA gate evaluations spent by Dscale and Gscale.
 	DscaleEvals, GscaleEvals int64
 	// DscaleCandEvals counts Dscale candidate-cache re-evaluations; the
@@ -69,7 +66,6 @@ func TableRows(results []dualvdd.SweepPointResult) ([]Row, error) {
 			CPUSec:          gs.Runtime.Seconds(),
 			CVSSec:          cvs.Runtime.Seconds(),
 			DscaleSec:       ds.Runtime.Seconds(),
-			SimSec:          (cvs.SimTime + ds.SimTime + gs.SimTime).Seconds(),
 			DscaleEvals:     ds.STAEvals,
 			GscaleEvals:     gs.STAEvals,
 			DscaleCandEvals: ds.CandEvals,

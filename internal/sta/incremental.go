@@ -60,8 +60,8 @@ type Incremental struct {
 	// changed is the change journal: every signal whose annotation values,
 	// consumer set or driver attributes (voltage, cell, liveness) changed
 	// since the last DrainChanged, deduplicated via inChg. Incremental
-	// consumers (Dscale's candidate cache, its bypass worklist, the running
-	// power total) key their invalidation off it.
+	// consumers (Dscale's candidate cache and its running power total) key
+	// their invalidation off it.
 	changed []netlist.Signal
 	inChg   []bool
 }

@@ -282,7 +282,6 @@ func mergeDefaults(base Config) Config {
 type sweepRun struct {
 	inFlight int
 	obs      Observer
-	forward  bool
 }
 
 // SweepOption configures Sweep.Run.
@@ -308,15 +307,6 @@ func SweepInFlight(n int) SweepOption {
 // contract Batch observers carry.
 func SweepObserver(obs Observer) SweepOption {
 	return func(r *sweepRun) { r.obs = obs }
-}
-
-// SweepJobEvents additionally forwards every per-job progress event
-// (EventMapped, EventMove, EventRoundDone, EventResult) from the runner's
-// Watch stream to the sweep observer, interleaved across in-flight points.
-// Over a client.Client this streams each job's SSE feed — the same envelopes
-// a -progress log carries. Without an observer the option is inert.
-func SweepJobEvents(on bool) SweepOption {
-	return func(r *sweepRun) { r.forward = on }
 }
 
 // Run expands the sweep and executes every point through the runner,
@@ -356,7 +346,7 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 			if failedMin.Load() < int64(i) {
 				return nil // a lower-index point failed: skip the rest
 			}
-			st, err := runSweepPoint(ctx, r, points[i], run)
+			st, err := runSweepPoint(ctx, r, points[i])
 			if err != nil {
 				errs[i] = err
 				lowerTo(&failedMin, i)
@@ -442,15 +432,10 @@ func sweepChains(points []SweepPoint, slots int) [][]int {
 	return chains
 }
 
-// sweepDrainTimeout bounds how long a completed point waits for the tail of
-// its forwarded Watch stream before cutting it. Package variable so the
-// stalled-stream regression test can shrink it.
-var sweepDrainTimeout = 2 * time.Second
-
 // runSweepPoint submits one point and waits for its terminal status,
 // retrying a momentarily full queue and cancelling the job if ctx ends
 // first.
-func runSweepPoint(ctx context.Context, r Runner, pt SweepPoint, run sweepRun) (*JobStatus, error) {
+func runSweepPoint(ctx context.Context, r Runner, pt SweepPoint) (*JobStatus, error) {
 	var id JobID
 	for {
 		var err error
@@ -468,40 +453,6 @@ func runSweepPoint(ctx context.Context, r Runner, pt SweepPoint, run sweepRun) (
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	// Forward the job's own progress stream when asked. On a terminal job
-	// the runner closes the channel and the full tail is forwarded; when
-	// Result fails the job may never turn terminal, so the stream is cut
-	// instead of hanging the sweep on its drain.
-	watchDone := func(bool) {}
-	if run.obs != nil && run.forward {
-		wctx, wcancel := context.WithCancel(ctx)
-		if events, werr := r.Watch(wctx, id); werr == nil {
-			fwd := make(chan struct{})
-			go func() {
-				defer close(fwd)
-				for ev := range events {
-					run.obs.emit(ev)
-				}
-			}()
-			watchDone = func(jobTerminal bool) {
-				if jobTerminal {
-					// The runner owes us a closed channel now, but a stalled
-					// or severed stream (a remote transport mid-failover, a
-					// misbehaving Runner) would otherwise hang the whole
-					// sweep on this drain — bound it, then cut the stream.
-					select {
-					case <-fwd:
-						//lint:wallclock-ok bounded watch-drain; liveness guard, never in results
-					case <-time.After(sweepDrainTimeout):
-					}
-				}
-				wcancel()
-				<-fwd
-			}
-		} else {
-			wcancel()
-		}
-	}
 	st, err := r.Result(ctx, id)
 	if err != nil {
 		// Best-effort cancel so an abandoned sweep does not leave the runner
@@ -511,10 +462,8 @@ func runSweepPoint(ctx context.Context, r Runner, pt SweepPoint, run sweepRun) (
 		cctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		_ = r.Cancel(cctx, id)
 		cancel()
-		watchDone(false)
 		return nil, err
 	}
-	watchDone(true)
 	switch st.State {
 	case JobDone:
 		return st, nil

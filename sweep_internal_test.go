@@ -6,90 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// stalledRunner is a Runner whose Watch stream honors cancellation but never
-// reaches the terminal close a well-behaved runner owes: the shape of a
-// remote transport stuck mid-failover. Jobs themselves complete instantly.
-type stalledRunner struct {
-	submits atomic.Int64
-	cancels atomic.Int64
-}
-
-func (r *stalledRunner) Submit(ctx context.Context, job Job) (JobID, error) {
-	if err := job.Validate(); err != nil {
-		return "", err
-	}
-	return JobID(fmt.Sprintf("stall-%d", r.submits.Add(1))), nil
-}
-
-func (r *stalledRunner) Status(ctx context.Context, id JobID) (*JobStatus, error) {
-	return &JobStatus{ID: id, State: JobDone}, nil
-}
-
-func (r *stalledRunner) Result(ctx context.Context, id JobID) (*JobStatus, error) {
-	return &JobStatus{ID: id, State: JobDone}, nil
-}
-
-// Watch never sends and never closes on its own — only a done ctx ends it.
-func (r *stalledRunner) Watch(ctx context.Context, id JobID) (<-chan Event, error) {
-	out := make(chan Event)
-	go func() {
-		<-ctx.Done()
-		close(out)
-	}()
-	return out, nil
-}
-
-func (r *stalledRunner) Cancel(ctx context.Context, id JobID) error {
-	r.cancels.Add(1)
-	return nil
-}
-
-// TestSweepSurvivesStalledWatchStream pins the drain bound in runSweepPoint:
-// a point whose forwarded Watch stream never closes must not hang the sweep —
-// after sweepDrainTimeout the stream is cut and the point completes on its
-// Result alone.
-func TestSweepSurvivesStalledWatchStream(t *testing.T) {
-	old := sweepDrainTimeout
-	sweepDrainTimeout = 50 * time.Millisecond
-	defer func() { sweepDrainTimeout = old }()
-
-	s := Sweep{
-		Circuits: SweepBenchmarks("rot"),
-		Axes:     Axes{VDDL: []float64{3.3, 4.3}},
-	}
-	r := &stalledRunner{}
-	type outcome struct {
-		results []SweepPointResult
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.Run(context.Background(), r,
-			SweepObserver(func(Event) {}), SweepJobEvents(true))
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		if out.err != nil {
-			t.Fatalf("sweep failed: %v", out.err)
-		}
-		if len(out.results) != 2 {
-			t.Fatalf("got %d results, want 2", len(out.results))
-		}
-		for i, pr := range out.results {
-			if pr.Status == nil || pr.Status.State != JobDone {
-				t.Fatalf("point %d not done: %+v", i, pr.Status)
-			}
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sweep hung on a stalled Watch stream")
-	}
-}
 
 // TestMergeDefaults pins the field-wise default rule that replaced the old
 // all-or-nothing one: every zero field of a sweep Base inherits the paper's

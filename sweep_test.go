@@ -377,32 +377,6 @@ func TestSweepSecondRunServedFromCache(t *testing.T) {
 	}
 }
 
-func TestSweepJobEventForwarding(t *testing.T) {
-	ctx := context.Background()
-	l := dualvdd.NewLocal()
-	defer mustClose(t, l)
-	s := dualvdd.Sweep{
-		Circuits:   dualvdd.SweepBenchmarks("x2"),
-		Algorithms: []dualvdd.Algorithm{dualvdd.AlgoCVS},
-	}
-	counts := map[string]int{}
-	var mu sync.Mutex
-	if _, err := s.Run(ctx, l,
-		dualvdd.SweepObserver(func(ev dualvdd.Event) {
-			mu.Lock()
-			counts[dualvdd.EventKind(ev)]++
-			mu.Unlock()
-		}),
-		dualvdd.SweepJobEvents(true),
-	); err != nil {
-		t.Fatal(err)
-	}
-	if counts[dualvdd.EventKindMapped] != 1 || counts[dualvdd.EventKindResult] != 1 ||
-		counts[dualvdd.EventKindSweepPoint] != 1 || counts[dualvdd.EventKindSweepDone] != 1 {
-		t.Fatalf("forwarded event counts: %v", counts)
-	}
-}
-
 func TestSweepCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
