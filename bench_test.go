@@ -330,6 +330,30 @@ func BenchmarkWarmRunAt(b *testing.B) {
 	}
 }
 
+// BenchmarkJobKey times a job's two addresses, each from scratch: Key and
+// GroupKey validate the job, build its circuit (the MCNC generator here),
+// write its canonical BLIF and hash it. z4ml and C880 bracket the service
+// mix; des is the largest circuit. Run with -benchmem: the allocations are
+// the network and the canonical bytes.
+func BenchmarkJobKey(b *testing.B) {
+	for _, name := range []string{"z4ml", "C880", "des"} {
+		job := dualvdd.BenchmarkJob(name)
+		for _, addr := range []struct {
+			name string
+			fn   func() (string, error)
+		}{{"Key", job.Key}, {"GroupKey", job.GroupKey}} {
+			b.Run(name+"/"+addr.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := addr.fn(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSubstrates times the building blocks in isolation so regressions
 // in the underlying engines are visible independently of the full flow.
 func BenchmarkSubstrates(b *testing.B) {

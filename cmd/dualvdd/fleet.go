@@ -1,15 +1,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"dualvdd"
@@ -125,35 +119,5 @@ func runFleet(args []string) {
 		fatal(err)
 	}
 	api := server.New(co, server.WithRequestTimeout(*requestTimeout))
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("dualvdd: fleet of %d workers serving on http://%s\n", len(workers), ln.Addr())
-
-	// No WriteTimeout, as in runServe: SSE streams apply their own per-write
-	// deadlines.
-	httpSrv := &http.Server{Handler: api, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "dualvdd: %v — draining\n", sig)
-	case err := <-errc:
-		fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := co.Close(ctx)
-	_ = httpSrv.Shutdown(ctx)
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "dualvdd: drain expired, jobs cancelled: %v\n", drainErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "dualvdd: drained")
+	serveHTTP(*listen, fmt.Sprintf("fleet of %d workers ", len(workers)), api, co.Close, *drainTimeout)
 }

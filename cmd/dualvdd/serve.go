@@ -44,12 +44,20 @@ func runServe(args []string) {
 	}
 	local := dualvdd.NewLocal(lopts...)
 	api := server.New(local, server.WithRequestTimeout(*requestTimeout))
+	serveHTTP(*listen, "", api, local.Close, *drainTimeout)
+}
 
-	ln, err := net.Listen("tcp", *listen)
+// serveHTTP is what serve and fleet share: it listens on addr, prints the
+// bound address (what names the service, if anything, goes before "serving
+// on"), serves api until SIGINT/SIGTERM, then drains the runner through
+// drain within drainTimeout and shuts the HTTP server down. An expired drain
+// exits 1.
+func serveHTTP(addr, what string, api http.Handler, drain func(context.Context) error, drainTimeout time.Duration) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("dualvdd: serving on http://%s\n", ln.Addr())
+	fmt.Printf("dualvdd: %sserving on http://%s\n", what, ln.Addr())
 
 	// No WriteTimeout: it would cut long SSE streams; the server applies
 	// per-write deadlines to those itself.
@@ -66,7 +74,7 @@ func runServe(args []string) {
 		fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	// Drain the job service first: queued and running jobs complete (new
 	// submissions 503 with ErrClosed meanwhile), which also ends their SSE
@@ -74,7 +82,7 @@ func runServe(args []string) {
 	// the transport can only close after the jobs do. If the grace period
 	// expires, remaining jobs are cancelled and we exit without waiting on
 	// lingering connections.
-	drainErr := local.Close(ctx)
+	drainErr := drain(ctx)
 	_ = httpSrv.Shutdown(ctx)
 	if drainErr != nil {
 		fmt.Fprintf(os.Stderr, "dualvdd: drain expired, jobs cancelled: %v\n", drainErr)

@@ -403,7 +403,7 @@ func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cr
 // coreOptions converts the config for internal/core: a run under ctx,
 // reporting to obs, over the design's activity table.
 func (d *Design) coreOptions(ctx context.Context, obs Observer) core.Options {
-	o := core.DefaultOptions(d.Tspec)
+	o := core.DefaultOptions()
 	o.MaxIter = d.cfg.MaxIter
 	o.MaxAreaIncrease = d.cfg.MaxAreaIncrease
 	o.Fclk = d.cfg.Fclk

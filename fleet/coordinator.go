@@ -420,12 +420,7 @@ func failed(msg string) dualvdd.Outcome {
 func (c *Coordinator) drive(j *dualvdd.JobEntry) {
 	defer c.wg.Done()
 	ctx := j.Context()
-	// Placement is hashed only now: a cache hit never needs one.
-	group, err := j.GroupKey()
-	if err != nil {
-		c.table.Finish(j, failed(err.Error())) // no-op once a Cancel retired it
-		return
-	}
+	group := j.Group()
 	tried := map[string]bool{}
 	lastErr := errors.New("no live workers")
 	var patience time.Time // zero until the first no-worker moment
@@ -642,19 +637,6 @@ func (c *Coordinator) Metrics() dualvdd.Metrics {
 		}
 	}
 	return m
-}
-
-// Workers reports the registered worker URLs and their current liveness
-// (breaker closed).
-func (c *Coordinator) Workers() map[string]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]bool, len(c.workers))
-	//lint:nondeterministic-ok map-to-map projection; result is order-free
-	for name, w := range c.workers {
-		out[name] = w.state == breakerClosed
-	}
-	return out
 }
 
 // Close stops admission and the health loop, then waits for in-flight

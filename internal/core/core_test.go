@@ -63,11 +63,11 @@ var (
 )
 
 // runFresh runs algo on c the way a cold run does: on a fresh incremental
-// engine, weighting with the activity table of a words×64-vector simulation
-// of c at seed 1.
-func runFresh(t *testing.T, algo entryPoint, c *netlist.Circuit, opts Options, words int) (*Result, error) {
+// engine under tspec, weighting with the activity table of a words×64-vector
+// simulation of c at seed 1.
+func runFresh(t *testing.T, algo entryPoint, c *netlist.Circuit, tspec float64, opts Options, words int) (*Result, error) {
 	t.Helper()
-	inc, err := sta.NewIncremental(c, lib, opts.Tspec)
+	inc, err := sta.NewIncremental(c, lib, tspec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func tspecOf(t *testing.T, c *netlist.Circuit) float64 {
 func TestCVSLowersSlackSideOnly(t *testing.T) {
 	c := buildChainTree(10)
 	tspec := tspecOf(t, c)
-	res, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1)
+	res, err := runFresh(t, runCVS, c, tspec, DefaultOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCVSClusterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randomCircuit(rng, 8, 120)
 	tspec := 1.08 * tspecOf(t, c) // give it some uniform slack to work with
-	if _, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1); err != nil {
+	if _, err := runFresh(t, runCVS, c, tspec, DefaultOptions(), 1); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterInvariant(t, c)
@@ -196,9 +196,9 @@ func TestDscaleInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng, 10, 150)
 		tspec := 1.1 * tspecOf(t, c)
-		opts := DefaultOptions(tspec)
+		opts := DefaultOptions()
 		before := measurePower(t, c, opts, 32)
-		res, err := runFresh(t, runDscale, c, opts, 32)
+		res, err := runFresh(t, runDscale, c, tspec, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -277,11 +277,11 @@ func TestDscaleBeatsOrEqualsCVS(t *testing.T) {
 		c1 := randomCircuit(rng, 9, 140)
 		c2 := c1.Clone()
 		tspec := 1.1 * tspecOf(t, c1)
-		opts := DefaultOptions(tspec)
-		if _, err := runFresh(t, runCVS, c1, opts, 32); err != nil {
+		opts := DefaultOptions()
+		if _, err := runFresh(t, runCVS, c1, tspec, opts, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runFresh(t, runDscale, c2, opts, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c2, tspec, opts, 32); err != nil {
 			t.Fatal(err)
 		}
 		pCVS := measurePower(t, c1, opts, 32)
@@ -322,8 +322,8 @@ func TestGscaleInvariants(t *testing.T) {
 		c := randomCircuit(rng, 10, 150)
 		tspec := tspecOf(t, c) // zero slack: Gscale must create its own
 		areaBefore := c.Area()
-		opts := DefaultOptions(tspec)
-		res, err := runFresh(t, runGscale, c, opts, 32)
+		opts := DefaultOptions()
+		res, err := runFresh(t, runGscale, c, tspec, opts, 32)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -364,15 +364,15 @@ func TestGscaleCreatesSlackOnBalancedTree(t *testing.T) {
 	c.AddPO("parity", layer[0])
 	tspec := tspecOf(t, c)
 
-	opts := DefaultOptions(tspec)
-	r1, err := runFresh(t, runCVS, c.Clone(), opts, 1)
+	opts := DefaultOptions()
+	r1, err := runFresh(t, runCVS, c.Clone(), tspec, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Lowered != 0 {
 		t.Fatalf("balanced tree: CVS lowered %d gates, want 0", r1.Lowered)
 	}
-	res, err := runFresh(t, runGscale, c, opts, 32)
+	res, err := runFresh(t, runGscale, c, tspec, opts, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,10 +386,10 @@ func TestGscaleRespectsTinyAreaBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCircuit(rng, 8, 100)
 	tspec := tspecOf(t, c)
-	opts := DefaultOptions(tspec)
+	opts := DefaultOptions()
 	opts.MaxAreaIncrease = 0.005 // nearly nothing
 	areaBefore := c.Area()
-	if _, err := runFresh(t, runGscale, c, opts, 32); err != nil {
+	if _, err := runFresh(t, runGscale, c, tspec, opts, 32); err != nil {
 		t.Fatal(err)
 	}
 	if grow := c.Area()/areaBefore - 1; grow > 0.005+1e-9 {
@@ -400,9 +400,9 @@ func TestGscaleRespectsTinyAreaBudget(t *testing.T) {
 func TestGscaleMaxIterZeroStillRunsCVS(t *testing.T) {
 	c := buildChainTree(10)
 	tspec := tspecOf(t, c)
-	opts := DefaultOptions(tspec)
+	opts := DefaultOptions()
 	opts.MaxIter = 0
-	res, err := runFresh(t, runGscale, c, opts, 16)
+	res, err := runFresh(t, runGscale, c, tspec, opts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestApplyLowInsertsSharedConverter(t *testing.T) {
 	}
 	act := make([]float64, c.NumSignals())
 	act[int(s)] = 0.25
-	opts := DefaultOptions(100)
+	opts := DefaultOptions()
 	st := newDscaleState(c, lib, inc, &opts, act)
 	if err := st.applyLow(0); err != nil {
 		t.Fatal(err)
@@ -496,13 +496,13 @@ func TestGreedySelectNeverBeatsMWIS(t *testing.T) {
 		c1 := randomCircuit(rng, 9, 130)
 		c2 := c1.Clone()
 		tspec := 1.1 * tspecOf(t, c1)
-		optsM := DefaultOptions(tspec)
+		optsM := DefaultOptions()
 		optsG := optsM
 		optsG.GreedySelect = true
-		if _, err := runFresh(t, runDscale, c1, optsM, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c1, tspec, optsM, 32); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runFresh(t, runDscale, c2, optsG, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c2, tspec, optsG, 32); err != nil {
 			t.Fatal(err)
 		}
 		pM := measurePower(t, c1, optsM, 32)
@@ -523,15 +523,15 @@ func TestAlgorithmsSelfCheckAgainstFullSTA(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 300))
 		c := randomCircuit(rng, 9, 120)
 		tspec := 1.1 * tspecOf(t, c)
-		opts := DefaultOptions(tspec)
+		opts := DefaultOptions()
 		opts.SelfCheck = true
-		if _, err := runFresh(t, runDscale, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runDscale, c.Clone(), tspec, opts, 32); err != nil {
 			t.Fatalf("seed %d: Dscale self-check: %v", seed, err)
 		}
-		if _, err := runFresh(t, runGscale, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runGscale, c.Clone(), tspec, opts, 32); err != nil {
 			t.Fatalf("seed %d: Gscale self-check: %v", seed, err)
 		}
-		if _, err := runFresh(t, runCVS, c.Clone(), opts, 32); err != nil {
+		if _, err := runFresh(t, runCVS, c.Clone(), tspec, opts, 32); err != nil {
 			t.Fatalf("seed %d: CVS self-check: %v", seed, err)
 		}
 	}
@@ -545,15 +545,15 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	c := randomCircuit(rng, 10, 160)
 	tspec := 1.1 * tspecOf(t, c)
-	opts := DefaultOptions(tspec)
+	opts := DefaultOptions()
 	run := func(algo entryPoint) (Result, Result) {
-		a, err := runFresh(t, algo, c.Clone(), opts, 32)
+		a, err := runFresh(t, algo, c.Clone(), tspec, opts, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := opts
 		chk.SelfCheck = true
-		b, err := runFresh(t, algo, c.Clone(), chk, 32)
+		b, err := runFresh(t, algo, c.Clone(), tspec, chk, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +585,7 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mres.Circuit
-	opts := DefaultOptions(mres.Tspec)
+	opts := DefaultOptions()
 	names := []string{"Gscale", "CVS", "Dscale", "Dscale"}
 	var events []Event
 	opts.Observer = func(ev Event) { events = append(events, ev) }
@@ -594,7 +594,7 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	var wantEvents [][]Event
 	for _, name := range names {
 		events = nil
-		res, err := runFresh(t, runAlone(name), c.Clone(), opts, 32)
+		res, err := runFresh(t, runAlone(name), c.Clone(), mres.Tspec, opts, 32)
 		if err != nil {
 			t.Fatalf("%s alone: %v", name, err)
 		}
@@ -606,7 +606,7 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	}
 
 	shared := c.Clone()
-	inc, err := sta.NewIncremental(shared, lib, opts.Tspec)
+	inc, err := sta.NewIncremental(shared, lib, mres.Tspec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,11 +667,12 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 // not an index panic inside the run.
 func TestActivityTableMustCoverSignals(t *testing.T) {
 	c := buildChainTree(6)
-	opts := DefaultOptions(tspecOf(t, c))
+	tspec := tspecOf(t, c)
+	opts := DefaultOptions()
 	n := c.NumSignals()
 	for name, algo := range map[string]entryPoint{"CVS": runCVS, "Dscale": runDscale, "Gscale": runGscale} {
 		for _, act := range [][]float64{nil, make([]float64, n-1), make([]float64, n+1)} {
-			inc, err := sta.NewIncremental(c, lib, opts.Tspec)
+			inc, err := sta.NewIncremental(c, lib, tspec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -689,7 +690,7 @@ func TestTCBDefinition(t *testing.T) {
 	// low-voltage fanout (or drives the boundary). Verify on the chain-tree.
 	c := buildChainTree(6)
 	tspec := tspecOf(t, c)
-	res, err := runFresh(t, runCVS, c, DefaultOptions(tspec), 1)
+	res, err := runFresh(t, runCVS, c, tspec, DefaultOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,9 +731,9 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := DefaultOptions(mres.Tspec)
+			opts := DefaultOptions()
 			opts.SelfCheck = true
-			res, err := runFresh(t, runDscale, mres.Circuit, opts, 64)
+			res, err := runFresh(t, runDscale, mres.Circuit, mres.Tspec, opts, 64)
 			if err != nil {
 				t.Fatalf("Dscale self-check on %s: %v", name, err)
 			}
@@ -777,7 +778,7 @@ func TestDscaleBypassFixpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := DefaultOptions(mres.Tspec)
+			opts := DefaultOptions()
 			opts.Activities = sr.Act
 			res, err := runDscale(inc, c, l, opts)
 			if err != nil {
@@ -827,7 +828,7 @@ func TestDscaleInnerLoopAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(tspec)
+	opts := DefaultOptions()
 	act := make([]float64, c.NumSignals())
 	for i := range act {
 		act[i] = 0.25
@@ -885,7 +886,7 @@ func TestDscaleCandidateEvalsDropOnLargeCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runFresh(t, runDscale, mres.Circuit, DefaultOptions(mres.Tspec), 256)
+			res, err := runFresh(t, runDscale, mres.Circuit, mres.Tspec, DefaultOptions(), 256)
 			if err != nil {
 				t.Fatal(err)
 			}

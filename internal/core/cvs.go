@@ -58,8 +58,7 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 			continue
 		}
 		for g.Volt < deepest {
-			eligible, _ := lowEligible(ckt, fan, gi, g.Volt+1)
-			if !eligible {
+			if !lowEligible(ckt, fan, gi, g.Volt+1) {
 				break
 			}
 			out := ckt.GateSignal(gi)

@@ -138,8 +138,8 @@ type dscaleState struct {
 	weight   []int64
 	weighted []int
 
-	// Running total power (the livePower quantity) maintained per refresh
-	// from per-gate contributions, instead of an O(gates) rescan per
+	// Running total power (switching + internal + LC static) maintained per
+	// refresh from per-gate contributions, instead of an O(gates) rescan per
 	// observer round event.
 	powerTotal float64
 	contrib    []float64
@@ -163,7 +163,7 @@ type dscaleState struct {
 // newDscaleState builds the working set from the post-CVS circuit: full
 // candidate invalidation (round one evaluates every gate, like the rescan
 // loop did), the complete succ adjacency, and the initial power total summed
-// in gate order — the same order livePower uses.
+// in gate order — the same order verify's fresh sum uses.
 func newDscaleState(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental,
 	opts *Options, act []float64) *dscaleState {
 	st := &dscaleState{ckt: ckt, lib: lib, inc: inc, opts: opts, act: act}
@@ -199,7 +199,7 @@ func (st *dscaleState) grow() {
 	}
 }
 
-// gateContrib is gate gi's share of the livePower total under the current
+// gateContrib is gate gi's share of the running power total under the current
 // annotation: switching power of its output net plus internal power, plus the
 // converter static power for LCs. Dead gates contribute nothing.
 func (st *dscaleState) gateContrib(gi int) float64 {
@@ -430,7 +430,7 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		// update_timing plus a safety net: the per-candidate check is
 		// conservative, so the constraint must still hold.
 		if !inc.Meets(slackEps) {
-			return nil, fmt.Errorf("core: Dscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
+			return nil, fmt.Errorf("core: Dscale violated timing (%.6f > %.6f)", inc.WorstArrival(), inc.Tspec())
 		}
 		if opts.Observer != nil {
 			opts.emit(Event{
@@ -448,27 +448,6 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	res.CandEvals = st.candEvals
 	res.Act = st.act
 	return res, nil
-}
-
-// livePower sums the current total power (switching + internal + LC static)
-// from the engine's live load annotation and the run's activity table — the
-// same quantity power.Estimate reports, without rebuilding fanouts. The loop
-// maintains it as a running total (dscaleState.powerTotal); this full sum
-// remains as the oracle verify() compares against.
-func livePower(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, act []float64, fclk float64) float64 {
-	total := 0.0
-	for gi, g := range ckt.Gates {
-		if g.Dead {
-			continue
-		}
-		out := ckt.GateSignal(gi)
-		vdd := lib.VddOf(g.Volt)
-		total += power.Switch(act[out], fclk, inc.Load[out]+g.Cell.InternalCap, vdd)
-		if g.IsLC {
-			total += lib.LCStaticPowerFor(g.Cell)
-		}
-	}
-	return total
 }
 
 // greedyIndependent picks candidates highest-gain-first (ties broken by gate

@@ -303,7 +303,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	}
 	// Safety: Gscale must never violate the constraint.
 	if !inc.Meets(slackEps) {
-		return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), opts.Tspec)
+		return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), inc.Tspec())
 	}
 	//lint:nondeterministic-ok commutative counting of resized gates; order-free
 	for gi, orig := range originalCell {

@@ -36,9 +36,6 @@ const slackEps = 1e-9
 // paper's evaluation setup. The slack tolerance is fixed (slackEps), not an
 // option.
 type Options struct {
-	// Tspec is the timing constraint at every primary output (ns). The
-	// paper uses 1.2× the minimum-delay mapping's critical path.
-	Tspec float64
 	// MaxIter is Gscale's bound on consecutive unsuccessful TCB pushes; the
 	// paper uses 10.
 	MaxIter int
@@ -166,11 +163,10 @@ func (o *Options) start(inc *sta.Incremental, ckt *netlist.Circuit) ([]float64, 
 	return o.Activities[:n:n], nil
 }
 
-// DefaultOptions returns the paper's parameters (Tspec must still be set by
-// the caller, normally from the mapper's Result).
-func DefaultOptions(tspec float64) Options {
+// DefaultOptions returns the paper's parameters. The timing constraint is
+// the engine's (sta.NewIncremental's tspec), not an option.
+func DefaultOptions() Options {
 	return Options{
-		Tspec:           tspec,
 		MaxIter:         10,
 		MaxAreaIncrease: 0.10,
 		Fclk:            20e6,
@@ -212,18 +208,15 @@ type Result struct {
 // lowEligible reports whether gate gi may legally take the target rail under
 // the clustering rule: every consumer is already at or below the target rail
 // or a primary output — a consumer on a higher rail cannot accept the reduced
-// swing without a level converter, which CVS never inserts. It also reports
-// whether the gate borders the existing low cluster or the POs, which feeds
-// the paper's TCB definition. At a two-rail library with target VLow this is
-// exactly the classic "every consumer is a Vlow gate" rule.
-func lowEligible(ckt *netlist.Circuit, fan *netlist.Fanouts, gi int, target cell.VoltLevel) (eligible, borders bool) {
+// swing without a level converter, which CVS never inserts. A gate that
+// drives nothing is not eligible. At a two-rail library with target VLow this
+// is exactly the classic "every consumer is a Vlow gate" rule.
+func lowEligible(ckt *netlist.Circuit, fan *netlist.Fanouts, gi int, target cell.VoltLevel) bool {
 	out := ckt.GateSignal(gi)
 	for _, cn := range fan.Conns[out] {
-		cg := ckt.Gates[cn.Gate]
-		if cg.Volt < target {
-			return false, false
+		if ckt.Gates[cn.Gate].Volt < target {
+			return false
 		}
 	}
-	borders = len(fan.Conns[out]) > 0 || len(fan.POs[out]) > 0
-	return borders, borders
+	return len(fan.Conns[out]) > 0 || len(fan.POs[out]) > 0
 }

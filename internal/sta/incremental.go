@@ -229,18 +229,14 @@ func (t *Incremental) DrainChanged(buf []netlist.Signal) []netlist.Signal {
 	return buf
 }
 
-// GateArrival recomputes gate gi's output arrival under a hypothetical
-// voltage level (the paper's check_timing primitive).
-func (t *Incremental) GateArrival(gi int, volt cell.VoltLevel) float64 {
-	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, t.ckt.Gates[gi].Cell, t.lib.Derate(volt), 0)
-}
-
 // DeltaStep returns the arrival increase at gi's output if the gate alone
-// demoted one rail step (its current level plus one). At a two-rail library
-// a VHigh gate's step is its move to VLow.
+// demoted one rail step (its current level plus one): its output arrival
+// recomputed under that rail (the paper's check_timing primitive) less the
+// current one. At a two-rail library a VHigh gate's step is its move to VLow.
 func (t *Incremental) DeltaStep(gi int) float64 {
-	out := t.ckt.GateSignal(gi)
-	return t.GateArrival(gi, t.ckt.Gates[gi].Volt+1) - t.Arrival[out]
+	g := t.ckt.Gates[gi]
+	arr := gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, g.Cell, t.lib.Derate(g.Volt+1), 0)
+	return arr - t.Arrival[t.ckt.GateSignal(gi)]
 }
 
 // GateArrivalWithCell recomputes gi's output arrival as if bound to cl with

@@ -286,9 +286,6 @@ func (c *CAS) Bytes() int64 {
 	return c.bytes
 }
 
-// Dir returns the store's root directory.
-func (c *CAS) Dir() string { return c.dir }
-
 // Close is a no-op: the CAS holds no file descriptors between calls. It
 // exists to satisfy dualvdd.ResultCache.
 func (c *CAS) Close() error { return nil }

@@ -2,7 +2,6 @@ package dualvdd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"sync"
@@ -47,7 +46,8 @@ type JobHooks struct {
 // the per-job context, and the append-only event log Watch replays.
 type JobEntry struct {
 	key    string
-	seq    int64 // submission counter; journaled for replay
+	group  string // warm-prep group address, hashed at Submit for a cache miss only
+	seq    int64  // submission counter; journaled for replay
 	tenant string
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -97,7 +97,8 @@ func NewJobTable(cache ResultCache, journal JobStore, history int, hooks JobHook
 
 // Submit parses and keys the job once, answers an in-flight twin with its
 // ID, admits, and then answers from the cache with a born-done job or hands
-// the job, queued, to the Start hook. See Runner.
+// the job, queued and with its warm-prep group, to the Start hook. See
+// Runner.
 func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -107,7 +108,11 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 		t.Count(func(m *Metrics) { m.BudgetRejects++ })
 		return "", ErrBudgetExhausted
 	}
-	key, net, err := job.key()
+	net, canon, err := job.canonical()
+	if err != nil {
+		return "", err
+	}
+	key, err := job.contentKey(canon)
 	if err != nil {
 		return "", err
 	}
@@ -159,6 +164,14 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 		var cacheErr error
 		if entry, _, cacheErr = CacheGet(t.cache, key); cacheErr != nil {
 			t.Count(func(m *Metrics) { m.StoreErrors++ })
+		}
+	}
+	if entry == nil {
+		// Only a miss runs, so only a miss needs its warm-prep group: hashed
+		// from the canonical BLIF the key was, not written again.
+		if j.group, err = job.groupKey(canon); err != nil {
+			t.withdraw(j)
+			return "", err
 		}
 	}
 
@@ -533,16 +546,10 @@ func (j *JobEntry) input() (Job, *logic.Network) {
 	return j.spec, j.net
 }
 
-// GroupKey is Job.GroupKey on the circuit Submit already parsed, so the
-// placement address costs no second parse. It fails once the job is
-// terminal: retirement drops the input.
-func (j *JobEntry) GroupKey() (string, error) {
-	job, net := j.input()
-	if net == nil {
-		return "", errors.New("dualvdd: job input released at retirement")
-	}
-	return warmPrepKey(net, job.Config)
-}
+// Group is the job's warm-prep group address (Job.GroupKey), which Local
+// shares prepared state by and the fleet places the job by. Submit hashes it
+// for a cache miss; a hit never runs and has none. Retirement keeps it.
+func (j *JobEntry) Group() string { return j.group }
 
 // Publish appends one event to the job's log. A terminal job's log is
 // closed: an event that arrives after the outcome is dropped.

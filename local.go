@@ -51,7 +51,7 @@ type Local struct {
 // least-recently-used group is dropped and rebuilt on next use.
 const warmGroups = 4
 
-// warmEntry is one warm-prep group: every job whose warmPrepKey matches
+// warmEntry is one warm-prep group: every job with the same Group
 // shares the prepared design built by the group's first member, exactly once
 // (sync.Once), under that member's context. A failed build is cached: the
 // failure is a deterministic property of the circuit and config, so every
@@ -259,16 +259,12 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 		}
 	}()
 	job, net := j.input()
-	key, err := warmPrepKey(net, job.Config)
-	if err != nil {
-		return outcome(nil, nil, err)
-	}
 	built := false
 	for {
 		if err := j.ctx.Err(); err != nil {
 			return outcome(nil, nil, err) // cancelled or out of budget: build nothing
 		}
-		entry = l.warmGet(key)
+		entry = l.warmGet(j.group)
 		entry.once.Do(func() {
 			built = true
 			entry.wd, entry.err = New(FromConfig(job.Config)).PrepareWarm(j.ctx, net)
@@ -295,6 +291,7 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 	j.Publish(design.mapped())
 	wd, shared := entry.wd, entry.busy.CompareAndSwap(false, true)
 	if !shared {
+		var err error
 		if wd, err = NewWarmDesign(entry.wd.Design); err != nil {
 			return outcome(design, nil, err)
 		}

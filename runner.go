@@ -170,39 +170,11 @@ func (j Job) network() (*logic.Network, error) {
 // steer the flow stays significant: signal names, node and cube order, and
 // of course the netlist itself.
 func (j Job) Key() (string, error) {
-	key, _, err := j.key()
-	return key, err
-}
-
-// key computes the content address and returns the parsed network alongside,
-// so Submit materializes the circuit exactly once.
-func (j Job) key() (string, *logic.Network, error) {
-	if err := j.Validate(); err != nil {
-		return "", nil, err
-	}
-	net, err := j.network()
+	_, canon, err := j.canonical()
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
-	var canon bytes.Buffer
-	if err := blif.WriteNetwork(&canon, net); err != nil {
-		return "", nil, err
-	}
-	// The config is hashed in its wire form (Config.MarshalJSON), which
-	// writes a two-rail list as the vhigh/vlow pair it was before the list
-	// existed.
-	cfg, err := json.Marshal(j.Config)
-	if err != nil {
-		return "", nil, err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "dualvdd-job/1\n%s\n", cfg)
-	for _, a := range j.algorithms() {
-		fmt.Fprintf(h, "%s ", a)
-	}
-	h.Write([]byte{'\n'})
-	h.Write(canon.Bytes())
-	return hex.EncodeToString(h.Sum(nil)), net, nil
+	return j.contentKey(canon)
 }
 
 // GroupKey returns the job's placement address: like Key, but with the low
@@ -214,11 +186,62 @@ func (j Job) key() (string, *logic.Network, error) {
 // keeps its full Rails list in the group address, so points with distinct
 // rail tables keep distinct affinity.
 func (j Job) GroupKey() (string, error) {
-	_, net, err := j.key()
+	_, canon, err := j.canonical()
 	if err != nil {
 		return "", err
 	}
-	return warmPrepKey(net, j.Config)
+	return j.groupKey(canon)
+}
+
+// canonical validates the job, builds its circuit and writes the circuit's
+// canonical BLIF: the one encoding both of the job's addresses hash, so a
+// caller that needs both writes it once.
+func (j Job) canonical() (*logic.Network, []byte, error) {
+	if err := j.Validate(); err != nil {
+		return nil, nil, err
+	}
+	net, err := j.network()
+	if err != nil {
+		return nil, nil, err
+	}
+	var canon bytes.Buffer
+	if err := blif.WriteNetwork(&canon, net); err != nil {
+		return nil, nil, err
+	}
+	return net, canon.Bytes(), nil
+}
+
+// contentKey hashes the content address (Key) over the canonical BLIF.
+func (j Job) contentKey(canon []byte) (string, error) {
+	// The config is hashed in its wire form (Config.MarshalJSON), which
+	// writes a two-rail list as the vhigh/vlow pair it was before the list
+	// existed.
+	cfg, err := json.Marshal(j.Config)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "dualvdd-job/1\n%s\n", cfg)
+	for _, a := range j.algorithms() {
+		fmt.Fprintf(h, "%s ", a)
+	}
+	h.Write([]byte{'\n'})
+	h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// groupKey hashes the warm-prep group address (GroupKey) over the canonical
+// BLIF: jobs with the same group share one prepared design. Its config
+// bytes are prepWire's.
+func (j Job) groupKey(canon []byte) (string, error) {
+	cfg, err := prepWire(j.Config)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "dualvdd-warmprep/1\n%s\n", cfg)
+	h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // tenantKey is the context key of WithTenant.

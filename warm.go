@@ -1,15 +1,11 @@
 package dualvdd
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
 
-	"dualvdd/internal/blif"
 	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
@@ -174,24 +170,6 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 		err = d.runErr(algos[len(results)], err)
 	}
 	return results, err
-}
-
-// warmPrepKey is the content address of a warm-prep group: jobs with the same
-// key share one WarmDesign. It hashes the canonical BLIF of the input network
-// and prepWire's config bytes.
-func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
-	var canon bytes.Buffer
-	if err := blif.WriteNetwork(&canon, net); err != nil {
-		return "", err
-	}
-	b, err := prepWire(cfg)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "dualvdd-warmprep/1\n%s\n", b)
-	h.Write(canon.Bytes())
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // prepWire is the wire form of the part of a Config a warm-prep group
