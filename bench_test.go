@@ -330,6 +330,32 @@ func BenchmarkWarmRunAt(b *testing.B) {
 	}
 }
 
+// BenchmarkRunAlgorithm times the cold path perfbench's tables op runs per
+// circuit after preparation: Design.RunAlgorithm for CVS, Dscale and Gscale,
+// each on a fresh clone and a fresh timing engine, verified by a full
+// analysis and measured by a power simulation. C880 is a mid-size circuit,
+// des the largest. Run with -benchmem: every engine grows its undo journal
+// from empty, so the journal's record size shows in the allocations.
+func BenchmarkRunAlgorithm(b *testing.B) {
+	ctx, flow := context.Background(), dualvdd.New()
+	for _, name := range []string{"C880", "des"} {
+		d, err := flow.PrepareBenchmark(ctx, name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, algo := range flow.Algorithms() {
+					if _, err := d.RunAlgorithm(ctx, algo); err != nil {
+						b.Fatalf("%s: %v", algo, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJobKey times a job's two addresses, each from scratch: Key and
 // GroupKey validate the job, build its circuit (the MCNC generator here),
 // write its canonical BLIF and hash it. z4ml and C880 bracket the service

@@ -63,7 +63,7 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 			}
 			out := ckt.GateSignal(gi)
 			delta := inc.DeltaStep(gi)
-			if inc.Slack[out]-delta < slackEps {
+			if inc.Slack(out)-delta < slackEps {
 				res.TCB = append(res.TCB, gi)
 				break
 			}
@@ -187,10 +187,12 @@ func cvsFinish(inc *sta.Incremental, ckt *netlist.Circuit, _ *cell.Library, opts
 	if err := selfCheck(inc, opts); err != nil {
 		return nil, err
 	}
-	opts.emit(Event{
-		Algorithm: "CVS", Kind: EventRound, Round: 1, Moves: cvs.Lowered,
-		LowGates: ckt.NumLowGates(), STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
-	})
+	if opts.Observer != nil {
+		opts.emit(Event{
+			Algorithm: "CVS", Kind: EventRound, Round: 1, Moves: cvs.Lowered,
+			LowGates: ckt.NumLowGates(), STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
+		})
+	}
 	return &Result{
 		Lowered:      ckt.NumLowGates(),
 		LCs:          ckt.NumLCs(),

@@ -270,14 +270,14 @@ func (st *dscaleState) reeval(gi int) {
 	if st.inc.Fanouts().Degree(out) == 0 {
 		return
 	}
-	if st.inc.Slack[out] <= slackEps {
+	if st.inc.Slack(out) <= slackEps {
 		return // not in SlkSet
 	}
 	c, ok := evalCandidate(st.ckt, st.lib, st.inc, st.act, st.opts.Fclk, gi)
 	if !ok || c.gain <= 0 {
 		return
 	}
-	if st.inc.Slack[out]-(c.deltaArr+c.lcDelay) < slackEps {
+	if st.inc.Slack(out)-(c.deltaArr+c.lcDelay) < slackEps {
 		return
 	}
 	st.cand[gi] = c
@@ -634,7 +634,7 @@ func (st *dscaleState) tryBypass(gIdx, pin int) bool {
 	dLoad := g.Cell.InputCap[pin] + lib.WireCapPerFanout
 	srcGi := ckt.GateIndex(src)
 	newArr := inc.GateArrivalWithCell(srcGi, srcGate.Cell, dLoad)
-	if newArr-inc.Arrival[src] >= inc.Slack[src]-slackEps {
+	if newArr-inc.Arrival[src] >= inc.Slack(src)-slackEps {
 		return false
 	}
 	return inc.RewirePin(gIdx, pin, src) == nil

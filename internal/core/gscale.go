@@ -292,11 +292,13 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			counter = 0
 		}
 		tcb = tcbNew
-		opts.emit(Event{
-			Algorithm: "Gscale", Kind: EventRound, Round: res.Iterations,
-			Moves: resized, LowGates: ckt.NumLowGates(),
-			STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
-		})
+		if opts.Observer != nil {
+			opts.emit(Event{
+				Algorithm: "Gscale", Kind: EventRound, Round: res.Iterations,
+				Moves: resized, LowGates: ckt.NumLowGates(),
+				STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
+			})
+		}
 		if resized == 0 && !feasible {
 			break // sizing can make no further difference
 		}

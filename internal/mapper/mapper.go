@@ -135,7 +135,7 @@ func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (f
 			}
 			out := ckt.GateSignal(gi)
 			delta := inc.GateArrivalWithCell(gi, smaller, 0) - inc.Arrival[out]
-			if delta <= inc.Slack[out]-eps {
+			if delta <= inc.Slack(out)-eps {
 				inc.SetCell(gi, smaller)
 				inc.Commit() // area recovery never rolls back
 				changed++

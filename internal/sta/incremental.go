@@ -19,24 +19,25 @@ import (
 // Every quantity is computed with exactly the same formula and operand order
 // as Analyze, so the incremental annotation is bit-identical to a fresh full
 // analysis at every settled point — Analyze stays the reference oracle (see
-// Check), and algorithms driven by either produce identical decisions.
+// Check), and algorithms driven by either produce identical decisions. Slack
+// is not stored: Slack derives it on read with Analyze's own subtraction.
 //
 // All circuit mutations must go through the engine (SetVolt, SetCell,
 // RewirePin, AddGate, KillGate); mutating the circuit directly invalidates
 // it. Checkpoint/Rollback give transactional apply/undo: candidate moves can
 // be applied, measured, and reverted in time proportional to the touched
-// cone, never the circuit.
+// cone, never the circuit. The undo journal holds no pointers, so the
+// garbage collector never scans it.
 type Incremental struct {
 	ckt   *netlist.Circuit
 	lib   *cell.Library
 	tspec float64
 
-	// Arrival, Required, Slack and Load are live annotations indexed by
-	// signal, maintained equal to what Analyze would produce on the current
-	// circuit. Callers may read them; writing them is undefined behaviour.
+	// Arrival, Required and Load are live annotations indexed by signal,
+	// maintained equal to what Analyze would produce on the current circuit.
+	// Callers may read them; writing them is undefined behaviour.
 	Arrival  []float64
 	Required []float64
-	Slack    []float64
 	Load     []float64
 
 	worst float64
@@ -51,10 +52,13 @@ type Incremental struct {
 
 	fheap, bheap []int
 	inF, inB     []bool
-	touched      []netlist.Signal
 	poDirty      bool
 
+	// journal is the undo log Rollback replays in reverse. The old cell of
+	// each recCell entry sits on cells, in the same order, so that the
+	// records themselves stay pointer-free.
 	journal []undoRec
+	cells   []*cell.Cell
 	evals   int64
 
 	// changed is the change journal: every signal whose annotation values,
@@ -74,7 +78,6 @@ type undoKind uint8
 const (
 	recArrival undoKind = iota
 	recRequired
-	recSlack
 	recLoad
 	recWorst
 	recVolt
@@ -84,13 +87,15 @@ const (
 	recDead
 )
 
+// undoRec is one journal entry: a is the signal (timing values) or gate
+// (circuit changes), f the old value, b the pin of a recPin or the old rail
+// of a recVolt, and c the old source signal of a recPin. It holds no pointer
+// and packs into 24 bytes; gate and signal indices fit int32 for any circuit
+// that fits in memory.
 type undoRec struct {
-	kind undoKind
-	a, b int
-	f    float64
-	c    *cell.Cell
-	v    cell.VoltLevel
-	sig  netlist.Signal
+	f       float64
+	a, b, c int32
+	kind    undoKind
 }
 
 // NewIncremental runs one full analysis and wraps it in an incremental
@@ -106,7 +111,6 @@ func NewIncremental(ckt *netlist.Circuit, lib *cell.Library, tspec float64) (*In
 		tspec:    tspec,
 		Arrival:  t.Arrival,
 		Required: t.Required,
-		Slack:    t.Slack,
 		Load:     t.Load,
 		worst:    t.WorstArrival,
 		fan:      t.fan,
@@ -155,6 +159,10 @@ func (t *Incremental) SetLibrary(lib *cell.Library) error {
 	t.lib = lib
 	return nil
 }
+
+// Slack returns signal s's slack, Required[s] - Arrival[s]: the subtraction
+// Analyze performs, so the value is bit-identical to its Slack[s].
+func (t *Incremental) Slack(s netlist.Signal) float64 { return t.Required[s] - t.Arrival[s] }
 
 // WorstArrival returns the latest primary-output arrival time.
 func (t *Incremental) WorstArrival() float64 { return t.worst }
@@ -212,12 +220,12 @@ func (t *Incremental) markGate(gi int) {
 // DrainChanged appends the change journal accumulated since the last drain to
 // buf and resets the journal, returning the extended buf (so steady-state
 // callers allocate nothing). The journal is a conservative superset: a
-// drained signal's arrival, required, slack or load value, its consumer set,
-// or its driving gate's voltage, cell or liveness may have changed — spurious
-// entries are possible, omissions are not. Mutations rolled back since the
-// last drain still appear (their values moved and moved back); entries may
-// reference signals beyond the current NumSignals after a Rollback of an
-// AddGate, which callers must skip.
+// drained signal's arrival, required or load value (and so its slack), its
+// consumer set, or its driving gate's voltage, cell or liveness may have
+// changed — spurious entries are possible, omissions are not. Mutations
+// rolled back since the last drain still appear (their values moved and
+// moved back); entries may reference signals beyond the current NumSignals
+// after a Rollback of an AddGate, which callers must skip.
 func (t *Incremental) DrainChanged(buf []netlist.Signal) []netlist.Signal {
 	for _, s := range t.changed {
 		if int(s) < len(t.inChg) {
@@ -252,7 +260,7 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	if g.Volt == v {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recVolt, a: gi, v: g.Volt})
+	t.journal = append(t.journal, undoRec{kind: recVolt, a: int32(gi), b: int32(g.Volt)})
 	g.Volt = v
 	// The voltage move itself is journaled even when no timing value shifts:
 	// a consumer's rail decides whether its driver would need a level
@@ -273,7 +281,8 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	if cl.NumInputs() != g.Cell.NumInputs() {
 		panic(fmt.Sprintf("sta: SetCell %s: %d-input cell for %d pins", g.Name, cl.NumInputs(), len(g.In)))
 	}
-	t.journal = append(t.journal, undoRec{kind: recCell, a: gi, c: g.Cell})
+	t.journal = append(t.journal, undoRec{kind: recCell, a: int32(gi)})
+	t.cells = append(t.cells, g.Cell)
 	g.Cell = cl
 	t.markGate(gi)
 	for _, s := range g.In {
@@ -297,7 +306,7 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 		return fmt.Errorf("sta: RewirePin %s pin %d to %s would break topological order",
 			g.Name, pin, t.ckt.SignalName(to))
 	}
-	t.journal = append(t.journal, undoRec{kind: recPin, a: gi, b: pin, sig: from})
+	t.journal = append(t.journal, undoRec{kind: recPin, a: int32(gi), b: int32(pin), c: int32(from)})
 	g.In[pin] = to
 	// Both nets' consumer sets changed even if their loads happen not to.
 	t.mark(from)
@@ -320,10 +329,9 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 // up afterwards with RewirePin.
 func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) (int, netlist.Signal) {
 	gi, out := t.ckt.AddGate(name, cl, in...)
-	t.journal = append(t.journal, undoRec{kind: recAdd, a: gi})
+	t.journal = append(t.journal, undoRec{kind: recAdd, a: int32(gi)})
 	t.Arrival = append(t.Arrival, 0)
 	t.Required = append(t.Required, math.Inf(1))
-	t.Slack = append(t.Slack, math.Inf(1))
 	t.Load = append(t.Load, 0)
 	t.fan.Grow(t.ckt.NumSignals())
 	t.inF = append(t.inF, false)
@@ -364,7 +372,7 @@ func (t *Incremental) KillGate(gi int) error {
 	if t.fan.Degree(out) != 0 {
 		return fmt.Errorf("sta: KillGate %s still has %d consumers", g.Name, t.fan.Degree(out))
 	}
-	t.journal = append(t.journal, undoRec{kind: recDead, a: gi})
+	t.journal = append(t.journal, undoRec{kind: recDead, a: int32(gi)})
 	g.Dead = true
 	t.markGate(gi)
 	t.orderDirty = true
@@ -391,6 +399,7 @@ func (t *Incremental) Checkpoint() Mark { return Mark(len(t.journal)) }
 func (t *Incremental) Rollback(m Mark) {
 	for i := len(t.journal) - 1; i >= int(m); i-- {
 		r := t.journal[i]
+		gi := int(r.a)
 		switch r.kind {
 		case recArrival:
 			t.Arrival[r.a] = r.f
@@ -398,53 +407,53 @@ func (t *Incremental) Rollback(m Mark) {
 		case recRequired:
 			t.Required[r.a] = r.f
 			t.mark(netlist.Signal(r.a))
-		case recSlack:
-			t.Slack[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
 		case recLoad:
 			t.Load[r.a] = r.f
 			t.mark(netlist.Signal(r.a))
 		case recWorst:
 			t.worst = r.f
 		case recVolt:
-			t.ckt.Gates[r.a].Volt = r.v
-			t.markGate(r.a)
+			t.ckt.Gates[gi].Volt = cell.VoltLevel(r.b)
+			t.markGate(gi)
 		case recCell:
-			t.ckt.Gates[r.a].Cell = r.c
-			t.markGate(r.a)
+			last := len(t.cells) - 1
+			t.ckt.Gates[gi].Cell = t.cells[last]
+			t.cells[last] = nil
+			t.cells = t.cells[:last]
+			t.markGate(gi)
 		case recPin:
-			g := t.ckt.Gates[r.a]
-			cn := netlist.Conn{Gate: r.a, Pin: r.b}
-			t.fan.Disconnect(g.In[r.b], cn)
-			t.fan.Connect(r.sig, cn)
-			t.mark(g.In[r.b])
-			t.mark(r.sig)
-			g.In[r.b] = r.sig
+			g := t.ckt.Gates[gi]
+			pin, from := int(r.b), netlist.Signal(r.c)
+			cn := netlist.Conn{Gate: gi, Pin: pin}
+			t.fan.Disconnect(g.In[pin], cn)
+			t.fan.Connect(from, cn)
+			t.mark(g.In[pin])
+			t.mark(from)
+			g.In[pin] = from
 		case recAdd:
-			g := t.ckt.Gates[r.a]
+			g := t.ckt.Gates[gi]
 			for pin, s := range g.In {
-				t.fan.Disconnect(s, netlist.Conn{Gate: r.a, Pin: pin})
+				t.fan.Disconnect(s, netlist.Conn{Gate: gi, Pin: pin})
 				t.mark(s)
 			}
-			t.ckt.Gates = t.ckt.Gates[:r.a]
+			t.ckt.Gates = t.ckt.Gates[:gi]
 			n := t.ckt.NumSignals()
 			t.Arrival = t.Arrival[:n]
 			t.Required = t.Required[:n]
-			t.Slack = t.Slack[:n]
 			t.Load = t.Load[:n]
 			t.fan.Shrink(n)
-			t.prio = t.prio[:r.a]
-			t.inF = t.inF[:r.a]
-			t.inB = t.inB[:r.a]
+			t.prio = t.prio[:gi]
+			t.inF = t.inF[:gi]
+			t.inB = t.inB[:gi]
 			t.inChg = t.inChg[:n]
 			t.orderDirty = true
 		case recDead:
-			g := t.ckt.Gates[r.a]
+			g := t.ckt.Gates[gi]
 			g.Dead = false
 			for pin, s := range g.In {
-				t.fan.Connect(s, netlist.Conn{Gate: r.a, Pin: pin})
+				t.fan.Connect(s, netlist.Conn{Gate: gi, Pin: pin})
 			}
-			t.markGate(r.a)
+			t.markGate(gi)
 			t.orderDirty = true
 		}
 	}
@@ -453,7 +462,11 @@ func (t *Incremental) Rollback(m Mark) {
 
 // Commit discards the undo history accumulated so far; earlier Marks become
 // invalid. Call it once a batch of moves is final to bound journal growth.
-func (t *Incremental) Commit() { t.journal = t.journal[:0] }
+func (t *Incremental) Commit() {
+	t.journal = t.journal[:0]
+	clear(t.cells)
+	t.cells = t.cells[:0]
+}
 
 // Check validates the incremental annotation against a fresh full analysis —
 // the differential oracle. It returns the first discrepancy beyond eps.
@@ -484,7 +497,11 @@ func (t *Incremental) Check(eps float64) error {
 	if err := cmp("required", t.Required, fresh.Required); err != nil {
 		return err
 	}
-	if err := cmp("slack", t.Slack, fresh.Slack); err != nil {
+	slack := make([]float64, len(fresh.Slack))
+	for s := range slack {
+		slack[s] = t.Slack(netlist.Signal(s))
+	}
+	if err := cmp("slack", slack, fresh.Slack); err != nil {
 		return err
 	}
 	if math.Abs(t.worst-fresh.WorstArrival) > eps {
@@ -517,7 +534,7 @@ func (t *Incremental) reload(s netlist.Signal) {
 	if nl == t.Load[s] {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recLoad, a: int(s), f: t.Load[s]})
+	t.journal = append(t.journal, undoRec{kind: recLoad, a: int32(s), f: t.Load[s]})
 	t.Load[s] = nl
 	t.mark(s)
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
@@ -556,10 +573,9 @@ func (t *Incremental) setRequired(s netlist.Signal, r float64) {
 	if r == old || (math.IsInf(r, 1) && math.IsInf(old, 1)) {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recRequired, a: int(s), f: old})
+	t.journal = append(t.journal, undoRec{kind: recRequired, a: int32(s), f: old})
 	t.Required[s] = r
 	t.mark(s)
-	t.touched = append(t.touched, s)
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
 		t.pushB(di)
 	}
@@ -569,10 +585,9 @@ func (t *Incremental) setArrival(out int, a float64) {
 	if a == t.Arrival[out] {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recArrival, a: out, f: t.Arrival[out]})
+	t.journal = append(t.journal, undoRec{kind: recArrival, a: int32(out), f: t.Arrival[out]})
 	t.Arrival[out] = a
 	t.mark(netlist.Signal(out))
-	t.touched = append(t.touched, netlist.Signal(out))
 	for _, cn := range t.fan.Conns[netlist.Signal(out)] {
 		t.pushF(cn.Gate)
 	}
@@ -581,22 +596,11 @@ func (t *Incremental) setArrival(out int, a float64) {
 	}
 }
 
-// settle drains both propagation waves and refreshes slacks and the worst PO
-// arrival for every touched signal.
+// settle drains both propagation waves and, when a PO arrival moved,
+// refreshes the worst PO arrival.
 func (t *Incremental) settle() {
 	t.runForward()
 	t.runBackward()
-	for _, s := range t.touched {
-		ns := t.Required[s] - t.Arrival[s]
-		old := t.Slack[s]
-		if ns == old || (math.IsInf(ns, 1) && math.IsInf(old, 1)) {
-			continue
-		}
-		t.journal = append(t.journal, undoRec{kind: recSlack, a: int(s), f: old})
-		t.Slack[s] = ns
-		t.mark(s)
-	}
-	t.touched = t.touched[:0]
 	if t.poDirty {
 		w := 0.0
 		for _, po := range t.ckt.POs {

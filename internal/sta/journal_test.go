@@ -35,7 +35,7 @@ func captureState(inc *sta.Incremental, ckt *netlist.Circuit) []sigState {
 		st[s] = sigState{
 			arrival:  inc.Arrival[s],
 			required: inc.Required[s],
-			slack:    inc.Slack[s],
+			slack:    inc.Slack(netlist.Signal(s)),
 			load:     inc.Load[s],
 			conns:    fmt.Sprint(fan.Conns[s]),
 		}
