@@ -356,20 +356,41 @@ func BenchmarkRunAlgorithm(b *testing.B) {
 	}
 }
 
-// BenchmarkJobKey times a job's two addresses, each from scratch: Key and
-// GroupKey validate the job, build its circuit (the MCNC generator here),
-// write its canonical BLIF and hash it. z4ml and C880 bracket the service
-// mix; des is the largest circuit. Run with -benchmem: the allocations are
-// the network and the canonical bytes.
+// BenchmarkJobKey times a job's two addresses. Key and GroupKey validate the
+// job, read its canonical BLIF from the process-wide memo and hash it;
+// <job>/cold is Key on a memo emptied every iteration, so it also builds the
+// circuit (the MCNC generator or the BLIF parser) and writes its canonical
+// BLIF. z4ml and C880 bracket the service mix and des is the largest
+// circuit; the blif: jobs are the service circuits submitted inline. Run
+// with -benchmem: a miss allocates the network and the canonical bytes, a
+// hit neither.
 func BenchmarkJobKey(b *testing.B) {
+	type input struct {
+		name string
+		job  dualvdd.Job
+	}
+	var inputs []input
 	for _, name := range []string{"z4ml", "C880", "des"} {
-		job := dualvdd.BenchmarkJob(name)
+		inputs = append(inputs, input{name, dualvdd.BenchmarkJob(name)})
+	}
+	for _, name := range []string{"x2", "pm1", "z4ml"} {
+		canon, err := dualvdd.Canonical(dualvdd.BenchmarkJob(name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, input{"blif:" + name, dualvdd.BLIFJob(string(canon))})
+	}
+	for _, in := range inputs {
 		for _, addr := range []struct {
 			name string
 			fn   func() (string, error)
-		}{{"Key", job.Key}, {"GroupKey", job.GroupKey}} {
-			b.Run(name+"/"+addr.name, func(b *testing.B) {
+		}{{"Key", in.job.Key}, {"GroupKey", in.job.GroupKey}} {
+			b.Run(in.name+"/"+addr.name, func(b *testing.B) {
+				if _, err := addr.fn(); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := addr.fn(); err != nil {
 						b.Fatal(err)
@@ -377,6 +398,15 @@ func BenchmarkJobKey(b *testing.B) {
 				}
 			})
 		}
+		b.Run(in.name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dualvdd.ResetCanonMemo()
+				if _, err := in.job.Key(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

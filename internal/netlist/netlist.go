@@ -236,7 +236,7 @@ func (c *Circuit) Clone() *Circuit {
 func (c *Circuit) TopoOrder() ([]int, error) {
 	nPI := len(c.PIs)
 	indeg := make([]int, len(c.Gates))
-	fan := make([][]int, len(c.Gates)) // driver gate -> consumer gates
+	nfan := make([]int, len(c.Gates)) // driver gate -> number of consumer pins
 	live := 0
 	for gi, g := range c.Gates {
 		if g.Dead {
@@ -254,8 +254,19 @@ func (c *Circuit) TopoOrder() ([]int, error) {
 			if c.Gates[di].Dead {
 				return nil, fmt.Errorf("netlist: gate %s driven by dead gate %s", g.Name, c.Gates[di].Name)
 			}
-			fan[di] = append(fan[di], gi)
+			nfan[di]++
 			indeg[gi]++
+		}
+	}
+	fan := carve[int](nfan) // driver gate -> consumer gates
+	for gi, g := range c.Gates {
+		if g.Dead {
+			continue
+		}
+		for _, s := range g.In {
+			if di := int(s) - nPI; di >= 0 {
+				fan[di] = append(fan[di], gi)
+			}
 		}
 	}
 	order := make([]int, 0, live)
@@ -300,12 +311,22 @@ type Fanouts struct {
 }
 
 // BuildFanouts computes the consumer table for the current circuit structure,
-// considering live gates only.
+// considering live gates only. Each table's lists are carved out of one
+// backing array (see carve), so Connect's append moves a grown list out
+// instead of writing into its neighbour's.
 func (c *Circuit) BuildFanouts() *Fanouts {
-	f := &Fanouts{
-		Conns: make([][]Conn, c.NumSignals()),
-		POs:   make([][]int, c.NumSignals()),
+	nconn, npo := make([]int, c.NumSignals()), make([]int, c.NumSignals())
+	for _, g := range c.Gates {
+		if !g.Dead {
+			for _, s := range g.In {
+				nconn[s]++
+			}
+		}
 	}
+	for _, po := range c.POs {
+		npo[po.Src]++
+	}
+	f := &Fanouts{Conns: carve[Conn](nconn), POs: carve[int](npo)}
 	for gi, g := range c.Gates {
 		if g.Dead {
 			continue
@@ -318,6 +339,26 @@ func (c *Circuit) BuildFanouts() *Fanouts {
 		f.POs[po.Src] = append(f.POs[po.Src], pi)
 	}
 	return f
+}
+
+// carve returns one empty list per count, each with room for its count,
+// all carved out of one backing array. A list's capacity ends where its
+// neighbour's room begins, so an append past it reallocates; a zero count
+// gets a nil list.
+func carve[T any](counts []int) [][]T {
+	total := 0
+	for _, k := range counts {
+		total += k
+	}
+	lists, back := make([][]T, len(counts)), make([]T, total)
+	off := 0
+	for i, k := range counts {
+		if k > 0 {
+			lists[i] = back[off : off : off+k]
+			off += k
+		}
+	}
+	return lists
 }
 
 // Degree returns the total number of consumers (gate pins plus POs) of s.

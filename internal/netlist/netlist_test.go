@@ -325,6 +325,38 @@ func TestFanoutsIncrementalMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestFanoutsEditKeepsNeighbourList edits signal a's consumer list after a
+// fresh build, where the lists of a and its neighbour b share one backing
+// array: a Connect, a Disconnect and a Connect on a must leave b's list as
+// it was, and the table must equal a fresh build of the edited circuit.
+func TestFanoutsEditKeepsNeighbourList(t *testing.T) {
+	c := New("neighbours")
+	a, b := c.AddPI("a"), c.AddPI("b")
+	inv, nand := lib.Smallest(cell.FINV), lib.Smallest(cell.FNAND2)
+	_, s0 := c.AddGate("g0", nand, a, b)
+	c.AddGate("g1", inv, b)
+	c.AddGate("g2", inv, a)
+	c.AddPO("o", s0)
+	fan := c.BuildFanouts()
+	want := append([]Conn(nil), fan.Conns[b]...)
+
+	gi, _ := c.AddGate("g3", inv, a) // Connect past the list's end
+	fan.Grow(c.NumSignals())
+	fan.Connect(a, Conn{Gate: gi, Pin: 0})
+	c.Gates[2].Dead = true // Disconnect g2, which drives nothing
+	fan.Disconnect(a, Conn{Gate: 2, Pin: 0})
+	gi, _ = c.AddGate("g4", inv, a) // Connect into the freed slot
+	fan.Grow(c.NumSignals())
+	fan.Connect(a, Conn{Gate: gi, Pin: 0})
+
+	if got := fan.Conns[b]; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("editing a's consumers changed b's: %v, want %v", got, want)
+	}
+	if !fanoutsEqual(fan, c.BuildFanouts()) {
+		t.Fatal("edited table differs from a fresh build")
+	}
+}
+
 func TestFanoutsDisconnectMissingIsNoop(t *testing.T) {
 	c := chain(3)
 	fan := c.BuildFanouts()

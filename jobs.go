@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"sync"
-
-	"dualvdd/internal/logic"
 )
 
 // JobTable is the job lifecycle both runners drive. Local executes jobs in
@@ -54,11 +52,10 @@ type JobEntry struct {
 	done   chan struct{} // closed on terminal state; receiving needs no lock
 
 	mu     sync.Mutex
-	spec   Job            // guarded by mu; the inline BLIF is dropped at retirement
-	net    *logic.Network // guarded by mu; parsed once at Submit, dropped at retirement
-	status JobStatus      // guarded by mu
-	events []Event        // guarded by mu
-	update chan struct{}  // guarded by mu; closed and replaced on every append/state change
+	spec   Job           // guarded by mu; the inline BLIF is dropped at retirement
+	status JobStatus     // guarded by mu
+	events []Event       // guarded by mu
+	update chan struct{} // guarded by mu; closed and replaced on every append/state change
 }
 
 // Outcome is how a run ended. Finish applies all of it in one step.
@@ -95,10 +92,12 @@ func NewJobTable(cache ResultCache, journal JobStore, history int, hooks JobHook
 	return t
 }
 
-// Submit parses and keys the job once, answers an in-flight twin with its
-// ID, admits, and then answers from the cache with a born-done job or hands
-// the job, queued and with its warm-prep group, to the Start hook. See
-// Runner.
+// Submit keys the job once, from its memoized canonical encoding, answers
+// an in-flight twin with its ID, admits, and then answers from the cache
+// with a born-done job or hands the job, queued and with its warm-prep
+// group, to the Start hook. It builds no circuit unless the canonical
+// encoding misses its memo; a runner that executes the job builds the
+// circuit itself. See Runner.
 func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -108,7 +107,7 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 		t.Count(func(m *Metrics) { m.BudgetRejects++ })
 		return "", ErrBudgetExhausted
 	}
-	net, canon, err := job.canonical()
+	canon, err := job.canonical()
 	if err != nil {
 		return "", err
 	}
@@ -146,7 +145,7 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 	// set: a job that overruns its end-to-end budget is cancelled, not left
 	// burning a worker nobody is waiting for.
 	j := &JobEntry{key: key, tenant: tenant, done: make(chan struct{}),
-		spec: job, net: net, update: make(chan struct{})}
+		spec: job, update: make(chan struct{})}
 	if hasBudget {
 		//lint:ctx-ok documented detachment above: jobs outlive Submit, budget-bounded
 		j.ctx, j.cancel = context.WithTimeout(context.Background(), budget)
@@ -168,7 +167,7 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 	}
 	if entry == nil {
 		// Only a miss runs, so only a miss needs its warm-prep group: hashed
-		// from the canonical BLIF the key was, not written again.
+		// from the canonical BLIF the key was.
 		if j.group, err = job.groupKey(canon); err != nil {
 			t.withdraw(j)
 			return "", err
@@ -325,15 +324,14 @@ func (t *JobTable) finish(j *JobEntry, out Outcome, queuedOnly bool) {
 // retire does the bookkeeping of a finishing job that a later request can
 // observe, so it runs before the terminal state is published: it drops the
 // in-flight entry (later identical submissions start fresh or hit the
-// cache, never adopt this job), frees the input (the parsed network and any
-// inline BLIF text are dead weight once the run is over), and enters the
-// job into the bounded history, forgetting the oldest terminal jobs past
-// the bound; caller holds t.mu and j.mu.
+// cache, never adopt this job), frees the input (any inline BLIF text is
+// dead weight once the run is over), and enters the job into the bounded
+// history, forgetting the oldest terminal jobs past the bound;
+// caller holds t.mu and j.mu.
 func (t *JobTable) retire(j *JobEntry) {
 	if cur, ok := t.inflight[j.key]; ok && cur == j.status.ID {
 		delete(t.inflight, j.key)
 	}
-	j.net = nil
 	j.spec.BLIF = ""
 	t.retired = append(t.retired, j.status.ID)
 	for len(t.retired) > t.history {
@@ -537,13 +535,6 @@ func (j *JobEntry) Spec() Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.spec
-}
-
-// input returns the spec and the circuit Submit parsed.
-func (j *JobEntry) input() (Job, *logic.Network) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.spec, j.net
 }
 
 // Group is the job's warm-prep group address (Job.GroupKey), which Local

@@ -258,7 +258,7 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 			out = Outcome{State: JobFailed, Error: fmt.Sprintf("dualvdd: job panicked: %v", p)}
 		}
 	}()
-	job, net := j.input()
+	job := j.Spec()
 	built := false
 	for {
 		if err := j.ctx.Err(); err != nil {
@@ -266,7 +266,14 @@ func (l *Local) execute(j *JobEntry) (out Outcome) {
 		}
 		entry = l.warmGet(j.group)
 		entry.once.Do(func() {
+			// The group's build is the only consumer of the job's circuit,
+			// so the circuit is built here, once per group, not per job.
 			built = true
+			net, err := job.network()
+			if err != nil {
+				entry.err = err
+				return
+			}
 			entry.wd, entry.err = New(FromConfig(job.Config)).PrepareWarm(j.ctx, net)
 		})
 		if !cancelled(entry.err) {

@@ -102,24 +102,50 @@ func TestJobsQueuedGaugeDropsAtCancel(t *testing.T) {
 }
 
 // TestRetireFreesParsedNetwork checks every retirement path drops the job's
-// parsed input network — including cache-served jobs, which never pass
-// through a worker: a history full of retained netlists is a leak the bound
-// cannot see.
+// inline BLIF, dead weight once the run is over: a computed job, a cache hit
+// (retired straight from Submit, never passing a worker) and a job cancelled
+// while it queued. A history full of retained models is a leak the bound
+// cannot see; the entry holds no parsed network to drop.
 func TestRetireFreesParsedNetwork(t *testing.T) {
 	ctx := context.Background()
 	l := NewLocal(LocalWorkers(1))
 	defer drain(t, l)
+	model := benchmarkBLIF(t, "z4ml")
 
-	job := BenchmarkJob("z4ml")
+	// Hold the worker inside a planted group build, so the next job queues.
+	hold := BenchmarkJob("rot", WithSimWords(16))
+	key, err := hold.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := l.warmGet(key)
+	release, building := make(chan struct{}), make(chan struct{})
+	go entry.once.Do(func() {
+		close(building)
+		<-release
+		entry.err = errors.New("held")
+	})
+	<-building
+	if _, err := l.Submit(ctx, hold); err != nil {
+		t.Fatal(err)
+	}
+	queued, err := l.Submit(ctx, BLIFJob(model, WithSimWords(16), WithSeed(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Cancel(ctx, queued); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+
+	job := BLIFJob(model, WithSimWords(16))
 	computed, err := l.Submit(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Result(ctx, computed); err != nil {
-		t.Fatal(err)
+	if st, err := l.Result(ctx, computed); err != nil || st.State != JobDone {
+		t.Fatalf("computed job: %+v, %v", st, err)
 	}
-	// Identical submission: answered from the cache, retired straight from
-	// Submit.
 	hit, err := l.Submit(ctx, job)
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +154,8 @@ func TestRetireFreesParsedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Cached {
-		t.Fatal("second submission was not served from the cache")
-	}
-	if len(st.Results) == 0 {
-		t.Fatal("cache-served job carries no results")
+	if !st.Cached || len(st.Results) == 0 {
+		t.Fatalf("second submission: cached=%v with %d results, want a cache hit", st.Cached, len(st.Results))
 	}
 	for _, r := range st.Results {
 		if r.Circuit != nil {
@@ -140,36 +163,68 @@ func TestRetireFreesParsedNetwork(t *testing.T) {
 		}
 	}
 
-	// retire frees the input before it appends the ID to the table's
-	// retired list under its mu, so once the ID shows up there the nil
-	// writes are visible here.
-	deadline := time.Now().Add(time.Minute)
-	for _, id := range []JobID{computed, hit} {
-		for {
-			l.table.mu.Lock()
-			seen := false
-			for _, rid := range l.table.retired {
-				if rid == id {
-					seen = true
-					break
-				}
-			}
-			j := l.table.jobs[id]
-			l.table.mu.Unlock()
-			if seen {
-				if j == nil {
-					t.Fatalf("job %s missing from history", id)
-				}
-				if j.net != nil || j.spec.BLIF != "" {
-					t.Fatalf("job %s retired with its parsed input still pinned", id)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never retired", id)
-			}
-			time.Sleep(2 * time.Millisecond)
+	// retire runs under the job's lock before the terminal state is
+	// published, so once Result returns the spec reads without the model.
+	for _, tc := range []struct {
+		path  string
+		id    JobID
+		state JobState
+	}{{"cancelled", queued, JobCancelled}, {"computed", computed, JobDone}, {"cache hit", hit, JobDone}} {
+		st, err := l.Result(ctx, tc.id)
+		if err != nil || st.State != tc.state {
+			t.Fatalf("%s job: %+v, %v", tc.path, st, err)
 		}
+		j, err := l.table.find(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Spec().BLIF != "" {
+			t.Fatalf("%s job retired with its inline BLIF still pinned", tc.path)
+		}
+	}
+}
+
+// TestLocalBuildsNetworkOnlyForWarmBuild pins where a Local builds a job's
+// circuit: in its warm-prep group's build and nowhere else. A job on a group
+// already built allocates under half of what one build of the des network
+// does (its CVS run allocates about a fifth), and a cache hit no more than a
+// memo hit's keying may, so neither builds it.
+func TestLocalBuildsNetworkOnlyForWarmBuild(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal(LocalWorkers(1))
+	defer drain(t, l)
+	run := func(job Job) {
+		t.Helper()
+		id, err := l.Submit(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := l.Result(ctx, id); err != nil || st.State != JobDone {
+			t.Fatalf("job: %+v, %v", st, err)
+		}
+	}
+	opts := []Option{WithSimWords(16), WithAlgorithms(AlgoCVS)}
+	first := BenchmarkJob("des", opts...)
+	build := testing.AllocsPerRun(1, func() {
+		if _, err := first.network(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run(first) // builds the group
+	vddl := 3.0
+	warm := testing.AllocsPerRun(4, func() {
+		vddl += 0.1 // a new point, so a miss, on the built group
+		run(BenchmarkJob("des", append(opts, WithVoltages(5.0, vddl))...))
+	})
+	hit := testing.AllocsPerRun(4, func() { run(first) })
+	if m := l.Metrics(); m.PrepBuilds != 1 || m.PrepReuses != 5 {
+		t.Fatalf("builds/reuses = %d/%d, want 1/5", m.PrepBuilds, m.PrepReuses)
+	}
+	if warm > build/2 {
+		t.Fatalf("a job on a built group allocates %.0f times, want under half of one des network build (%.0f)", warm, build)
+	}
+	if hit > 200 {
+		t.Fatalf("a cache hit allocates %.0f times, want at most 200", hit)
 	}
 }
 

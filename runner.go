@@ -2,6 +2,7 @@ package dualvdd
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"dualvdd/internal/blif"
@@ -168,9 +170,10 @@ func (j Job) network() (*logic.Network, error) {
 // through parse → deterministic re-emit, so formatting differences (layout,
 // whitespace, continuation lines) do not defeat the cache. Anything that can
 // steer the flow stays significant: signal names, node and cube order, and
-// of course the netlist itself.
+// of course the netlist itself. The canonical BLIF is memoized per process
+// (see canonical), so keying an input seen before builds no circuit.
 func (j Job) Key() (string, error) {
-	_, canon, err := j.canonical()
+	canon, err := j.canonical()
 	if err != nil {
 		return "", err
 	}
@@ -186,29 +189,124 @@ func (j Job) Key() (string, error) {
 // keeps its full Rails list in the group address, so points with distinct
 // rail tables keep distinct affinity.
 func (j Job) GroupKey() (string, error) {
-	_, canon, err := j.canonical()
+	canon, err := j.canonical()
 	if err != nil {
 		return "", err
 	}
 	return j.groupKey(canon)
 }
 
-// canonical validates the job, builds its circuit and writes the circuit's
-// canonical BLIF: the one encoding both of the job's addresses hash, so a
-// caller that needs both writes it once.
-func (j Job) canonical() (*logic.Network, []byte, error) {
+// canonical validates the job and returns its circuit's canonical BLIF: the
+// one encoding both of the job's addresses hash, so a caller that needs both
+// encodes once. The bytes are memoized per process under the job's raw input
+// (inputID): only a memo miss builds the circuit and writes it, and only a
+// success is stored, so a bad input fails the same way on every call. The
+// returned slice is shared and its capacity ends at its length; callers only
+// read it.
+func (j Job) canonical() ([]byte, error) {
 	if err := j.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	id := j.inputID()
+	if canon := canonMemo.get(id); canon != nil {
+		return canon, nil
 	}
 	net, err := j.network()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var canon bytes.Buffer
-	if err := blif.WriteNetwork(&canon, net); err != nil {
-		return nil, nil, err
+	var buf bytes.Buffer
+	if err := blif.WriteNetwork(&buf, net); err != nil {
+		return nil, err
 	}
-	return net, canon.Bytes(), nil
+	// An exact-size copy: the memo charges what it holds, and an append by
+	// a caller cannot write into the shared bytes.
+	canon := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
+	canonMemo.put(id, canon)
+	return canon, nil
+}
+
+// inputID is the memo key of the job's raw input: a SHA-256 over the
+// benchmark name or the inline BLIF text, tagged so that neither can pose
+// as the other. Equal raw inputs encode equally; the converse is not needed,
+// since two raw inputs with one canonical form only cost a second entry.
+func (j Job) inputID() [sha256.Size]byte {
+	if j.Benchmark != "" {
+		return sha256.Sum256([]byte("benchmark\n" + j.Benchmark))
+	}
+	return sha256.Sum256([]byte("blif\n" + j.BLIF))
+}
+
+// canonMemoBytes bounds the canonical-encoding memo. The 39 benchmarks'
+// encodings total 0.43 MB (des, the largest, is 63 KB), so the bound holds
+// the whole suite several times over, inline variants included.
+const canonMemoBytes = 4 << 20
+
+// canonEntryBytes is what the memo charges an entry on top of its encoding:
+// roughly the entry, its list element and its map slot.
+const canonEntryBytes = 160
+
+// canonMemo is the process-wide memo of canonical encodings. Every runner
+// and caller in the process shares it: an entry is a pure function of its
+// input, so sharing changes what keying costs, never a key.
+var canonMemo = newCanonicalMemo(canonMemoBytes)
+
+// canonicalMemo maps a job's input ID to its canonical BLIF, evicting the
+// least recently used entries past a byte limit. It is safe for concurrent
+// use.
+type canonicalMemo struct {
+	limit int
+
+	mu      sync.Mutex
+	size    int                                 // guarded by mu; bytes charged by resident entries
+	entries map[[sha256.Size]byte]*list.Element // guarded by mu
+	lru     *list.List                          // guarded by mu; front = most recent; values are *canonEntry
+}
+
+// canonEntry is one memoized encoding.
+type canonEntry struct {
+	id    [sha256.Size]byte
+	canon []byte
+}
+
+func newCanonicalMemo(limit int) *canonicalMemo {
+	return &canonicalMemo{limit: limit, entries: make(map[[sha256.Size]byte]*list.Element), lru: list.New()}
+}
+
+// get returns the encoding memoized under id, or nil.
+func (m *canonicalMemo) get(id [sha256.Size]byte) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[id]
+	if !ok {
+		return nil
+	}
+	m.lru.MoveToFront(el)
+	return el.Value.(*canonEntry).canon
+}
+
+// put memoizes canon under id and evicts from the least recently used end
+// until the entries fit the limit. An encoding that alone exceeds the limit
+// is not stored, and one already stored under id (a racing miss wrote the
+// same bytes) is kept.
+func (m *canonicalMemo) put(id [sha256.Size]byte, canon []byte) {
+	cost := len(canon) + canonEntryBytes
+	if cost > m.limit {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[id]; ok {
+		return
+	}
+	m.entries[id] = m.lru.PushFront(&canonEntry{id: id, canon: canon})
+	m.size += cost
+	for m.size > m.limit {
+		oldest := m.lru.Back()
+		e := m.lru.Remove(oldest).(*canonEntry)
+		delete(m.entries, e.id)
+		m.size -= len(e.canon) + canonEntryBytes
+	}
 }
 
 // contentKey hashes the content address (Key) over the canonical BLIF.
