@@ -66,17 +66,6 @@ func (r *ring) add(worker string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// remove unregisters a worker's virtual nodes.
-func (r *ring) remove(worker string) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.worker != worker {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // pick returns the key's owner among workers not in skip, walking clockwise
 // from the key's position; "" when every worker is skipped or the ring is
 // empty. With an empty skip set this is plain consistent hashing; with the
@@ -95,18 +84,4 @@ func (r *ring) pick(key string, skip map[string]bool) string {
 		}
 	}
 	return ""
-}
-
-// workers returns the distinct worker names on the ring, sorted.
-func (r *ring) workers() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.worker] {
-			seen[p.worker] = true
-			out = append(out, p.worker)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,8 +2,36 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
+
+// remove unregisters a worker's virtual nodes. The coordinator registers its
+// workers once and never removes one; the ring tests use it to show that a
+// removal moves only the removed worker's keys.
+func (r *ring) remove(worker string) {
+	kept := r.points[:0]
+	for _, p := range r.points {
+		if p.worker != worker {
+			kept = append(kept, p)
+		}
+	}
+	r.points = kept
+}
+
+// workers returns the distinct worker names on the ring, sorted.
+func (r *ring) workers() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, p := range r.points {
+		if !seen[p.worker] {
+			seen[p.worker] = true
+			out = append(out, p.worker)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // TestRingDeterministicAndStable: the same key always lands on the same
 // worker, independent of registration order.

@@ -712,39 +712,79 @@ func TestTCBDefinition(t *testing.T) {
 }
 
 // TestDscaleCandidateCacheDifferential runs Dscale with SelfCheck on mapped
-// MCNC circuits: every round, dscaleState.verify cross-checks the incremental
-// candidate cache, the maintained MWIS adjacency and the running power total
-// against from-scratch rebuilds, and the engine against a fresh analysis.
-// This is the acceptance harness of the dirty-set maintenance.
+// MCNC circuits at two and three rails: every round, dscaleState.verify
+// cross-checks the incremental candidate cache and the maintained MWIS
+// adjacency against from-scratch rebuilds, and the engine against a fresh
+// analysis. Each circuit runs twice: committing every round, as a cold run
+// does, and under KeepJournal as the list Dscale, Gscale, Dscale, as a warm
+// point does. There absorb reads a journal that spans rounds, and the second
+// Dscale starts after a Rollback of the first's converters; both must report
+// what the committing run reports. This is the acceptance harness of the
+// dirty-set maintenance.
 func TestDscaleCandidateCacheDifferential(t *testing.T) {
 	names := []string{"z4ml", "b9", "C880", "alu2", "sct"}
 	if testing.Short() {
 		names = names[:2]
 	}
+	libs := []struct {
+		name string
+		lib  *cell.Library
+	}{{"2rails", lib}, {"3rails", cell.Compass06Rails([]float64{5, 4.3, 3.3})}}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			net, err := mcnc.Generate(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mres, err := mapper.Map(net, lib, mapper.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := DefaultOptions()
-			opts.SelfCheck = true
-			res, err := runFresh(t, runDscale, mres.Circuit, mres.Tspec, opts, 64)
-			if err != nil {
-				t.Fatalf("Dscale self-check on %s: %v", name, err)
-			}
-			if res.CandEvals <= 0 {
-				t.Fatal("candidate evaluation counter not maintained")
-			}
-			// The cache can never evaluate more than the rescan loop did:
-			// live gates per round plus the initial full pass.
-			bound := int64(mres.Circuit.NumLiveGates()) * int64(res.Iterations+1)
-			if res.CandEvals > bound {
-				t.Fatalf("CandEvals %d exceeds the full-rescan bound %d", res.CandEvals, bound)
+			for _, l := range libs {
+				t.Run(l.name, func(t *testing.T) {
+					mres, err := mapper.Map(net, l.lib, mapper.DefaultOptions())
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := mres.Circuit
+					sr, err := sim.Run(c, 64, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := DefaultOptions()
+					opts.SelfCheck = true
+					opts.Activities = sr.Act
+					kept := c.Clone()
+					inc, err := sta.NewIncremental(c, l.lib, mres.Tspec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := runDscale(inc, c, l.lib, opts)
+					if err != nil {
+						t.Fatalf("Dscale self-check on %s: %v", name, err)
+					}
+					if res.CandEvals <= 0 {
+						t.Fatal("candidate evaluation counter not maintained")
+					}
+					// The cache can never evaluate more than the rescan loop
+					// did: live gates per round plus the initial full pass.
+					bound := int64(c.NumLiveGates()) * int64(res.Iterations+1)
+					if res.CandEvals > bound {
+						t.Fatalf("CandEvals %d exceeds the full-rescan bound %d", res.CandEvals, bound)
+					}
+
+					kinc, err := sta.NewIncremental(kept, l.lib, mres.Tspec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.KeepJournal = true
+					list := []string{"Dscale", "Gscale", "Dscale"}
+					err = Run(kinc, kept, l.lib, list, opts, func(i int, r *Result) error {
+						if list[i] == "Dscale" && !reflect.DeepEqual(r, res) {
+							t.Errorf("Dscale #%d under KeepJournal: %+v, committing run %+v", i, r, res)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("self-check under KeepJournal on %s: %v", name, err)
+					}
+				})
 			}
 		})
 	}

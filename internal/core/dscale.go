@@ -108,7 +108,7 @@ func evalCandidate(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental
 
 // dscaleState is the incrementally maintained working set of one Dscale run.
 // Everything in it is an exact function of the circuit plus the engine's
-// annotation; the change journal (sta.Incremental.DrainChanged) tells it
+// annotation; the engine's journal (sta.Incremental.ChangedSince) tells it
 // which gates to refresh, so each round touches only what the previous
 // round's moves disturbed instead of rescanning every gate. verify() checks
 // the whole invariant against a from-scratch rebuild under Options.SelfCheck.
@@ -138,14 +138,12 @@ type dscaleState struct {
 	weight   []int64
 	weighted []int
 
-	// Running total power (switching + internal + LC static) maintained per
-	// refresh from per-gate contributions, instead of an O(gates) rescan per
-	// observer round event.
-	powerTotal float64
-	contrib    []float64
+	// seen is the journal position absorb has read up to.
+	seen sta.Mark
 
 	// Scratch buffers (steady-state allocation-free).
-	drainBuf  []netlist.Signal
+	changed   []netlist.Signal
+	absorbed  netlist.BitSet
 	cands     []candidate
 	coneSeen  netlist.BitSet
 	covered   netlist.BitSet
@@ -162,11 +160,12 @@ type dscaleState struct {
 
 // newDscaleState builds the working set from the post-CVS circuit: full
 // candidate invalidation (round one evaluates every gate, like the rescan
-// loop did), the complete succ adjacency, and the initial power total summed
-// in gate order — the same order verify's fresh sum uses.
+// loop did) and the complete succ adjacency. CVS ran on the same engine and
+// its changes are already reflected here, so absorb reads the journal from
+// the current position on.
 func newDscaleState(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental,
 	opts *Options, act []float64) *dscaleState {
-	st := &dscaleState{ckt: ckt, lib: lib, inc: inc, opts: opts, act: act}
+	st := &dscaleState{ckt: ckt, lib: lib, inc: inc, opts: opts, act: act, seen: inc.Checkpoint()}
 	st.grow()
 	fan := inc.Fanouts()
 	for gi, g := range ckt.Gates {
@@ -176,13 +175,7 @@ func newDscaleState(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incrementa
 		for _, cn := range fan.Conns[ckt.GateSignal(gi)] {
 			st.succ[gi] = append(st.succ[gi], cn.Gate)
 		}
-		st.contrib[gi] = st.gateContrib(gi)
-		st.powerTotal += st.contrib[gi]
 	}
-	// CVS ran on the same engine; its changes are already reflected in the
-	// freshly built state, so discard the journal backlog.
-	st.drainBuf = inc.DrainChanged(st.drainBuf[:0])
-	st.drainBuf = st.drainBuf[:0]
 	return st
 }
 
@@ -195,29 +188,11 @@ func (st *dscaleState) grow() {
 		st.cand = append(st.cand, candidate{})
 		st.succ = append(st.succ, nil)
 		st.weight = append(st.weight, 0)
-		st.contrib = append(st.contrib, 0)
 	}
 }
 
-// gateContrib is gate gi's share of the running power total under the current
-// annotation: switching power of its output net plus internal power, plus the
-// converter static power for LCs. Dead gates contribute nothing.
-func (st *dscaleState) gateContrib(gi int) float64 {
-	g := st.ckt.Gates[gi]
-	if g.Dead {
-		return 0
-	}
-	out := st.ckt.GateSignal(gi)
-	vdd := st.lib.VddOf(g.Volt)
-	c := power.Switch(st.act[out], st.opts.Fclk, st.inc.Load[out]+g.Cell.InternalCap, vdd)
-	if g.IsLC {
-		c += st.lib.LCStaticPowerFor(g.Cell)
-	}
-	return c
-}
-
-// refreshGate re-derives everything keyed on gate gi: candidate cache entry
-// (invalidated, re-evaluated lazily), succ adjacency and power contribution.
+// refreshGate re-derives everything keyed on gate gi: its candidate cache
+// entry (invalidated, re-evaluated lazily) and its succ adjacency.
 func (st *dscaleState) refreshGate(gi int) {
 	st.candValid[gi] = false
 	g := st.ckt.Gates[gi]
@@ -227,25 +202,24 @@ func (st *dscaleState) refreshGate(gi int) {
 			st.succ[gi] = append(st.succ[gi], cn.Gate)
 		}
 	}
-	if nc := st.gateContrib(gi); nc != st.contrib[gi] {
-		st.powerTotal += nc - st.contrib[gi]
-		st.contrib[gi] = nc
-	}
 }
 
-// absorb drains the engine's change journal and refreshes the state of every
-// gate the changes can influence: the driver of each changed signal (its
-// slack, load, consumer set or attributes moved) and the signal's consumers
-// (their fanin arrivals moved).
+// absorb reads the engine's journal since the last absorb and refreshes the
+// state of every gate the changes can influence: the driver of each changed
+// signal (its slack, load, consumer set or attributes moved) and the signal's
+// consumers (their fanin arrivals moved). Each signal is absorbed once.
 func (st *dscaleState) absorb() {
-	st.drainBuf = st.inc.DrainChanged(st.drainBuf[:0])
+	st.changed = st.inc.ChangedSince(st.seen, st.changed[:0])
+	st.seen = st.inc.Checkpoint()
 	st.grow()
+	st.absorbed.Grow(st.ckt.NumSignals())
+	st.absorbed.Reset()
 	fan := st.inc.Fanouts()
-	nSig := st.ckt.NumSignals()
-	for _, s := range st.drainBuf {
-		if int(s) >= nSig {
-			continue // signal rolled back out of existence
+	for _, s := range st.changed {
+		if st.absorbed.Has(int(s)) {
+			continue
 		}
+		st.absorbed.Set(int(s))
 		if gi := st.ckt.GateIndex(s); gi >= 0 {
 			st.refreshGate(gi)
 		}
@@ -305,7 +279,6 @@ func (st *dscaleState) verify() error {
 	ce := st.candEvals // oracle re-evaluations must not skew the metric
 	defer func() { st.candEvals = ce }()
 	fan := st.inc.Fanouts()
-	total := 0.0
 	for gi, g := range st.ckt.Gates {
 		// succ must equal a fresh consumer-table walk, element for element.
 		// The MWIS selection needs only reachability, but the exact list is
@@ -319,7 +292,6 @@ func (st *dscaleState) verify() error {
 		if !slices.Equal(fresh, st.succ[gi]) {
 			return fmt.Errorf("core: Dscale succ[%d] stale: %v vs fresh %v", gi, st.succ[gi], fresh)
 		}
-		total += st.gateContrib(gi)
 		// A valid cache entry must match a fresh evaluation bit for bit.
 		if !st.candValid[gi] {
 			continue
@@ -330,11 +302,6 @@ func (st *dscaleState) verify() error {
 			return fmt.Errorf("core: Dscale candidate cache stale at gate %d (%s): %+v/%v vs fresh %+v/%v",
 				gi, g.Name, was, wasOK, st.cand[gi], st.candOK[gi])
 		}
-	}
-	// The running power total accumulates float rounding relative to a fresh
-	// gate-order sum; it must stay within noise of it.
-	if diff := st.powerTotal - total; diff > 1e-9*total || diff < -1e-9*total {
-		return fmt.Errorf("core: Dscale running power %.15g drifted from fresh sum %.15g", st.powerTotal, total)
 	}
 	return nil
 }
@@ -350,9 +317,9 @@ func (st *dscaleState) verify() error {
 //
 // Candidates are maintained incrementally: a round re-evaluates only gates
 // whose timing, load, consumer set or neighborhood changed since the last
-// round (per the engine's change journal), which drops per-round evaluation
-// work from live-gates to the size of the disturbed region while producing
-// the exact decisions of a full rescan.
+// round (per the engine's journal), which drops per-round evaluation work
+// from live-gates to the size of the disturbed region while producing the
+// exact decisions of a full rescan.
 //
 // Dscale weights its candidates with Options.Activities (act, capped by
 // Run): switching activities are a property of the logic alone, and the
@@ -424,6 +391,7 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		st.bypassRedundantLCs()
 		if !opts.KeepJournal {
 			inc.Commit() // moves are final; cap journal growth
+			st.seen = inc.Checkpoint()
 		}
 		res.Iterations++
 
@@ -436,7 +404,7 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			opts.emit(Event{
 				Algorithm: "Dscale", Kind: EventRound, Round: res.Iterations,
 				Moves: len(lowSet), LowGates: ckt.NumLowGates(),
-				Power:    st.powerTotal,
+				Power:    power.EstimateWithLoads(ckt, lib, st.act, inc.Load, opts.Fclk).Total,
 				STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
 			})
 		}
@@ -503,8 +471,7 @@ func (st *dscaleState) greedyIndependent(cands []candidate) []int {
 // converter per net is shared by all restored consumers; it carries the pair
 // cell for the crossing and is powered at the highest restored consumer's
 // rail. The activity table gains the converter's (aliased) activity, and the
-// state absorbs the change journal so the touched region is re-evaluated next
-// round.
+// state absorbs the journal so the touched region is re-evaluated next round.
 func (st *dscaleState) applyLow(gi int) error {
 	ckt, lib, inc := st.ckt, st.lib, st.inc
 	g := ckt.Gates[gi]

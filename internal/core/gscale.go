@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dualvdd/internal/cell"
@@ -96,19 +97,6 @@ func sizingWeight(dArea, gain float64) int64 {
 	return graph.Inf
 }
 
-// tcbEqual compares two sorted TCB slices.
-func tcbEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // gscaleFrom continues the paper's §3 algorithm from the CVS clustering Run
 // performed, which sets the initial low cluster and TCB: each iteration
 // speeds up the paths into the time-critical boundary by up-sizing a
@@ -130,7 +118,13 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	act []float64, cvs *CVSResult, areaBefore float64) (*Result, error) {
 	maxArea := areaBefore * (1 + opts.MaxAreaIncrease)
 	tcb := cvs.TCB
-	originalCell := make(map[int]*cell.Cell)
+	// A gate's cell changes only through accepted SetCells (a rejected cut
+	// is rolled back), so the gates whose cell differs at the end from this
+	// snapshot are the ones Gscale resized.
+	entryCell := make([]*cell.Cell, len(ckt.Gates))
+	for gi, g := range ckt.Gates {
+		entryCell[gi] = g.Cell
+	}
 	res := &Result{}
 	counter := 0
 	for counter <= opts.MaxIter && len(tcb) > 0 {
@@ -225,7 +219,6 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			// own cut member has compensated — a spurious violation.)
 			mark := inc.Checkpoint()
 			var applied []int
-			prevCell := make(map[int]*cell.Cell)
 			for _, i := range cut {
 				gi := gates[i]
 				up := ups[i]
@@ -236,18 +229,12 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 				if ckt.Area()+up.Area-g.Cell.Area > maxArea {
 					continue // resize only if area increase is allowed
 				}
-				prevCell[gi] = g.Cell
 				inc.SetCell(gi, up)
 				applied = append(applied, gi)
 			}
 			if len(applied) > 0 {
 				if inc.Meets(slackEps) {
 					resized = len(applied)
-					for _, gi := range applied {
-						if _, seen := originalCell[gi]; !seen {
-							originalCell[gi] = prevCell[gi]
-						}
-					}
 				} else {
 					// Conservative gain estimates failed this batch (e.g. a
 					// driver shared by many cut members): roll the whole
@@ -260,15 +247,11 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 						if next == nil || ckt.Area()+next.Area-g.Cell.Area > maxArea {
 							continue
 						}
-						prev := g.Cell
 						one := inc.Checkpoint()
 						inc.SetCell(gi, next)
 						if !inc.Meets(slackEps) {
 							inc.Rollback(one)
 							continue
-						}
-						if _, seen := originalCell[gi]; !seen {
-							originalCell[gi] = prev
 						}
 						resized++
 					}
@@ -286,7 +269,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			return nil, err
 		}
 		tcbNew := pushed.TCB
-		if resized == 0 || tcbEqual(tcbNew, tcb) {
+		if resized == 0 || slices.Equal(tcbNew, tcb) {
 			counter++
 		} else {
 			counter = 0
@@ -307,8 +290,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	if !inc.Meets(slackEps) {
 		return nil, fmt.Errorf("core: Gscale violated timing (%.6f > %.6f)", inc.WorstArrival(), inc.Tspec())
 	}
-	//lint:nondeterministic-ok commutative counting of resized gates; order-free
-	for gi, orig := range originalCell {
+	for gi, orig := range entryCell {
 		if ckt.Gates[gi].Cell != orig {
 			res.Sized++
 		}

@@ -123,8 +123,9 @@ type Event struct {
 	// LowGates is the current number of ordinary gates at Vlow.
 	LowGates int
 	// Power is the current total-power estimate in watts, filled when the
-	// loop has activity data at hand (Dscale rounds); 0 means "not
-	// computed", never "zero power".
+	// loop has activity data at hand (Dscale rounds, which report the
+	// estimate their result does); 0 means "not computed", never "zero
+	// power".
 	Power float64
 	// STAEvals is the cumulative incremental-timing evaluation count.
 	STAEvals int64

@@ -3,7 +3,6 @@ package sta
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
@@ -26,8 +25,10 @@ import (
 // RewirePin, AddGate, KillGate); mutating the circuit directly invalidates
 // it. Checkpoint/Rollback give transactional apply/undo: candidate moves can
 // be applied, measured, and reverted in time proportional to the touched
-// cone, never the circuit. The undo journal holds no pointers, so the
-// garbage collector never scans it.
+// cone, never the circuit. The same undo journal tells incremental consumers
+// what changed: ChangedSince names the signals its records since a mark
+// touch. The journal holds no pointers, so the garbage collector never scans
+// it.
 type Incremental struct {
 	ckt   *netlist.Circuit
 	lib   *cell.Library
@@ -46,31 +47,23 @@ type Incremental struct {
 	// prio is a topological numbering of gates: strictly increasing along
 	// every driver→consumer edge. Heap-ordered propagation by prio visits
 	// each gate at most once per wave.
-	prio       []float64
-	order      []int
-	orderDirty bool
+	prio  []float64
+	order []int
 
 	fheap, bheap []int
 	inF, inB     []bool
 	poDirty      bool
 
-	// journal is the undo log Rollback replays in reverse. The old cell of
-	// each recCell entry sits on cells, in the same order, so that the
-	// records themselves stay pointer-free.
+	// journal is the undo log Rollback replays in reverse and ChangedSince
+	// reads forward. The old cell of each recCell entry sits on cells, in the
+	// same order, so that the records themselves stay pointer-free.
 	journal []undoRec
 	cells   []*cell.Cell
 	evals   int64
-
-	// changed is the change journal: every signal whose annotation values,
-	// consumer set or driver attributes (voltage, cell, liveness) changed
-	// since the last DrainChanged, deduplicated via inChg. Incremental
-	// consumers (Dscale's candidate cache and its running power total) key
-	// their invalidation off it.
-	changed []netlist.Signal
-	inChg   []bool
 }
 
-// Mark is a journal position returned by Checkpoint and consumed by Rollback.
+// Mark is a journal position returned by Checkpoint and consumed by Rollback
+// and ChangedSince.
 type Mark int
 
 type undoKind uint8
@@ -118,7 +111,6 @@ func NewIncremental(ckt *netlist.Circuit, lib *cell.Library, tspec float64) (*In
 		order:    t.order,
 		inF:      make([]bool, len(ckt.Gates)),
 		inB:      make([]bool, len(ckt.Gates)),
-		inChg:    make([]bool, ckt.NumSignals()),
 	}
 	for i := range inc.prio {
 		inc.prio[i] = -1 // dead gates never propagate
@@ -177,63 +169,40 @@ func (t *Incremental) Fanouts() *netlist.Fanouts { return t.fan }
 // far, the work metric a full re-analysis pays n of per mutation.
 func (t *Incremental) Evals() int64 { return t.evals }
 
-// Order returns the live gates in a topological order consistent with the
-// engine's propagation priorities. Before any structural change this is
-// exactly the order Analyze uses.
-func (t *Incremental) Order() []int {
-	if !t.orderDirty {
-		return t.order
-	}
-	order := make([]int, 0, len(t.ckt.Gates))
-	for gi, g := range t.ckt.Gates {
-		// prio < 0 marks gates that were already dead at construction; they
-		// were absent from the original order and must stay absent from any
-		// rebuild (a Rollback-revived gate keeps its non-negative prio).
-		if !g.Dead && t.prio[gi] >= 0 {
-			order = append(order, gi)
+// Order returns the gates in the topological order Analyze used at
+// construction. It does not follow structural changes (a gate added since is
+// missing, a gate killed since is still listed), so it holds only where none
+// is in effect: on a circuit without level converters, which is where every
+// caller reads it (Dscale's converters are rolled back before anything else
+// runs). There the live gates sorted by priority are exactly this order,
+// since original gates keep their priorities for the engine's lifetime.
+func (t *Incremental) Order() []int { return t.order }
+
+// ChangedSince appends to buf the signals named by the journal records
+// appended since m and returns the extended buf (so steady-state callers
+// allocate nothing). A value record names its signal; a voltage, cell, add
+// or kill record names the gate's output and fanins; a pin record names the
+// pin's old and current source. Together they cover every signal whose
+// arrival, required time or load (and so slack), consumer set or consumers'
+// rails, or driving gate's voltage, cell or liveness changed since m. Spurious entries are
+// possible and a signal may repeat. Changes rolled back are not reported.
+// Commit, or a Rollback below m, invalidates m.
+func (t *Incremental) ChangedSince(m Mark, buf []netlist.Signal) []netlist.Signal {
+	for _, r := range t.journal[m:] {
+		switch r.kind {
+		case recArrival, recRequired, recLoad:
+			buf = append(buf, netlist.Signal(r.a))
+		case recVolt, recCell, recAdd, recDead:
+			// The voltage move itself matters even when no timing value
+			// shifts: a consumer's rail decides whether its driver would need
+			// a level converter, so driver-side caches keyed on the fanin
+			// nets must see it.
+			buf = append(buf, t.ckt.GateSignal(int(r.a)))
+			buf = append(buf, t.ckt.Gates[r.a].In...)
+		case recPin:
+			buf = append(buf, netlist.Signal(r.c), t.ckt.Gates[r.a].In[r.b])
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool { return t.prio[order[i]] < t.prio[order[j]] })
-	t.order = order
-	t.orderDirty = false
-	return t.order
-}
-
-// mark records s in the change journal (deduplicated until the next drain).
-func (t *Incremental) mark(s netlist.Signal) {
-	if int(s) < len(t.inChg) && !t.inChg[s] {
-		t.inChg[s] = true
-		t.changed = append(t.changed, s)
-	}
-}
-
-// markGate records a gate's neighborhood in the change journal: its output
-// signal (attributes or liveness changed) and its fanin signals (their
-// consumer composition changed).
-func (t *Incremental) markGate(gi int) {
-	t.mark(t.ckt.GateSignal(gi))
-	for _, s := range t.ckt.Gates[gi].In {
-		t.mark(s)
-	}
-}
-
-// DrainChanged appends the change journal accumulated since the last drain to
-// buf and resets the journal, returning the extended buf (so steady-state
-// callers allocate nothing). The journal is a conservative superset: a
-// drained signal's arrival, required or load value (and so its slack), its
-// consumer set, or its driving gate's voltage, cell or liveness may have
-// changed — spurious entries are possible, omissions are not. Mutations
-// rolled back since the last drain still appear (their values moved and
-// moved back); entries may reference signals beyond the current NumSignals
-// after a Rollback of an AddGate, which callers must skip.
-func (t *Incremental) DrainChanged(buf []netlist.Signal) []netlist.Signal {
-	for _, s := range t.changed {
-		if int(s) < len(t.inChg) {
-			t.inChg[s] = false
-		}
-		buf = append(buf, s)
-	}
-	t.changed = t.changed[:0]
 	return buf
 }
 
@@ -262,10 +231,6 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recVolt, a: int32(gi), b: int32(g.Volt)})
 	g.Volt = v
-	// The voltage move itself is journaled even when no timing value shifts:
-	// a consumer's rail decides whether its driver would need a level
-	// converter, so driver-side caches keyed on the fanin nets must see it.
-	t.markGate(gi)
 	t.pushF(gi)
 	t.pushB(gi)
 	t.settle()
@@ -284,7 +249,6 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	t.journal = append(t.journal, undoRec{kind: recCell, a: int32(gi)})
 	t.cells = append(t.cells, g.Cell)
 	g.Cell = cl
-	t.markGate(gi)
 	for _, s := range g.In {
 		t.reload(s)
 	}
@@ -308,9 +272,6 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 	}
 	t.journal = append(t.journal, undoRec{kind: recPin, a: int32(gi), b: int32(pin), c: int32(from)})
 	g.In[pin] = to
-	// Both nets' consumer sets changed even if their loads happen not to.
-	t.mark(from)
-	t.mark(to)
 	cn := netlist.Conn{Gate: gi, Pin: pin}
 	t.fan.Disconnect(from, cn)
 	t.fan.Connect(to, cn)
@@ -336,7 +297,6 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 	t.fan.Grow(t.ckt.NumSignals())
 	t.inF = append(t.inF, false)
 	t.inB = append(t.inB, false)
-	t.inChg = append(t.inChg, false)
 	// Priority strictly after every fanin driver but strictly before the next
 	// integer: original gates carry integer priorities, so the new gate sorts
 	// before every pre-existing consumer of its sources (which may then be
@@ -349,7 +309,6 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 		}
 	}
 	t.prio = append(t.prio, base+(math.Floor(base)+1-base)/2)
-	t.orderDirty = true
 	g := t.ckt.Gates[gi]
 	for pin, s := range g.In {
 		t.fan.Connect(s, netlist.Conn{Gate: gi, Pin: pin})
@@ -358,7 +317,6 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 		t.reload(s)
 		t.rerequire(s)
 	}
-	t.markGate(gi)
 	t.pushF(gi)
 	t.settle()
 	return gi, out
@@ -374,8 +332,6 @@ func (t *Incremental) KillGate(gi int) error {
 	}
 	t.journal = append(t.journal, undoRec{kind: recDead, a: int32(gi)})
 	g.Dead = true
-	t.markGate(gi)
-	t.orderDirty = true
 	for pin, s := range g.In {
 		t.fan.Disconnect(s, netlist.Conn{Gate: gi, Pin: pin})
 	}
@@ -403,38 +359,30 @@ func (t *Incremental) Rollback(m Mark) {
 		switch r.kind {
 		case recArrival:
 			t.Arrival[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
 		case recRequired:
 			t.Required[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
 		case recLoad:
 			t.Load[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
 		case recWorst:
 			t.worst = r.f
 		case recVolt:
 			t.ckt.Gates[gi].Volt = cell.VoltLevel(r.b)
-			t.markGate(gi)
 		case recCell:
 			last := len(t.cells) - 1
 			t.ckt.Gates[gi].Cell = t.cells[last]
 			t.cells[last] = nil
 			t.cells = t.cells[:last]
-			t.markGate(gi)
 		case recPin:
 			g := t.ckt.Gates[gi]
 			pin, from := int(r.b), netlist.Signal(r.c)
 			cn := netlist.Conn{Gate: gi, Pin: pin}
 			t.fan.Disconnect(g.In[pin], cn)
 			t.fan.Connect(from, cn)
-			t.mark(g.In[pin])
-			t.mark(from)
 			g.In[pin] = from
 		case recAdd:
 			g := t.ckt.Gates[gi]
 			for pin, s := range g.In {
 				t.fan.Disconnect(s, netlist.Conn{Gate: gi, Pin: pin})
-				t.mark(s)
 			}
 			t.ckt.Gates = t.ckt.Gates[:gi]
 			n := t.ckt.NumSignals()
@@ -445,16 +393,12 @@ func (t *Incremental) Rollback(m Mark) {
 			t.prio = t.prio[:gi]
 			t.inF = t.inF[:gi]
 			t.inB = t.inB[:gi]
-			t.inChg = t.inChg[:n]
-			t.orderDirty = true
 		case recDead:
 			g := t.ckt.Gates[gi]
 			g.Dead = false
 			for pin, s := range g.In {
 				t.fan.Connect(s, netlist.Conn{Gate: gi, Pin: pin})
 			}
-			t.markGate(gi)
-			t.orderDirty = true
 		}
 	}
 	t.journal = t.journal[:m]
@@ -536,7 +480,6 @@ func (t *Incremental) reload(s netlist.Signal) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recLoad, a: int32(s), f: t.Load[s]})
 	t.Load[s] = nl
-	t.mark(s)
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
 		t.pushF(di)
 		t.pushB(di)
@@ -575,7 +518,6 @@ func (t *Incremental) setRequired(s netlist.Signal, r float64) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recRequired, a: int32(s), f: old})
 	t.Required[s] = r
-	t.mark(s)
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
 		t.pushB(di)
 	}
@@ -587,7 +529,6 @@ func (t *Incremental) setArrival(out int, a float64) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recArrival, a: int32(out), f: t.Arrival[out]})
 	t.Arrival[out] = a
-	t.mark(netlist.Signal(out))
 	for _, cn := range t.fan.Conns[netlist.Signal(out)] {
 		t.pushF(cn.Gate)
 	}

@@ -7,7 +7,6 @@
 package sta
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -163,19 +162,4 @@ func MinDelay(c *netlist.Circuit, lib *cell.Library) (float64, error) {
 		return 0, err
 	}
 	return t.WorstArrival, nil
-}
-
-// Check validates a timing annotation against a freshly computed one; used in
-// tests and as an internal assertion hook.
-func Check(c *netlist.Circuit, lib *cell.Library, t *Timing, eps float64) error {
-	fresh, err := Analyze(c, lib, t.Tspec)
-	if err != nil {
-		return err
-	}
-	for s := range fresh.Arrival {
-		if math.Abs(fresh.Arrival[s]-t.Arrival[s]) > eps {
-			return fmt.Errorf("sta: stale arrival at signal %d: %.4f vs %.4f", s, t.Arrival[s], fresh.Arrival[s])
-		}
-	}
-	return nil
 }

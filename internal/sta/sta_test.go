@@ -194,21 +194,6 @@ func TestGateArrivalWithCellPredictsResize(t *testing.T) {
 	}
 }
 
-func TestCheckDetectsStaleTiming(t *testing.T) {
-	c := invChain(3)
-	tm, err := Analyze(c, lib, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(c, lib, tm, 1e-9); err != nil {
-		t.Fatalf("fresh timing flagged stale: %v", err)
-	}
-	c.Gates[0].Volt = cell.VLow
-	if err := Check(c, lib, tm, 1e-9); err == nil {
-		t.Fatal("stale timing not detected")
-	}
-}
-
 func TestAnalyzeRandomMonotonicity(t *testing.T) {
 	// Arrival times never decrease when any single gate is slowed to Vlow.
 	rng := rand.New(rand.NewSource(9))

@@ -180,9 +180,6 @@ func (j *Journal) Replay(fn func(rec dualvdd.JobRecord) error) error {
 	return scanner.Err()
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close flushes (fsyncing if any cadence is configured) and closes the
 // underlying file; Append fails afterwards.
 func (j *Journal) Close() error {

@@ -503,7 +503,12 @@ func TestLocalBusyEngineRunsPrivate(t *testing.T) {
 	entry := l.warm[key].Value.(*warmEntry)
 	l.mu.Unlock()
 	entry.busy.Store(true)
-	runs := entry.wd.Runs()
+	evals := func() int64 {
+		entry.wd.mu.Lock()
+		defer entry.wd.mu.Unlock()
+		return entry.wd.inc.Evals()
+	}
+	before := evals()
 
 	second := BenchmarkJob("z4ml", WithSimWords(16), WithVoltages(5.0, 3.9))
 	id, err = l.Submit(ctx, second)
@@ -517,8 +522,8 @@ func TestLocalBusyEngineRunsPrivate(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("second job ended %s: %s", st.State, st.Error)
 	}
-	if got := entry.wd.Runs(); got != runs {
-		t.Fatalf("the busy shared engine ran %d more algorithms", got-runs)
+	if got := evals(); got != before {
+		t.Fatalf("the busy shared engine ran %d more evaluations", got-before)
 	}
 	if m := l.Metrics(); m.PrepBuilds != 1 || m.PrepReuses != 1 {
 		t.Fatalf("builds/reuses = %d/%d, want 1/1", m.PrepBuilds, m.PrepReuses)

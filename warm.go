@@ -41,7 +41,6 @@ type WarmDesign struct {
 	mu   sync.Mutex
 	work *netlist.Circuit // guarded by mu
 	inc  *sta.Incremental // guarded by mu
-	runs int64            // guarded by mu
 }
 
 // NewWarmDesign builds the shared execution state from a prepared design: one
@@ -74,14 +73,6 @@ func (f *Flow) PrepareWarmBenchmark(ctx context.Context, name string) (*WarmDesi
 		return nil, err
 	}
 	return NewWarmDesign(d)
-}
-
-// Runs returns how many algorithm executions the shared state has served —
-// the denominator of the warm path's amortization.
-func (w *WarmDesign) Runs() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.runs
 }
 
 // RunAt executes the given algorithms (all three when empty, in any order,
@@ -159,7 +150,6 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 		// No simulation ran and the working clone is rolled back, so SimTime
 		// stays 0 and Circuit nil.
 		fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
-		w.runs++
 		obs.emit(EventResult{Circuit: d.Name, Result: fr})
 		results = append(results, fr)
 		last = time.Now() //lint:wallclock-ok timing metric only; never feeds results

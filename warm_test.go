@@ -74,12 +74,17 @@ func TestWarmMatchesColdAcrossPoints(t *testing.T) {
 	}
 
 	warm := make(map[float64][]*dualvdd.FlowResult)
+	runs := 0
 	for _, vlow := range vlows {
 		res, err := wd.RunAt(ctx, []float64{5.0, vlow}, nil, nil)
 		if err != nil {
 			t.Fatalf("warm run at %.1f: %v", vlow, err)
 		}
 		warm[vlow] = res
+		runs += len(res)
+	}
+	if runs != len(vlows)*3 {
+		t.Errorf("RunAt returned %d results, want %d", runs, len(vlows)*3)
 	}
 
 	for i := len(vlows) - 1; i >= 0; i-- {
@@ -99,10 +104,6 @@ func TestWarmMatchesColdAcrossPoints(t *testing.T) {
 		for j := range cold {
 			requireSameResult(t, cold[j].Algorithm, cold[j], warm[vlow][j])
 		}
-	}
-
-	if got := wd.Runs(); got != int64(len(vlows)*3) {
-		t.Errorf("Runs() = %d, want %d", got, len(vlows)*3)
 	}
 }
 
@@ -197,6 +198,64 @@ func TestRunAtEventsMatchCold(t *testing.T) {
 						label, len(warm), len(cold))
 				}
 			}
+		}
+	}
+}
+
+// TestDscaleRoundPowerIsResultPower holds the Power of the last Dscale
+// round event to the Power of the Dscale result, bit for bit, cold
+// (Design.RunAlgorithm) and warm (WarmDesign.RunAt), at two and three rails:
+// a round event reports the estimate the result reports, and the last round
+// leaves the circuit as the run does.
+func TestDscaleRoundPowerIsResultPower(t *testing.T) {
+	ctx := context.Background()
+	railSets := [][]float64{{5, 4.3}, {5, 3.7}, {5, 4.3, 3.6}}
+	circuits := []string{"b9", "rot", "C880", "apex6", "dalu", "k2"}
+	if testing.Short() {
+		circuits = circuits[:2]
+	}
+	// check finds the last Dscale round event in evs and compares its Power.
+	check := func(label string, evs []dualvdd.Event, res *dualvdd.FlowResult) {
+		t.Helper()
+		var last *dualvdd.EventRoundDone
+		for _, ev := range evs {
+			if rd, ok := ev.(dualvdd.EventRoundDone); ok && rd.Algorithm == string(dualvdd.AlgoDscale) {
+				last = &rd
+			}
+		}
+		if last == nil {
+			t.Fatalf("%s: Dscale ran no round", label)
+		}
+		if !bitEq(last.Power, res.Power) {
+			t.Errorf("%s: round %d power %v, result power %v", label, last.Round, last.Power, res.Power)
+		}
+	}
+	for _, circuit := range circuits {
+		wd, err := dualvdd.New(dualvdd.WithSimWords(16)).PrepareWarmBenchmark(ctx, circuit)
+		if err != nil {
+			t.Fatalf("prepare warm %s: %v", circuit, err)
+		}
+		for _, rails := range railSets {
+			label := fmt.Sprintf("%s at %v", circuit, rails)
+			var cold []dualvdd.Event
+			d, err := dualvdd.New(dualvdd.WithSimWords(16), dualvdd.WithRails(rails...),
+				dualvdd.WithObserver(func(ev dualvdd.Event) { cold = append(cold, ev) })).PrepareBenchmark(ctx, circuit)
+			if err != nil {
+				t.Fatalf("%s: prepare cold: %v", label, err)
+			}
+			res, err := d.RunAlgorithm(ctx, dualvdd.AlgoDscale)
+			if err != nil {
+				t.Fatalf("%s: cold: %v", label, err)
+			}
+			check(label+" cold", cold, res)
+
+			var warm []dualvdd.Event
+			got, err := wd.RunAt(ctx, rails, []dualvdd.Algorithm{dualvdd.AlgoDscale},
+				func(ev dualvdd.Event) { warm = append(warm, ev) })
+			if err != nil {
+				t.Fatalf("%s: warm: %v", label, err)
+			}
+			check(label+" warm", warm, got[0])
 		}
 	}
 }
