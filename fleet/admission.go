@@ -25,6 +25,9 @@ var (
 // quota bounds how much of the fleet one tenant may occupy at once. The
 // untagged tenant "" is a tenant like any other — per-tenant state is
 // keyed by the dualvdd.WithTenant tag.
+//
+// A tenant's state is dropped once it is indistinguishable from a fresh one
+// (see idle), so a tag a client sends once costs nothing after its job ends.
 type admission struct {
 	rate     float64 // tokens per second; <= 0 disables rate limiting
 	burst    float64 // bucket capacity
@@ -33,6 +36,7 @@ type admission struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
+	swept   time.Time // when admit last dropped the idle tenants
 }
 
 // tenantState is one tenant's bucket and occupancy.
@@ -52,25 +56,44 @@ func newAdmission(rate float64, burst float64, inFlight int, now func() time.Tim
 	}
 	return &admission{
 		rate: rate, burst: burst, inFlight: inFlight,
-		now: now, tenants: make(map[string]*tenantState),
+		now: now, tenants: make(map[string]*tenantState), swept: now(),
 	}
 }
 
+// idle reports whether ts is indistinguishable at now from a fresh tenant:
+// no job in flight and, under rate limiting, a bucket refilled to burst. A
+// partly spent bucket is never idle — dropping it would refill it early.
+func (a *admission) idle(ts *tenantState, now time.Time) bool {
+	return ts.inFlight == 0 && (a.rate <= 0 || ts.tokens+now.Sub(ts.last).Seconds()*a.rate >= a.burst)
+}
+
 // admit charges one submission to the tenant, or refuses it. An admitted
-// submission holds one in-flight slot until release.
+// submission holds one in-flight slot until release. Under rate limiting it
+// first drops the idle tenants, at most once per time an empty bucket takes
+// to refill, so a tenant left with a partly spent bucket is gone within two
+// such periods of its last submission.
 func (a *admission) admit(tenant string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	now := a.now()
+	if a.rate > 0 && now.Sub(a.swept).Seconds()*a.rate >= a.burst {
+		//lint:nondeterministic-ok each tenant is dropped or kept on its own state; order is irrelevant
+		for name, ts := range a.tenants {
+			if a.idle(ts, now) {
+				delete(a.tenants, name)
+			}
+		}
+		a.swept = now
+	}
 	ts := a.tenants[tenant]
 	if ts == nil {
-		ts = &tenantState{tokens: a.burst, last: a.now()}
+		ts = &tenantState{tokens: a.burst, last: now}
 		a.tenants[tenant] = ts
 	}
 	if a.inFlight > 0 && ts.inFlight >= a.inFlight {
 		return ErrQuotaExceeded
 	}
 	if a.rate > 0 {
-		now := a.now()
 		ts.tokens += now.Sub(ts.last).Seconds() * a.rate
 		if ts.tokens > a.burst {
 			ts.tokens = a.burst
@@ -85,11 +108,17 @@ func (a *admission) admit(tenant string) error {
 	return nil
 }
 
-// release returns the tenant's in-flight slot once its job is terminal.
+// release returns the tenant's in-flight slot once its job is terminal, and
+// drops the tenant's state if that leaves it idle.
 func (a *admission) release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if ts := a.tenants[tenant]; ts != nil && ts.inFlight > 0 {
-		ts.inFlight--
+	ts := a.tenants[tenant]
+	if ts == nil || ts.inFlight == 0 {
+		return
+	}
+	ts.inFlight--
+	if a.idle(ts, a.now()) {
+		delete(a.tenants, tenant)
 	}
 }

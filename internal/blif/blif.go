@@ -5,13 +5,16 @@
 //
 // One extension is supported for round-tripping the paper's results: the
 // non-standard directive ".volt <gate> low" records that a mapped gate is
-// powered at Vlow. SIS-compatible readers ignore unknown dot-directives.
+// powered at Vlow (rail 1), and ".volt <gate> <rail>" that it is powered at a
+// deeper rail index of a multi-rail library. SIS-compatible readers ignore
+// unknown dot-directives.
 package blif
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -107,9 +110,22 @@ type gateBlock struct {
 }
 
 type voltBlock struct {
-	line string
+	line int
 	gate string
-	low  bool
+	rail int
+}
+
+// railIndex parses a .volt level: "high" is rail 0, "low" rail 1, and a
+// non-negative decimal number the rail of that index.
+func railIndex(level string) (int, bool) {
+	switch level {
+	case "high":
+		return 0, true
+	case "low":
+		return 1, true
+	}
+	n, err := strconv.Atoi(level)
+	return n, err == nil && n >= 0
 }
 
 // parseModel walks the statement list into a raw model.
@@ -151,10 +167,14 @@ func parseModel(stmts []stmt) (*model, error) {
 			}
 			m.gates = append(m.gates, gb)
 		case ".volt":
-			if len(s.tokens) != 3 || (s.tokens[2] != "low" && s.tokens[2] != "high") {
-				return nil, fmt.Errorf("blif: line %d: .volt wants \"<gate> low|high\"", s.line)
+			rail, ok := 0, len(s.tokens) == 3
+			if ok {
+				rail, ok = railIndex(s.tokens[2])
 			}
-			m.volts = append(m.volts, voltBlock{gate: s.tokens[1], low: s.tokens[2] == "low"})
+			if !ok {
+				return nil, fmt.Errorf("blif: line %d: .volt wants \"<gate> high|low|<rail>\"", s.line)
+			}
+			m.volts = append(m.volts, voltBlock{line: s.line, gate: s.tokens[1], rail: rail})
 		case ".latch":
 			return nil, fmt.Errorf("blif: line %d: sequential elements (.latch) are not supported; the paper's flow is combinational", s.line)
 		case ".end":

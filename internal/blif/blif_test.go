@@ -219,6 +219,8 @@ func TestParseCircuitErrors(t *testing.T) {
 		"double drive": ".model m\n.inputs a\n.outputs f\n.gate INV_d0 A=a O=f\n.gate INV_d0 A=a O=f\n.end\n",
 		"undriven PO":  ".model m\n.inputs a\n.outputs f\n.gate INV_d0 A=a O=g\n.end\n",
 		"volt unknown": ".model m\n.inputs a\n.outputs f\n.gate INV_d0 A=a O=f\n.volt ghost low\n.end\n",
+		"volt level":   ".model m\n.inputs a\n.outputs f\n.gate INV_d0 A=a O=f\n.volt f medium\n.end\n",
+		"volt rail":    ".model m\n.inputs a\n.outputs f\n.gate INV_d0 A=a O=f\n.volt f 2\n.end\n",
 		"mixed forms":  ".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n.gate INV_d0 A=a O=g\n.end\n",
 	}
 	for name, src := range cases {

@@ -10,8 +10,10 @@ import (
 )
 
 // ParseCircuit reads a mapped BLIF model (.gate form) into a
-// netlist.Circuit, resolving cell names against lib. The non-standard
-// ".volt <gate> low" directive restores per-gate supply assignments.
+// netlist.Circuit, resolving cell names against lib (its rail-pair level
+// converters included). The non-standard ".volt <gate> <level>" directive
+// restores per-gate supply assignments; the level is "high", "low" or a rail
+// index of lib.
 func ParseCircuit(r io.Reader, lib *cell.Library) (*netlist.Circuit, error) {
 	stmts, err := lex(r)
 	if err != nil {
@@ -99,9 +101,11 @@ func ParseCircuit(r io.Reader, lib *cell.Library) (*netlist.Circuit, error) {
 		if g == nil {
 			return nil, fmt.Errorf("blif: .volt names primary input %s", vb.gate)
 		}
-		if vb.low {
-			g.Volt = cell.VLow
+		if vb.rail >= len(lib.Rails()) {
+			return nil, fmt.Errorf("blif: line %d: .volt rail %d is beyond library %s's %d rails",
+				vb.line, vb.rail, lib.Name, len(lib.Rails()))
 		}
+		g.Volt = cell.VoltLevel(vb.rail)
 	}
 	if err := ckt.Validate(); err != nil {
 		return nil, err
@@ -110,7 +114,8 @@ func ParseCircuit(r io.Reader, lib *cell.Library) (*netlist.Circuit, error) {
 }
 
 // WriteCircuit emits a mapped circuit as .gate-form BLIF with ".volt"
-// extension directives for low-voltage gates. Dead gates are skipped.
+// extension directives for gates below the nominal rail: "low" for rail 1,
+// the rail index for deeper rails. Dead gates are skipped.
 //
 // BLIF's .gate form has no net-rename construct, so a primary output whose
 // name differs from its driving net is handled by renaming that net to the
@@ -176,9 +181,11 @@ func WriteCircuit(w io.Writer, c *netlist.Circuit) error {
 		}
 	}
 	for _, gi := range order {
-		g := c.Gates[gi]
-		if g.Volt == cell.VLow {
+		switch v := c.Gates[gi].Volt; {
+		case v == cell.VLow:
 			bw.printf(".volt %s low\n", netName(c.GateSignal(gi)))
+		case v > cell.VLow:
+			bw.printf(".volt %s %d\n", netName(c.GateSignal(gi)), int(v))
 		}
 	}
 	bw.printf(".end\n")

@@ -269,10 +269,21 @@ func (l *Library) PowerRatio() float64 {
 // The returned slice is shared; callers must not modify it.
 func (l *Library) CellsOf(f Func) []*Cell { return l.byFunc[f] }
 
-// CellByName looks a cell up by library name.
+// CellByName looks a cell up by library name: one of Cells, or one of this
+// library's rail-pair level converters (which stay out of the name index the
+// AtRails copies share).
 func (l *Library) CellByName(name string) (*Cell, bool) {
-	c, ok := l.byName[name]
-	return c, ok
+	if c, ok := l.byName[name]; ok {
+		return c, true
+	}
+	for _, row := range l.lcPair {
+		for _, c := range row {
+			if c.Name == name {
+				return c, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // Smallest returns the minimum-drive cell of a function, or nil if the

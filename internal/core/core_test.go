@@ -107,8 +107,8 @@ func TestCVSLowersSlackSideOnly(t *testing.T) {
 			t.Errorf("critical gate %s lowered", g.Name)
 		}
 	}
-	if res.Lowered != 2 {
-		t.Fatalf("lowered %d gates, want 2", res.Lowered)
+	if n := c.NumLowGates(); n != 2 {
+		t.Fatalf("lowered %d gates, want 2", n)
 	}
 	// The TCB is the critical PO-driving gate: it borders the outputs and
 	// cannot take Vlow.
@@ -198,8 +198,7 @@ func TestDscaleInvariants(t *testing.T) {
 		tspec := 1.1 * tspecOf(t, c)
 		opts := DefaultOptions()
 		before := measurePower(t, c, opts, 32)
-		res, err := runFresh(t, runDscale, c, tspec, opts, 32)
-		if err != nil {
+		if _, err := runFresh(t, runDscale, c, tspec, opts, 32); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		after := measurePower(t, c, opts, 32)
@@ -207,9 +206,6 @@ func TestDscaleInvariants(t *testing.T) {
 		assertLCDiscipline(t, c)
 		if after > before {
 			t.Fatalf("seed %d: Dscale increased power %.3g -> %.3g", seed, before, after)
-		}
-		if res.Lowered != c.NumLowGates() {
-			t.Fatalf("seed %d: result reports %d low, circuit has %d", seed, res.Lowered, c.NumLowGates())
 		}
 	}
 }
@@ -323,8 +319,7 @@ func TestGscaleInvariants(t *testing.T) {
 		tspec := tspecOf(t, c) // zero slack: Gscale must create its own
 		areaBefore := c.Area()
 		opts := DefaultOptions()
-		res, err := runFresh(t, runGscale, c, tspec, opts, 32)
-		if err != nil {
+		if _, err := runFresh(t, runGscale, c, tspec, opts, 32); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		assertTiming(t, c, tspec)
@@ -332,11 +327,12 @@ func TestGscaleInvariants(t *testing.T) {
 		if c.NumLCs() != 0 {
 			t.Fatalf("seed %d: Gscale inserted level converters (cluster rule forbids them)", seed)
 		}
-		if grow := c.Area()/areaBefore - 1; grow > opts.MaxAreaIncrease+1e-9 {
+		grow := c.Area()/areaBefore - 1
+		if grow > opts.MaxAreaIncrease+1e-9 {
 			t.Fatalf("seed %d: area grew %.3f, budget %.3f", seed, grow, opts.MaxAreaIncrease)
 		}
-		if res.AreaIncrease < -1e-9 {
-			t.Fatalf("seed %d: negative area increase %f", seed, res.AreaIncrease)
+		if grow < -1e-9 {
+			t.Fatalf("seed %d: negative area increase %f", seed, grow)
 		}
 	}
 }
@@ -365,18 +361,18 @@ func TestGscaleCreatesSlackOnBalancedTree(t *testing.T) {
 	tspec := tspecOf(t, c)
 
 	opts := DefaultOptions()
-	r1, err := runFresh(t, runCVS, c.Clone(), tspec, opts, 1)
-	if err != nil {
+	cvs := c.Clone()
+	if _, err := runFresh(t, runCVS, cvs, tspec, opts, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Lowered != 0 {
-		t.Fatalf("balanced tree: CVS lowered %d gates, want 0", r1.Lowered)
+	if n := cvs.NumLowGates(); n != 0 {
+		t.Fatalf("balanced tree: CVS lowered %d gates, want 0", n)
 	}
 	res, err := runFresh(t, runGscale, c, tspec, opts, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Lowered == 0 || res.Sized == 0 {
+	if c.NumLowGates() == 0 || res.Sized == 0 {
 		t.Fatalf("Gscale failed to create slack on balanced tree: %+v", res)
 	}
 	assertTiming(t, c, tspec)
@@ -402,12 +398,11 @@ func TestGscaleMaxIterZeroStillRunsCVS(t *testing.T) {
 	tspec := tspecOf(t, c)
 	opts := DefaultOptions()
 	opts.MaxIter = 0
-	res, err := runFresh(t, runGscale, c, tspec, opts, 16)
-	if err != nil {
+	if _, err := runFresh(t, runGscale, c, tspec, opts, 16); err != nil {
 		t.Fatal(err)
 	}
-	if res.Lowered < 2 {
-		t.Fatalf("Gscale with maxIter=0 must still apply the initial CVS, lowered %d", res.Lowered)
+	if n := c.NumLowGates(); n < 2 {
+		t.Fatalf("Gscale with maxIter=0 must still apply the initial CVS, lowered %d", n)
 	}
 }
 
@@ -546,24 +541,23 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 	c := randomCircuit(rng, 10, 160)
 	tspec := 1.1 * tspecOf(t, c)
 	opts := DefaultOptions()
-	run := func(algo entryPoint) (Result, Result) {
-		a, err := runFresh(t, algo, c.Clone(), tspec, opts, 32)
+	// outcome is what a run leaves: its low gates and converters, read from
+	// the scaled circuit, and its resized gates and iterations.
+	type outcome struct{ low, lcs, sized, iterations int }
+	run := func(algo entryPoint, o Options) outcome {
+		ckt := c.Clone()
+		res, err := runFresh(t, algo, ckt, tspec, o, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chk := opts
-		chk.SelfCheck = true
-		b, err := runFresh(t, algo, c.Clone(), tspec, chk, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return *a, *b
+		return outcome{ckt.NumLowGates(), ckt.NumLCs(), res.Sized, res.Iterations}
 	}
+	chk := opts
+	chk.SelfCheck = true
 	for name, algo := range map[string]entryPoint{
 		"Dscale": runDscale, "Gscale": runGscale, "CVS": runCVS,
 	} {
-		a, b := run(algo)
-		if a.Lowered != b.Lowered || a.LCs != b.LCs || a.Sized != b.Sized || a.Iterations != b.Iterations {
+		if a, b := run(algo, opts), run(algo, chk); a != b {
 			t.Fatalf("%s: self-checked run diverged: %+v vs %+v", name, a, b)
 		}
 	}

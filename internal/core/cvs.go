@@ -81,12 +81,11 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 
 // algorithm is one algorithm's part after the CVS clustering they all start
 // with: the round its initial CVS moves report under, and the continuation
-// that finishes the run from the post-CVS state. cvs is that clustering and
-// areaBefore the circuit's area before it.
+// that finishes the run from the post-CVS state. cvs is that clustering.
 type algorithm struct {
 	round int
 	cont  func(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-		act []float64, cvs *CVSResult, areaBefore float64) (*Result, error)
+		act []float64, cvs *CVSResult) (*Result, error)
 }
 
 // algorithms maps each algorithm name to its implementation.
@@ -133,7 +132,6 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 	if err != nil {
 		return err
 	}
-	areaBefore := ckt.Area()
 	act, err := opts.start(inc, ckt)
 	if err != nil {
 		return err
@@ -169,7 +167,7 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 		}
 		// Rollback restores the annotation, not the evaluation count.
 		o.evalsBase = inc.Evals() - cvsEvals
-		res, err := a.cont(inc, ckt, lib, &o, act, cvs, areaBefore)
+		res, err := a.cont(inc, ckt, lib, &o, act, cvs)
 		if err != nil {
 			return err
 		}
@@ -183,7 +181,7 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 // cvsFinish completes a CVS run: the shared clustering is the whole
 // algorithm, one round.
 func cvsFinish(inc *sta.Incremental, ckt *netlist.Circuit, _ *cell.Library, opts *Options,
-	act []float64, cvs *CVSResult, areaBefore float64) (*Result, error) {
+	act []float64, cvs *CVSResult) (*Result, error) {
 	if err := selfCheck(inc, opts); err != nil {
 		return nil, err
 	}
@@ -194,13 +192,10 @@ func cvsFinish(inc *sta.Incremental, ckt *netlist.Circuit, _ *cell.Library, opts
 		})
 	}
 	return &Result{
-		Lowered:      ckt.NumLowGates(),
-		LCs:          ckt.NumLCs(),
-		AreaIncrease: ckt.Area()/areaBefore - 1,
-		Iterations:   1,
-		TCB:          cvs.TCB,
-		STAEvals:     inc.Evals() - opts.evalsBase,
-		Act:          act,
+		Iterations: 1,
+		TCB:        cvs.TCB,
+		STAEvals:   inc.Evals() - opts.evalsBase,
+		Act:        act,
 	}, nil
 }
 

@@ -131,10 +131,8 @@ type dscaleState struct {
 	cand      []candidate
 	candEvals int64
 
-	// succ is the MWIS adjacency (driver→consumer, in consumer-table order),
-	// rebuilt per gate on change instead of per round. weight is the reusable
-	// node-weight buffer; weighted lists the entries to zero next round.
-	succ     [][]int
+	// weight is the reusable MWIS node-weight buffer; weighted lists the
+	// entries to zero next round.
 	weight   []int64
 	weighted []int
 
@@ -158,24 +156,14 @@ type dscaleState struct {
 	lcs   []int
 }
 
-// newDscaleState builds the working set from the post-CVS circuit: full
-// candidate invalidation (round one evaluates every gate, like the rescan
-// loop did) and the complete succ adjacency. CVS ran on the same engine and
-// its changes are already reflected here, so absorb reads the journal from
-// the current position on.
+// newDscaleState builds the working set from the post-CVS circuit with every
+// candidate invalidated (round one evaluates every gate, like the rescan loop
+// did). CVS ran on the same engine and its changes are already reflected
+// here, so absorb reads the journal from the current position on.
 func newDscaleState(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental,
 	opts *Options, act []float64) *dscaleState {
 	st := &dscaleState{ckt: ckt, lib: lib, inc: inc, opts: opts, act: act, seen: inc.Checkpoint()}
 	st.grow()
-	fan := inc.Fanouts()
-	for gi, g := range ckt.Gates {
-		if g.Dead {
-			continue
-		}
-		for _, cn := range fan.Conns[ckt.GateSignal(gi)] {
-			st.succ[gi] = append(st.succ[gi], cn.Gate)
-		}
-	}
 	return st
 }
 
@@ -186,28 +174,15 @@ func (st *dscaleState) grow() {
 		st.candValid = append(st.candValid, false)
 		st.candOK = append(st.candOK, false)
 		st.cand = append(st.cand, candidate{})
-		st.succ = append(st.succ, nil)
 		st.weight = append(st.weight, 0)
 	}
 }
 
-// refreshGate re-derives everything keyed on gate gi: its candidate cache
-// entry (invalidated, re-evaluated lazily) and its succ adjacency.
-func (st *dscaleState) refreshGate(gi int) {
-	st.candValid[gi] = false
-	g := st.ckt.Gates[gi]
-	st.succ[gi] = st.succ[gi][:0]
-	if !g.Dead {
-		for _, cn := range st.inc.Fanouts().Conns[st.ckt.GateSignal(gi)] {
-			st.succ[gi] = append(st.succ[gi], cn.Gate)
-		}
-	}
-}
-
-// absorb reads the engine's journal since the last absorb and refreshes the
-// state of every gate the changes can influence: the driver of each changed
-// signal (its slack, load, consumer set or attributes moved) and the signal's
-// consumers (their fanin arrivals moved). Each signal is absorbed once.
+// absorb reads the engine's journal since the last absorb and invalidates the
+// candidate of every gate the changes can influence: the driver of each
+// changed signal (its slack, load, consumer set or attributes moved) and the
+// signal's consumers (their fanin arrivals moved). Each signal is absorbed
+// once.
 func (st *dscaleState) absorb() {
 	st.changed = st.inc.ChangedSince(st.seen, st.changed[:0])
 	st.seen = st.inc.Checkpoint()
@@ -221,7 +196,7 @@ func (st *dscaleState) absorb() {
 		}
 		st.absorbed.Set(int(s))
 		if gi := st.ckt.GateIndex(s); gi >= 0 {
-			st.refreshGate(gi)
+			st.candValid[gi] = false
 		}
 		for _, cn := range fan.Conns[s] {
 			st.candValid[cn.Gate] = false
@@ -273,26 +248,13 @@ func (st *dscaleState) gather() []candidate {
 	return st.cands
 }
 
-// verify cross-checks every maintained structure against a from-scratch
-// rebuild — the dirty-set differential oracle, enabled by Options.SelfCheck.
+// verify cross-checks the candidate cache against a from-scratch evaluation
+// — the dirty-set differential oracle, enabled by Options.SelfCheck. A valid
+// cache entry must match a fresh evaluation bit for bit.
 func (st *dscaleState) verify() error {
 	ce := st.candEvals // oracle re-evaluations must not skew the metric
 	defer func() { st.candEvals = ce }()
-	fan := st.inc.Fanouts()
 	for gi, g := range st.ckt.Gates {
-		// succ must equal a fresh consumer-table walk, element for element.
-		// The MWIS selection needs only reachability, but the exact list is
-		// what refreshGate builds, so any difference is a maintenance bug.
-		var fresh []int
-		if !g.Dead {
-			for _, cn := range fan.Conns[st.ckt.GateSignal(gi)] {
-				fresh = append(fresh, cn.Gate)
-			}
-		}
-		if !slices.Equal(fresh, st.succ[gi]) {
-			return fmt.Errorf("core: Dscale succ[%d] stale: %v vs fresh %v", gi, st.succ[gi], fresh)
-		}
-		// A valid cache entry must match a fresh evaluation bit for bit.
 		if !st.candValid[gi] {
 			continue
 		}
@@ -328,7 +290,7 @@ func (st *dscaleState) verify() error {
 // run needs no simulation. With KeepJournal set the caller's Checkpoint mark
 // survives and one Rollback undoes the whole run.
 func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-	act []float64, _ *CVSResult, areaBefore float64) (*Result, error) {
+	act []float64, _ *CVSResult) (*Result, error) {
 	st := newDscaleState(ckt, lib, inc, opts, act)
 	res := &Result{}
 	for {
@@ -360,7 +322,8 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			// MWIS over the gate-level DAG: node weights are the power
 			// gains, edges are the circuit's driver→consumer relation, so
 			// independence means "no two selected gates on a common path".
-			// The adjacency is maintained across rounds; only the weights
+			// The edges are the engine's consumer table, read in place:
+			// gate gi's arcs are its output's consumers. Only the weights
 			// are re-stamped.
 			for _, gi := range st.weighted {
 				st.weight[gi] = 0
@@ -377,7 +340,8 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 				st.weight[c.gate] = w
 				st.weighted = append(st.weighted, c.gate)
 			}
-			lowSet, _ = graph.MaxWeightAntichain(len(ckt.Gates), st.succ, st.weight)
+			succ := inc.Fanouts().Conns[ckt.NumPIs():]
+			lowSet, _ = graph.MaxWeightAntichain(len(ckt.Gates), succ, consumerGate, st.weight)
 		}
 		if len(lowSet) == 0 {
 			break
@@ -409,14 +373,14 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			})
 		}
 	}
-	res.Lowered = ckt.NumLowGates()
-	res.LCs = ckt.NumLCs()
-	res.AreaIncrease = ckt.Area()/areaBefore - 1
 	res.STAEvals = inc.Evals() - opts.evalsBase
 	res.CandEvals = st.candEvals
 	res.Act = st.act
 	return res, nil
 }
+
+// consumerGate is the head of a consumer-table arc: the consuming gate.
+func consumerGate(cn netlist.Conn) int { return cn.Gate }
 
 // greedyIndependent picks candidates highest-gain-first (ties broken by gate
 // index, so the order is total), discarding any that shares a path with an

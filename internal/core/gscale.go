@@ -110,13 +110,16 @@ func sizingWeight(dArea, gain float64) int64 {
 // or after MaxIter consecutive pushes that leave the TCB unchanged. No level
 // converters are needed: the low gates always form one cluster.
 //
+// The area budget is a fraction of the circuit's area at entry, which is the
+// input circuit's: the CVS clustering before it moves only rails.
+//
 // Gscale's final safety check is the engine's own Meets: the engine is
 // bit-identical to a fresh full analysis by contract, and the differential
 // suite holds it to that. With KeepJournal set the caller's Checkpoint mark
 // survives and one Rollback undoes the whole run.
 func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-	act []float64, cvs *CVSResult, areaBefore float64) (*Result, error) {
-	maxArea := areaBefore * (1 + opts.MaxAreaIncrease)
+	act []float64, cvs *CVSResult) (*Result, error) {
+	maxArea := ckt.Area() * (1 + opts.MaxAreaIncrease)
 	tcb := cvs.TCB
 	// A gate's cell changes only through accepted SetCells (a rejected cut
 	// is rolled back), so the gates whose cell differs at the end from this
@@ -295,9 +298,6 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			res.Sized++
 		}
 	}
-	res.Lowered = ckt.NumLowGates()
-	res.LCs = ckt.NumLCs()
-	res.AreaIncrease = ckt.Area()/areaBefore - 1
 	res.TCB = tcb
 	res.STAEvals = inc.Evals() - opts.evalsBase
 	res.Act = act

@@ -174,16 +174,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// Result summarises what a scaling algorithm did to a circuit.
+// Result summarises what a scaling algorithm did to a circuit, beyond what
+// the scaled circuit itself shows (its gates' rails, its level converters
+// and its area).
 type Result struct {
-	// Lowered is the number of ordinary gates now at Vlow.
-	Lowered int
-	// LCs is the number of level converters present (Dscale only).
-	LCs int
 	// Sized is the number of gates whose cell size Gscale changed.
 	Sized int
-	// AreaIncrease is the relative area growth versus the input circuit.
-	AreaIncrease float64
 	// Iterations counts algorithm iterations (Dscale rounds or Gscale
 	// pushes).
 	Iterations int
@@ -219,5 +215,5 @@ func lowEligible(ckt *netlist.Circuit, fan *netlist.Fanouts, gi int, target cell
 			return false
 		}
 	}
-	return len(fan.Conns[out]) > 0 || len(fan.POs[out]) > 0
+	return len(fan.Conns[out]) > 0 || fan.POs[out] > 0
 }

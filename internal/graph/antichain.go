@@ -36,9 +36,12 @@ package graph
 // and every Dscale decision are those of the whole-DAG network, at a fraction
 // of its size (in a Dscale round, a few percent of the circuit).
 //
-// succ[v] lists the direct successors of node v; the graph must be a DAG.
-// Returns the selected node indices (ascending) and their total weight.
-func MaxWeightAntichain(n int, succ [][]int, weight []int64) ([]int, int64) {
+// succ[v] lists the arcs out of node v and node maps an arc to its head, so
+// a caller passes its own adjacency as it stands (Dscale passes the timing
+// engine's consumer table with a connection's gate as its head); the graph
+// must be a DAG. Returns the selected node indices (ascending) and their
+// total weight.
+func MaxWeightAntichain[E any](n int, succ [][]E, node func(E) int, weight []int64) ([]int, int64) {
 	if n == 0 {
 		return nil, 0
 	}
@@ -55,7 +58,7 @@ func MaxWeightAntichain(n int, succ [][]int, weight []int64) ([]int, int64) {
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	m, rsucc, rweight := sc.between(n, succ, weight)
+	m, rsucc, rweight := between(sc, n, succ, node, weight)
 	feasible := sc.antichainNetwork(m, rsucc, rweight)
 
 	// Phase 2: reduce the feasible flow to its minimum with a max-flow run
@@ -96,7 +99,7 @@ const (
 // weighted nodes plus every node that lies on a path from one weighted node
 // to another. It returns the region's size m and its adjacency and weights
 // renumbered 0..m-1 in ascending original order (sc.orig maps back), each
-// successor list restricted to kept targets in its original element order.
+// successor list restricted to kept heads in its original element order.
 // All of it lives in sc's buffers.
 //
 // One depth-first pass from the weighted nodes visits every node reachable
@@ -105,7 +108,7 @@ const (
 // already finished, so its mark is final. A visited node is in the region
 // when it is weighted or marked; a node the pass never visits is reached
 // from no weighted node and is not.
-func (sc *scratch) between(n int, succ [][]int, weight []int64) (int, [][]int, []int64) {
+func between[E any](sc *scratch, n int, succ [][]E, node func(E) int, weight []int64) (int, [][]int, []int64) {
 	sc.mark = grow(sc.mark, n)
 	mark := sc.mark
 	clear(mark)
@@ -126,7 +129,7 @@ func (sc *scratch) between(n int, succ [][]int, weight []int64) (int, [][]int, [
 				}
 				continue
 			}
-			v := succ[u][f.next]
+			v := node(succ[u][f.next])
 			f.next++
 			switch {
 			case mark[v]&visited == 0:
@@ -159,8 +162,8 @@ func (sc *scratch) between(n int, succ [][]int, weight []int64) (int, [][]int, [
 	for k, u := range orig {
 		sc.rweight[k] = weight[u]
 		start := len(adj)
-		for _, v := range succ[u] {
-			if mark[v]&kept != 0 {
+		for _, e := range succ[u] {
+			if v := node(e); mark[v]&kept != 0 {
 				adj = append(adj, int(sc.region[v]))
 			}
 		}

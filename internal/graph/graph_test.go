@@ -52,10 +52,13 @@ func isAntichain(n int, succ [][]int, set []int) bool {
 	return true
 }
 
+// identity is the head of an arc given as its head node.
+func identity(v int) int { return v }
+
 func TestMaxWeightAntichainSmallChain(t *testing.T) {
 	// 0 -> 1 -> 2: a pure chain; the best antichain is the heaviest node.
 	succ := [][]int{{1}, {2}, {}}
-	set, w := MaxWeightAntichain(3, succ, []int64{3, 5, 4})
+	set, w := MaxWeightAntichain(3, succ, identity, []int64{3, 5, 4})
 	if w != 5 || len(set) != 1 || set[0] != 1 {
 		t.Fatalf("chain antichain = %v weight %d, want [1] weight 5", set, w)
 	}
@@ -64,7 +67,7 @@ func TestMaxWeightAntichainSmallChain(t *testing.T) {
 func TestMaxWeightAntichainParallel(t *testing.T) {
 	// Two independent chains: best takes the max of each chain.
 	succ := [][]int{{1}, {}, {3}, {}}
-	set, w := MaxWeightAntichain(4, succ, []int64{3, 5, 4, 1})
+	set, w := MaxWeightAntichain(4, succ, identity, []int64{3, 5, 4, 1})
 	if w != 9 {
 		t.Fatalf("parallel antichain weight = %d (%v), want 9", w, set)
 	}
@@ -76,7 +79,7 @@ func TestMaxWeightAntichainParallel(t *testing.T) {
 func TestMaxWeightAntichainDiamond(t *testing.T) {
 	// Diamond 0 -> {1,2} -> 3; 1 and 2 are incomparable.
 	succ := [][]int{{1, 2}, {3}, {3}, {}}
-	set, w := MaxWeightAntichain(4, succ, []int64{1, 4, 4, 7})
+	set, w := MaxWeightAntichain(4, succ, identity, []int64{1, 4, 4, 7})
 	if w != 8 {
 		t.Fatalf("diamond antichain weight = %d (%v), want 8", w, set)
 	}
@@ -87,14 +90,14 @@ func TestMaxWeightAntichainDiamond(t *testing.T) {
 
 func TestMaxWeightAntichainNoCandidates(t *testing.T) {
 	succ := [][]int{{1}, {}}
-	set, w := MaxWeightAntichain(2, succ, []int64{0, 0})
+	set, w := MaxWeightAntichain(2, succ, identity, []int64{0, 0})
 	if len(set) != 0 || w != 0 {
 		t.Fatalf("expected empty result, got %v weight %d", set, w)
 	}
 }
 
 func TestMaxWeightAntichainEmptyGraph(t *testing.T) {
-	set, w := MaxWeightAntichain(0, nil, nil)
+	set, w := MaxWeightAntichain(0, nil, identity, nil)
 	if len(set) != 0 || w != 0 {
 		t.Fatalf("expected empty result, got %v weight %d", set, w)
 	}
@@ -104,13 +107,14 @@ func TestMaxWeightAntichainIsolatedNodes(t *testing.T) {
 	// No edges at all: every candidate is selected.
 	succ := make([][]int, 5)
 	weights := []int64{2, 0, 7, 1, 3}
-	set, w := MaxWeightAntichain(5, succ, weights)
+	set, w := MaxWeightAntichain(5, succ, identity, weights)
 	if w != 13 || len(set) != 4 {
 		t.Fatalf("isolated antichain = %v weight %d, want all weighted nodes, 13", set, w)
 	}
 }
 
 func TestMaxWeightAntichainVsBruteRandom(t *testing.T) {
+	type conn struct{ Gate, Pin int } // a consumer-table arc, shaped like netlist.Conn
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(11)
@@ -121,11 +125,23 @@ func TestMaxWeightAntichainVsBruteRandom(t *testing.T) {
 				weight[i] = int64(rng.Intn(20))
 			}
 		}
-		set, got := MaxWeightAntichain(n, succ, weight)
+		set, got := MaxWeightAntichain(n, succ, identity, weight)
 		want, _ := maxAntichainUpSets(n, reachMasks(n, succ), weight)
 		if got != want {
 			t.Fatalf("trial %d: flow antichain weight %d != brute %d (n=%d succ=%v w=%v)",
 				trial, got, want, n, succ, weight)
+		}
+		// The same DAG as a consumer table with the gate as the arc's head.
+		conns := make([][]conn, n)
+		for u, vs := range succ {
+			for pin, v := range vs {
+				conns[u] = append(conns[u], conn{Gate: v, Pin: pin})
+			}
+		}
+		cset, cgot := MaxWeightAntichain(n, conns, func(c conn) int { return c.Gate }, weight)
+		if cgot != got || !slices.Equal(cset, set) {
+			t.Fatalf("trial %d: through struct arcs %v weight %d, through node lists %v weight %d",
+				trial, cset, cgot, set, got)
 		}
 		if !isAntichain(n, succ, set) {
 			t.Fatalf("trial %d: result %v is not an antichain", trial, set)
@@ -149,7 +165,7 @@ func TestMaxWeightAntichainDeepChainStress(t *testing.T) {
 	for i := range weight {
 		weight[i] = int64(i % 97)
 	}
-	set, w := MaxWeightAntichain(n, succ, weight)
+	set, w := MaxWeightAntichain(n, succ, identity, weight)
 	if len(set) != 1 || w != 96 {
 		t.Fatalf("deep chain: got %d nodes weight %d, want 1 node weight 96", len(set), w)
 	}
@@ -273,7 +289,7 @@ func TestMaxWeightAntichainLeastUpSet(t *testing.T) {
 		if len(ups) > 1 {
 			ties++
 		}
-		set, got := MaxWeightAntichain(n, succ, weight)
+		set, got := MaxWeightAntichain(n, succ, identity, weight)
 		if got != best {
 			t.Fatalf("trial %d: weight %d, brute force %d (succ=%v w=%v)", trial, got, best, succ, weight)
 		}
@@ -337,7 +353,7 @@ func TestMaxWeightAntichainMatchesFullNetwork(t *testing.T) {
 				weight[v] = 1 + int64(rng.Intn(4))
 			}
 		}
-		set, got := MaxWeightAntichain(n, succ, weight)
+		set, got := MaxWeightAntichain(n, succ, identity, weight)
 		wantSet, want := maxWeightAntichainFull(n, succ, weight)
 		if got != want || !slices.Equal(set, wantSet) {
 			t.Fatalf("trial %d (n=%d): %v weight %d, whole network %v weight %d", trial, n, set, got, wantSet, want)
@@ -403,7 +419,7 @@ func TestMinVertexCutVsBruteRandom(t *testing.T) {
 		isEntry[rng.Intn((n+1)/2)] = true
 		isExit[n/2+rng.Intn(n-n/2)] = true
 		cut, got, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
-		want := VertexCutBrute(n, succ, weight, isEntry, isExit)
+		want := vertexCutBrute(n, succ, weight, isEntry, isExit)
 		if !ok {
 			if want < Inf {
 				t.Fatalf("trial %d: reported infeasible but brute found %d", trial, want)
@@ -497,7 +513,7 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 			isExit[i] = i >= n/2 && rng.Intn(2) == 0
 		}
 		cut, got, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
-		want := VertexCutBrute(n, succ, weight, isEntry, isExit)
+		want := vertexCutBrute(n, succ, weight, isEntry, isExit)
 		if !ok {
 			if want < Inf || got != Inf {
 				t.Fatalf("trial %d: infeasible with flow %d, brute found %d (succ=%v w=%v entry=%v exit=%v)",
@@ -517,6 +533,58 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 			t.Fatalf("trial %d: cut %v does not separate", trial, cut)
 		}
 	}
+}
+
+// vertexCutBrute exhaustively finds the minimum-weight vertex cut for
+// differential testing; n must be small. Cut weights saturate at Inf, so Inf
+// means no finite-weight cut exists.
+func vertexCutBrute(n int, succ [][]int, weight []int64, isEntry, isExit []bool) int64 {
+	if n > 20 {
+		panic("graph: vertexCutBrute limited to 20 nodes")
+	}
+	best := Inf
+	for mask := 0; mask < 1<<uint(n); mask++ {
+		var w int64
+		for v := 0; v < n; v++ {
+			if mask>>uint(v)&1 == 1 {
+				w = min(w+weight[v], Inf) // saturate like the max flow does
+			}
+		}
+		if w >= best {
+			continue
+		}
+		if cutsAll(n, succ, isEntry, isExit, mask) {
+			best = w
+		}
+	}
+	return best
+}
+
+// cutsAll reports whether removing the masked nodes disconnects every
+// entry→exit path.
+func cutsAll(n int, succ [][]int, isEntry, isExit []bool, mask int) bool {
+	seen := make([]bool, n)
+	var stack []int
+	for v := 0; v < n; v++ {
+		if isEntry[v] && mask>>uint(v)&1 == 0 {
+			seen[v] = true
+			stack = append(stack, v)
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if isExit[u] {
+			return false
+		}
+		for _, v := range succ[u] {
+			if !seen[v] && mask>>uint(v)&1 == 0 {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return true
 }
 
 // newNetwork creates a network with n nodes and no arcs.
@@ -727,7 +795,7 @@ type solveAnswer struct {
 
 func (c solveCase) solve() solveAnswer {
 	var a solveAnswer
-	a.set, a.weight = MaxWeightAntichain(c.n, c.succ, c.weight)
+	a.set, a.weight = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
 	a.cut, a.cutW, a.ok = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
 	return a
 }
@@ -840,7 +908,7 @@ func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
 	if len(a.set) == 0 || !a.ok || len(a.cut) == 0 {
 		t.Fatalf("degenerate input: antichain %v, cut %v ok=%v", a.set, a.cut, a.ok)
 	}
-	got := testing.AllocsPerRun(20, func() { MaxWeightAntichain(c.n, c.succ, c.weight) })
+	got := testing.AllocsPerRun(20, func() { MaxWeightAntichain(c.n, c.succ, identity, c.weight) })
 	if want := appendAllocs(len(a.set)); got != float64(want) {
 		t.Errorf("MaxWeightAntichain: %v allocations per warm call, want %d (the growth of its %d-node set)", got, want, len(a.set))
 	}
@@ -853,11 +921,11 @@ func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
 func BenchmarkMaxWeightAntichain(b *testing.B) {
 	c := randCase(rand.New(rand.NewSource(1)), 1000)
 	// Fill the pool first, so even -benchtime 1x measures a warm call.
-	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+	benchSet, _ = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+		benchSet, _ = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
 	}
 }
 
@@ -865,11 +933,11 @@ func BenchmarkMaxWeightAntichain(b *testing.B) {
 // of a 1,000-node DAG weighted.
 func BenchmarkMaxWeightAntichainSparse(b *testing.B) {
 	c := sparseCase(rand.New(rand.NewSource(1)), 1000, 0.05)
-	benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+	benchSet, _ = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSet, _ = MaxWeightAntichain(c.n, c.succ, c.weight)
+		benchSet, _ = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
 	}
 }
 

@@ -67,55 +67,3 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 	}
 	return cut, total, true
 }
-
-// VertexCutBrute exhaustively finds the minimum-weight vertex cut for
-// differential testing; n must be small. Cut weights saturate at Inf, so Inf
-// means no finite-weight cut exists.
-func VertexCutBrute(n int, succ [][]int, weight []int64, isEntry, isExit []bool) int64 {
-	if n > 20 {
-		panic("graph: VertexCutBrute limited to 20 nodes")
-	}
-	best := Inf
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		var w int64
-		for v := 0; v < n; v++ {
-			if mask>>uint(v)&1 == 1 {
-				w = min(w+weight[v], Inf) // saturate like the max flow does
-			}
-		}
-		if w >= best {
-			continue
-		}
-		if cutsAll(n, succ, isEntry, isExit, mask) {
-			best = w
-		}
-	}
-	return best
-}
-
-// cutsAll reports whether removing the masked nodes disconnects every
-// entry→exit path.
-func cutsAll(n int, succ [][]int, isEntry, isExit []bool, mask int) bool {
-	seen := make([]bool, n)
-	var stack []int
-	for v := 0; v < n; v++ {
-		if isEntry[v] && mask>>uint(v)&1 == 0 {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if isExit[u] {
-			return false
-		}
-		for _, v := range succ[u] {
-			if !seen[v] && mask>>uint(v)&1 == 0 {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return true
-}

@@ -329,7 +329,7 @@ func recoverAreaFull(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64
 					newArr = a
 				}
 			}
-			if newArr-t.Arrival[out] <= t.Slack[out]-eps {
+			if newArr-t.Arrival[out] <= t.Slack(out)-eps {
 				g.Cell = smaller
 				changed++
 				if t, err = sta.Analyze(ckt, lib, tspec); err != nil {

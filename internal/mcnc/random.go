@@ -221,10 +221,3 @@ func randomNet(name string, seed int64, nPI, nPO, nNodes int, fold bool) *logic.
 	}
 	return n
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

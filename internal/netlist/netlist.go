@@ -306,16 +306,17 @@ type Conn struct {
 type Fanouts struct {
 	// Conns[s] lists gate-pin consumers of signal s.
 	Conns [][]Conn
-	// POs[s] lists indices into Circuit.POs fed by signal s.
-	POs [][]int
+	// POs[s] counts the primary outputs fed by signal s.
+	POs []int
 }
 
 // BuildFanouts computes the consumer table for the current circuit structure,
-// considering live gates only. Each table's lists are carved out of one
+// considering live gates only. The consumer lists are carved out of one
 // backing array (see carve), so Connect's append moves a grown list out
 // instead of writing into its neighbour's.
 func (c *Circuit) BuildFanouts() *Fanouts {
-	nconn, npo := make([]int, c.NumSignals()), make([]int, c.NumSignals())
+	nconn := make([]int, c.NumSignals())
+	f := &Fanouts{POs: make([]int, c.NumSignals())}
 	for _, g := range c.Gates {
 		if !g.Dead {
 			for _, s := range g.In {
@@ -324,9 +325,9 @@ func (c *Circuit) BuildFanouts() *Fanouts {
 		}
 	}
 	for _, po := range c.POs {
-		npo[po.Src]++
+		f.POs[po.Src]++
 	}
-	f := &Fanouts{Conns: carve[Conn](nconn), POs: carve[int](npo)}
+	f.Conns = carve[Conn](nconn)
 	for gi, g := range c.Gates {
 		if g.Dead {
 			continue
@@ -334,9 +335,6 @@ func (c *Circuit) BuildFanouts() *Fanouts {
 		for pin, s := range g.In {
 			f.Conns[s] = append(f.Conns[s], Conn{Gate: gi, Pin: pin})
 		}
-	}
-	for pi, po := range c.POs {
-		f.POs[po.Src] = append(f.POs[po.Src], pi)
 	}
 	return f
 }
@@ -363,7 +361,7 @@ func carve[T any](counts []int) [][]T {
 
 // Degree returns the total number of consumers (gate pins plus POs) of s.
 func (f *Fanouts) Degree(s Signal) int {
-	return len(f.Conns[s]) + len(f.POs[s])
+	return len(f.Conns[s]) + f.POs[s]
 }
 
 // Grow extends the table to cover a signal space of n signals, after gates
@@ -373,7 +371,7 @@ func (f *Fanouts) Grow(n int) {
 		f.Conns = append(f.Conns, nil)
 	}
 	for len(f.POs) < n {
-		f.POs = append(f.POs, nil)
+		f.POs = append(f.POs, 0)
 	}
 }
 

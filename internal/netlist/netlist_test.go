@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,22 +246,12 @@ func TestRandomCircuitInvariants(t *testing.T) {
 // fanoutsEqual compares two consumer tables element for element — the
 // invariant the incremental timing engine relies on for bit-exact load sums.
 func fanoutsEqual(a, b *Fanouts) bool {
-	if len(a.Conns) != len(b.Conns) {
+	if len(a.Conns) != len(b.Conns) || !slices.Equal(a.POs, b.POs) {
 		return false
 	}
 	for s := range a.Conns {
-		if len(a.Conns[s]) != len(b.Conns[s]) || len(a.POs[s]) != len(b.POs[s]) {
+		if !slices.Equal(a.Conns[s], b.Conns[s]) {
 			return false
-		}
-		for i := range a.Conns[s] {
-			if a.Conns[s][i] != b.Conns[s][i] {
-				return false
-			}
-		}
-		for i := range a.POs[s] {
-			if a.POs[s][i] != b.POs[s][i] {
-				return false
-			}
 		}
 	}
 	return true

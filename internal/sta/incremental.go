@@ -15,11 +15,12 @@ import (
 // the affected fanin cone, processing each gate at most once per wave in
 // topological priority order.
 //
-// Every quantity is computed with exactly the same formula and operand order
-// as Analyze, so the incremental annotation is bit-identical to a fresh full
-// analysis at every settled point — Analyze stays the reference oracle (see
-// Check), and algorithms driven by either produce identical decisions. Slack
-// is not stored: Slack derives it on read with Analyze's own subtraction.
+// Every value is re-evaluated with the kernels Analyze computes it with
+// (signalLoad, gateArrivalAt, requiredAt), so the incremental annotation is
+// bit-identical to a fresh full analysis at every settled point — Analyze
+// stays the reference oracle (see Check), and algorithms driven by either
+// produce identical decisions. Slack is not stored: Slack derives it on read
+// with Timing.Slack's subtraction.
 //
 // All circuit mutations must go through the engine (SetVolt, SetCell,
 // RewirePin, AddGate, KillGate); mutating the circuit directly invalidates
@@ -50,9 +51,10 @@ type Incremental struct {
 	prio  []float64
 	order []int
 
-	fheap, bheap []int
-	inF, inB     []bool
-	poDirty      bool
+	// fwd re-propagates arrival times in ascending priority, bwd required
+	// times in descending priority.
+	fwd, bwd wave
+	poDirty  bool
 
 	// journal is the undo log Rollback replays in reverse and ChangedSince
 	// reads forward. The old cell of each recCell entry sits on cells, in the
@@ -109,8 +111,8 @@ func NewIncremental(ckt *netlist.Circuit, lib *cell.Library, tspec float64) (*In
 		fan:      t.fan,
 		prio:     make([]float64, len(ckt.Gates)),
 		order:    t.order,
-		inF:      make([]bool, len(ckt.Gates)),
-		inB:      make([]bool, len(ckt.Gates)),
+		fwd:      wave{sign: 1, in: make([]bool, len(ckt.Gates))},
+		bwd:      wave{sign: -1, in: make([]bool, len(ckt.Gates))},
 	}
 	for i := range inc.prio {
 		inc.prio[i] = -1 // dead gates never propagate
@@ -153,7 +155,7 @@ func (t *Incremental) SetLibrary(lib *cell.Library) error {
 }
 
 // Slack returns signal s's slack, Required[s] - Arrival[s]: the subtraction
-// Analyze performs, so the value is bit-identical to its Slack[s].
+// Timing.Slack performs, so it is bit-identical to a fresh analysis' slack.
 func (t *Incremental) Slack(s netlist.Signal) float64 { return t.Required[s] - t.Arrival[s] }
 
 // WorstArrival returns the latest primary-output arrival time.
@@ -231,8 +233,8 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recVolt, a: int32(gi), b: int32(g.Volt)})
 	g.Volt = v
-	t.pushF(gi)
-	t.pushB(gi)
+	t.fwd.push(gi, t.prio)
+	t.bwd.push(gi, t.prio)
 	t.settle()
 }
 
@@ -252,8 +254,8 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	for _, s := range g.In {
 		t.reload(s)
 	}
-	t.pushF(gi)
-	t.pushB(gi)
+	t.fwd.push(gi, t.prio)
+	t.bwd.push(gi, t.prio)
 	t.settle()
 }
 
@@ -279,8 +281,8 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 	t.reload(to)
 	t.rerequire(from)
 	t.rerequire(to)
-	t.pushF(gi)
-	t.pushB(gi)
+	t.fwd.push(gi, t.prio)
+	t.bwd.push(gi, t.prio)
 	t.settle()
 	return nil
 }
@@ -295,8 +297,8 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 	t.Required = append(t.Required, math.Inf(1))
 	t.Load = append(t.Load, 0)
 	t.fan.Grow(t.ckt.NumSignals())
-	t.inF = append(t.inF, false)
-	t.inB = append(t.inB, false)
+	t.fwd.in = append(t.fwd.in, false)
+	t.bwd.in = append(t.bwd.in, false)
 	// Priority strictly after every fanin driver but strictly before the next
 	// integer: original gates carry integer priorities, so the new gate sorts
 	// before every pre-existing consumer of its sources (which may then be
@@ -317,7 +319,7 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 		t.reload(s)
 		t.rerequire(s)
 	}
-	t.pushF(gi)
+	t.fwd.push(gi, t.prio)
 	t.settle()
 	return gi, out
 }
@@ -391,8 +393,8 @@ func (t *Incremental) Rollback(m Mark) {
 			t.Load = t.Load[:n]
 			t.fan.Shrink(n)
 			t.prio = t.prio[:gi]
-			t.inF = t.inF[:gi]
-			t.inB = t.inB[:gi]
+			t.fwd.in = t.fwd.in[:gi]
+			t.bwd.in = t.bwd.in[:gi]
 		case recDead:
 			g := t.ckt.Gates[gi]
 			g.Dead = false
@@ -441,13 +443,6 @@ func (t *Incremental) Check(eps float64) error {
 	if err := cmp("required", t.Required, fresh.Required); err != nil {
 		return err
 	}
-	slack := make([]float64, len(fresh.Slack))
-	for s := range slack {
-		slack[s] = t.Slack(netlist.Signal(s))
-	}
-	if err := cmp("slack", slack, fresh.Slack); err != nil {
-		return err
-	}
 	if math.Abs(t.worst-fresh.WorstArrival) > eps {
 		return fmt.Errorf("sta: incremental worst arrival stale: %.12g vs %.12g", t.worst, fresh.WorstArrival)
 	}
@@ -456,59 +451,28 @@ func (t *Incremental) Check(eps float64) error {
 
 // --- propagation internals ---
 
-// computeLoad recomputes a signal's capacitive load with the same formula and
-// summation order as Loads.
-func (t *Incremental) computeLoad(s netlist.Signal) float64 {
-	conns := t.fan.Conns[s]
-	total := 0.0
-	for _, cn := range conns {
-		total += t.ckt.Gates[cn.Gate].Cell.InputCap[cn.Pin]
-	}
-	total += t.lib.WireCapPerFanout * float64(len(conns))
-	for range t.fan.POs[s] {
-		total += t.lib.POLoadCap
-	}
-	return total
-}
-
 // reload refreshes Load[s] and, on change, seeds the driver of s in both
 // directions (its delay depends on the output load).
 func (t *Incremental) reload(s netlist.Signal) {
-	nl := t.computeLoad(s)
+	nl := signalLoad(t.ckt, t.lib, t.fan, s)
 	if nl == t.Load[s] {
 		return
 	}
 	t.journal = append(t.journal, undoRec{kind: recLoad, a: int32(s), f: t.Load[s]})
 	t.Load[s] = nl
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
-		t.pushF(di)
-		t.pushB(di)
+		t.fwd.push(di, t.prio)
+		t.bwd.push(di, t.prio)
 	}
 }
 
-// computeRequired recomputes a signal's required time from its current
-// consumers (and tspec where it feeds a PO).
-func (t *Incremental) computeRequired(s netlist.Signal) float64 {
-	r := math.Inf(1)
-	if len(t.fan.POs[s]) > 0 {
-		r = t.tspec
-	}
-	for _, cn := range t.fan.Conns[s] {
-		g := t.ckt.Gates[cn.Gate]
-		out := t.ckt.GateSignal(cn.Gate)
-		if v := t.Required[out] - g.Cell.Delay(cn.Pin, t.Load[out], t.lib.Derate(g.Volt)); v < r {
-			r = v
-		}
-	}
-	t.evals++
-	return r
-}
-
-// rerequire refreshes Required[s] after its consumer set changed, seeding the
-// driver backward on change. The value may still be transient — later pops
-// of s's consumers recompute it with settled inputs.
+// rerequire recomputes Required[s] from its current consumers (and tspec
+// where it feeds a PO), seeding the driver backward on change. The value may
+// still be transient — later pops of s's consumers recompute it with settled
+// inputs.
 func (t *Incremental) rerequire(s netlist.Signal) {
-	t.setRequired(s, t.computeRequired(s))
+	t.evals++
+	t.setRequired(s, requiredAt(t.ckt, t.lib, t.fan, t.Required, t.Load, t.tspec, s))
 }
 
 func (t *Incremental) setRequired(s netlist.Signal, r float64) {
@@ -519,7 +483,7 @@ func (t *Incremental) setRequired(s netlist.Signal, r float64) {
 	t.journal = append(t.journal, undoRec{kind: recRequired, a: int32(s), f: old})
 	t.Required[s] = r
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
-		t.pushB(di)
+		t.bwd.push(di, t.prio)
 	}
 }
 
@@ -529,10 +493,10 @@ func (t *Incremental) setArrival(out int, a float64) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recArrival, a: int32(out), f: t.Arrival[out]})
 	t.Arrival[out] = a
-	for _, cn := range t.fan.Conns[netlist.Signal(out)] {
-		t.pushF(cn.Gate)
+	for _, cn := range t.fan.Conns[out] {
+		t.fwd.push(cn.Gate, t.prio)
 	}
-	if len(t.fan.POs[netlist.Signal(out)]) > 0 {
+	if t.fan.POs[out] > 0 {
 		t.poDirty = true
 	}
 }
@@ -561,8 +525,8 @@ func (t *Incremental) settle() {
 // gate is popped every upstream change has settled, so each gate is evaluated
 // at most once per wave.
 func (t *Incremental) runForward() {
-	for len(t.fheap) > 0 {
-		gi := t.popF()
+	for len(t.fwd.heap) > 0 {
+		gi := t.fwd.pop(t.prio)
 		g := t.ckt.Gates[gi]
 		if g.Dead {
 			continue
@@ -577,8 +541,8 @@ func (t *Incremental) runForward() {
 // runBackward re-propagates required times in decreasing priority order; a
 // gate's pop recomputes the required time at each of its fanins.
 func (t *Incremental) runBackward() {
-	for len(t.bheap) > 0 {
-		gi := t.popB()
+	for len(t.bwd.heap) > 0 {
+		gi := t.bwd.pop(t.prio)
 		if t.ckt.Gates[gi].Dead {
 			continue
 		}
@@ -588,88 +552,56 @@ func (t *Incremental) runBackward() {
 	}
 }
 
-// --- priority heaps (forward: min-prio, backward: max-prio) ---
+// wave is the queue of one propagation wave: a binary heap of gates ordered
+// by sign·prio[gate], so the forward wave (sign 1) pops gates in ascending
+// and the backward wave (sign −1) in descending topological priority.
+// Negation is exact, so each wave pops in the order of the priorities
+// themselves. in marks the queued gates: a gate is queued at most once.
+type wave struct {
+	sign float64
+	heap []int
+	in   []bool
+}
 
-func (t *Incremental) pushF(gi int) {
-	if t.inF[gi] {
+// push queues gate gi unless it is queued already.
+func (w *wave) push(gi int, prio []float64) {
+	if w.in[gi] {
 		return
 	}
-	t.inF[gi] = true
-	t.fheap = append(t.fheap, gi)
-	i := len(t.fheap) - 1
-	for i > 0 {
+	w.in[gi] = true
+	w.heap = append(w.heap, gi)
+	key := w.sign * prio[gi]
+	for i := len(w.heap) - 1; i > 0; {
 		p := (i - 1) / 2
-		if t.prio[t.fheap[p]] <= t.prio[t.fheap[i]] {
+		if w.sign*prio[w.heap[p]] <= key {
 			break
 		}
-		t.fheap[p], t.fheap[i] = t.fheap[i], t.fheap[p]
+		w.heap[p], w.heap[i] = w.heap[i], w.heap[p]
 		i = p
 	}
 }
 
-func (t *Incremental) popF() int {
-	top := t.fheap[0]
-	last := len(t.fheap) - 1
-	t.fheap[0] = t.fheap[last]
-	t.fheap = t.fheap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && t.prio[t.fheap[l]] < t.prio[t.fheap[small]] {
-			small = l
+// pop dequeues and returns the queued gate of least sign·prio.
+func (w *wave) pop(prio []float64) int {
+	h := w.heap
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		l, r, m := 2*i+1, 2*i+2, i
+		if l < last && w.sign*prio[h[l]] < w.sign*prio[h[m]] {
+			m = l
 		}
-		if r < last && t.prio[t.fheap[r]] < t.prio[t.fheap[small]] {
-			small = r
+		if r < last && w.sign*prio[h[r]] < w.sign*prio[h[m]] {
+			m = r
 		}
-		if small == i {
+		if m == i {
 			break
 		}
-		t.fheap[i], t.fheap[small] = t.fheap[small], t.fheap[i]
-		i = small
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	t.inF[top] = false
-	return top
-}
-
-func (t *Incremental) pushB(gi int) {
-	if t.inB[gi] {
-		return
-	}
-	t.inB[gi] = true
-	t.bheap = append(t.bheap, gi)
-	i := len(t.bheap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.prio[t.bheap[p]] >= t.prio[t.bheap[i]] {
-			break
-		}
-		t.bheap[p], t.bheap[i] = t.bheap[i], t.bheap[p]
-		i = p
-	}
-}
-
-func (t *Incremental) popB() int {
-	top := t.bheap[0]
-	last := len(t.bheap) - 1
-	t.bheap[0] = t.bheap[last]
-	t.bheap = t.bheap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && t.prio[t.bheap[l]] > t.prio[t.bheap[big]] {
-			big = l
-		}
-		if r < last && t.prio[t.bheap[r]] > t.prio[t.bheap[big]] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		t.bheap[i], t.bheap[big] = t.bheap[big], t.bheap[i]
-		i = big
-	}
-	t.inB[top] = false
+	w.heap = h
+	w.in[top] = false
 	return top
 }

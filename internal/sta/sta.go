@@ -36,11 +36,10 @@ func FullEvals() int64 { return fullEvals.Load() }
 type Timing struct {
 	// Tspec is the timing constraint applied at every primary output.
 	Tspec float64
-	// Arrival, Required and Slack are indexed by signal. Signals that reach
-	// no PO have Required = +Inf.
+	// Arrival and Required are indexed by signal. Signals that reach no PO
+	// have Required = +Inf.
 	Arrival  []float64
 	Required []float64
-	Slack    []float64
 	// Load is the capacitive load (pF) seen by each signal.
 	Load []float64
 	// WorstArrival is the latest PO arrival time.
@@ -50,26 +49,24 @@ type Timing struct {
 	fan   *netlist.Fanouts
 }
 
+// Slack returns signal s's slack, Required[s] - Arrival[s].
+func (t *Timing) Slack(s netlist.Signal) float64 { return t.Required[s] - t.Arrival[s] }
+
 // Loads computes the capacitive load of every signal: consumer input-pin
 // capacitances, per-fanout wiring, and the PO pin load.
 func Loads(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts) []float64 {
 	load := make([]float64, c.NumSignals())
-	for s := 0; s < c.NumSignals(); s++ {
-		conns := fan.Conns[s]
-		total := 0.0
-		for _, cn := range conns {
-			total += c.Gates[cn.Gate].Cell.InputCap[cn.Pin]
-		}
-		total += lib.WireCapPerFanout * float64(len(conns))
-		for range fan.POs[s] {
-			total += lib.POLoadCap
-		}
-		load[s] = total
+	for s := range load {
+		load[s] = signalLoad(c, lib, fan, netlist.Signal(s))
 	}
 	return load
 }
 
 // Analyze runs a full forward/backward timing pass against constraint tspec.
+// It is the from-scratch reference the incremental engine is held to: it
+// computes every value once, arrivals in topological order and required
+// times in reverse, with the kernels the engine re-evaluates (signalLoad,
+// gateArrivalAt and requiredAt), so both produce the same bits.
 func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, error) {
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -80,7 +77,6 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 		Tspec:    tspec,
 		Arrival:  make([]float64, c.NumSignals()),
 		Required: make([]float64, c.NumSignals()),
-		Slack:    make([]float64, c.NumSignals()),
 		Load:     Loads(c, lib, fan),
 		order:    order,
 		fan:      fan,
@@ -88,45 +84,25 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 	// Forward: arrival times. PIs arrive at 0.
 	for _, gi := range order {
 		g := c.Gates[gi]
-		out := c.GateSignal(gi)
-		derate := lib.Derate(g.Volt)
-		worst := 0.0
-		for pin, s := range g.In {
-			a := t.Arrival[s] + g.Cell.Delay(pin, t.Load[out], derate)
-			if a > worst {
-				worst = a
-			}
-		}
-		t.Arrival[out] = worst
+		t.Arrival[c.GateSignal(gi)] = gateArrivalAt(c, t.Arrival, t.Load, gi, g.Cell, lib.Derate(g.Volt), 0)
 	}
 	for _, po := range c.POs {
 		if a := t.Arrival[po.Src]; a > t.WorstArrival {
 			t.WorstArrival = a
 		}
 	}
-	// Backward: required times.
+	// Backward: required times in reverse topological order, so a gate
+	// output's consumers are settled before it is, and the PIs last. A dead
+	// gate's output keeps +Inf.
 	for s := range t.Required {
 		t.Required[s] = math.Inf(1)
 	}
-	for _, po := range c.POs {
-		if tspec < t.Required[po.Src] {
-			t.Required[po.Src] = tspec
-		}
-	}
 	for i := len(order) - 1; i >= 0; i-- {
-		gi := order[i]
-		g := c.Gates[gi]
-		out := c.GateSignal(gi)
-		derate := lib.Derate(g.Volt)
-		for pin, s := range g.In {
-			r := t.Required[out] - g.Cell.Delay(pin, t.Load[out], derate)
-			if r < t.Required[s] {
-				t.Required[s] = r
-			}
-		}
+		out := c.GateSignal(order[i])
+		t.Required[out] = requiredAt(c, lib, fan, t.Required, t.Load, tspec, out)
 	}
-	for s := range t.Slack {
-		t.Slack[s] = t.Required[s] - t.Arrival[s]
+	for s := range c.NumPIs() {
+		t.Required[s] = requiredAt(c, lib, fan, t.Required, t.Load, tspec, netlist.Signal(s))
 	}
 	fullAnalyses.Add(1)
 	fullEvals.Add(2 * int64(len(order)))
@@ -136,11 +112,27 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 // Meets reports whether every PO meets the constraint within eps.
 func (t *Timing) Meets(eps float64) bool { return t.WorstArrival <= t.Tspec+eps }
 
+// signalLoad is signal s's capacitive load under consumer table fan: its
+// consumers' input-pin capacitances in table order, then the per-fanout
+// wiring, then one PO pin load per primary output.
+func signalLoad(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, s netlist.Signal) float64 {
+	conns := fan.Conns[s]
+	total := 0.0
+	for _, cn := range conns {
+		total += c.Gates[cn.Gate].Cell.InputCap[cn.Pin]
+	}
+	total += lib.WireCapPerFanout * float64(len(conns))
+	for range fan.POs[s] {
+		total += lib.POLoadCap
+	}
+	return total
+}
+
 // gateArrivalAt recomputes gate gi's output arrival from the given arrival
 // and load annotations, as if the gate were bound to cell cl at the given
-// derating with its output load shifted by dLoad. The incremental engine's
-// propagation and its what-if primitives share it, so a prediction and the
-// value a settled move produces agree bit for bit.
+// derating with its output load shifted by dLoad. Analyze, the incremental
+// engine's propagation and its what-if primitives share it, so a prediction
+// and the value a settled move produces agree bit for bit.
 func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, cl *cell.Cell, derate, dLoad float64) float64 {
 	g := c.Gates[gi]
 	out := c.GateSignal(gi)
@@ -152,6 +144,25 @@ func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, cl *cell
 		}
 	}
 	return worst
+}
+
+// requiredAt is signal s's required time from its consumers' required times
+// and loads: tspec where s feeds a PO (else +Inf), lowered by each consumer
+// pin's required time less that pin's delay.
+func requiredAt(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, required, load []float64,
+	tspec float64, s netlist.Signal) float64 {
+	r := math.Inf(1)
+	if fan.POs[s] > 0 {
+		r = tspec
+	}
+	for _, cn := range fan.Conns[s] {
+		g := c.Gates[cn.Gate]
+		out := c.GateSignal(cn.Gate)
+		if v := required[out] - g.Cell.Delay(cn.Pin, load[out], lib.Derate(g.Volt)); v < r {
+			r = v
+		}
+	}
+	return r
 }
 
 // MinDelay maps the circuit's intrinsic speed: the worst PO arrival with no

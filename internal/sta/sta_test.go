@@ -51,8 +51,8 @@ func TestSlackZeroOnCriticalPathAtExactConstraint(t *testing.T) {
 	}
 	for gi := range c.Gates {
 		out := c.GateSignal(gi)
-		if math.Abs(tm.Slack[out]) > 1e-12 {
-			t.Fatalf("gate %d slack = %g on a pure chain at its own delay", gi, tm.Slack[out])
+		if math.Abs(tm.Slack(out)) > 1e-12 {
+			t.Fatalf("gate %d slack = %g on a pure chain at its own delay", gi, tm.Slack(out))
 		}
 	}
 	if !tm.Meets(1e-12) {
@@ -82,12 +82,12 @@ func TestSlackReflectsPathImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	shallowOut := c.GateSignal(8)
-	if tm.Slack[shallowOut] <= 0 {
-		t.Fatalf("shallow branch slack = %g, want positive", tm.Slack[shallowOut])
+	if tm.Slack(shallowOut) <= 0 {
+		t.Fatalf("shallow branch slack = %g, want positive", tm.Slack(shallowOut))
 	}
 	deepOut := c.GateSignal(7)
-	if math.Abs(tm.Slack[deepOut]) > 1e-12 {
-		t.Fatalf("deep branch slack = %g, want 0", tm.Slack[deepOut])
+	if math.Abs(tm.Slack(deepOut)) > 1e-12 {
+		t.Fatalf("deep branch slack = %g, want 0", tm.Slack(deepOut))
 	}
 }
 
