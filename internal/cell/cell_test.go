@@ -232,3 +232,24 @@ func TestPinNames(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxInputsBoundsEveryFunc holds MaxInputs to the widest function: every
+// Func and every library cell fits it, and some function reaches it. A wider
+// function must raise the bound, which per-pin arrays sized by it rely on.
+func TestMaxInputsBoundsEveryFunc(t *testing.T) {
+	widest := 0
+	for fn := Func(0); fn < numFuncs; fn++ {
+		if fn.NumInputs() > MaxInputs {
+			t.Errorf("%s has %d inputs, more than MaxInputs = %d", fn, fn.NumInputs(), MaxInputs)
+		}
+		widest = max(widest, fn.NumInputs())
+	}
+	if widest != MaxInputs {
+		t.Errorf("the widest function has %d inputs, MaxInputs is %d", widest, MaxInputs)
+	}
+	for _, c := range Compass06().Cells {
+		if len(c.Intrinsic) > MaxInputs || len(c.InputCap) > MaxInputs {
+			t.Errorf("cell %s has %d pins, more than MaxInputs = %d", c.Name, len(c.Intrinsic), MaxInputs)
+		}
+	}
+}

@@ -91,6 +91,11 @@ var funcInputs = [...]int{
 	FTIE0: 0, FTIE1: 0,
 }
 
+// MaxInputs is the pin count of the widest functions (NAND4, AOI22, AOI211
+// and the other four-input ones). No cell has more inputs, so a per-pin
+// table can be a fixed-size array of this length.
+const MaxInputs = 4
+
 // NumInputs returns the number of input pins of the function.
 func (f Func) NumInputs() int { return funcInputs[f] }
 

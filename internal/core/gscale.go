@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/graph"
@@ -15,12 +14,12 @@ import (
 // the critical path network.
 const critEps = 1e-7
 
-// getCPN extracts the critical path network feeding the TCB: every gate on a
-// path that determines the arrival time at some TCB node (paper §3's
-// get_CPN, via static timing analysis). TCB gates themselves are included —
-// up-sizing the boundary gate is often exactly what lets it take Vlow.
-func getCPN(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, tcb []int) map[int]bool {
-	cpn := make(map[int]bool)
+// getCPN marks in cpn, all false on entry, the critical path network feeding
+// the TCB: every gate on a path that determines the arrival time at some TCB
+// node (paper §3's get_CPN, via static timing analysis). TCB gates
+// themselves are included — up-sizing the boundary gate is often exactly
+// what lets it take Vlow.
+func getCPN(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, tcb []int, cpn []bool) {
 	stack := append([]int(nil), tcb...)
 	for _, gi := range tcb {
 		cpn[gi] = true
@@ -47,7 +46,6 @@ func getCPN(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, tcb [
 			stack = append(stack, di)
 		}
 	}
-	return cpn
 }
 
 // sizingGain estimates the timing benefit of up-sizing gate gi to the next
@@ -128,6 +126,12 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	for gi, g := range ckt.Gates {
 		entryCell[gi] = g.Cell
 	}
+	// cpn marks the round's critical path network and idx numbers its
+	// members in gate order; both are indexed by gate and reused each round
+	// (Gscale adds no gates).
+	cpn := make([]bool, len(ckt.Gates))
+	idx := make([]int, len(ckt.Gates))
+	var gates []int
 	res := &Result{}
 	counter := 0
 	for counter <= opts.MaxIter && len(tcb) > 0 {
@@ -145,18 +149,16 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		if err := selfCheck(inc, opts); err != nil {
 			return nil, err
 		}
-		cpn := getCPN(ckt, lib, inc, tcb)
+		getCPN(ckt, lib, inc, tcb, cpn)
 
-		// Weight the CPN and build its induced DAG.
-		idx := make(map[int]int, len(cpn))
-		var gates []int
-		for gi := range cpn {
-			gates = append(gates, gi)
-		}
-		// Deterministic ordering of the CPN node set.
-		sort.Ints(gates)
-		for i, gi := range gates {
-			idx[gi] = i
+		// Weight the CPN and build its induced DAG over its members in gate
+		// order.
+		gates = gates[:0]
+		for gi, in := range cpn {
+			if in {
+				idx[gi] = len(gates)
+				gates = append(gates, gi)
+			}
 		}
 		n := len(gates)
 		weight := make([]int64, n)
@@ -175,7 +177,8 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		fan := inc.Fanouts()
 		for i, gi := range gates {
 			for _, cn := range fan.Conns[ckt.GateSignal(gi)] {
-				if j, ok := idx[cn.Gate]; ok {
+				if cpn[cn.Gate] {
+					j := idx[cn.Gate]
 					succ[i] = append(succ[i], j)
 					hasPred[j] = true
 				}
@@ -187,9 +190,10 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			isEntry[i] = !hasPred[i]
 		}
 		for _, gi := range tcb {
-			if i, ok := idx[gi]; ok {
-				isExit[i] = true
-			}
+			isExit[idx[gi]] = true // getCPN marks every TCB gate
+		}
+		for _, gi := range gates {
+			cpn[gi] = false
 		}
 
 		var (

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
@@ -16,11 +17,12 @@ import (
 // topological priority order.
 //
 // Every value is re-evaluated with the kernels Analyze computes it with
-// (signalLoad, gateArrivalAt, requiredAt), so the incremental annotation is
-// bit-identical to a fresh full analysis at every settled point — Analyze
-// stays the reference oracle (see Check), and algorithms driven by either
-// produce identical decisions. Slack is not stored: Slack derives it on read
-// with Timing.Slack's subtraction.
+// (signalLoad, gateArrivalAt, requiredAt), over per-gate timing records the
+// engine refreshes wherever a gate's cell or rail changes, so the
+// incremental annotation is bit-identical to a fresh full analysis at every
+// settled point — Analyze stays the reference oracle (see Check), and
+// algorithms driven by either produce identical decisions. Slack is not
+// stored: Slack derives it on read with Timing.Slack's subtraction.
 //
 // All circuit mutations must go through the engine (SetVolt, SetCell,
 // RewirePin, AddGate, KillGate); mutating the circuit directly invalidates
@@ -44,10 +46,15 @@ type Incremental struct {
 
 	worst float64
 	fan   *netlist.Fanouts
+	// recs holds each gate's timing record, equal to one built fresh from
+	// its current cell and rail: SetVolt, SetCell, AddGate, Rollback and
+	// SetLibrary refresh it where those change.
+	recs []gateTiming
 
 	// prio is a topological numbering of gates: strictly increasing along
-	// every driver→consumer edge. Heap-ordered propagation by prio visits
-	// each gate at most once per wave.
+	// every driver→consumer edge. Propagation in prio order visits each gate
+	// at most once per wave. The gates live at construction are numbered by
+	// their position in order; AddGate interpolates fractional priorities.
 	prio  []float64
 	order []int
 
@@ -109,10 +116,11 @@ func NewIncremental(ckt *netlist.Circuit, lib *cell.Library, tspec float64) (*In
 		Load:     t.Load,
 		worst:    t.WorstArrival,
 		fan:      t.fan,
+		recs:     t.recs,
 		prio:     make([]float64, len(ckt.Gates)),
 		order:    t.order,
-		fwd:      wave{sign: 1, in: make([]bool, len(ckt.Gates))},
-		bwd:      wave{sign: -1, in: make([]bool, len(ckt.Gates))},
+		fwd:      newWave(1, t.order, len(ckt.Gates)),
+		bwd:      newWave(-1, t.order, len(ckt.Gates)),
 	}
 	for i := range inc.prio {
 		inc.prio[i] = -1 // dead gates never propagate
@@ -138,7 +146,8 @@ func (t *Incremental) Library() *cell.Library { return t.lib }
 // and loads are independent of the rails below the nominal one. A warm sweep
 // calls this between points to retarget one baseline engine across its VDDL
 // (or rail-table) axis. The engine checks the gate
-// condition and refuses the swap otherwise.
+// condition and refuses the swap otherwise, and re-reads every gate's derate
+// from the new library.
 func (t *Incremental) SetLibrary(lib *cell.Library) error {
 	if lib.VddOf(cell.VHigh) != t.lib.VddOf(cell.VHigh) || lib.WireCapPerFanout != t.lib.WireCapPerFanout ||
 		lib.POLoadCap != t.lib.POLoadCap {
@@ -151,6 +160,9 @@ func (t *Incremental) SetLibrary(lib *cell.Library) error {
 		}
 	}
 	t.lib = lib
+	for gi, g := range t.ckt.Gates {
+		t.recs[gi].derate = lib.Derate(g.Volt)
+	}
 	return nil
 }
 
@@ -213,15 +225,16 @@ func (t *Incremental) ChangedSince(m Mark, buf []netlist.Signal) []netlist.Signa
 // recomputed under that rail (the paper's check_timing primitive) less the
 // current one. At a two-rail library a VHigh gate's step is its move to VLow.
 func (t *Incremental) DeltaStep(gi int) float64 {
-	g := t.ckt.Gates[gi]
-	arr := gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, g.Cell, t.lib.Derate(g.Volt+1), 0)
-	return arr - t.Arrival[t.ckt.GateSignal(gi)]
+	rec := t.recs[gi]
+	rec.derate = t.lib.Derate(t.ckt.Gates[gi].Volt + 1)
+	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &rec, 0) - t.Arrival[t.ckt.GateSignal(gi)]
 }
 
 // GateArrivalWithCell recomputes gi's output arrival as if bound to cl with
 // the output load adjusted by dLoad.
 func (t *Incremental) GateArrivalWithCell(gi int, cl *cell.Cell, dLoad float64) float64 {
-	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, cl, t.lib.Derate(t.ckt.Gates[gi].Volt), dLoad)
+	rec := timingOf(cl, t.recs[gi].derate)
+	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &rec, dLoad)
 }
 
 // SetVolt moves gate gi to the given supply rail and re-times the affected
@@ -233,6 +246,7 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	}
 	t.journal = append(t.journal, undoRec{kind: recVolt, a: int32(gi), b: int32(g.Volt)})
 	g.Volt = v
+	t.recs[gi].derate = t.lib.Derate(v)
 	t.fwd.push(gi, t.prio)
 	t.bwd.push(gi, t.prio)
 	t.settle()
@@ -251,6 +265,7 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	t.journal = append(t.journal, undoRec{kind: recCell, a: int32(gi)})
 	t.cells = append(t.cells, g.Cell)
 	g.Cell = cl
+	t.recs[gi] = timingOf(cl, t.recs[gi].derate)
 	for _, s := range g.In {
 		t.reload(s)
 	}
@@ -296,6 +311,7 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 	t.Arrival = append(t.Arrival, 0)
 	t.Required = append(t.Required, math.Inf(1))
 	t.Load = append(t.Load, 0)
+	t.recs = append(t.recs, timingOf(cl, t.lib.Derate(t.ckt.Gates[gi].Volt)))
 	t.fan.Grow(t.ckt.NumSignals())
 	t.fwd.in = append(t.fwd.in, false)
 	t.bwd.in = append(t.bwd.in, false)
@@ -369,9 +385,11 @@ func (t *Incremental) Rollback(m Mark) {
 			t.worst = r.f
 		case recVolt:
 			t.ckt.Gates[gi].Volt = cell.VoltLevel(r.b)
+			t.recs[gi].derate = t.lib.Derate(cell.VoltLevel(r.b))
 		case recCell:
 			last := len(t.cells) - 1
 			t.ckt.Gates[gi].Cell = t.cells[last]
+			t.recs[gi] = timingOf(t.cells[last], t.recs[gi].derate)
 			t.cells[last] = nil
 			t.cells = t.cells[:last]
 		case recPin:
@@ -391,6 +409,7 @@ func (t *Incremental) Rollback(m Mark) {
 			t.Arrival = t.Arrival[:n]
 			t.Required = t.Required[:n]
 			t.Load = t.Load[:n]
+			t.recs = t.recs[:gi]
 			t.fan.Shrink(n)
 			t.prio = t.prio[:gi]
 			t.fwd.in = t.fwd.in[:gi]
@@ -415,16 +434,26 @@ func (t *Incremental) Commit() {
 }
 
 // Check validates the incremental annotation against a fresh full analysis —
-// the differential oracle. It returns the first discrepancy beyond eps.
+// the differential oracle. It returns the first live gate whose timing
+// record differs at all from the one the fresh analysis built from the
+// gate's cell and rail, or else the first value off by more than eps.
 func (t *Incremental) Check(eps float64) error {
 	fresh, err := Analyze(t.ckt, t.lib, t.tspec)
 	if err != nil {
 		return err
 	}
+	if len(t.recs) != len(fresh.recs) {
+		return fmt.Errorf("sta: incremental engine has %d timing records for %d gates", len(t.recs), len(fresh.recs))
+	}
+	for gi, g := range t.ckt.Gates {
+		if !g.Dead && t.recs[gi] != fresh.recs[gi] {
+			return fmt.Errorf("sta: incremental timing record of %s stale: %+v vs %+v", g.Name, t.recs[gi], fresh.recs[gi])
+		}
+	}
 	cmp := func(what string, got, want []float64) error {
 		for s := range want {
 			g, w := got[s], want[s]
-			if g == w || (math.IsInf(g, 1) && math.IsInf(w, 1)) {
+			if g == w {
 				continue
 			}
 			if math.Abs(g-w) > eps {
@@ -472,12 +501,12 @@ func (t *Incremental) reload(s netlist.Signal) {
 // inputs.
 func (t *Incremental) rerequire(s netlist.Signal) {
 	t.evals++
-	t.setRequired(s, requiredAt(t.ckt, t.lib, t.fan, t.Required, t.Load, t.tspec, s))
+	t.setRequired(s, requiredAt(t.ckt, t.recs, t.fan, t.Required, t.Load, t.tspec, s))
 }
 
 func (t *Incremental) setRequired(s netlist.Signal, r float64) {
 	old := t.Required[s]
-	if r == old || (math.IsInf(r, 1) && math.IsInf(old, 1)) {
+	if r == old {
 		return
 	}
 	t.journal = append(t.journal, undoRec{kind: recRequired, a: int32(s), f: old})
@@ -525,24 +554,19 @@ func (t *Incremental) settle() {
 // gate is popped every upstream change has settled, so each gate is evaluated
 // at most once per wave.
 func (t *Incremental) runForward() {
-	for len(t.fwd.heap) > 0 {
-		gi := t.fwd.pop(t.prio)
-		g := t.ckt.Gates[gi]
-		if g.Dead {
+	for gi := t.fwd.pop(t.prio); gi >= 0; gi = t.fwd.pop(t.prio) {
+		if t.ckt.Gates[gi].Dead {
 			continue
 		}
-		out := int(t.ckt.GateSignal(gi))
 		t.evals++
-		a := gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, g.Cell, t.lib.Derate(g.Volt), 0)
-		t.setArrival(out, a)
+		t.setArrival(int(t.ckt.GateSignal(gi)), gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &t.recs[gi], 0))
 	}
 }
 
 // runBackward re-propagates required times in decreasing priority order; a
 // gate's pop recomputes the required time at each of its fanins.
 func (t *Incremental) runBackward() {
-	for len(t.bwd.heap) > 0 {
-		gi := t.bwd.pop(t.prio)
+	for gi := t.bwd.pop(t.prio); gi >= 0; gi = t.bwd.pop(t.prio) {
 		if t.ckt.Gates[gi].Dead {
 			continue
 		}
@@ -552,37 +576,120 @@ func (t *Incremental) runBackward() {
 	}
 }
 
-// wave is the queue of one propagation wave: a binary heap of gates ordered
-// by sign·prio[gate], so the forward wave (sign 1) pops gates in ascending
-// and the backward wave (sign −1) in descending topological priority.
-// Negation is exact, so each wave pops in the order of the priorities
-// themselves. in marks the queued gates: a gate is queued at most once.
+// wave is the queue of one propagation wave. It pops gates in ascending
+// sign·prio[gate], so the forward wave (sign 1) pops in ascending and the
+// backward wave (sign −1) in descending topological priority; negation is
+// exact, so each wave pops in the order of the priorities themselves. A gate
+// is queued at most once.
+//
+// The gates live at construction have the integer priorities 0..n−1, their
+// positions in order, and queue as one bit per position in bits, popped by a
+// scan from the cursor cur in the wave's direction. No queued bit lies
+// before cur: within a drain every push lies beyond the gate just popped,
+// and a push before cur moves it back. A drained wave's cursor is at the
+// start, position 0 forward and n−1 backward. The other gates, those AddGate
+// inserted (fractional priorities) and those dead at construction (−1),
+// queue on a binary heap keyed by sign·prio, with in marking the queued
+// ones. pop takes the lesser of the two heads; no heap priority equals a
+// position, so they never tie.
 type wave struct {
-	sign float64
-	heap []int
-	in   []bool
+	sign  float64
+	order []int
+	bits  []uint64
+	cur   int
+	heap  []int
+	in    []bool
+}
+
+// newWave returns an empty wave for a construction order and a gate count.
+func newWave(sign float64, order []int, gates int) wave {
+	w := wave{sign: sign, order: order, bits: make([]uint64, (len(order)+63)/64), in: make([]bool, gates)}
+	w.cur = w.start()
+	return w
+}
+
+// start is the position a scan begins at: the first position in the wave's
+// direction.
+func (w *wave) start() int {
+	if w.sign > 0 {
+		return 0
+	}
+	return len(w.order) - 1
 }
 
 // push queues gate gi unless it is queued already.
 func (w *wave) push(gi int, prio []float64) {
+	p := prio[gi]
+	if k := int(p); k >= 0 && float64(k) == p {
+		word, bit := k>>6, uint64(1)<<(k&63)
+		if w.bits[word]&bit != 0 {
+			return
+		}
+		w.bits[word] |= bit
+		if (w.sign > 0 && k < w.cur) || (w.sign < 0 && k > w.cur) {
+			w.cur = k
+		}
+		return
+	}
 	if w.in[gi] {
 		return
 	}
 	w.in[gi] = true
 	w.heap = append(w.heap, gi)
-	key := w.sign * prio[gi]
+	key := w.sign * p
 	for i := len(w.heap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if w.sign*prio[w.heap[p]] <= key {
+		up := (i - 1) / 2
+		if w.sign*prio[w.heap[up]] <= key {
 			break
 		}
-		w.heap[p], w.heap[i] = w.heap[i], w.heap[p]
-		i = p
+		w.heap[up], w.heap[i] = w.heap[i], w.heap[up]
+		i = up
 	}
 }
 
-// pop dequeues and returns the queued gate of least sign·prio.
+// pop dequeues and returns the queued gate of least sign·prio, or −1 once
+// the wave is drained.
 func (w *wave) pop(prio []float64) int {
+	k := w.scan()
+	if len(w.heap) > 0 && (k < 0 || w.sign*prio[w.heap[0]] < w.sign*float64(k)) {
+		return w.popHeap(prio)
+	}
+	if k < 0 {
+		return -1
+	}
+	w.bits[k>>6] &^= 1 << (k & 63)
+	return w.order[k]
+}
+
+// scan moves the cursor to the first queued bit at or beyond it in the
+// wave's direction and returns that position, or returns −1 with the cursor
+// back at the start when no bit is queued.
+func (w *wave) scan() int {
+	if w.sign > 0 {
+		mask := ^uint64(0) << (w.cur & 63)
+		for i := w.cur >> 6; i < len(w.bits); i++ {
+			if word := w.bits[i] & mask; word != 0 {
+				w.cur = i<<6 | bits.TrailingZeros64(word)
+				return w.cur
+			}
+			mask = ^uint64(0)
+		}
+	} else {
+		mask := ^uint64(0) >> (63 - w.cur&63)
+		for i := w.cur >> 6; i >= 0; i-- {
+			if word := w.bits[i] & mask; word != 0 {
+				w.cur = i<<6 | (63 - bits.LeadingZeros64(word))
+				return w.cur
+			}
+			mask = ^uint64(0)
+		}
+	}
+	w.cur = w.start()
+	return -1
+}
+
+// popHeap dequeues and returns the heap gate of least sign·prio.
+func (w *wave) popHeap(prio []float64) int {
 	h := w.heap
 	top, last := h[0], len(h)-1
 	h[0] = h[last]

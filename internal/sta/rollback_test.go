@@ -189,8 +189,10 @@ func traceStep(tb testing.TB, rng *rand.Rand, inc *sta.Incremental, ckt *netlist
 // RewirePin and KillGate traces under up to four nested checkpoints, rolls
 // back partially to random open checkpoints, and commits once mid-trace.
 // After every Rollback the circuit and the annotation must equal the
-// checkpoint's snapshot bit for bit, and Slack must equal a fresh analysis's
-// after every Rollback and every tenth step.
+// checkpoint's snapshot bit for bit, every gate's timing record must equal
+// one built fresh from its cell and rail (Check at zero tolerance), and
+// Slack must equal a fresh analysis's after every Rollback and every tenth
+// step.
 func TestUndoJournalRoundTrip(t *testing.T) {
 	for _, name := range []string{"z4ml", "b9", "C880", "alu2"} {
 		for _, rails := range [][]float64{{5.0, 4.3}, {5.0, 4.3, 3.6}} {
@@ -215,6 +217,9 @@ func TestUndoJournalRoundTrip(t *testing.T) {
 					inc.Rollback(open[k].mark)
 					if d := open[k].state.diff(captureEngine(inc, ckt)); d != "" {
 						t.Fatalf("step %d: rollback to checkpoint %d of %d: %s", step, k+1, len(open), d)
+					}
+					if err := inc.Check(0); err != nil {
+						t.Fatalf("step %d: rollback to checkpoint %d of %d: %v", step, k+1, len(open), err)
 					}
 					requireFreshSlack(t, fmt.Sprintf("step %d: after rollback", step), inc, ckt, lib)
 				}

@@ -47,6 +47,7 @@ type Timing struct {
 
 	order []int
 	fan   *netlist.Fanouts
+	recs  []gateTiming
 }
 
 // Slack returns signal s's slack, Required[s] - Arrival[s].
@@ -66,7 +67,8 @@ func Loads(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts) []float6
 // It is the from-scratch reference the incremental engine is held to: it
 // computes every value once, arrivals in topological order and required
 // times in reverse, with the kernels the engine re-evaluates (signalLoad,
-// gateArrivalAt and requiredAt), so both produce the same bits.
+// gateArrivalAt and requiredAt) over the same per-gate timing records, so
+// both produce the same bits.
 func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, error) {
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -80,11 +82,14 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 		Load:     Loads(c, lib, fan),
 		order:    order,
 		fan:      fan,
+		recs:     make([]gateTiming, len(c.Gates)),
+	}
+	for gi, g := range c.Gates {
+		t.recs[gi] = timingOf(g.Cell, lib.Derate(g.Volt))
 	}
 	// Forward: arrival times. PIs arrive at 0.
 	for _, gi := range order {
-		g := c.Gates[gi]
-		t.Arrival[c.GateSignal(gi)] = gateArrivalAt(c, t.Arrival, t.Load, gi, g.Cell, lib.Derate(g.Volt), 0)
+		t.Arrival[c.GateSignal(gi)] = gateArrivalAt(c, t.Arrival, t.Load, gi, &t.recs[gi], 0)
 	}
 	for _, po := range c.POs {
 		if a := t.Arrival[po.Src]; a > t.WorstArrival {
@@ -99,10 +104,10 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		out := c.GateSignal(order[i])
-		t.Required[out] = requiredAt(c, lib, fan, t.Required, t.Load, tspec, out)
+		t.Required[out] = requiredAt(c, t.recs, fan, t.Required, t.Load, tspec, out)
 	}
 	for s := range c.NumPIs() {
-		t.Required[s] = requiredAt(c, lib, fan, t.Required, t.Load, tspec, netlist.Signal(s))
+		t.Required[s] = requiredAt(c, t.recs, fan, t.Required, t.Load, tspec, netlist.Signal(s))
 	}
 	fullAnalyses.Add(1)
 	fullEvals.Add(2 * int64(len(order)))
@@ -128,37 +133,58 @@ func signalLoad(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, s n
 	return total
 }
 
+// gateTiming is the per-gate record the delay kernels read: the bound cell's
+// per-pin intrinsic delays and drive, and the derate of the gate's rail,
+// copied bit for bit from the cell and the library. delay computes
+// Cell.Delay's (Intrinsic[pin] + Drive*load) * derate operand for operand,
+// so a kernel reading the record produces the bits the cell would, without
+// chasing the gate, its cell and the rail table on every arc.
+type gateTiming struct {
+	intrinsic     [cell.MaxInputs]float64
+	drive, derate float64
+}
+
+// timingOf is the record of a gate bound to cl on a rail of the given derate.
+func timingOf(cl *cell.Cell, derate float64) gateTiming {
+	r := gateTiming{drive: cl.Drive, derate: derate}
+	copy(r.intrinsic[:], cl.Intrinsic)
+	return r
+}
+
+// delay is the pin-to-pin delay for an output load: Cell.Delay on the
+// record's operands.
+func (r *gateTiming) delay(pin int, load float64) float64 {
+	return (r.intrinsic[pin] + r.drive*load) * r.derate
+}
+
 // gateArrivalAt recomputes gate gi's output arrival from the given arrival
-// and load annotations, as if the gate were bound to cell cl at the given
-// derating with its output load shifted by dLoad. Analyze, the incremental
-// engine's propagation and its what-if primitives share it, so a prediction
-// and the value a settled move produces agree bit for bit.
-func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, cl *cell.Cell, derate, dLoad float64) float64 {
-	g := c.Gates[gi]
-	out := c.GateSignal(gi)
+// and load annotations, as if the gate had timing record rec and its output
+// load were shifted by dLoad. Analyze, the incremental engine's propagation
+// and its what-if primitives share it, so a prediction and the value a
+// settled move produces agree bit for bit.
+func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, rec *gateTiming, dLoad float64) float64 {
+	l := load[c.GateSignal(gi)] + dLoad
 	worst := 0.0
-	for pin, s := range g.In {
-		a := arrival[s] + cl.Delay(pin, load[out]+dLoad, derate)
-		if a > worst {
+	for pin, s := range c.Gates[gi].In {
+		if a := arrival[s] + rec.delay(pin, l); a > worst {
 			worst = a
 		}
 	}
 	return worst
 }
 
-// requiredAt is signal s's required time from its consumers' required times
-// and loads: tspec where s feeds a PO (else +Inf), lowered by each consumer
-// pin's required time less that pin's delay.
-func requiredAt(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, required, load []float64,
+// requiredAt is signal s's required time from its consumers' required times,
+// loads and timing records: tspec where s feeds a PO (else +Inf), lowered by
+// each consumer pin's required time less that pin's delay.
+func requiredAt(c *netlist.Circuit, recs []gateTiming, fan *netlist.Fanouts, required, load []float64,
 	tspec float64, s netlist.Signal) float64 {
 	r := math.Inf(1)
 	if fan.POs[s] > 0 {
 		r = tspec
 	}
 	for _, cn := range fan.Conns[s] {
-		g := c.Gates[cn.Gate]
 		out := c.GateSignal(cn.Gate)
-		if v := required[out] - g.Cell.Delay(cn.Pin, load[out], lib.Derate(g.Volt)); v < r {
+		if v := required[out] - recs[cn.Gate].delay(cn.Pin, load[out]); v < r {
 			r = v
 		}
 	}
