@@ -16,6 +16,12 @@
 // connection mid-job reconnects with Last-Event-ID and resumes exactly
 // where it left off. Only an explicit `event: end` frame from the server
 // closes a Watch channel as "complete".
+//
+// A settled job costs one round trip, not two: when a response already
+// carried the job's terminal status — the submission answer of a cache hit,
+// which is born done, or the end frame of its event stream — the client
+// keeps it, and the next Result for that ID is answered from it without a
+// request. Status always asks the server.
 package client
 
 import (
@@ -50,6 +56,12 @@ type retryPolicy struct {
 
 var defaultRetry = retryPolicy{attempts: 4, base: 100 * time.Millisecond, max: 2 * time.Second}
 
+// keptBound is how many terminal statuses a client keeps for Result. An
+// entry lives from the response that carried it to the Result that takes
+// it, which usually follows at once; past the bound the oldest is dropped
+// and its Result polls the server like any other.
+const keptBound = 256
+
 // Client is an HTTP-backed Runner.
 type Client struct {
 	base  *url.URL
@@ -59,6 +71,11 @@ type Client struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // backoff jitter; per-client so it can be seeded
+
+	keptMu sync.Mutex
+	kept   map[dualvdd.JobID]*dualvdd.JobStatus // guarded by keptMu; terminal statuses a response carried, until Result takes them
+	ring   [keptBound]dualvdd.JobID             // guarded by keptMu; the IDs kept, in arrival order
+	next   int                                  // guarded by keptMu; the ring slot the next kept status takes, evicting its holder
 }
 
 // Option configures New.
@@ -125,7 +142,8 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("client: base URL %q needs a scheme and host", baseURL)
 	}
-	c := &Client{base: u, http: &http.Client{}, retry: defaultRetry, sleep: sleepCtx}
+	c := &Client{base: u, http: &http.Client{}, retry: defaultRetry, sleep: sleepCtx,
+		kept: make(map[dualvdd.JobID]*dualvdd.JobStatus)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -209,6 +227,36 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// keep holds a status a response carried for the next Result of its job, if
+// it is terminal; a job already kept keeps its first copy (terminal
+// statuses never change). A new entry takes the next ring slot and evicts
+// the entry kept there keptBound entries ago, if Result has not taken it.
+// (A job kept again after Result took it may lose its new entry to its old
+// slot early; that Result polls.)
+func (c *Client) keep(st *dualvdd.JobStatus) {
+	if st.ID == "" || !st.State.Terminal() {
+		return
+	}
+	c.keptMu.Lock()
+	defer c.keptMu.Unlock()
+	if _, ok := c.kept[st.ID]; ok {
+		return
+	}
+	delete(c.kept, c.ring[c.next])
+	c.ring[c.next] = st.ID
+	c.kept[st.ID] = st
+	c.next = (c.next + 1) % keptBound
+}
+
+// take removes and returns the kept status of a job, if there is one.
+func (c *Client) take(id dualvdd.JobID) (*dualvdd.JobStatus, bool) {
+	c.keptMu.Lock()
+	defer c.keptMu.Unlock()
+	st, ok := c.kept[id]
+	delete(c.kept, id)
+	return st, ok
 }
 
 // apiError converts a non-2xx response into an error, mapping the status
@@ -296,8 +344,9 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, te
 
 // Submit posts the job and returns the server-assigned ID. A tenant tag set
 // with dualvdd.WithTenant travels along as a header so a fleet coordinator
-// behind the server applies its per-tenant admission policy. See
-// dualvdd.Runner.
+// behind the server applies its per-tenant admission policy. The answer is
+// the job resource; when it is already terminal (a cache hit) it is kept
+// for Result. See dualvdd.Runner.
 func (c *Client) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, error) {
 	if err := job.Validate(); err != nil {
 		return "", err
@@ -311,10 +360,13 @@ func (c *Client) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, er
 	if err := c.doJSON(ctx, http.MethodPost, c.endpoint(report.JobsPath, ""), buf.Bytes(), tenant, &res); err != nil {
 		return "", err
 	}
+	c.keep(&res)
 	return res.ID, nil
 }
 
-// Status fetches the job resource without waiting. See dualvdd.Runner.
+// Status fetches the job resource without waiting. It always asks the
+// server, and leaves any status kept for Result in place. See
+// dualvdd.Runner.
 func (c *Client) Status(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
 	var res report.JobResource
 	url := c.endpoint(report.JobsPath+"/"+string(id), "")
@@ -324,10 +376,20 @@ func (c *Client) Status(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStat
 	return &res, nil
 }
 
-// Result polls ?wait=1 until the job is terminal: the server holds each
-// request up to its request timeout, so the loop usually takes one round
-// trip. See dualvdd.Runner.
+// Result returns the job's terminal status. When a response already carried
+// it (Submit's answer for a cache hit, or the end frame of a Watch stream)
+// the first Result for the job takes that kept copy and sends no request;
+// the copy outlives the server's own history bound, so a job the server has
+// since forgotten still answers. Otherwise Result polls ?wait=1 until the
+// job is terminal: the server holds each request up to its request timeout,
+// so the loop usually takes one round trip. See dualvdd.Runner.
 func (c *Client) Result(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if st, ok := c.take(id); ok {
+		return st, nil
+	}
 	url := c.endpoint(report.JobsPath+"/"+string(id), "wait=1")
 	for {
 		var res report.JobResource
@@ -383,7 +445,9 @@ func (c *Client) openEvents(ctx context.Context, id dualvdd.JobID, lastSeen int)
 // *lastSeen past every delivered event. It returns done=true when the stream
 // is over for good — the server sent its end-of-stream frame, a frame failed
 // to decode, or ctx died — and done=false when the connection simply
-// dropped and a reconnect should resume from *lastSeen.
+// dropped and a reconnect should resume from *lastSeen. The end frame's
+// data is the job's terminal status, kept for Result; an older server's
+// `{}` keeps nothing.
 func (c *Client) consumeEvents(ctx context.Context, body io.ReadCloser, lastSeen *int, out chan<- dualvdd.Event) (done bool) {
 	defer body.Close()
 	scanner := bufio.NewScanner(body)
@@ -391,9 +455,13 @@ func (c *Client) consumeEvents(ctx context.Context, body io.ReadCloser, lastSeen
 	var data []byte
 	var eventName string
 	frameID := -1
-	flush := func() (keep bool) {
+	flush := func() (more bool) {
 		defer func() { data, eventName, frameID = nil, "", -1 }()
 		if eventName == report.EndEventName {
+			var st report.JobResource
+			if report.DecodeJSON(bytes.NewReader(data), &st) == nil {
+				c.keep(&st)
+			}
 			done = true
 			return false
 		}
@@ -449,7 +517,8 @@ func (c *Client) consumeEvents(ctx context.Context, body io.ReadCloser, lastSeen
 // its end-of-stream frame (terminal job), ctx is done, or reconnection
 // attempts are exhausted — per the Runner contract, a closed channel means
 // the stream is over, not that the job finished; confirm the outcome with
-// Result or Status. See dualvdd.Runner.
+// Result or Status. The end frame carries the terminal status, so a Result
+// after a stream that ended on it sends no request. See dualvdd.Runner.
 func (c *Client) Watch(ctx context.Context, id dualvdd.JobID) (<-chan dualvdd.Event, error) {
 	resp, err := c.openEvents(ctx, id, -1)
 	if err != nil {

@@ -2,10 +2,12 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"dualvdd"
 	"dualvdd/client"
+	"dualvdd/server"
 )
 
 // instantSleeper skips retry backoffs entirely (still honoring a dead
@@ -271,6 +274,33 @@ func sseFrames(t *testing.T, start int, events ...dualvdd.Event) string {
 	return body
 }
 
+// withPoll answers status polls with a terminal job-1 and hands the event
+// stream to sse; polls counts the former.
+func withPoll(polls *atomic.Int64, sse http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			sse(w, r)
+			return
+		}
+		polls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"id":"job-1","state":"done"}`)
+	}
+}
+
+// resultPolls asserts that Result after a stream whose end frame carried
+// `{}`, as an older server sends, polls the server once.
+func resultPolls(t *testing.T, c *client.Client, polls *atomic.Int64) {
+	t.Helper()
+	st, err := c.Result(context.Background(), "job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobDone || polls.Load() != 1 {
+		t.Fatalf("Result after a {} end frame: state %s after %d polls, want done after 1", st.State, polls.Load())
+	}
+}
+
 // TestWatchReconnectsWithLastEventID drops the SSE connection after two
 // events; the client must reconnect carrying Last-Event-ID and the final
 // channel must see every event exactly once, in order, ending cleanly on
@@ -282,9 +312,9 @@ func TestWatchReconnectsWithLastEventID(t *testing.T) {
 		dualvdd.EventMove{Circuit: "c", Algorithm: "cvs", Gate: 2},
 		dualvdd.EventRoundDone{Circuit: "c", Algorithm: "cvs", Round: 1},
 	}
-	var conns atomic.Int64
+	var conns, polls atomic.Int64
 	var resumedFrom atomic.Value
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withPoll(&polls, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")
 		switch conns.Add(1) {
 		case 1:
@@ -324,13 +354,14 @@ func TestWatchReconnectsWithLastEventID(t *testing.T) {
 	if cursor, _ := resumedFrom.Load().(string); cursor != "1" {
 		t.Fatalf("reconnect carried Last-Event-ID %q, want \"1\"", cursor)
 	}
+	resultPolls(t, c, &polls)
 }
 
 // TestWatchEndsCleanlyWithoutReconnect: a stream closed by the end frame
 // never triggers a reconnect, even though the connection also closed.
 func TestWatchEndsCleanlyWithoutReconnect(t *testing.T) {
-	var conns atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var conns, polls atomic.Int64
+	ts := httptest.NewServer(withPoll(&polls, func(w http.ResponseWriter, r *http.Request) {
 		conns.Add(1)
 		w.Header().Set("Content-Type", "text/event-stream")
 		fmt.Fprint(w, sseFrames(t, 0, dualvdd.EventMapped{Circuit: "c"}))
@@ -352,6 +383,7 @@ func TestWatchEndsCleanlyWithoutReconnect(t *testing.T) {
 	if n != 1 || conns.Load() != 1 {
 		t.Fatalf("clean stream: %d events over %d connections, want 1 over 1", n, conns.Load())
 	}
+	resultPolls(t, c, &polls)
 }
 
 // TestWatchGivesUpAfterRetryBudget: a server that drops every connection
@@ -435,5 +467,253 @@ func TestSubmitForwardsShrinkingBudget(t *testing.T) {
 	spent := dualvdd.WithJobBudget(context.Background(), -time.Second)
 	if _, err := c.Submit(spent, testJob()); !errors.Is(err, dualvdd.ErrBudgetExhausted) {
 		t.Fatalf("spent budget returned %v, want ErrBudgetExhausted", err)
+	}
+}
+
+// countingTransport counts the requests a client sends.
+type countingTransport struct{ n atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	ct.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// servedLocal serves a fresh Local over HTTP and returns it with a client
+// whose requests are counted; cleanup is registered.
+func servedLocal(t *testing.T, opts ...dualvdd.LocalOption) (*dualvdd.Local, *client.Client, *countingTransport) {
+	t.Helper()
+	local := dualvdd.NewLocal(opts...)
+	ts := httptest.NewServer(server.New(local, server.WithRequestTimeout(5*time.Second)))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = local.Close(ctx)
+	})
+	ct := &countingTransport{}
+	c, err := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: ct}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return local, c, ct
+}
+
+// smallJob is a quick CVS job; seeds give distinct cache keys.
+func smallJob(seed uint64) dualvdd.Job {
+	return dualvdd.BenchmarkJob("x2", dualvdd.WithSimWords(32), dualvdd.WithSeed(seed),
+		dualvdd.WithAlgorithms(dualvdd.AlgoCVS))
+}
+
+// run submits a job and waits for its result.
+func run(t *testing.T, c *client.Client, job dualvdd.Job) (dualvdd.JobID, *dualvdd.JobStatus) {
+	t.Helper()
+	ctx := context.Background()
+	id, err := c.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != dualvdd.JobDone {
+		t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
+	}
+	return id, st
+}
+
+// sameAsStatus asserts that st encodes exactly as a fresh Status of its job.
+func sameAsStatus(t *testing.T, c *client.Client, st *dualvdd.JobStatus) {
+	t.Helper()
+	fresh, err := c.Status(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("kept status differs from a fresh Status:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCacheHitCostsOneRequest: a cache hit is born done, Submit's answer
+// carries its terminal status, and the Result that follows is answered from
+// it, so the round trip is one request.
+func TestCacheHitCostsOneRequest(t *testing.T) {
+	_, c, ct := servedLocal(t)
+	run(t, c, smallJob(1))
+	before := ct.n.Load()
+	_, st := run(t, c, smallJob(1))
+	if n := ct.n.Load() - before; n != 1 {
+		t.Fatalf("cache-hit Submit and Result sent %d requests, want 1", n)
+	}
+	if !st.Cached {
+		t.Fatalf("resubmission not a cache hit: %+v", st)
+	}
+	sameAsStatus(t, c, st)
+}
+
+// TestWatchEndFrameAnswersResult: a stream read to its end frame leaves the
+// terminal status behind, and Result sends no further request.
+func TestWatchEndFrameAnswersResult(t *testing.T) {
+	_, c, ct := servedLocal(t)
+	ctx := context.Background()
+	id, err := c.Submit(ctx, smallJob(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := c.Watch(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for range events {
+		n++
+	}
+	if n == 0 {
+		t.Fatal("watch delivered no events")
+	}
+	before := ct.n.Load()
+	st, err := c.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent := ct.n.Load() - before; sent != 0 || st.State != dualvdd.JobDone || st.Cached {
+		t.Fatalf("Result after the end frame: %d requests, state %s, cached %v; want 0, done, computed",
+			sent, st.State, st.Cached)
+	}
+	sameAsStatus(t, c, st)
+}
+
+// TestKeptStatusTakenOnce: the first Result takes the kept status; a second
+// asks the server.
+func TestKeptStatusTakenOnce(t *testing.T) {
+	_, c, ct := servedLocal(t)
+	run(t, c, smallJob(3))
+	id, _ := run(t, c, smallJob(3))
+	before := ct.n.Load()
+	st, err := c.Result(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ct.n.Load() - before; n != 1 || st.State != dualvdd.JobDone {
+		t.Fatalf("second Result: %d requests, state %s; want one poll, done", n, st.State)
+	}
+}
+
+// TestKeptStatusEviction: past the bound the oldest kept status is dropped;
+// its Result polls and still succeeds, and the next oldest is still kept.
+func TestKeptStatusEviction(t *testing.T) {
+	_, c, ct := servedLocal(t)
+	ctx := context.Background()
+	run(t, c, smallJob(4))
+	ids := make([]dualvdd.JobID, client.KeptBound+1)
+	for i := range ids {
+		id, err := c.Submit(ctx, smallJob(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for i, want := range []int64{1, 0} {
+		before := ct.n.Load()
+		st, err := c.Result(ctx, ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ct.n.Load() - before; n != want || st.State != dualvdd.JobDone || st.ID != ids[i] {
+			t.Fatalf("Result of kept entry %d: %d requests, %s %s; want %d, done", i, n, st.ID, st.State, want)
+		}
+	}
+}
+
+// TestResultHonorsContextWithKeptStatus: a dead ctx ends Result with its
+// error even when a status is kept, and leaves the status kept.
+func TestResultHonorsContextWithKeptStatus(t *testing.T) {
+	_, c, ct := servedLocal(t)
+	run(t, c, smallJob(5))
+	id, err := c.Submit(context.Background(), smallJob(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ct.n.Load()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Result(dead, id); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Result on a cancelled ctx returned %v, want context.Canceled", err)
+	}
+	st, err := c.Result(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ct.n.Load() - before; n != 0 || st.State != dualvdd.JobDone {
+		t.Fatalf("Result after a cancelled one: %d requests, state %s; want 0, done", n, st.State)
+	}
+}
+
+// TestKeptStatusConcurrent: goroutines submitting and collecting on one
+// client, hits and misses mixed, all see their own job done.
+func TestKeptStatusConcurrent(t *testing.T) {
+	_, c, _ := servedLocal(t)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				id, err := c.Submit(ctx, smallJob(uint64(10+(g+i)%4)))
+				if err == nil {
+					var st *dualvdd.JobStatus
+					if st, err = c.Result(ctx, id); err == nil && (st.ID != id || st.State != dualvdd.JobDone) {
+						err = fmt.Errorf("job %s: got %s %s", id, st.ID, st.State)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestKeptStatusOutlivesHistory pins the one difference from Local: once the
+// server's history bound has retired a job, the client still answers its
+// Result with the status it was sent, where Local (and Status) no longer
+// know the job.
+func TestKeptStatusOutlivesHistory(t *testing.T) {
+	local, c, _ := servedLocal(t, dualvdd.LocalJobHistory(1))
+	ctx := context.Background()
+	run(t, c, smallJob(6))
+	id, err := c.Submit(ctx, smallJob(6)) // a hit: born done, kept
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, c, smallJob(7)) // retires the hit from the one-job history
+	if _, err := local.Result(ctx, id); !errors.Is(err, dualvdd.ErrJobNotFound) {
+		t.Fatalf("Local.Result of a retired job returned %v, want ErrJobNotFound", err)
+	}
+	if _, err := c.Status(ctx, id); !errors.Is(err, dualvdd.ErrJobNotFound) {
+		t.Fatalf("Status of a retired job returned %v, want ErrJobNotFound", err)
+	}
+	st, err := c.Result(ctx, id)
+	if err != nil {
+		t.Fatalf("Result of a retired job with a kept status: %v", err)
+	}
+	if st.ID != id || st.State != dualvdd.JobDone || !st.Cached {
+		t.Fatalf("kept status of the retired job: %+v", st)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -639,19 +641,22 @@ func TestFleetSpentHopBudgetLeavesWorkerLive(t *testing.T) {
 // TestFleetWorkerBudgetExpiryLeavesWorkerLive pins the other end of the
 // budget: the worker's copy, shrunk by the hop reserve, expires first, so the
 // worker ends the job cancelled while the coordinator's own deadline is
-// still ahead. That is the budget running out, not a draining worker.
+// still ahead. That is the budget running out, not a draining worker. The
+// worker holds the job until its budget is spent, so the expiry is certain;
+// its cancelled status reaches the coordinator in the end frame of the event
+// stream, with no status poll.
 func TestFleetWorkerBudgetExpiryLeavesWorkerLive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	log := &requestLog{}
 	// An hour between probes: only the dispatch path can move the breaker.
-	co := newFleet(t, []*testWorker{newWorker(t)},
+	co := newFleet(t, []*testWorker{scriptedWorker(t, holdForBudget)}, fleet.WithDialer(log.dial),
 		fleet.WithHealth(time.Hour, 0, 0), fleet.WithHopBudget(2*time.Second))
 
-	// The worker gets 50 ms of the 2.05 s: far too little for des at 4096
-	// words (mapping alone takes about 100 ms on two vCPUs), while the
-	// coordinator's deadline is 2 s further out.
+	// The worker gets 50 ms of the 2.05 s, while the coordinator's deadline
+	// is 2 s further out.
 	tight := dualvdd.WithJobBudget(ctx, 2050*time.Millisecond)
-	id, err := co.Submit(tight, dualvdd.BenchmarkJob("des", dualvdd.WithSimWords(4096)))
+	id, err := co.Submit(tight, dualvdd.BenchmarkJob("x2", dualvdd.WithSimWords(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,6 +671,7 @@ func TestFleetWorkerBudgetExpiryLeavesWorkerLive(t *testing.T) {
 		t.Fatalf("a budget spent on the worker was charged to it: dead=%d quarantined=%d redispatches=%d",
 			m.WorkersDead, m.QuarantinedJobs, m.Redispatches)
 	}
+	log.wantDispatch(t, "cancelled job")
 
 	id, err = co.Submit(ctx, dualvdd.BenchmarkJob("mux", dualvdd.WithSimWords(32)))
 	if err != nil {
@@ -676,5 +682,142 @@ func TestFleetWorkerBudgetExpiryLeavesWorkerLive(t *testing.T) {
 	}
 	if st.State != dualvdd.JobDone {
 		t.Fatalf("next job on the untouched worker ended %s: %s", st.State, st.Error)
+	}
+}
+
+// requestLog is an http.RoundTripper that records the requests worker
+// clients send, as "METHOD path".
+type requestLog struct {
+	mu     sync.Mutex
+	reqs   []string
+	opened chan struct{} // when set, signalled without blocking as each event stream opens
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.reqs = append(l.reqs, r.Method+" "+r.URL.Path)
+	l.mu.Unlock()
+	if l.opened != nil && strings.HasSuffix(r.URL.Path, "/events") {
+		select {
+		case l.opened <- struct{}{}:
+		default:
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// dial is fastDial through the log.
+func (l *requestLog) dial(url string) (fleet.WorkerClient, error) {
+	return client.New(url, client.WithRetry(2, 10*time.Millisecond, 50*time.Millisecond),
+		client.WithHTTPClient(&http.Client{Transport: l}))
+}
+
+// wantDispatch asserts that the requests since the last call are exactly
+// one dispatch: the submission and the job's event stream, with no status
+// poll after it. It clears the log.
+func (l *requestLog) wantDispatch(t *testing.T, what string) {
+	t.Helper()
+	l.mu.Lock()
+	reqs := l.reqs
+	l.reqs = nil
+	l.mu.Unlock()
+	if len(reqs) != 2 || reqs[0] != "POST /v1/jobs" ||
+		!strings.HasPrefix(reqs[1], "GET /v1/jobs/") || !strings.HasSuffix(reqs[1], "/events") {
+		t.Fatalf("%s cost its worker %d requests %q; want the submission and the event stream", what, len(reqs), reqs)
+	}
+}
+
+// scriptedWorker serves a worker that computes nothing: a JobTable behind
+// the real HTTP surface, where end settles each accepted job (and may hold
+// it first). Cleanup is registered.
+func scriptedWorker(t *testing.T, end func(j *dualvdd.JobEntry) dualvdd.Outcome) *testWorker {
+	t.Helper()
+	var table *dualvdd.JobTable
+	table = dualvdd.NewJobTable(nil, nil, 64, dualvdd.JobHooks{Start: func(j *dualvdd.JobEntry) error {
+		go func() {
+			table.Begin(j)
+			table.Finish(j, end(j))
+		}()
+		return nil
+	}})
+	ts := httptest.NewServer(server.New(table, server.WithRequestTimeout(5*time.Second)))
+	t.Cleanup(ts.Close)
+	return &testWorker{ts: ts}
+}
+
+// holdForBudget settles a job that carries a deadline budget the way a
+// Local whose budget runs out does, cancelled with an error naming it, but
+// only once the budget is spent: the job's context deadline is the budget
+// (dualvdd.JobBudget) the server restored from X-Dualvdd-Budget-Ms. The
+// header carries whole milliseconds, so the worker's copy may end up to
+// 1 ms before the coordinator's; holding 1 ms longer spends both. A job
+// without a budget ends done at once.
+func holdForBudget(j *dualvdd.JobEntry) dualvdd.Outcome {
+	dl, ok := j.Context().Deadline()
+	if !ok {
+		return dualvdd.Outcome{State: dualvdd.JobDone, Design: &dualvdd.DesignInfo{Name: j.Spec().Benchmark}}
+	}
+	time.Sleep(time.Until(dl) + time.Millisecond)
+	return dualvdd.Outcome{State: dualvdd.JobCancelled, Error: dualvdd.ErrBudgetExhausted.Error()}
+}
+
+// TestFleetDispatchCostsWorkerTwoRequests: a dispatched job costs its worker
+// the submission and the event stream, whose end frame carries the terminal
+// status the coordinator's Result then reads, whether the worker computed
+// the job, answered it from its own cache or failed it. (The worker's
+// cancelled status arrives the same way; see
+// TestFleetWorkerBudgetExpiryLeavesWorkerLive.)
+func TestFleetDispatchCostsWorkerTwoRequests(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	w := newWorker(t)
+	log := &requestLog{}
+	co := newFleet(t, []*testWorker{w}, fleet.WithDialer(log.dial), fleet.WithHealth(time.Hour, 0, 0))
+	run := func(r dualvdd.Runner, job dualvdd.Job) *dualvdd.JobStatus {
+		t.Helper()
+		id, err := r.Submit(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	job := func(seed uint64) dualvdd.Job {
+		return dualvdd.BenchmarkJob("x2", dualvdd.WithSimWords(32), dualvdd.WithSeed(seed),
+			dualvdd.WithAlgorithms(dualvdd.AlgoCVS))
+	}
+
+	if st := run(co, job(1)); st.State != dualvdd.JobDone {
+		t.Fatalf("computed job ended %s: %s", st.State, st.Error)
+	}
+	log.wantDispatch(t, "computed job")
+
+	// Warm the worker's own cache, so the coordinator's miss is its hit.
+	run(w.local, job(2))
+	if st := run(co, job(2)); st.State != dualvdd.JobDone {
+		t.Fatalf("worker-cached job ended %s: %s", st.State, st.Error)
+	}
+	if hits := w.local.Metrics().CacheHits; hits != 1 {
+		t.Fatalf("worker answered %d jobs from its cache, want 1", hits)
+	}
+	log.wantDispatch(t, "worker cache hit")
+
+	// A worker that fails the job once its event stream is open: the
+	// submission answered queued, so only the end frame can carry the failure.
+	flog := &requestLog{opened: make(chan struct{}, 1)}
+	failing := scriptedWorker(t, func(*dualvdd.JobEntry) dualvdd.Outcome {
+		<-flog.opened
+		return dualvdd.Outcome{State: dualvdd.JobFailed, Error: "scripted failure"}
+	})
+	fco := newFleet(t, []*testWorker{failing}, fleet.WithDialer(flog.dial), fleet.WithHealth(time.Hour, 0, 0))
+	if st := run(fco, job(3)); st.State != dualvdd.JobFailed || st.Error != "scripted failure" {
+		t.Fatalf("job the worker failed ended %s: %q", st.State, st.Error)
+	}
+	flog.wantDispatch(t, "failed job")
+	if m := fco.Metrics(); m.WorkersDead != 0 || m.Redispatches != 0 {
+		t.Fatalf("a job failure was charged to its worker: dead=%d redispatches=%d", m.WorkersDead, m.Redispatches)
 	}
 }

@@ -83,6 +83,9 @@ var promMetrics = []promMetric{
 // WriteMetricsProm renders the counters snapshot in the Prometheus text
 // exposition format (version 0.0.4). The output is deterministic: series in
 // the fixed table order above, per-tenant reject series sorted by tenant.
+// Those series are bounded like Metrics.TenantRejects: at most
+// dualvdd.TenantRejectTags tenant labels plus one labelled
+// dualvdd.TenantRejectsOther for the rest, however many tags clients send.
 // It is the second pinned encoding of /metricsz, next to the JSON one.
 func WriteMetricsProm(w io.Writer, m dualvdd.Metrics) error {
 	var b strings.Builder

@@ -134,7 +134,13 @@ func (t *JobTable) Submit(ctx context.Context, job Job) (JobID, error) {
 				if m.TenantRejects == nil {
 					m.TenantRejects = make(map[string]int64)
 				}
-				m.TenantRejects[tenant]++
+				// The tag is the caller's word, so the breakdown names only
+				// the first TenantRejectTags tenants; later ones share a key.
+				label := tenant
+				if _, named := m.TenantRejects[label]; !named && len(m.TenantRejects) >= TenantRejectTags {
+					label = TenantRejectsOther
+				}
+				m.TenantRejects[label]++
 			})
 			return "", err
 		}

@@ -2,6 +2,8 @@ package dualvdd
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -131,5 +133,39 @@ func TestLocalRunsJobsInSubmitGroup(t *testing.T) {
 	}
 	if m := l.Metrics(); m.PrepBuilds != int64(len(jobs)) || m.PrepReuses != 0 || m.CacheHits != int64(len(jobs)) {
 		t.Fatalf("builds/reuses/hits = %d/%d/%d, want %d/0/%d", m.PrepBuilds, m.PrepReuses, m.CacheHits, len(jobs), len(jobs))
+	}
+}
+
+// TestTenantRejectsBounded: refusals of ever-new tenant tags, which come
+// from an unauthenticated header, name at most TenantRejectTags tenants and
+// fold the rest into TenantRejectsOther, and the breakdown still sums to
+// AdmissionRejects.
+func TestTenantRejectsBounded(t *testing.T) {
+	refuse := errors.New("refused")
+	table := NewJobTable(nil, nil, 16, JobHooks{
+		Admit: func(string) error { return refuse },
+		Start: func(*JobEntry) error { t.Fatal("a refused job started"); return nil },
+	})
+	job := BenchmarkJob("x2", WithSimWords(8))
+	const tags = 10000
+	for i := 0; i < tags; i++ {
+		if _, err := table.Submit(WithTenant(context.Background(), fmt.Sprint("tenant-", i)), job); !errors.Is(err, refuse) {
+			t.Fatalf("submission %d returned %v, want the admission refusal", i, err)
+		}
+	}
+	m := table.Metrics()
+	if len(m.TenantRejects) > TenantRejectTags+1 {
+		t.Fatalf("%d distinct tags left %d reject keys, want at most %d", tags, len(m.TenantRejects), TenantRejectTags+1)
+	}
+	var sum int64
+	for _, n := range m.TenantRejects {
+		sum += n
+	}
+	if m.AdmissionRejects != tags || sum != tags {
+		t.Fatalf("AdmissionRejects %d, breakdown sums to %d; want both %d", m.AdmissionRejects, sum, tags)
+	}
+	if m.TenantRejects["tenant-0"] != 1 || m.TenantRejects[TenantRejectsOther] != tags-TenantRejectTags {
+		t.Fatalf("first tenant counted %d, overflow %d; want 1 and %d",
+			m.TenantRejects["tenant-0"], m.TenantRejects[TenantRejectsOther], tags-TenantRejectTags)
 	}
 }

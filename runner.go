@@ -497,10 +497,22 @@ type Metrics struct {
 	// were quarantined instead of re-dispatched forever.
 	QuarantinedJobs int64 `json:"quarantined_jobs,omitempty"`
 	// AdmissionRejects totals submissions refused at admission (quota or
-	// rate limit); TenantRejects breaks the total down per tenant.
+	// rate limit); TenantRejects breaks the total down per tenant. The
+	// tenant tag arrives in an unauthenticated header, so the breakdown is
+	// bounded: the first TenantRejectTags tenants refused are named, and
+	// every later one is counted under TenantRejectsOther. The values
+	// always sum to AdmissionRejects.
 	AdmissionRejects int64            `json:"admission_rejects,omitempty"`
 	TenantRejects    map[string]int64 `json:"tenant_rejects,omitempty"`
 }
+
+// The bound on Metrics.TenantRejects: at most TenantRejectTags named
+// tenants plus the TenantRejectsOther key that folds in the rest (a tenant
+// whose own tag is TenantRejectsOther shares that key).
+const (
+	TenantRejectTags   = 64
+	TenantRejectsOther = "(other)"
+)
 
 // MetricsProvider is implemented by runners that keep service counters
 // (Local does). The server's /metricsz endpoint type-asserts for it.

@@ -9,7 +9,8 @@
 //	POST   /v1/jobs             submit a job (report.JobRequest) → 202 + JobResource
 //	GET    /v1/jobs/{id}        job status; ?wait=1 blocks until terminal
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/jobs/{id}/events progress stream (SSE, one event envelope per frame)
+//	GET    /v1/jobs/{id}/events progress stream (SSE, one event envelope per frame,
+//	                            ending on the terminal JobResource)
 //	GET    /v1/benchmarks       the sorted MCNC suite
 //	GET    /healthz             liveness
 //	GET    /metricsz            counters snapshot (jobs, cache, sim+STA totals)
@@ -17,6 +18,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -193,7 +195,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // replayed first; a reconnecting one sends Last-Event-ID and is replayed
 // only the events past that index. When the stream ends because the job is
 // terminal the server appends an explicit `event: end` frame, so the client
-// can tell a complete stream from a dropped connection.
+// can tell a complete stream from a dropped connection. Its data is the
+// terminal job resource as one compact JSON line, which a client keeps for
+// the Result that follows: a job dispatched to a worker costs the worker
+// two requests, the submission and this stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := dualvdd.JobID(r.PathValue("id"))
 	flusher, ok := w.(http.Flusher)
@@ -235,10 +240,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Watch closes the channel either because the job turned terminal or
 	// because the request context died; only the former gets the marker (the
-	// write is best-effort — a gone client cannot read it anyway).
+	// write is best-effort — a gone client cannot read it anyway). A status
+	// that does not encode leaves the old `{}`, and the client polls.
 	if st, err := s.runner.Status(context.Background(), id); err == nil && st.State.Terminal() {
+		data, err := json.Marshal(st)
+		if err != nil {
+			data = []byte("{}")
+		}
 		_ = rc.SetWriteDeadline(time.Now().Add(s.waitTimeout))
-		if _, err := io.WriteString(w, "event: "+report.EndEventName+"\ndata: {}\n\n"); err == nil {
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", report.EndEventName, data); err == nil {
 			flusher.Flush()
 		}
 	}
