@@ -23,13 +23,10 @@ test:
 $(LINT_BIN): FORCE
 	go build -o $(LINT_BIN) ./cmd/dualvdd-lint
 
-# The in-repo analyzer suite, fully offline, in both driver modes: the
-# standalone multichecker and go vet's -vettool unitchecker protocol.
-# Both must stay green — they load packages differently (go list -export
-# vs vet unit configs), so running both catches mode-specific drift.
+# The in-repo analyzer suite, fully offline, under its one driver (a
+# multichecker over go list patterns). `go vet ./...` runs vet's own passes.
 lint: $(LINT_BIN)
 	./$(LINT_BIN) ./...
-	go vet -vettool=$(abspath $(LINT_BIN)) ./...
 
 # External linters; needs network to install, so CI-only in practice.
 lint-extern:

@@ -326,13 +326,13 @@ func (c *Client) doOnce(ctx context.Context, method, url string, body []byte, te
 	return report.DecodeJSON(resp.Body, out)
 }
 
-// doJSON performs a request with the retry policy and decodes a JSON body
-// into out. Submissions are safe to replay: jobs are content-addressed, so a
-// retried POST whose first attempt actually landed is answered from the
-// server's result cache, not recomputed.
-func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, tenant string, out any) error {
+// withRetry runs try under the retry policy: it stops on success, on an
+// error that is not transient, or when the attempts are spent, and otherwise
+// sleeps backoff(attempt) before trying again. The last error is returned,
+// also when ctx dies during a sleep.
+func (c *Client) withRetry(ctx context.Context, try func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.doOnce(ctx, method, url, body, tenant, out)
+		err := try()
 		if err == nil || attempt+1 >= c.retry.attempts || !transientError(err) {
 			return err
 		}
@@ -340,6 +340,14 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, te
 			return err
 		}
 	}
+}
+
+// doJSON performs a request with the retry policy and decodes a JSON body
+// into out. Submissions are safe to replay: jobs are content-addressed, so a
+// retried POST whose first attempt actually landed is answered from the
+// server's result cache, not recomputed.
+func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, tenant string, out any) error {
+	return c.withRetry(ctx, func() error { return c.doOnce(ctx, method, url, body, tenant, out) })
 }
 
 // Submit posts the job and returns the server-assigned ID. A tenant tag set
@@ -415,30 +423,28 @@ func (c *Client) Cancel(ctx context.Context, id dualvdd.JobID) error {
 // history.
 func (c *Client) openEvents(ctx context.Context, id dualvdd.JobID, lastSeen int) (*http.Response, error) {
 	url := c.endpoint(report.JobsPath+"/"+string(id)+"/events", "")
-	for attempt := 0; ; attempt++ {
+	var resp *http.Response
+	err := c.withRetry(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		req.Header.Set("Accept", report.ContentTypeSSE)
 		if lastSeen >= 0 {
 			req.Header.Set("Last-Event-ID", strconv.Itoa(lastSeen))
 		}
-		resp, err := c.http.Do(req)
-		if err == nil {
-			if resp.StatusCode == http.StatusOK {
-				return resp, nil
-			}
-			err = apiError(resp)
-			resp.Body.Close()
+		r, err := c.http.Do(req)
+		if err != nil {
+			return err
 		}
-		if attempt+1 >= c.retry.attempts || !transientError(err) {
-			return nil, err
+		if r.StatusCode != http.StatusOK {
+			defer r.Body.Close()
+			return apiError(r)
 		}
-		if c.sleep(ctx, c.backoff(attempt)) != nil {
-			return nil, err
-		}
-	}
+		resp = r
+		return nil
+	})
+	return resp, err
 }
 
 // consumeEvents decodes SSE frames from one connection into out, advancing

@@ -1,22 +1,18 @@
 // Command dualvdd-lint machine-checks the repo's determinism, context, and
-// concurrency invariants with the analyzer suite in internal/analysis.
+// concurrency invariants with the analyzer suite in internal/analysis:
 //
-// It runs in two modes:
+//	dualvdd-lint ./...
 //
-//	dualvdd-lint ./...                      # multichecker over go list patterns
-//	go vet -vettool=$(pwd)/dualvdd-lint ./...  # vet unit protocol
-//
-// Both modes run the same analyzers (see `dualvdd-lint -help` for the
-// list); the vettool mode additionally analyzes test-variant packages,
-// though the analyzers themselves skip _test.go files. Exit status is
-// non-zero when any diagnostic is reported.
+// It resolves go list patterns (default ./...) and runs every analyzer (see
+// `dualvdd-lint -help` for the list) over the non-test files of each matched
+// package, which is all the analyzers read: each skips _test.go files. Exit
+// status is non-zero when any diagnostic is reported.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dualvdd/internal/analysis/driver"
 	"dualvdd/internal/analysis/suite"
@@ -24,13 +20,6 @@ import (
 
 func main() {
 	analyzers := suite.Analyzers()
-
-	// `go vet -vettool=` probes with -V=full / -flags and then invokes the
-	// tool once per package with a *.cfg unit file. Detect those shapes
-	// before normal flag parsing so both modes coexist in one binary.
-	if isVetInvocation(os.Args[1:]) {
-		driver.VetMain(analyzers)
-	}
 
 	fs := flag.NewFlagSet("dualvdd-lint", flag.ExitOnError)
 	fs.Usage = func() {
@@ -62,17 +51,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dualvdd-lint: %d finding(s)\n", len(findings))
 		os.Exit(2)
 	}
-}
-
-// isVetInvocation recognizes the cmd/go vettool protocol argument shapes.
-func isVetInvocation(args []string) bool {
-	for _, a := range args {
-		switch {
-		case strings.HasPrefix(a, "-V=") || a == "-V" || a == "-flags":
-			return true
-		case strings.HasSuffix(a, ".cfg"):
-			return true
-		}
-	}
-	return false
 }

@@ -246,9 +246,7 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 		return nil, err
 	}
 	lib := cell.Compass06Rails(cfg.Rails)
-	mopts := mapper.DefaultOptions()
-	mopts.SlackFactor = cfg.SlackFactor
-	res, err := mapper.Map(net, lib, mopts)
+	res, err := mapper.Map(net, lib, cfg.SlackFactor)
 	if err != nil {
 		return nil, fmt.Errorf("dualvdd: mapping %s: %w", net.Name, err)
 	}

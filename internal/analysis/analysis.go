@@ -4,11 +4,11 @@
 //
 // The module is intentionally stdlib-only, so rather than importing x/tools
 // this package defines the same shape of API (Analyzer, Pass, Diagnostic)
-// against the standard go/ast and go/types packages. Drivers live in
-// internal/analysis/driver (a multichecker over `go list` output and a
-// `go vet -vettool` unitchecker) and internal/analysis/analysistest (a
-// `// want`-comment test harness). The project-specific analyzers live
-// under internal/analysis/passes.
+// against the standard go/ast and go/types packages. The one driver lives
+// in internal/analysis/driver (a multichecker over `go list` output), and
+// internal/analysis/analysistest runs it as a `// want`-comment test
+// harness. The project-specific analyzers live under
+// internal/analysis/passes.
 package analysis
 
 import (

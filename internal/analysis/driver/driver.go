@@ -1,14 +1,12 @@
 // Package driver loads type-checked packages and applies analyzers to them.
 //
-// It replaces the two x/tools drivers the module cannot depend on:
-//
-//   - Load/Run: a multichecker. Packages named by `go list` patterns are
-//     parsed from source and type-checked against gc export data produced
-//     by `go list -export -deps -json`, so a full-repo run never recompiles
-//     dependencies and works fully offline.
-//   - unitchecker.go: the `go vet -vettool=` protocol (-V=full handshake,
-//     -flags, and per-package .cfg units), so the same binary slots into
-//     `go vet` and the go build cache.
+// It is the one driver of the analyzer suite, in place of the x/tools
+// multichecker the module cannot depend on: packages named by `go list`
+// patterns are parsed from source (their non-test files; every analyzer
+// skips _test.go files) and type-checked against gc export data produced by
+// `go list -export -deps -json`, so a full-repo run never recompiles
+// dependencies and works fully offline. cmd/dualvdd-lint and analysistest
+// both run through Load and Run.
 package driver
 
 import (
@@ -23,6 +21,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 
@@ -114,11 +113,7 @@ func Load(patterns []string) ([]*Package, error) {
 func check(fset *token.FileSet, imp types.Importer, importPath, dir string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		path := name
-		if dir != "" && !os.IsPathSeparator(name[0]) {
-			path = dir + string(os.PathSeparator) + name
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,6 @@
 // Package suite enumerates the dualvdd analyzers in the order they are run
 // and reported. cmd/dualvdd-lint and the analyzer integration tests share
-// this list so the vettool, the multichecker, and CI can never drift.
+// this list so the driver, its tests and CI can never drift.
 package suite
 
 import (

@@ -574,7 +574,7 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := mapper.Map(net, lib, mapper.DefaultOptions())
+	mres, err := mapper.Map(net, lib, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +732,7 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 			}
 			for _, l := range libs {
 				t.Run(l.name, func(t *testing.T) {
-					mres, err := mapper.Map(net, l.lib, mapper.DefaultOptions())
+					mres, err := mapper.Map(net, l.lib, 1.2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -799,7 +799,7 @@ func TestDscaleBypassFixpoint(t *testing.T) {
 		}
 		for _, rails := range railSets {
 			l := cell.Compass06Rails(rails)
-			mres, err := mapper.Map(net, l, mapper.DefaultOptions())
+			mres, err := mapper.Map(net, l, 1.2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -916,7 +916,7 @@ func TestDscaleCandidateEvalsDropOnLargeCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mres, err := mapper.Map(net, lib, mapper.DefaultOptions())
+			mres, err := mapper.Map(net, lib, 1.2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,9 +42,7 @@ func TestMCNCGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sf := range []float64{1.0, 1.2} {
-			opts := DefaultOptions()
-			opts.SlackFactor = sf
-			res, err := Map(net, lib, opts)
+			res, err := Map(net, lib, sf)
 			if err != nil {
 				t.Fatalf("%s at slack %.1f: %v", name, sf, err)
 			}

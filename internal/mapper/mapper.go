@@ -17,24 +17,6 @@ const (
 	timingEps = 1e-9
 )
 
-// Options configures the mapping flow. The covering load and the timing
-// tolerance are fixed (nominalLoad, timingEps), not options.
-type Options struct {
-	// SlackFactor loosens the timing constraint relative to the minimum
-	// delay mapping; the paper uses 1.2 ("we loosen the timing constraint by
-	// 20%").
-	SlackFactor float64
-	// AreaRecovery enables the post-mapping downsizing pass that trades the
-	// loosened timing budget for area, like SIS's area-delay tradeoff map.
-	// Turning it off yields the minimum-delay netlist.
-	AreaRecovery bool
-}
-
-// DefaultOptions mirrors the paper's setup.
-func DefaultOptions() Options {
-	return Options{SlackFactor: 1.2, AreaRecovery: true}
-}
-
 // Result is a mapped design ready for the voltage-scaling algorithms.
 type Result struct {
 	// Circuit is the mapped netlist (all gates at Vhigh).
@@ -43,24 +25,47 @@ type Result struct {
 	MinDelay float64
 	// Tspec is the timing constraint handed to the scaling algorithms: the
 	// critical-path delay of the relaxed, area-recovered mapping itself
-	// (at most SlackFactor × MinDelay), following the paper's setup.
+	// (at most slackFactor × MinDelay), following the paper's setup.
 	Tspec float64
 }
 
-// Map lowers a logic network onto the library. The input is cloned and swept
-// first, so callers keep their network intact.
-func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
-	if opts.SlackFactor < 1 {
-		return nil, fmt.Errorf("mapper: SlackFactor %.3f must be >= 1", opts.SlackFactor)
+// Map lowers a logic network onto the library in two steps, the paper's two
+// map runs: a minimum-delay cover, then area recovery that downsizes gates
+// while the circuit meets slackFactor × the minimum delay. The paper uses
+// slackFactor 1.2 ("we loosen the timing constraint by 20%"). The input is
+// cloned and swept first, so callers keep their network intact.
+func Map(n *logic.Network, lib *cell.Library, slackFactor float64) (*Result, error) {
+	if slackFactor < 1 {
+		return nil, fmt.Errorf("mapper: SlackFactor %.3f must be >= 1", slackFactor)
 	}
+	ckt, minDelay, err := minDelayCover(n, lib)
+	if err != nil {
+		return nil, err
+	}
+	// The paper processes each circuit "using the delay of the mapped
+	// circuit as the timing constraint": the constraint is the relaxed,
+	// area-recovered netlist's own critical path, so critical paths start
+	// with exactly zero slack. (This is why perfectly balanced circuits —
+	// C499, C1355, mux, z4ml — gain nothing from CVS in Table 1: they have
+	// no non-critical part until Gscale manufactures one.)
+	tspec, err := RecoverArea(ckt, lib, minDelay*slackFactor, timingEps)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Circuit: ckt, MinDelay: minDelay, Tspec: tspec}, nil
+}
+
+// minDelayCover covers a clone of n for minimum delay and returns the mapped
+// netlist with its critical-path delay.
+func minDelayCover(n *logic.Network, lib *cell.Library) (*netlist.Circuit, float64, error) {
 	work := n.Clone()
 	work.Sweep()
 	if err := work.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sub, err := buildSubject(work)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Reachable subject nodes and fanout counts, from the PO roots.
 	var outs []*sgNode
@@ -84,29 +89,17 @@ func Map(n *logic.Network, lib *cell.Library, opts Options) (*Result, error) {
 		arr:        make(map[*sgNode]float64, len(order)),
 	}
 	if err := cs.cover(order); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ckt, err := cs.emit(work, sub)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	minDelay, err := sta.MinDelay(ckt, lib)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// The paper processes each circuit "using the delay of the mapped
-	// circuit as the timing constraint": the constraint is the relaxed,
-	// area-recovered netlist's own critical path, so critical paths start
-	// with exactly zero slack. (This is why perfectly balanced circuits —
-	// C499, C1355, mux, z4ml — gain nothing from CVS in Table 1: they have
-	// no non-critical part until Gscale manufactures one.)
-	tspec := minDelay
-	if opts.AreaRecovery {
-		if tspec, err = RecoverArea(ckt, lib, minDelay*opts.SlackFactor, timingEps); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Circuit: ckt, MinDelay: minDelay, Tspec: tspec}, nil
+	return ckt, minDelay, nil
 }
 
 // RecoverArea repeatedly downsizes gates while the circuit still meets tspec,

@@ -43,7 +43,7 @@ func checkEquivalent(t *testing.T, n *logic.Network, res *Result, seed int64) {
 
 func mustMap(t *testing.T, n *logic.Network) *Result {
 	t.Helper()
-	res, err := Map(n, cell.Compass06(), DefaultOptions())
+	res, err := Map(n, cell.Compass06(), 1.2)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestMapRandomNetworksEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNetwork(rng, 3+rng.Intn(6), 5+rng.Intn(25))
-		res, err := Map(n, cell.Compass06(), DefaultOptions())
+		res, err := Map(n, cell.Compass06(), 1.2)
 		if err != nil {
 			t.Fatalf("seed %d: Map: %v", seed, err)
 		}
@@ -247,11 +247,11 @@ func TestMapDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := randomNetwork(rng, 6, 30)
 	lib := cell.Compass06()
-	r1, err := Map(n, lib, DefaultOptions())
+	r1, err := Map(n, lib, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Map(n, lib, DefaultOptions())
+	r2, err := Map(n, lib, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +271,17 @@ func TestAreaRecoveryKeepsTimingAndSavesArea(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := randomNetwork(rng, 8, 60)
 	lib := cell.Compass06()
-	noRec := DefaultOptions()
-	noRec.AreaRecovery = false
-	r0, err := Map(n, lib, noRec)
+	r0, _, err := minDelayCover(n, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Map(n, lib, DefaultOptions())
+	r1, err := Map(n, lib, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Circuit.Area() >= r0.Circuit.Area() {
+	if r1.Circuit.Area() >= r0.Area() {
 		t.Fatalf("area recovery did not reduce area: %.2f -> %.2f",
-			r0.Circuit.Area(), r1.Circuit.Area())
+			r0.Area(), r1.Circuit.Area())
 	}
 	tm, err := sta.Analyze(r1.Circuit, lib, r1.Tspec)
 	if err != nil {
@@ -352,19 +350,17 @@ func recoverAreaFull(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64
 // bindings and worst arrivals, bit for bit.
 func TestRecoverAreaMatchesFullAnalysis(t *testing.T) {
 	lib := cell.Compass06()
-	noRec := DefaultOptions()
-	noRec.AreaRecovery = false
 	downsized := 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNetwork(rng, 3+rng.Intn(6), 5+rng.Intn(25))
-		res, err := Map(n, lib, noRec)
+		ckt, minDelay, err := minDelayCover(n, lib)
 		if err != nil {
-			t.Fatalf("seed %d: Map: %v", seed, err)
+			t.Fatalf("seed %d: minDelayCover: %v", seed, err)
 		}
 		for _, sf := range []float64{1.0, 1.1, 1.2, 1.5} {
-			tspec := res.MinDelay * sf
-			want, got := res.Circuit.Clone(), res.Circuit.Clone()
+			tspec := minDelay * sf
+			want, got := ckt.Clone(), ckt.Clone()
 			wantArr, err := recoverAreaFull(want, lib, tspec, timingEps)
 			if err != nil {
 				t.Fatalf("seed %d slack %.1f: reference: %v", seed, sf, err)
@@ -381,7 +377,7 @@ func TestRecoverAreaMatchesFullAnalysis(t *testing.T) {
 					t.Fatalf("seed %d slack %.1f: gate %s bound to %s, reference %s",
 						seed, sf, g.Name, got.Gates[i].Cell.Name, g.Cell.Name)
 				}
-				if g.Cell != res.Circuit.Gates[i].Cell {
+				if g.Cell != ckt.Gates[i].Cell {
 					downsized++
 				}
 			}

@@ -124,7 +124,7 @@ func TestPatternsMatchTheirOwnFunctions(t *testing.T) {
 		}
 		out := n.AddNode("f", fanin, cubes)
 		n.AddPO("f", out)
-		res, err := Map(n, lib, DefaultOptions())
+		res, err := Map(n, lib, 1.2)
 		if err != nil {
 			t.Fatalf("%s: %v", pat.fn, err)
 		}

@@ -25,7 +25,7 @@ func mappedCircuit(tb testing.TB, name string) *netlist.Circuit {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := mapper.Map(net, lib, mapper.DefaultOptions())
+	res, err := mapper.Map(net, lib, 1.2)
 	if err != nil {
 		tb.Fatal(err)
 	}

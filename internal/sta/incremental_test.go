@@ -33,7 +33,7 @@ func mapped(tb testing.TB, name string) (*netlist.Circuit, *cell.Library, float6
 		tb.Fatal(err)
 	}
 	lib := cell.Compass06()
-	res, err := mapper.Map(net, lib, mapper.DefaultOptions())
+	res, err := mapper.Map(net, lib, 1.2)
 	if err != nil {
 		tb.Fatal(err)
 	}
