@@ -193,6 +193,24 @@ func TestUpsizeDownsizeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLookupsOutsideTheLibrary holds the per-function lookups to nil for a
+// function outside the Func range.
+func TestLookupsOutsideTheLibrary(t *testing.T) {
+	lib := Compass06()
+	for _, f := range []Func{numFuncs, -1} {
+		if cs := lib.CellsOf(f); cs != nil {
+			t.Fatalf("CellsOf(%s) = %d cells, want nil", f, len(cs))
+		}
+		if c := lib.Smallest(f); c != nil {
+			t.Fatalf("Smallest(%s) = %s, want nil", f, c.Name)
+		}
+	}
+	odd := &Cell{Name: "odd", Function: numFuncs + 3, Size: 1}
+	if lib.Upsize(odd) != nil || lib.Downsize(odd) != nil {
+		t.Fatal("resizing a cell of an unknown function must give nil")
+	}
+}
+
 func TestDelayModelMonotonicInLoad(t *testing.T) {
 	lib := Compass06()
 	c := lib.Smallest(FNAND2)

@@ -101,7 +101,7 @@ type Library struct {
 	// Cells lists every cell. The slice is never mutated after construction.
 	Cells []*Cell
 
-	byFunc map[Func][]*Cell // per function, sorted by Size ascending
+	byFunc [numFuncs][]*Cell // per function, sorted by Size ascending
 	byName map[string]*Cell
 	lconv  *Cell
 
@@ -135,7 +135,6 @@ func NewLibraryRails(name string, cells []*Cell, rails []float64, vt, alpha floa
 		POLoadCap:        0.008,
 		LCStaticPower:    0.003e-6,
 		Cells:            cells,
-		byFunc:           make(map[Func][]*Cell),
 		byName:           make(map[string]*Cell),
 	}
 	for _, c := range cells {
@@ -152,7 +151,7 @@ func NewLibraryRails(name string, cells []*Cell, rails []float64, vt, alpha floa
 			lib.lconv = c
 		}
 	}
-	for _, cs := range lib.byFunc {
+	for _, cs := range &lib.byFunc {
 		sort.Slice(cs, func(i, j int) bool { return cs[i].Size < cs[j].Size })
 	}
 	if lib.lconv == nil {
@@ -265,9 +264,15 @@ func (l *Library) PowerRatio() float64 {
 	return r * r
 }
 
-// CellsOf returns the cells implementing a function, smallest drive first.
-// The returned slice is shared; callers must not modify it.
-func (l *Library) CellsOf(f Func) []*Cell { return l.byFunc[f] }
+// CellsOf returns the cells implementing a function, smallest drive first,
+// or nil for a function outside the library. The returned slice is shared;
+// callers must not modify it.
+func (l *Library) CellsOf(f Func) []*Cell {
+	if f < 0 || f >= numFuncs {
+		return nil
+	}
+	return l.byFunc[f]
+}
 
 // CellByName looks a cell up by library name: one of Cells, or one of this
 // library's rail-pair level converters (which stay out of the name index the
@@ -289,7 +294,7 @@ func (l *Library) CellByName(name string) (*Cell, bool) {
 // Smallest returns the minimum-drive cell of a function, or nil if the
 // function is not in the library.
 func (l *Library) Smallest(f Func) *Cell {
-	cs := l.byFunc[f]
+	cs := l.CellsOf(f)
 	if len(cs) == 0 {
 		return nil
 	}
@@ -299,7 +304,7 @@ func (l *Library) Smallest(f Func) *Cell {
 // Upsize returns the next larger cell of the same function, or nil when c is
 // already the largest size.
 func (l *Library) Upsize(c *Cell) *Cell {
-	for _, cand := range l.byFunc[c.Function] {
+	for _, cand := range l.CellsOf(c.Function) {
 		if cand.Size == c.Size+1 {
 			return cand
 		}
@@ -309,7 +314,7 @@ func (l *Library) Upsize(c *Cell) *Cell {
 
 // Downsize returns the next smaller cell of the same function, or nil.
 func (l *Library) Downsize(c *Cell) *Cell {
-	for _, cand := range l.byFunc[c.Function] {
+	for _, cand := range l.CellsOf(c.Function) {
 		if cand.Size == c.Size-1 {
 			return cand
 		}

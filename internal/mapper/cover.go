@@ -8,24 +8,25 @@ import (
 	"dualvdd/internal/netlist"
 )
 
-// matchRec is the best cover found for one subject node.
+// matchRec is the best cover found for one subject node. A leaf's record is
+// the zero value: no cell, arrival 0 and no area.
 type matchRec struct {
 	cl   *cell.Cell
-	bind []*sgNode // subject node feeding each cell pin
-	arr  float64   // estimated arrival under the nominal-load delay model
-	area float64   // estimated subtree area (shared leaves overcounted)
+	bind [cell.MaxInputs]*sgNode // subject node feeding each cell pin
+	arr  float64                 // estimated arrival under the nominal-load delay model
+	area float64                 // estimated subtree area (shared leaves overcounted)
 }
 
-// coverState carries the DP tables across matching and emission.
+// coverState carries the DP tables across matching and emission. Both are
+// indexed by sgNode.id.
 type coverState struct {
 	lib     *cell.Library
 	nominal float64
 	// isBoundary marks subject nodes that must remain explicit nets: nodes
 	// with more than one consumer and primary-output sources. Patterns may
 	// not swallow them as internal nodes.
-	isBoundary map[*sgNode]bool
-	best       map[*sgNode]*matchRec
-	arr        map[*sgNode]float64
+	isBoundary []bool
+	best       []matchRec
 }
 
 // matchPattern attempts to match pattern node p against subject node s while
@@ -45,7 +46,7 @@ func (cs *coverState) matchPattern(p, s, root *sgNode, bind []*sgNode, trail *[]
 	if s.kind != p.kind {
 		return false
 	}
-	if s != root && (cs.isBoundary[s] || s.nfo != 1) {
+	if s != root && (cs.isBoundary[s.id] || s.nfo != 1) {
 		return false
 	}
 	if p.kind == sgINV {
@@ -74,26 +75,35 @@ func (cs *coverState) matchPattern(p, s, root *sgNode, bind []*sgNode, trail *[]
 
 // cover runs the covering DP over the subject nodes in topological order
 // (children first, as produced by countFanouts). Minimum estimated arrival
-// wins; area breaks ties — the "-n1 -AFG" minimum-delay regime.
+// wins; area breaks ties — the "-n1 -AFG" minimum-delay regime. Each
+// pattern's cells are looked up once per call, not once per node; the
+// patterns themselves are shared read-only by concurrent calls.
 func (cs *coverState) cover(order []*sgNode) error {
 	const eps = 1e-9
+	pats := patterns()
+	cells := make([][]*cell.Cell, len(pats))
+	maxVars := 0
+	for i, pat := range pats {
+		cells[i] = cs.lib.CellsOf(pat.fn)
+		maxVars = max(maxVars, pat.numVars)
+	}
+	bind := make([]*sgNode, maxVars)
+	var trail []int
 	for _, n := range order {
 		if n.kind == sgLeaf {
-			cs.arr[n] = 0
 			continue
 		}
-		var best *matchRec
-		for _, pat := range patterns() {
-			cells := cs.lib.CellsOf(pat.fn)
-			if len(cells) == 0 {
+		best := &cs.best[n.id]
+		for i, pat := range pats {
+			if pat.root.kind != n.kind || len(cells[i]) == 0 {
 				continue
 			}
-			bind := make([]*sgNode, pat.numVars)
-			var trail []int
+			// A failed match leaves bind and trail as it found them.
+			bind := bind[:pat.numVars]
 			if !cs.matchPattern(pat.root, n, n, bind, &trail) {
 				continue
 			}
-			for _, cl := range cells {
+			for _, cl := range cells[i] {
 				arr, area := 0.0, cl.Area
 				feasible := true
 				for pin, leaf := range bind {
@@ -101,32 +111,30 @@ func (cs *coverState) cover(order []*sgNode) error {
 						feasible = false
 						break
 					}
-					la, ok := cs.arr[leaf]
-					if !ok {
-						feasible = false
-						break
-					}
-					if a := la + cl.Delay(pin, cs.nominal, 1.0); a > arr {
+					// Every leaf is a descendant of n, so its record is final.
+					lr := &cs.best[leaf.id]
+					if a := lr.arr + cl.Delay(pin, cs.nominal, 1.0); a > arr {
 						arr = a
 					}
-					if lb := cs.best[leaf]; lb != nil {
-						area += lb.area
-					}
+					area += lr.area
 				}
 				if !feasible {
 					continue
 				}
-				if best == nil || arr < best.arr-eps ||
+				if best.cl == nil || arr < best.arr-eps ||
 					(arr < best.arr+eps && area < best.area-eps) {
-					best = &matchRec{cl: cl, bind: append([]*sgNode(nil), bind...), arr: arr, area: area}
+					best.cl, best.arr, best.area = cl, arr, area
+					copy(best.bind[:], bind)
 				}
 			}
+			for _, v := range trail {
+				bind[v] = nil
+			}
+			trail = trail[:0]
 		}
-		if best == nil {
+		if best.cl == nil {
 			return fmt.Errorf("mapper: no pattern matches subject node %d (kind %d)", n.id, n.kind)
 		}
-		cs.best[n] = best
-		cs.arr[n] = best.arr
 	}
 	return nil
 }
@@ -134,10 +142,13 @@ func (cs *coverState) cover(order []*sgNode) error {
 // emit lowers the chosen covers into a mapped netlist.
 func (cs *coverState) emit(n *logic.Network, sub *subject) (*netlist.Circuit, error) {
 	ckt := netlist.New(n.Name)
-	sigOf := make(map[*sgNode]netlist.Signal)
+	sigOf := make([]netlist.Signal, len(sub.ctx.nodes))
+	for i := range sigOf {
+		sigOf[i] = netlist.None
+	}
 	for pi := 0; pi < len(n.PIs); pi++ {
 		s := ckt.AddPI(n.PIs[pi])
-		sigOf[sub.ctx.mkLeaf(pi)] = s
+		sigOf[sub.ctx.mkLeaf(pi).id] = s
 	}
 	used := make(map[string]bool)
 	for _, pi := range n.PIs {
@@ -159,27 +170,30 @@ func (cs *coverState) emit(n *logic.Network, sub *subject) (*netlist.Circuit, er
 
 	var emitNode func(sg *sgNode) (netlist.Signal, error)
 	emitNode = func(sg *sgNode) (netlist.Signal, error) {
-		if s, ok := sigOf[sg]; ok {
+		if s := sigOf[sg.id]; s != netlist.None {
 			return s, nil
 		}
-		rec := cs.best[sg]
-		if rec == nil {
+		rec := &cs.best[sg.id]
+		if rec.cl == nil {
 			return netlist.None, fmt.Errorf("mapper: emitting uncovered subject node %d", sg.id)
 		}
-		ins := make([]netlist.Signal, len(rec.bind))
-		for pin, leaf := range rec.bind {
+		var ins [cell.MaxInputs]netlist.Signal
+		for pin, leaf := range rec.bind[:rec.cl.NumInputs()] {
 			s, err := emitNode(leaf)
 			if err != nil {
 				return netlist.None, err
 			}
 			ins[pin] = s
 		}
-		name := sub.nameOf[sg]
+		name := ""
+		if sg.id < len(sub.nameOf) {
+			name = sub.nameOf[sg.id]
+		}
 		if name == "" {
 			name = fmt.Sprintf("$m%d", sg.id)
 		}
-		_, out := ckt.AddGate(uniqueName(name), rec.cl, ins...)
-		sigOf[sg] = out
+		_, out := ckt.AddGate(uniqueName(name), rec.cl, ins[:rec.cl.NumInputs()]...)
+		sigOf[sg.id] = out
 		return out, nil
 	}
 
@@ -206,7 +220,7 @@ func (cs *coverState) emit(n *logic.Network, sub *subject) (*netlist.Circuit, er
 
 	for _, po := range n.POs {
 		src := po.Src
-		if v, isConst := sub.constOf[src]; isConst {
+		if v, isConst := sub.constant(src); isConst {
 			s, err := tie(v)
 			if err != nil {
 				return nil, err
@@ -214,8 +228,8 @@ func (cs *coverState) emit(n *logic.Network, sub *subject) (*netlist.Circuit, er
 			ckt.AddPO(po.Name, s)
 			continue
 		}
-		root, ok := sub.rootOf[src]
-		if !ok {
+		root := sub.rootOf[src]
+		if root == nil {
 			return nil, fmt.Errorf("mapper: PO %s has no subject root", po.Name)
 		}
 		s, err := emitNode(root)

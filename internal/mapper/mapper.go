@@ -68,25 +68,21 @@ func minDelayCover(n *logic.Network, lib *cell.Library) (*netlist.Circuit, float
 		return nil, 0, err
 	}
 	// Reachable subject nodes and fanout counts, from the PO roots.
+	nodes := len(sub.ctx.nodes)
 	var outs []*sgNode
+	boundary := make([]bool, nodes)
 	for _, po := range work.POs {
-		if root, ok := sub.rootOf[po.Src]; ok {
+		if root := sub.rootOf[po.Src]; root != nil {
 			outs = append(outs, root)
+			boundary[root.id] = true
 		}
 	}
-	order := countFanouts(outs)
-	boundary := make(map[*sgNode]bool)
-	for _, po := range work.POs {
-		if root, ok := sub.rootOf[po.Src]; ok {
-			boundary[root] = true
-		}
-	}
+	order := sub.ctx.countFanouts(outs)
 	cs := &coverState{
 		lib:        lib,
 		nominal:    nominalLoad,
 		isBoundary: boundary,
-		best:       make(map[*sgNode]*matchRec, len(order)),
-		arr:        make(map[*sgNode]float64, len(order)),
+		best:       make([]matchRec, nodes),
 	}
 	if err := cs.cover(order); err != nil {
 		return nil, 0, err
@@ -107,25 +103,39 @@ func minDelayCover(n *logic.Network, lib *cell.Library) (*netlist.Circuit, float
 // second map run ("so that the SIS mapper can perform area-delay tradeoff
 // using the 20% timing slack"). Downsizing a gate slows only the gate itself
 // (its output load is unchanged and its input pins shrink, which can only
-// help its drivers), so a local slack check is safe. The check reads one
-// incremental timing engine's annotation, which is bit-identical to a fresh
-// full analysis after every accepted downsize. RecoverArea returns the
-// recovered circuit's worst PO arrival.
+// help its drivers), so a local slack check is safe. The checks read one
+// incremental timing engine, each settled as far as its reads need, so every
+// decision is the one a fresh full analysis after every accepted downsize
+// would make. RecoverArea returns the recovered circuit's worst PO arrival.
 func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (float64, error) {
 	inc, err := sta.NewIncremental(ckt, lib, tspec)
 	if err != nil {
 		return 0, err
 	}
+	recoverOn(inc, ckt, lib, eps)
+	if !inc.Meets(eps) {
+		return 0, fmt.Errorf("mapper: area recovery broke timing (%.4f > %.4f)", inc.WorstArrival(), tspec)
+	}
+	return inc.WorstArrival(), nil
+}
+
+// recoverOn runs RecoverArea's passes on an engine over ckt. Each pass is one
+// reverse sweep: it visits gates in decreasing priority, so a gate's what-if
+// needs only SettleAt, and the waves a downsize queues settle once, at the
+// pass's end.
+func recoverOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, eps float64) {
 	// Downsizing changes no structure, so the order stays Analyze's.
 	order := inc.Order()
 	for pass := 0; pass < 16; pass++ {
 		changed := 0
+		inc.BeginSweep()
 		for i := len(order) - 1; i >= 0; i-- {
 			gi := order[i]
 			smaller := lib.Downsize(ckt.Gates[gi].Cell)
 			if smaller == nil {
 				continue
 			}
+			inc.SettleAt(gi)
 			out := ckt.GateSignal(gi)
 			delta := inc.GateArrivalWithCell(gi, smaller, 0) - inc.Arrival[out]
 			if delta <= inc.Slack(out)-eps {
@@ -134,12 +144,9 @@ func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (f
 				changed++
 			}
 		}
+		inc.EndSweep()
 		if changed == 0 {
 			break
 		}
 	}
-	if !inc.Meets(eps) {
-		return 0, fmt.Errorf("mapper: area recovery broke timing (%.4f > %.4f)", inc.WorstArrival(), tspec)
-	}
-	return inc.WorstArrival(), nil
 }

@@ -44,22 +44,28 @@ type sgNode struct {
 }
 
 // sgCtx is a hash-consing context for subject or pattern construction.
+// nodes is indexed by sgNode.id and leaves by leaf reference; byKey, the
+// structural hash, is the mapper's only per-node map.
 type sgCtx struct {
-	nodes  []*sgNode
-	byKey  map[[3]int]*sgNode
-	leaves map[int]*sgNode
+	nodes       []*sgNode
+	byKey       map[[3]int]*sgNode
+	leaves      []*sgNode
+	lits, terms []*sgNode // sopToSg's buffers
 }
 
 func newSgCtx() *sgCtx {
-	return &sgCtx{byKey: make(map[[3]int]*sgNode), leaves: make(map[int]*sgNode)}
+	return &sgCtx{byKey: make(map[[3]int]*sgNode)}
 }
 
 func (c *sgCtx) mkLeaf(ref int) *sgNode {
-	if n, ok := c.leaves[ref]; ok {
-		return n
+	if ref < len(c.leaves) && c.leaves[ref] != nil {
+		return c.leaves[ref]
 	}
 	n := &sgNode{id: len(c.nodes), kind: sgLeaf, leaf: ref}
 	c.nodes = append(c.nodes, n)
+	for len(c.leaves) <= ref {
+		c.leaves = append(c.leaves, nil)
+	}
 	c.leaves[ref] = n
 	return n
 }
@@ -124,40 +130,50 @@ func (c *sgCtx) balancedOr(xs []*sgNode) *sgNode {
 
 // sopToSg lowers an SOP cover to the subject graph, with inputs given as
 // existing subject nodes. Returns nil for constant covers (handled upstream).
+// The literal and term lists reuse the context's buffers.
 func (c *sgCtx) sopToSg(cubes []logic.Cube, inputs []*sgNode) *sgNode {
-	var terms []*sgNode
+	c.terms = c.terms[:0]
 	for _, cube := range cubes {
-		var lits []*sgNode
+		c.lits = c.lits[:0]
 		for i := 0; i < len(cube); i++ {
 			switch cube[i] {
 			case '1':
-				lits = append(lits, inputs[i])
+				c.lits = append(c.lits, inputs[i])
 			case '0':
-				lits = append(lits, c.mkINV(inputs[i]))
+				c.lits = append(c.lits, c.mkINV(inputs[i]))
 			}
 		}
-		if len(lits) == 0 {
+		if len(c.lits) == 0 {
 			return nil // tautological cube: constant 1
 		}
-		terms = append(terms, c.balancedAnd(lits))
+		c.terms = append(c.terms, c.balancedAnd(c.lits))
 	}
-	if len(terms) == 0 {
+	if len(c.terms) == 0 {
 		return nil // empty cover: constant 0
 	}
-	return c.balancedOr(terms)
+	return c.balancedOr(c.terms)
 }
 
-// subject is the fully built subject graph of a network.
+// subject is the fully built subject graph of a network. Its tables are
+// indexed by logic signal or by sgNode.id.
 type subject struct {
 	ctx *sgCtx
 	// rootOf maps each live logic signal to its subject node; PIs map to
-	// leaves. Constant nodes are absent and recorded in constOf.
-	rootOf map[logic.Signal]*sgNode
-	// constOf records signals that turned out constant.
-	constOf map[logic.Signal]bool
+	// leaves. Constant signals have none and are recorded in constOf.
+	rootOf []*sgNode
+	// constOf records signals that turned out constant: 1 plus the
+	// constant's value, or 0 for a signal that is not constant.
+	constOf []uint8
 	// nameOf names subject nodes that correspond to logic-node outputs, so
-	// mapped gates keep recognisable net names.
-	nameOf map[*sgNode]string
+	// mapped gates keep recognisable net names. Nodes past its end, and
+	// nodes no logic node names, have "".
+	nameOf []string
+}
+
+// constant reports whether signal sig turned out constant, and its value.
+func (s *subject) constant(sig logic.Signal) (v, ok bool) {
+	c := s.constOf[sig]
+	return c == 2, c != 0
 }
 
 // buildSubject lowers an entire (swept, validated) network into one shared
@@ -171,59 +187,68 @@ func buildSubject(n *logic.Network) (*subject, error) {
 	}
 	s := &subject{
 		ctx:     newSgCtx(),
-		rootOf:  make(map[logic.Signal]*sgNode),
-		constOf: make(map[logic.Signal]bool),
-		nameOf:  make(map[*sgNode]string),
+		rootOf:  make([]*sgNode, n.NumSignals()),
+		constOf: make([]uint8, n.NumSignals()),
 	}
+	named := make([]bool, 0, n.NumSignals())
 	for pi := 0; pi < len(n.PIs); pi++ {
-		s.rootOf[logic.Signal(pi)] = s.ctx.mkLeaf(pi)
+		s.rootOf[pi] = s.ctx.mkLeaf(pi)
 	}
+	var inputs []*sgNode
 	for _, k := range order {
 		nd := n.Nodes[k]
 		out := n.NodeSignal(k)
 		if isC, v := nd.IsConst(); isC {
-			s.constOf[out] = v
+			s.constOf[out] = constCode(v)
 			continue
 		}
-		inputs := make([]*sgNode, len(nd.Fanin))
-		constIn := false
-		for i, f := range nd.Fanin {
-			if _, ok := s.constOf[f]; ok {
-				constIn = true
-				break
+		inputs = inputs[:0]
+		for _, f := range nd.Fanin {
+			if _, isC := s.constant(f); isC {
+				return nil, fmt.Errorf("mapper: node %s has constant fanins; run Sweep before mapping", nd.Name)
 			}
-			inputs[i] = s.rootOf[f]
-		}
-		if constIn {
-			return nil, fmt.Errorf("mapper: node %s has constant fanins; run Sweep before mapping", nd.Name)
+			inputs = append(inputs, s.rootOf[f])
 		}
 		root := s.ctx.sopToSg(nd.Cubes, inputs)
 		if root == nil {
 			// The cover simplified to a constant despite IsConst saying
 			// otherwise (e.g. tautological cube mix).
-			s.constOf[out] = len(nd.Cubes) > 0
+			s.constOf[out] = constCode(len(nd.Cubes) > 0)
 			continue
 		}
 		s.rootOf[out] = root
-		if _, taken := s.nameOf[root]; !taken {
-			s.nameOf[root] = nd.Name
+		for len(named) <= root.id {
+			named = append(named, false)
+			s.nameOf = append(s.nameOf, "")
+		}
+		if !named[root.id] {
+			named[root.id] = true
+			s.nameOf[root.id] = nd.Name
 		}
 	}
 	return s, nil
 }
 
+// constCode is constOf's entry for a constant of value v.
+func constCode(v bool) uint8 {
+	if v {
+		return 2
+	}
+	return 1
+}
+
 // countFanouts walks the subject graph from the given output nodes and fills
 // in consumer counts. Returns the set of reachable nodes in topological
 // order (children before parents).
-func countFanouts(outs []*sgNode) []*sgNode {
-	seen := make(map[*sgNode]bool)
-	var order []*sgNode
+func (c *sgCtx) countFanouts(outs []*sgNode) []*sgNode {
+	seen := make([]bool, len(c.nodes))
+	order := make([]*sgNode, 0, len(c.nodes))
 	var visit func(n *sgNode)
 	visit = func(n *sgNode) {
-		if seen[n] {
+		if seen[n.id] {
 			return
 		}
-		seen[n] = true
+		seen[n.id] = true
 		switch n.kind {
 		case sgNAND:
 			visit(n.fan[0])

@@ -77,7 +77,7 @@ func TestCountFanoutsCountsConsumers(t *testing.T) {
 	shared := ctx.mkNAND(a, b)
 	top1 := ctx.mkNAND(shared, c)
 	top2 := ctx.mkINV(shared)
-	order := countFanouts([]*sgNode{top1, top2})
+	order := ctx.countFanouts([]*sgNode{top1, top2})
 	if shared.nfo != 2 {
 		t.Fatalf("shared node fanout = %d, want 2", shared.nfo)
 	}
@@ -183,20 +183,19 @@ func TestMatchPatternBindingConsistency(t *testing.T) {
 	// succeeds, but an AND-of-different-leaves shaped like XOR's tree with
 	// inconsistent leaves must fail.
 	lib := cell.Compass06()
-	cs := &coverState{lib: lib, nominal: 0.004,
-		isBoundary: map[*sgNode]bool{}, best: map[*sgNode]*matchRec{}, arr: map[*sgNode]float64{}}
 	// Separate contexts: consing would otherwise share the common inner NAND
 	// between the two shapes and legitimately block interior matching.
 	ctx := newSgCtx()
 	a, b := ctx.mkLeaf(0), ctx.mkLeaf(1)
 	// True XOR(a,b) shape.
 	xorShape := ctx.mkNAND(ctx.mkNAND(a, ctx.mkINV(b)), ctx.mkNAND(ctx.mkINV(a), b))
-	countFanouts([]*sgNode{xorShape})
+	ctx.countFanouts([]*sgNode{xorShape})
 	ctx2 := newSgCtx()
 	a2, b2, c2 := ctx2.mkLeaf(0), ctx2.mkLeaf(1), ctx2.mkLeaf(2)
 	// Same tree shape but with c where the second 'a' should be.
 	fakeShape := ctx2.mkNAND(ctx2.mkNAND(a2, ctx2.mkINV(b2)), ctx2.mkNAND(ctx2.mkINV(c2), b2))
-	countFanouts([]*sgNode{fakeShape})
+	ctx2.countFanouts([]*sgNode{fakeShape})
+	cs := &coverState{lib: lib, nominal: 0.004, isBoundary: make([]bool, max(len(ctx.nodes), len(ctx2.nodes)))}
 	var xorPat *pattern
 	for _, p := range patterns() {
 		if p.fn == cell.FXOR2 {

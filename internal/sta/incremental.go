@@ -32,6 +32,11 @@ import (
 // what changed: ChangedSince names the signals its records since a mark
 // touch. The journal holds no pointers, so the garbage collector never scans
 // it.
+//
+// A reverse sweep (BeginSweep … EndSweep) defers the waves for a caller that
+// visits gates in decreasing priority, as area recovery does: SetCell and
+// SetVolt only queue them, and SettleAt settles just what one gate's reads
+// depend on.
 type Incremental struct {
 	ckt   *netlist.Circuit
 	lib   *cell.Library
@@ -62,6 +67,9 @@ type Incremental struct {
 	// times in descending priority.
 	fwd, bwd wave
 	poDirty  bool
+	// sweeping is set between BeginSweep and EndSweep: moves queue the
+	// waves without settling them.
+	sweeping bool
 
 	// journal is the undo log Rollback replays in reverse and ChangedSince
 	// reads forward. The old cell of each recCell entry sits on cells, in the
@@ -149,6 +157,7 @@ func (t *Incremental) Library() *cell.Library { return t.lib }
 // condition and refuses the swap otherwise, and re-reads every gate's derate
 // from the new library.
 func (t *Incremental) SetLibrary(lib *cell.Library) error {
+	t.noSweep("SetLibrary")
 	if lib.VddOf(cell.VHigh) != t.lib.VddOf(cell.VHigh) || lib.WireCapPerFanout != t.lib.WireCapPerFanout ||
 		lib.POLoadCap != t.lib.POLoadCap {
 		return fmt.Errorf("sta: SetLibrary would change high-rail timing parameters")
@@ -238,7 +247,7 @@ func (t *Incremental) GateArrivalWithCell(gi int, cl *cell.Cell, dLoad float64) 
 }
 
 // SetVolt moves gate gi to the given supply rail and re-times the affected
-// cones.
+// cones (inside a sweep, queues them).
 func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	g := t.ckt.Gates[gi]
 	if g.Volt == v {
@@ -249,11 +258,14 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	t.recs[gi].derate = t.lib.Derate(v)
 	t.fwd.push(gi, t.prio)
 	t.bwd.push(gi, t.prio)
-	t.settle()
+	if !t.sweeping {
+		t.settle()
+	}
 }
 
 // SetCell rebinds gate gi to cl (same function, different size), adjusting
-// the fanin nets' loads for the new pin capacitances and re-timing.
+// the fanin nets' loads for the new pin capacitances and re-timing (inside a
+// sweep, queueing the re-timing).
 func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	g := t.ckt.Gates[gi]
 	if g.Cell == cl {
@@ -271,13 +283,16 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	}
 	t.fwd.push(gi, t.prio)
 	t.bwd.push(gi, t.prio)
-	t.settle()
+	if !t.sweeping {
+		t.settle()
+	}
 }
 
 // RewirePin reconnects input pin of gate gi to signal to. The new driver must
 // precede gi topologically (rewiring to a signal downstream of gi would
 // create a cycle or invalidate the propagation priorities).
 func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
+	t.noSweep("RewirePin")
 	g := t.ckt.Gates[gi]
 	from := g.In[pin]
 	if from == to {
@@ -306,6 +321,7 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 // behind level-converter insertion) and times it in. Its consumers are wired
 // up afterwards with RewirePin.
 func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) (int, netlist.Signal) {
+	t.noSweep("AddGate")
 	gi, out := t.ckt.AddGate(name, cl, in...)
 	t.journal = append(t.journal, undoRec{kind: recAdd, a: int32(gi)})
 	t.Arrival = append(t.Arrival, 0)
@@ -343,6 +359,7 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 // KillGate marks a gate dead (level-converter cleanup). The gate must have no
 // remaining consumers.
 func (t *Incremental) KillGate(gi int) error {
+	t.noSweep("KillGate")
 	g := t.ckt.Gates[gi]
 	out := t.ckt.GateSignal(gi)
 	if t.fan.Degree(out) != 0 {
@@ -365,12 +382,16 @@ func (t *Incremental) KillGate(gi int) error {
 }
 
 // Checkpoint marks the current state for a later Rollback.
-func (t *Incremental) Checkpoint() Mark { return Mark(len(t.journal)) }
+func (t *Incremental) Checkpoint() Mark {
+	t.noSweep("Checkpoint")
+	return Mark(len(t.journal))
+}
 
 // Rollback restores the engine and the circuit to the state at mark,
 // reversing every mutation applied since, in time proportional to the work
 // done since the mark.
 func (t *Incremental) Rollback(m Mark) {
+	t.noSweep("Rollback")
 	for i := len(t.journal) - 1; i >= int(m); i-- {
 		r := t.journal[i]
 		gi := int(r.a)
@@ -431,6 +452,40 @@ func (t *Incremental) Commit() {
 	t.journal = t.journal[:0]
 	clear(t.cells)
 	t.cells = t.cells[:0]
+}
+
+// BeginSweep starts a reverse sweep. Until EndSweep, SetCell and SetVolt
+// refresh loads, timing records and the journal as always but only queue
+// both waves; SettleAt settles what one gate's reads depend on. Checkpoint,
+// Rollback, RewirePin, AddGate, KillGate and SetLibrary panic inside a sweep,
+// since they need settled waves; Commit stays legal.
+func (t *Incremental) BeginSweep() { t.sweeping = true }
+
+// SettleAt drains the forward wave up to gi's priority and the backward wave
+// down to it. Afterwards these reads are bit-identical to a settled engine's:
+// the arrivals of gi and of every gate of lower priority, the required time
+// and slack of gi's output, DeltaStep(gi) and GateArrivalWithCell(gi, …). An
+// arrival depends only on gates of lower priority and a required time only on
+// gates of higher priority, and both waves recompute each value from settled
+// inputs with the kernels Analyze uses. Other reads, WorstArrival and Meets
+// included, may be stale until EndSweep.
+func (t *Incremental) SettleAt(gi int) {
+	p := t.prio[gi]
+	t.runForward(p)
+	t.runBackward(p)
+}
+
+// EndSweep settles both waves in full and ends the sweep.
+func (t *Incremental) EndSweep() {
+	t.sweeping = false
+	t.settle()
+}
+
+// noSweep panics when op is called inside a sweep.
+func (t *Incremental) noSweep(op string) {
+	if t.sweeping {
+		panic("sta: " + op + " inside a sweep")
+	}
 }
 
 // Check validates the incremental annotation against a fresh full analysis —
@@ -533,8 +588,8 @@ func (t *Incremental) setArrival(out int, a float64) {
 // settle drains both propagation waves and, when a PO arrival moved,
 // refreshes the worst PO arrival.
 func (t *Incremental) settle() {
-	t.runForward()
-	t.runBackward()
+	t.runForward(math.Inf(1))
+	t.runBackward(math.Inf(-1))
 	if t.poDirty {
 		w := 0.0
 		for _, po := range t.ckt.POs {
@@ -550,11 +605,11 @@ func (t *Incremental) settle() {
 	}
 }
 
-// runForward re-propagates arrival times in increasing priority order: when a
-// gate is popped every upstream change has settled, so each gate is evaluated
-// at most once per wave.
-func (t *Incremental) runForward() {
-	for gi := t.fwd.pop(t.prio); gi >= 0; gi = t.fwd.pop(t.prio) {
+// runForward re-propagates arrival times in increasing priority order, up to
+// priority limit: when a gate is popped every upstream change has settled, so
+// each gate is evaluated at most once per wave.
+func (t *Incremental) runForward(limit float64) {
+	for gi := t.fwd.pop(limit, t.prio); gi >= 0; gi = t.fwd.pop(limit, t.prio) {
 		if t.ckt.Gates[gi].Dead {
 			continue
 		}
@@ -563,10 +618,11 @@ func (t *Incremental) runForward() {
 	}
 }
 
-// runBackward re-propagates required times in decreasing priority order; a
-// gate's pop recomputes the required time at each of its fanins.
-func (t *Incremental) runBackward() {
-	for gi := t.bwd.pop(t.prio); gi >= 0; gi = t.bwd.pop(t.prio) {
+// runBackward re-propagates required times in decreasing priority order, down
+// to priority limit; a gate's pop recomputes the required time at each of its
+// fanins.
+func (t *Incremental) runBackward(limit float64) {
+	for gi := t.bwd.pop(limit, t.prio); gi >= 0; gi = t.bwd.pop(limit, t.prio) {
 		if t.ckt.Gates[gi].Dead {
 			continue
 		}
@@ -585,8 +641,9 @@ func (t *Incremental) runBackward() {
 // The gates live at construction have the integer priorities 0..n−1, their
 // positions in order, and queue as one bit per position in bits, popped by a
 // scan from the cursor cur in the wave's direction. No queued bit lies
-// before cur: within a drain every push lies beyond the gate just popped,
-// and a push before cur moves it back. A drained wave's cursor is at the
+// before cur: within a drain every push lies beyond the gate just popped, a
+// push before cur moves it back, and a drain cut short by its limit leaves
+// cur on the first queued bit beyond it. A drained wave's cursor is at the
 // start, position 0 forward and n−1 backward. The other gates, those AddGate
 // inserted (fractional priorities) and those dead at construction (−1),
 // queue on a binary heap keyed by sign·prio, with in marking the queued
@@ -647,14 +704,20 @@ func (w *wave) push(gi int, prio []float64) {
 	}
 }
 
-// pop dequeues and returns the queued gate of least sign·prio, or −1 once
-// the wave is drained.
-func (w *wave) pop(prio []float64) int {
+// pop dequeues and returns the queued gate of least sign·prio if that key is
+// at most sign·limit, else returns −1 and leaves the wave as it is. A limit
+// of sign·+Inf drains the wave; a gate's priority drains it up to that gate
+// (forward) or down to it (backward).
+func (w *wave) pop(limit float64, prio []float64) int {
+	bound := w.sign * limit
 	k := w.scan()
 	if len(w.heap) > 0 && (k < 0 || w.sign*prio[w.heap[0]] < w.sign*float64(k)) {
+		if w.sign*prio[w.heap[0]] > bound {
+			return -1
+		}
 		return w.popHeap(prio)
 	}
-	if k < 0 {
+	if k < 0 || w.sign*float64(k) > bound {
 		return -1
 	}
 	w.bits[k>>6] &^= 1 << (k & 63)

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -47,10 +48,13 @@ func randomMapped(rng *rand.Rand, pis, n int) *netlist.Circuit {
 // them on one driver, so they share a fractional priority) and one gate dead
 // at construction: random pushes of original and inserted gates, repeats
 // included, before the first pop and between pops, landing on both sides of
-// the bitset's cursor. Every pop must be a queued gate of least sign·prio by
-// a brute-force scan of the queued set, each queued gate must pop exactly
-// once, and a drained wave must have no bit and no queued mark set and its
-// cursor back at the start.
+// the bitset's cursor. Pops come in drains, each up to a limit: a full drain,
+// or one up to a random priority (an original gate's, an inserted gate's, or
+// one between them), as SettleAt drains. Every pop must be a queued gate of
+// least sign·prio by a brute-force scan of the queued set, within the limit,
+// and a drain must return −1 exactly when no queued gate lies within it. Each
+// queued gate must pop exactly once, and a drained wave must have no bit and
+// no queued mark set and its cursor back at the start.
 func TestWaveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	const n = 300
@@ -92,7 +96,7 @@ func TestWaveOrder(t *testing.T) {
 		name string
 		q    *wave
 	}{{"forward", &inc.fwd}, {"backward", &inc.bwd}} {
-		var before, beyond, heapPops int
+		var before, beyond, heapPops, cutShort int
 		for trial := 0; trial < 300; trial++ {
 			queued := make(map[int]bool)
 			push := func() {
@@ -112,34 +116,51 @@ func TestWaveOrder(t *testing.T) {
 				push()
 			}
 			for len(queued) > 0 {
-				least := 0.0
-				first := true
-				for g := range queued {
-					if k := w.q.sign * inc.prio[g]; first || k < least {
-						least, first = k, false
+				limit := w.q.sign * math.Inf(1)
+				switch rng.Intn(4) {
+				case 0:
+					limit = inc.prio[pick()]
+				case 1:
+					limit = float64(rng.Intn(n)) + 0.5*float64(rng.Intn(2)) - 1
+				}
+				for {
+					least, within := 0.0, false
+					for g := range queued {
+						if k := w.q.sign * inc.prio[g]; k <= w.q.sign*limit && (!within || k < least) {
+							least, within = k, true
+						}
 					}
-				}
-				gi := w.q.pop(inc.prio)
-				if gi < 0 {
-					t.Fatalf("%s trial %d: wave drained with %d gates queued", w.name, trial, len(queued))
-				}
-				if !queued[gi] {
-					t.Fatalf("%s trial %d: popped gate %d, not queued or popped twice", w.name, trial, gi)
-				}
-				if k := w.q.sign * inc.prio[gi]; k != least {
-					t.Fatalf("%s trial %d: popped gate %d of key %g, a queued gate has key %g", w.name, trial, gi, k, least)
-				}
-				if inc.prio[gi] != float64(int(inc.prio[gi])) || inc.prio[gi] < 0 {
-					heapPops++
-				}
-				delete(queued, gi)
-				if rng.Intn(3) == 0 {
-					for range 1 + rng.Intn(4) {
-						push()
+					gi := w.q.pop(limit, inc.prio)
+					if gi < 0 {
+						if within {
+							t.Fatalf("%s trial %d: drain to %g ended with a gate of key %g queued", w.name, trial, limit, least)
+						}
+						if len(queued) > 0 {
+							cutShort++
+						}
+						break
+					}
+					if !queued[gi] {
+						t.Fatalf("%s trial %d: popped gate %d, not queued or popped twice", w.name, trial, gi)
+					}
+					if !within {
+						t.Fatalf("%s trial %d: drain to %g popped gate %d of priority %g", w.name, trial, limit, gi, inc.prio[gi])
+					}
+					if k := w.q.sign * inc.prio[gi]; k != least {
+						t.Fatalf("%s trial %d: popped gate %d of key %g, a queued gate has key %g", w.name, trial, gi, k, least)
+					}
+					if inc.prio[gi] != float64(int(inc.prio[gi])) || inc.prio[gi] < 0 {
+						heapPops++
+					}
+					delete(queued, gi)
+					if rng.Intn(3) == 0 {
+						for range 1 + rng.Intn(4) {
+							push()
+						}
 					}
 				}
 			}
-			if gi := w.q.pop(inc.prio); gi >= 0 {
+			if gi := w.q.pop(w.q.sign*math.Inf(1), inc.prio); gi >= 0 {
 				t.Fatalf("%s trial %d: popped gate %d from a drained wave", w.name, trial, gi)
 			}
 			for i, word := range w.q.bits {
@@ -156,8 +177,9 @@ func TestWaveOrder(t *testing.T) {
 				t.Fatalf("%s trial %d: drained wave's cursor at %d, want the start %d", w.name, trial, w.q.cur, w.q.start())
 			}
 		}
-		if before == 0 || beyond == 0 || heapPops == 0 {
-			t.Fatalf("%s: %d pushes before the cursor, %d at or beyond it, %d heap pops; want each", w.name, before, beyond, heapPops)
+		if before == 0 || beyond == 0 || heapPops == 0 || cutShort == 0 {
+			t.Fatalf("%s: %d pushes before the cursor, %d at or beyond it, %d heap pops, %d drains cut short by their limit; want each",
+				w.name, before, beyond, heapPops, cutShort)
 		}
 	}
 }
