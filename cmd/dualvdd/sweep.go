@@ -267,7 +267,7 @@ func expandRange(s string) ([]float64, error) {
 	}
 	out := make([]float64, 0, n+1)
 	for i := 0; i <= n; i++ {
-		val := lo + float64(i)*step
+		val := lo + float64(float64(i)*step)
 		if i == n && math.Abs(val-hi) <= step*tol {
 			val = hi
 		}

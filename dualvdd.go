@@ -466,7 +466,7 @@ func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult,
 	// (holding it through the simulation raised the tables workload's peak
 	// RSS by about 2 MB).
 	var cres *core.Result
-	err = core.Run(inc, ckt, d.Lib, []string{string(algo)}, opts, func(_ int, res *core.Result) error {
+	err = core.Run(inc, []string{string(algo)}, opts, func(_ int, res *core.Result) error {
 		cres = res
 		return nil
 	})

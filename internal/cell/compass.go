@@ -73,18 +73,18 @@ func buildFamily(f family) []*Cell {
 		n := f.fn.NumInputs()
 		caps := make([]float64, n)
 		intr := make([]float64, n)
-		capMult := 1 + 0.15*(mult-1) // mostly the output stage scales; pins grow mildly
+		capMult := 1 + float64(0.15*(mult-1)) // mostly the output stage scales; pins grow mildly
 		for pin := 0; pin < n; pin++ {
 			caps[pin] = f.cin * capMult
 			// Later pins are marginally slower: a cheap stand-in for true
 			// pin-to-pin SPICE data, enough to make pin order matter.
-			intr[pin] = f.intr * (1 - 0.06*float64(s)) * (1 + 0.05*float64(pin))
+			intr[pin] = f.intr * (1 - float64(0.06*float64(s))) * (1 + float64(0.05*float64(pin)))
 		}
 		cells = append(cells, &Cell{
 			Name:        fmt.Sprintf("%s_%s", f.fn, sizeName(s)),
 			Function:    f.fn,
 			Size:        s,
-			Area:        f.area * (1 + 0.55*(mult-1)),
+			Area:        f.area * (1 + float64(0.55*(mult-1))),
 			InputCap:    caps,
 			Intrinsic:   intr,
 			Drive:       f.drive / driveDiv,

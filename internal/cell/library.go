@@ -56,9 +56,11 @@ type Cell struct {
 }
 
 // Delay returns the pin-to-pin delay in ns from input pin to output for a
-// given output load (pF) and voltage derating factor (1.0 at Vhigh).
+// given output load (pF) and voltage derating factor (1.0 at Vhigh). The
+// conversions round the product and the result, so no platform fuses them
+// into a multiply-add and the bits are the same on every GOARCH.
 func (c *Cell) Delay(pin int, load, derate float64) float64 {
-	return (c.Intrinsic[pin] + c.Drive*load) * derate
+	return float64((c.Intrinsic[pin] + float64(c.Drive*load)) * derate)
 }
 
 // MaxDelay returns the worst pin-to-pin delay for the load and derating.

@@ -42,13 +42,13 @@ func buildChainTree(depth int) *netlist.Circuit {
 }
 
 // entryPoint runs one algorithm on an engine and returns its result.
-type entryPoint = func(*sta.Incremental, *netlist.Circuit, *cell.Library, Options) (*Result, error)
+type entryPoint = func(*sta.Incremental, Options) (*Result, error)
 
 // runAlone adapts Run to one named algorithm.
 func runAlone(name string) entryPoint {
-	return func(inc *sta.Incremental, c *netlist.Circuit, l *cell.Library, opts Options) (*Result, error) {
+	return func(inc *sta.Incremental, opts Options) (*Result, error) {
 		var res *Result
-		err := Run(inc, c, l, []string{name}, opts, func(_ int, r *Result) error {
+		err := Run(inc, []string{name}, opts, func(_ int, r *Result) error {
 			res = r
 			return nil
 		})
@@ -76,7 +76,7 @@ func runFresh(t *testing.T, algo entryPoint, c *netlist.Circuit, tspec float64, 
 		t.Fatal(err)
 	}
 	opts.Activities = r.Act
-	return algo(inc, c, lib, opts)
+	return algo(inc, opts)
 }
 
 // tspecOf returns the circuit's own critical delay (the paper's constraint).
@@ -424,7 +424,7 @@ func TestEvalCandidateAccountsLevelConverter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, _ := evalCandidate(c, lib, inc, r.Act, 20e6, 0)
+	cand, _ := evalCandidate(inc, r.Act, 20e6, 0)
 	if !cand.needLC {
 		t.Fatal("candidate u drives high gate v: must need a level converter")
 	}
@@ -433,7 +433,7 @@ func TestEvalCandidateAccountsLevelConverter(t *testing.T) {
 	}
 	// The same gate with its consumer already low needs no converter.
 	inc.SetVolt(1, cell.VLow)
-	cand2, _ := evalCandidate(c, lib, inc, r.Act, 20e6, 0)
+	cand2, _ := evalCandidate(inc, r.Act, 20e6, 0)
 	if cand2.needLC || cand2.lcDelay != 0 {
 		t.Fatal("no converter needed for low consumer")
 	}
@@ -459,7 +459,7 @@ func TestApplyLowInsertsSharedConverter(t *testing.T) {
 	act := make([]float64, c.NumSignals())
 	act[int(s)] = 0.25
 	opts := DefaultOptions()
-	st := newDscaleState(c, lib, inc, &opts, act)
+	st := newDscaleState(inc, &opts, act)
 	if err := st.applyLow(0); err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	events = nil
 	base, before := inc.Checkpoint(), inc.Evals()
 	var sum int64
-	err = Run(inc, shared, lib, names, opts, func(i int, res *Result) error {
+	err = Run(inc, names, opts, func(i int, res *Result) error {
 		if !reflect.DeepEqual(res, want[i]) {
 			t.Errorf("%s (#%d): shared result %+v, alone %+v", names[i], i, res, want[i])
 		}
@@ -634,17 +634,17 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	inc.Rollback(base)
 
 	noop := func(int, *Result) error { return nil }
-	if err := Run(inc, shared, lib, []string{"CVS", "Qscale"}, opts, noop); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+	if err := Run(inc, []string{"CVS", "Qscale"}, opts, noop); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Errorf("unknown algorithm: err %v", err)
 	}
 	unjournaled := opts
 	unjournaled.KeepJournal = false
-	if err := Run(inc, shared, lib, names, unjournaled, noop); err == nil || !strings.Contains(err.Error(), "KeepJournal") {
+	if err := Run(inc, names, unjournaled, noop); err == nil || !strings.Contains(err.Error(), "KeepJournal") {
 		t.Errorf("list without KeepJournal: err %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	opts.Ctx = ctx
-	err = Run(inc, shared, lib, names, opts, func(i int, _ *Result) error {
+	err = Run(inc, names, opts, func(i int, _ *Result) error {
 		if i > 0 {
 			t.Errorf("%s (#%d) ran after the cancel", names[i], i)
 		}
@@ -672,7 +672,7 @@ func TestActivityTableMustCoverSignals(t *testing.T) {
 			}
 			o := opts
 			o.Activities = act
-			if _, err := algo(inc, c, lib, o); err == nil || !strings.Contains(err.Error(), "activity table") {
+			if _, err := algo(inc, o); err == nil || !strings.Contains(err.Error(), "activity table") {
 				t.Fatalf("%s with %d activities for %d signals: err %v, want an activity table error", name, len(act), n, err)
 			}
 		}
@@ -749,7 +749,7 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := runDscale(inc, c, l.lib, opts)
+					res, err := runDscale(inc, opts)
 					if err != nil {
 						t.Fatalf("Dscale self-check on %s: %v", name, err)
 					}
@@ -769,7 +769,7 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 					}
 					opts.KeepJournal = true
 					list := []string{"Dscale", "Gscale", "Dscale"}
-					err = Run(kinc, kept, l.lib, list, opts, func(i int, r *Result) error {
+					err = Run(kinc, list, opts, func(i int, r *Result) error {
 						if list[i] == "Dscale" && !reflect.DeepEqual(r, res) {
 							t.Errorf("Dscale #%d under KeepJournal: %+v, committing run %+v", i, r, res)
 						}
@@ -814,11 +814,11 @@ func TestDscaleBypassFixpoint(t *testing.T) {
 			}
 			opts := DefaultOptions()
 			opts.Activities = sr.Act
-			res, err := runDscale(inc, c, l, opts)
+			res, err := runDscale(inc, opts)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, rails, err)
 			}
-			st := newDscaleState(c, l, inc, &opts, res.Act)
+			st := newDscaleState(inc, &opts, res.Act)
 			fan := inc.Fanouts()
 			for gi, g := range c.Gates {
 				switch {
@@ -867,7 +867,7 @@ func TestDscaleInnerLoopAllocations(t *testing.T) {
 	for i := range act {
 		act[i] = 0.25
 	}
-	st := newDscaleState(c, lib, inc, &opts, act)
+	st := newDscaleState(inc, &opts, act)
 
 	var gis []int
 	for gi, g := range c.Gates {
@@ -879,7 +879,7 @@ func TestDscaleInnerLoopAllocations(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		gi := gis[i%len(gis)]
 		i++
-		if _, ok := evalCandidate(c, lib, inc, act, opts.Fclk, gi); !ok {
+		if _, ok := evalCandidate(inc, act, opts.Fclk, gi); !ok {
 			t.Fatal("evalCandidate refused a live gate")
 		}
 	})

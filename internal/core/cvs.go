@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dualvdd/internal/cell"
-	"dualvdd/internal/netlist"
 	"dualvdd/internal/sta"
 )
 
@@ -41,8 +39,9 @@ const ctxStride = 256
 // level converter, which CVS never inserts) and the step's delay fits the
 // slack. At a two-rail library the loop degenerates to the classic single
 // VHigh→VLow decision, bit for bit.
-func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo string, round int) (*CVSResult, error) {
+func cvsOn(inc *sta.Incremental, opts *Options, algo string, round int) (*CVSResult, error) {
 	res := &CVSResult{}
+	ckt := inc.Circuit()
 	order := inc.Order()
 	fan := inc.Fanouts()
 	deepest := inc.Library().Deepest()
@@ -84,8 +83,7 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 // that finishes the run from the post-CVS state. cvs is that clustering.
 type algorithm struct {
 	round int
-	cont  func(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-		act []float64, cvs *CVSResult) (*Result, error)
+	cont  func(inc *sta.Incremental, opts *Options, act []float64, cvs *CVSResult) (*Result, error)
 }
 
 // algorithms maps each algorithm name to its implementation.
@@ -105,9 +103,12 @@ func lookup(name string) (algorithm, error) {
 }
 
 // Run runs the named algorithms ("CVS", "Dscale" or "Gscale", at least one,
-// in any order, repeats allowed) on an incremental engine whose annotation is settled for
-// ckt under lib. The caller owns the engine: a cold run builds a fresh one, a
-// warm sweep fences each point on one shared engine with Checkpoint/Rollback.
+// in any order, repeats allowed) on an incremental engine with a settled
+// annotation. The engine is the run's only handle: the algorithms scale the
+// circuit it times (inc.Circuit()) under its library (inc.Library()) and read
+// every timing fact from it. The caller owns the engine: a cold run builds a
+// fresh one, a warm sweep fences each point on one shared engine with
+// Checkpoint/Rollback.
 //
 // All three algorithms begin with the same CVS clustering, so Run performs it
 // once, takes a Checkpoint, and runs each algorithm's continuation from that
@@ -123,8 +124,7 @@ func lookup(name string) (algorithm, error) {
 // live under the first algorithm and, when an observer is attached, replayed
 // under each later one. More than one algorithm needs KeepJournal: the
 // checkpoint must survive every continuation.
-func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []string, opts Options,
-	done func(i int, res *Result) error) error {
+func Run(inc *sta.Incremental, names []string, opts Options, done func(i int, res *Result) error) error {
 	if len(names) > 1 && !opts.KeepJournal {
 		return errors.New("core: running more than one algorithm needs KeepJournal")
 	}
@@ -132,7 +132,7 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 	if err != nil {
 		return err
 	}
-	act, err := opts.start(inc, ckt)
+	act, err := opts.start(inc)
 	if err != nil {
 		return err
 	}
@@ -144,7 +144,7 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 			opts.Observer(ev)
 		}
 	}
-	cvs, err := cvsOn(inc, ckt, &shared, names[0], first.round)
+	cvs, err := cvsOn(inc, &shared, names[0], first.round)
 	if err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 		}
 		// Rollback restores the annotation, not the evaluation count.
 		o.evalsBase = inc.Evals() - cvsEvals
-		res, err := a.cont(inc, ckt, lib, &o, act, cvs)
+		res, err := a.cont(inc, &o, act, cvs)
 		if err != nil {
 			return err
 		}
@@ -180,15 +180,14 @@ func Run(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, names []
 
 // cvsFinish completes a CVS run: the shared clustering is the whole
 // algorithm, one round.
-func cvsFinish(inc *sta.Incremental, ckt *netlist.Circuit, _ *cell.Library, opts *Options,
-	act []float64, cvs *CVSResult) (*Result, error) {
+func cvsFinish(inc *sta.Incremental, opts *Options, act []float64, cvs *CVSResult) (*Result, error) {
 	if err := selfCheck(inc, opts); err != nil {
 		return nil, err
 	}
 	if opts.Observer != nil {
 		opts.emit(Event{
 			Algorithm: "CVS", Kind: EventRound, Round: 1, Moves: cvs.Lowered,
-			LowGates: ckt.NumLowGates(), STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
+			LowGates: inc.Circuit().NumLowGates(), STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
 		})
 	}
 	return &Result{

@@ -38,8 +38,8 @@ type candidate struct {
 // crossing is fixed at insertion (the converter would need rebinding), so the
 // gate holds its rail. At two rails all of this collapses to the classic
 // VHigh→VLow evaluation, bit for bit.
-func evalCandidate(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental,
-	act []float64, fclk float64, gi int) (candidate, bool) {
+func evalCandidate(inc *sta.Incremental, act []float64, fclk float64, gi int) (candidate, bool) {
+	ckt, lib := inc.Circuit(), inc.Library()
 	g := ckt.Gates[gi]
 	out := ckt.GateSignal(gi)
 	conns := inc.Fanouts().Conns[out]
@@ -69,24 +69,16 @@ func evalCandidate(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental
 	lcLoad := 0.0
 	if nHigh > 0 {
 		lc = lib.LevelConverterFor(newVolt, dest)
-		newLoad = oldLoad - highCap - lib.WireCapPerFanout*float64(nHigh) +
+		newLoad = oldLoad - highCap - float64(lib.WireCapPerFanout*float64(nHigh)) +
 			lc.InputCap[0] + lib.WireCapPerFanout
-		lcLoad = highCap + lib.WireCapPerFanout*float64(nHigh)
+		lcLoad = highCap + float64(lib.WireCapPerFanout*float64(nHigh))
 	}
 
 	// Timing: the gate's own arrival moves by deltaArr; paths through the
 	// level converter additionally pay the converter's delay. Requiring the
 	// gate's slack to cover both is conservative (the LC sits on a subset of
 	// the fanout paths).
-	derate := lib.Derate(newVolt)
-	newArr := 0.0
-	for pin, s := range g.In {
-		a := inc.Arrival[s] + g.Cell.Delay(pin, newLoad, derate)
-		if a > newArr {
-			newArr = a
-		}
-	}
-	deltaArr := newArr - inc.Arrival[out]
+	deltaArr := inc.ArrivalWith(gi, g.Cell, newVolt, newLoad) - inc.Arrival[out]
 	lcDelay := 0.0
 	if nHigh > 0 {
 		lcDelay = lc.MaxDelay(lcLoad, lib.Derate(dest))
@@ -113,9 +105,9 @@ func evalCandidate(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental
 // round's moves disturbed instead of rescanning every gate. verify() checks
 // the whole invariant against a from-scratch rebuild under Options.SelfCheck.
 type dscaleState struct {
-	ckt  *netlist.Circuit
-	lib  *cell.Library
 	inc  *sta.Incremental
+	ckt  *netlist.Circuit // inc.Circuit()
+	lib  *cell.Library    // inc.Library()
 	opts *Options
 
 	// act is the per-signal switching activity, extended (aliased) as level
@@ -160,9 +152,8 @@ type dscaleState struct {
 // candidate invalidated (round one evaluates every gate, like the rescan loop
 // did). CVS ran on the same engine and its changes are already reflected
 // here, so absorb reads the journal from the current position on.
-func newDscaleState(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental,
-	opts *Options, act []float64) *dscaleState {
-	st := &dscaleState{ckt: ckt, lib: lib, inc: inc, opts: opts, act: act, seen: inc.Checkpoint()}
+func newDscaleState(inc *sta.Incremental, opts *Options, act []float64) *dscaleState {
+	st := &dscaleState{inc: inc, ckt: inc.Circuit(), lib: inc.Library(), opts: opts, act: act, seen: inc.Checkpoint()}
 	st.grow()
 	return st
 }
@@ -222,7 +213,7 @@ func (st *dscaleState) reeval(gi int) {
 	if st.inc.Slack(out) <= slackEps {
 		return // not in SlkSet
 	}
-	c, ok := evalCandidate(st.ckt, st.lib, st.inc, st.act, st.opts.Fclk, gi)
+	c, ok := evalCandidate(st.inc, st.act, st.opts.Fclk, gi)
 	if !ok || c.gain <= 0 {
 		return
 	}
@@ -289,9 +280,9 @@ func (st *dscaleState) verify() error {
 // like their source, so their activities are aliased on insertion and the
 // run needs no simulation. With KeepJournal set the caller's Checkpoint mark
 // survives and one Rollback undoes the whole run.
-func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-	act []float64, _ *CVSResult) (*Result, error) {
-	st := newDscaleState(ckt, lib, inc, opts, act)
+func dscaleFrom(inc *sta.Incremental, opts *Options, act []float64, _ *CVSResult) (*Result, error) {
+	st := newDscaleState(inc, opts, act)
+	ckt := st.ckt
 	res := &Result{}
 	for {
 		if err := opts.interrupted(); err != nil {
@@ -368,7 +359,7 @@ func dscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			opts.emit(Event{
 				Algorithm: "Dscale", Kind: EventRound, Round: res.Iterations,
 				Moves: len(lowSet), LowGates: ckt.NumLowGates(),
-				Power:    power.EstimateWithLoads(ckt, lib, st.act, inc.Load, opts.Fclk).Total,
+				Power:    power.EstimateWithLoads(ckt, st.lib, st.act, inc.Load, opts.Fclk).Total,
 				STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
 			})
 		}
@@ -563,8 +554,7 @@ func (st *dscaleState) tryBypass(gIdx, pin int) bool {
 	// Load change on the source net: it gains this consumer pin (the
 	// converter stays until it loses every consumer).
 	dLoad := g.Cell.InputCap[pin] + lib.WireCapPerFanout
-	srcGi := ckt.GateIndex(src)
-	newArr := inc.GateArrivalWithCell(srcGi, srcGate.Cell, dLoad)
+	newArr := inc.ArrivalWith(ckt.GateIndex(src), srcGate.Cell, srcGate.Volt, inc.Load[src]+dLoad)
 	if newArr-inc.Arrival[src] >= inc.Slack(src)-slackEps {
 		return false
 	}

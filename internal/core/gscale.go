@@ -6,7 +6,6 @@ import (
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/graph"
-	"dualvdd/internal/netlist"
 	"dualvdd/internal/sta"
 )
 
@@ -14,35 +13,34 @@ import (
 // the critical path network.
 const critEps = 1e-7
 
-// getCPN marks in cpn, all false on entry, the critical path network feeding
-// the TCB: every gate on a path that determines the arrival time at some TCB
-// node (paper §3's get_CPN, via static timing analysis). TCB gates
-// themselves are included — up-sizing the boundary gate is often exactly
-// what lets it take Vlow.
-func getCPN(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, tcb []int, cpn []bool) {
+// getCPN enters the critical path network feeding the TCB into weight, all
+// zero on entry, at graph.Inf (the weight of a gate that cannot be resized):
+// every gate on a path that determines the arrival time at some TCB node
+// (paper §3's get_CPN, via static timing analysis). TCB gates themselves are
+// included — up-sizing the boundary gate is often exactly what lets it take
+// Vlow.
+func getCPN(inc *sta.Incremental, tcb []int, weight []int64) {
+	ckt := inc.Circuit()
 	stack := append([]int(nil), tcb...)
 	for _, gi := range tcb {
-		cpn[gi] = true
+		weight[gi] = graph.Inf
 	}
 	for len(stack) > 0 {
 		gi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := ckt.Gates[gi]
 		out := ckt.GateSignal(gi)
-		derate := lib.Derate(g.Volt)
-		for pin, s := range g.In {
+		for pin, s := range ckt.Gates[gi].In {
 			if ckt.IsPI(s) {
 				continue
 			}
-			a := inc.Arrival[s] + g.Cell.Delay(pin, inc.Load[out], derate)
-			if a < inc.Arrival[out]-critEps {
+			if inc.PinArrival(gi, pin) < inc.Arrival[out]-critEps {
 				continue // this fanin does not set the arrival
 			}
 			di := ckt.GateIndex(s)
-			if di < 0 || cpn[di] {
+			if di < 0 || weight[di] != 0 {
 				continue
 			}
-			cpn[di] = true
+			weight[di] = graph.Inf
 			stack = append(stack, di)
 		}
 	}
@@ -54,14 +52,15 @@ func getCPN(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, tcb [
 // needs the *net* gain or the separator would pick counterproductive moves).
 // Returns the candidate cell, the net gain in ns and the area penalty, or
 // ok=false when the gate has no larger size or up-sizing does not pay.
-func sizingGain(ckt *netlist.Circuit, lib *cell.Library, inc *sta.Incremental, gi int) (up *cell.Cell, gain, dArea float64, ok bool) {
+func sizingGain(inc *sta.Incremental, gi int) (up *cell.Cell, gain, dArea float64, ok bool) {
+	ckt, lib := inc.Circuit(), inc.Library()
 	g := ckt.Gates[gi]
 	up = lib.Upsize(g.Cell)
 	if up == nil {
 		return nil, 0, 0, false
 	}
 	out := ckt.GateSignal(gi)
-	selfGain := inc.Arrival[out] - inc.GateArrivalWithCell(gi, up, 0)
+	selfGain := inc.Arrival[out] - inc.ArrivalWith(gi, up, g.Volt, inc.Load[out])
 	worstDriverPenalty := 0.0
 	for pin, s := range g.In {
 		di := ckt.GateIndex(s)
@@ -115,9 +114,9 @@ func sizingWeight(dArea, gain float64) int64 {
 // bit-identical to a fresh full analysis by contract, and the differential
 // suite holds it to that. With KeepJournal set the caller's Checkpoint mark
 // survives and one Rollback undoes the whole run.
-func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts *Options,
-	act []float64, cvs *CVSResult) (*Result, error) {
-	maxArea := ckt.Area() * (1 + opts.MaxAreaIncrease)
+func gscaleFrom(inc *sta.Incremental, opts *Options, act []float64, cvs *CVSResult) (*Result, error) {
+	ckt, lib := inc.Circuit(), inc.Library()
+	maxArea := float64(ckt.Area() * (1 + opts.MaxAreaIncrease))
 	tcb := cvs.TCB
 	// A gate's cell changes only through accepted SetCells (a rejected cut
 	// is rolled back), so the gates whose cell differs at the end from this
@@ -126,12 +125,14 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 	for gi, g := range ckt.Gates {
 		entryCell[gi] = g.Cell
 	}
-	// cpn marks the round's critical path network and idx numbers its
-	// members in gate order; both are indexed by gate and reused each round
-	// (Gscale adds no gates).
-	cpn := make([]bool, len(ckt.Gates))
-	idx := make([]int, len(ckt.Gates))
-	var gates []int
+	// The round's separator problem, indexed by gate and cleared each round
+	// (Gscale adds no gates): weight is nonzero exactly on the critical path
+	// network, ups holds each member's larger cell (nil where the member
+	// cannot be resized) and exit marks the TCB. The arcs are the engine's
+	// consumer table, read in place.
+	weight := make([]int64, len(ckt.Gates))
+	ups := make([]*cell.Cell, len(ckt.Gates))
+	exit := make([]bool, len(ckt.Gates))
 	res := &Result{}
 	counter := 0
 	for counter <= opts.MaxIter && len(tcb) > 0 {
@@ -149,51 +150,22 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		if err := selfCheck(inc, opts); err != nil {
 			return nil, err
 		}
-		getCPN(ckt, lib, inc, tcb, cpn)
-
-		// Weight the CPN and build its induced DAG over its members in gate
-		// order.
-		gates = gates[:0]
-		for gi, in := range cpn {
-			if in {
-				idx[gi] = len(gates)
-				gates = append(gates, gi)
-			}
-		}
-		n := len(gates)
-		weight := make([]int64, n)
-		ups := make([]*cell.Cell, n)
-		for i, gi := range gates {
-			up, gain, dArea, ok := sizingGain(ckt, lib, inc, gi)
-			if !ok || area+dArea > maxArea {
-				weight[i] = graph.Inf
+		clear(weight)
+		clear(exit)
+		getCPN(inc, tcb, weight)
+		for gi, w := range weight {
+			if w == 0 {
 				continue
 			}
-			ups[i] = up
-			weight[i] = sizingWeight(dArea, gain)
-		}
-		succ := make([][]int, n)
-		hasPred := make([]bool, n)
-		fan := inc.Fanouts()
-		for i, gi := range gates {
-			for _, cn := range fan.Conns[ckt.GateSignal(gi)] {
-				if cpn[cn.Gate] {
-					j := idx[cn.Gate]
-					succ[i] = append(succ[i], j)
-					hasPred[j] = true
-				}
+			up, gain, dArea, ok := sizingGain(inc, gi)
+			if !ok || area+dArea > maxArea {
+				ups[gi] = nil // the member keeps weight Inf
+				continue
 			}
-		}
-		isEntry := make([]bool, n)
-		isExit := make([]bool, n)
-		for i := range gates {
-			isEntry[i] = !hasPred[i]
+			ups[gi], weight[gi] = up, sizingWeight(dArea, gain)
 		}
 		for _, gi := range tcb {
-			isExit[idx[gi]] = true // getCPN marks every TCB gate
-		}
-		for _, gi := range gates {
-			cpn[gi] = false
+			exit[gi] = true // getCPN enters every TCB gate
 		}
 
 		var (
@@ -205,16 +177,17 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			// Ablation: up-size only the single best ratio gate. Unlike the
 			// separator, this speeds up one critical path at a time.
 			best, bestW := -1, graph.Inf
-			for i := range gates {
-				if weight[i] < bestW {
-					best, bestW = i, weight[i]
+			for gi, w := range weight {
+				if w > 0 && w < bestW {
+					best, bestW = gi, w
 				}
 			}
-			if best >= 0 && bestW < graph.Inf {
+			if best >= 0 {
 				cut, cutWeight, feasible = []int{best}, bestW, true
 			}
 		} else {
-			cut, cutWeight, feasible = graph.MinVertexCut(n, succ, weight, isEntry, isExit)
+			succ := inc.Fanouts().Conns[ckt.NumPIs():]
+			cut, cutWeight, feasible = graph.MinVertexCut(len(ckt.Gates), succ, consumerGate, weight, exit)
 		}
 		resized := 0
 		if feasible && cutWeight < graph.Inf {
@@ -226,9 +199,8 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 			// own cut member has compensated — a spurious violation.)
 			mark := inc.Checkpoint()
 			var applied []int
-			for _, i := range cut {
-				gi := gates[i]
-				up := ups[i]
+			for _, gi := range cut {
+				up := ups[gi]
 				if up == nil {
 					continue
 				}
@@ -271,7 +243,7 @@ func gscaleFrom(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, o
 		if !opts.KeepJournal {
 			inc.Commit()
 		}
-		pushed, err := cvsOn(inc, ckt, opts, "Gscale", res.Iterations)
+		pushed, err := cvsOn(inc, opts, "Gscale", res.Iterations)
 		if err != nil {
 			return nil, err
 		}

@@ -151,15 +151,15 @@ func (o *Options) emit(ev Event) {
 	}
 }
 
-// start prepares a run on inc over ckt: it records the engine's evaluation
-// count for the run's deltas and returns the activity table with its
-// capacity capped, so the level-converter activities Dscale appends copy
-// instead of scribbling on the caller's table.
-func (o *Options) start(inc *sta.Incremental, ckt *netlist.Circuit) ([]float64, error) {
+// start prepares a run on inc: it records the engine's evaluation count for
+// the run's deltas and returns the activity table with its capacity capped,
+// so the level-converter activities Dscale appends copy instead of
+// scribbling on the caller's table.
+func (o *Options) start(inc *sta.Incremental) ([]float64, error) {
 	o.evalsBase = inc.Evals()
-	n := len(o.Activities)
-	if n != ckt.NumSignals() {
-		return nil, fmt.Errorf("core: activity table has %d entries for %d signals", n, ckt.NumSignals())
+	n, signals := len(o.Activities), inc.Circuit().NumSignals()
+	if n != signals {
+		return nil, fmt.Errorf("core: activity table has %d entries for %d signals", n, signals)
 	}
 	return o.Activities[:n:n], nil
 }

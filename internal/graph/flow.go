@@ -14,6 +14,11 @@
 // is the same for every maximum flow. Capacities are int64; callers scale
 // float weights before building networks.
 //
+// Both read the caller's adjacency in place: an arc list per node and a
+// function from an arc to its head, so Dscale and Gscale pass the timing
+// engine's consumer table as it stands. A weight per node picks the nodes
+// that count: the antichain's candidates, the separator's members.
+//
 // The independent set is a maximum-weight antichain, found as a min flow
 // (the weighted Dilworth theorem) on a node-split network. Its min cut picks,
 // among all maximum-weight antichains, the one whose up-set (its members

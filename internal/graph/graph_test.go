@@ -55,6 +55,21 @@ func isAntichain(n int, succ [][]int, set []int) bool {
 // identity is the head of an arc given as its head node.
 func identity(v int) int { return v }
 
+// sources marks the nodes of the DAG that no arc enters: MinVertexCut's
+// entries when every node is a member.
+func sources(n int, succ [][]int) []bool {
+	src := make([]bool, n)
+	for v := range src {
+		src[v] = true
+	}
+	for _, vs := range succ {
+		for _, v := range vs {
+			src[v] = false
+		}
+	}
+	return src
+}
+
 func TestMaxWeightAntichainSmallChain(t *testing.T) {
 	// 0 -> 1 -> 2: a pure chain; the best antichain is the heaviest node.
 	succ := [][]int{{1}, {2}, {}}
@@ -364,8 +379,7 @@ func TestMaxWeightAntichainMatchesFullNetwork(t *testing.T) {
 func TestMinVertexCutSimple(t *testing.T) {
 	// 0 -> 1 -> 2: cheapest separator is the lightest node.
 	succ := [][]int{{1}, {2}, {}}
-	cut, w, ok := MinVertexCut(3, succ,
-		[]int64{5, 2, 9}, []bool{true, false, false}, []bool{false, false, true})
+	cut, w, ok := MinVertexCut(3, succ, identity, []int64{5, 2, 9}, []bool{false, false, true})
 	if !ok || w != 2 || len(cut) != 1 || cut[0] != 1 {
 		t.Fatalf("cut = %v weight %d ok=%v, want [1] weight 2", cut, w, ok)
 	}
@@ -375,8 +389,7 @@ func TestMinVertexCutParallelPaths(t *testing.T) {
 	// Entry 0 fans out to 1 and 2, both reach exit 3. Cutting 0 or 3 alone
 	// works; compare against cutting both middles.
 	succ := [][]int{{1, 2}, {3}, {3}, {}}
-	cut, w, ok := MinVertexCut(4, succ,
-		[]int64{10, 4, 3, 10}, []bool{true, false, false, false}, []bool{false, false, false, true})
+	cut, w, ok := MinVertexCut(4, succ, identity, []int64{10, 4, 3, 10}, []bool{false, false, false, true})
 	if !ok || w != 7 {
 		t.Fatalf("cut = %v weight %d ok=%v, want middles weight 7", cut, w, ok)
 	}
@@ -388,8 +401,7 @@ func TestMinVertexCutParallelPaths(t *testing.T) {
 func TestMinVertexCutInfeasible(t *testing.T) {
 	// Single path through an Inf node only.
 	succ := [][]int{{1}, {2}, {}}
-	_, _, ok := MinVertexCut(3, succ,
-		[]int64{Inf, Inf, Inf}, []bool{true, false, false}, []bool{false, false, true})
+	_, _, ok := MinVertexCut(3, succ, identity, []int64{Inf, Inf, Inf}, []bool{false, false, true})
 	if ok {
 		t.Fatal("expected infeasible cut through Inf-only path")
 	}
@@ -398,7 +410,7 @@ func TestMinVertexCutInfeasible(t *testing.T) {
 func TestMinVertexCutEntryIsExit(t *testing.T) {
 	// A node that is both entry and exit must itself be cut.
 	succ := [][]int{{}}
-	cut, w, ok := MinVertexCut(1, succ, []int64{6}, []bool{true}, []bool{true})
+	cut, w, ok := MinVertexCut(1, succ, identity, []int64{6}, []bool{true})
 	if !ok || w != 6 || len(cut) != 1 {
 		t.Fatalf("cut = %v weight %d ok=%v, want [0] weight 6", cut, w, ok)
 	}
@@ -410,15 +422,14 @@ func TestMinVertexCutVsBruteRandom(t *testing.T) {
 		n := 2 + rng.Intn(9)
 		succ := randDAG(rng, n, 0.3)
 		weight := make([]int64, n)
-		isEntry := make([]bool, n)
+		isEntry := sources(n, succ)
 		isExit := make([]bool, n)
 		for i := range weight {
 			weight[i] = int64(1 + rng.Intn(15))
 		}
-		// Entries among the first half, exits among the second half.
-		isEntry[rng.Intn((n+1)/2)] = true
+		// An exit among the second half.
 		isExit[n/2+rng.Intn(n-n/2)] = true
-		cut, got, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		cut, got, ok := MinVertexCut(n, succ, identity, weight, isExit)
 		want := vertexCutBrute(n, succ, weight, isEntry, isExit)
 		if !ok {
 			if want < Inf {
@@ -451,7 +462,6 @@ func TestMinVertexCutManyInfChains(t *testing.T) {
 		n := chains * length
 		succ := make([][]int, n)
 		weight := make([]int64, n)
-		isEntry := make([]bool, n)
 		isExit := make([]bool, n)
 		for c := 0; c < chains; c++ {
 			for k := 0; k < length; k++ {
@@ -461,10 +471,9 @@ func TestMinVertexCutManyInfChains(t *testing.T) {
 					succ[v] = []int{v + 1}
 				}
 			}
-			isEntry[c*length] = true
 			isExit[c*length+length-1] = true
 		}
-		cut, flow, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		cut, flow, ok := MinVertexCut(n, succ, identity, weight, isExit)
 		if ok || cut != nil || flow != Inf {
 			t.Fatalf("%d Inf chains: cut=%v flow=%d ok=%v, want no cut, flow Inf, ok false", chains, cut, flow, ok)
 		}
@@ -500,7 +509,7 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 		succ := randDAG(rng, n, 0.3)
 		infShare := rng.Float64()
 		weight := make([]int64, n)
-		isEntry := make([]bool, n)
+		isEntry := sources(n, succ)
 		isExit := make([]bool, n)
 		for i := range weight {
 			weight[i] = int64(1 + rng.Intn(15))
@@ -509,10 +518,9 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			isEntry[i] = i < (n+1)/2 && rng.Intn(2) == 0
 			isExit[i] = i >= n/2 && rng.Intn(2) == 0
 		}
-		cut, got, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		cut, got, ok := MinVertexCut(n, succ, identity, weight, isExit)
 		want := vertexCutBrute(n, succ, weight, isEntry, isExit)
 		if !ok {
 			if want < Inf || got != Inf {
@@ -531,6 +539,76 @@ func TestMinVertexCutVsBruteWithInf(t *testing.T) {
 		}
 		if !cutsAll(n, succ, isEntry, isExit, mask) {
 			t.Fatalf("trial %d: cut %v does not separate", trial, cut)
+		}
+	}
+}
+
+// TestMinVertexCutMemberMask is the brute-force differential for the member
+// mask: on random DAGs only a random subset of the nodes weighs anything, an
+// Inf share of them included, and exits fall on members and non-members
+// alike. The cut must be the brute-force optimum of the subgraph the members
+// induce, with that subgraph's sources as entries and its exits as exits,
+// and must name members only.
+func TestMinVertexCutMemberMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(16)
+		succ := randDAG(rng, n, 0.25)
+		memberShare, infShare := rng.Float64(), rng.Float64()/2
+		weight := make([]int64, n)
+		isExit := make([]bool, n)
+		for v := range weight {
+			if rng.Float64() < memberShare {
+				weight[v] = int64(1 + rng.Intn(15))
+				if rng.Float64() < infShare {
+					weight[v] = Inf
+				}
+			}
+			isExit[v] = rng.Intn(3) == 0
+		}
+		// The induced subgraph, members renumbered in ascending order.
+		var members []int
+		idx := make([]int, n)
+		for v, w := range weight {
+			idx[v] = -1
+			if w > 0 {
+				idx[v] = len(members)
+				members = append(members, v)
+			}
+		}
+		m := len(members)
+		sub := make([][]int, m)
+		subW := make([]int64, m)
+		subExit := make([]bool, m)
+		for k, u := range members {
+			subW[k], subExit[k] = weight[u], isExit[u]
+			for _, v := range succ[u] {
+				if idx[v] >= 0 {
+					sub[k] = append(sub[k], idx[v])
+				}
+			}
+		}
+		want := vertexCutBrute(m, sub, subW, sources(m, sub), subExit)
+		cut, got, ok := MinVertexCut(n, succ, identity, weight, isExit)
+		if !ok {
+			if want < Inf || got != Inf {
+				t.Fatalf("trial %d: infeasible with flow %d, brute found %d (succ=%v w=%v exit=%v)",
+					trial, got, want, succ, weight, isExit)
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("trial %d: cut weight %d != brute %d (succ=%v w=%v exit=%v)", trial, got, want, succ, weight, isExit)
+		}
+		mask := 0
+		for _, v := range cut {
+			if idx[v] < 0 {
+				t.Fatalf("trial %d: cut %v names non-member %d", trial, cut, v)
+			}
+			mask |= 1 << uint(idx[v])
+		}
+		if !cutsAll(m, sub, sources(m, sub), subExit, mask) {
+			t.Fatalf("trial %d: cut %v does not separate the members", trial, cut)
 		}
 	}
 }
@@ -751,23 +829,22 @@ func TestDinicLevelCutoffChangesNothing(t *testing.T) {
 }
 
 // solveCase is one input of the solver-reuse tests: a random DAG with
-// antichain weights, and separator weights, entries and exits on the same
-// graph.
+// antichain weights, and separator weights and exits on the same graph (the
+// separator's entries are the DAG's sources).
 type solveCase struct {
-	n               int
-	succ            [][]int
-	weight, sepW    []int64
-	isEntry, isExit []bool
+	n            int
+	succ         [][]int
+	weight, sepW []int64
+	isExit       []bool
 }
 
 func randCase(rng *rand.Rand, n int) solveCase {
 	c := solveCase{
-		n:       n,
-		succ:    randDAG(rng, n, min(0.3, 4/float64(n))),
-		weight:  make([]int64, n),
-		sepW:    make([]int64, n),
-		isEntry: make([]bool, n),
-		isExit:  make([]bool, n),
+		n:      n,
+		succ:   randDAG(rng, n, min(0.3, 4/float64(n))),
+		weight: make([]int64, n),
+		sepW:   make([]int64, n),
+		isExit: make([]bool, n),
 	}
 	for v := 0; v < n; v++ {
 		if rng.Float64() < 0.7 {
@@ -777,10 +854,9 @@ func randCase(rng *rand.Rand, n int) solveCase {
 		if rng.Float64() < 0.02 {
 			c.sepW[v] = Inf
 		}
-		c.isEntry[v] = v < (n+1)/2 && rng.Intn(4) == 0
 		c.isExit[v] = v >= n/2 && rng.Intn(4) == 0
 	}
-	c.isEntry[0], c.isExit[n-1] = true, true
+	c.isExit[n-1] = true
 	return c
 }
 
@@ -796,7 +872,7 @@ type solveAnswer struct {
 func (c solveCase) solve() solveAnswer {
 	var a solveAnswer
 	a.set, a.weight = MaxWeightAntichain(c.n, c.succ, identity, c.weight)
-	a.cut, a.cutW, a.ok = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
+	a.cut, a.cutW, a.ok = MinVertexCut(c.n, c.succ, identity, c.sepW, c.isExit)
 	return a
 }
 
@@ -912,7 +988,7 @@ func TestSolverWarmCallAllocatesOnlyResult(t *testing.T) {
 	if want := appendAllocs(len(a.set)); got != float64(want) {
 		t.Errorf("MaxWeightAntichain: %v allocations per warm call, want %d (the growth of its %d-node set)", got, want, len(a.set))
 	}
-	got = testing.AllocsPerRun(20, func() { MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit) })
+	got = testing.AllocsPerRun(20, func() { MinVertexCut(c.n, c.succ, identity, c.sepW, c.isExit) })
 	if want := appendAllocs(len(a.cut)); got != float64(want) {
 		t.Errorf("MinVertexCut: %v allocations per warm call, want %d (the growth of its %d-node cut)", got, want, len(a.cut))
 	}
@@ -941,14 +1017,23 @@ func BenchmarkMaxWeightAntichainSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkMinVertexCut cuts a 1,000-node DAG whose every node is a member,
+// so the entries are the DAG's sources. An Inf source that is also an exit
+// admits no finite cut, and the solve would stop at its first augmenting
+// path, so the benchmark drops such exits and times a whole solve.
 func BenchmarkMinVertexCut(b *testing.B) {
 	c := randCase(rand.New(rand.NewSource(1)), 1000)
+	for v, src := range sources(c.n, c.succ) {
+		if src && c.sepW[v] == Inf {
+			c.isExit[v] = false
+		}
+	}
 	// Fill the pool first, so even -benchtime 1x measures a warm call.
-	benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
+	benchSet, _, _ = MinVertexCut(c.n, c.succ, identity, c.sepW, c.isExit)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSet, _, _ = MinVertexCut(c.n, c.succ, c.sepW, c.isEntry, c.isExit)
+		benchSet, _, _ = MinVertexCut(c.n, c.succ, identity, c.sepW, c.isExit)
 	}
 }
 

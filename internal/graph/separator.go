@@ -1,11 +1,12 @@
 package graph
 
 // MinVertexCut solves Gscale's resizing-target selection: given the critical
-// path network (CPN) as a DAG, a positive weight per node (the paper's
-// area-penalty over timing-gain ratio; use Inf for nodes that cannot be
-// resized), a set of entry nodes and a set of exit nodes, find the
-// minimum-weight set of nodes whose removal disconnects every entry→exit
-// path. Because every critical path crosses the cut exactly once, resizing
+// path network (CPN) as the nodes of positive weight in a DAG (the weight is
+// the paper's area-penalty over timing-gain ratio; use Inf for a member that
+// cannot be resized) and a set of exit members, find the minimum-weight set
+// of members whose removal disconnects every path from an entry to an exit
+// inside the network. The entries are the members no arc from another member
+// enters. Because every critical path crosses the cut exactly once, resizing
 // the cut simultaneously speeds up all critical paths while never touching
 // two gates on the same path — the property the paper needs so that the
 // timing gains computed before the cut remain valid.
@@ -17,36 +18,61 @@ package graph
 // source in the residual network, and that set is the same for every maximum
 // flow.
 //
+// succ[v] lists the arcs out of node v and node maps an arc to its head, as
+// for MaxWeightAntichain, so a caller passes its own adjacency as it stands
+// (Gscale passes the timing engine's consumer table) and marks the network
+// with weight and isExit alone; arcs to or from nodes of weight zero are
+// skipped. The members are numbered in ascending order, so the network and
+// its arcs come out in the caller's node and arc order.
+//
 // Returns the cut (ascending node indices), its weight, and ok=false when no
 // finite-weight cut exists (every path is blocked by an Inf node, or an entry
 // is itself an exit with infinite weight).
-func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) ([]int, int64, bool) {
-	if n == 0 {
-		return nil, 0, true
-	}
+func MinVertexCut[E any](n int, succ [][]E, node func(E) int, weight []int64, isExit []bool) ([]int, int64, bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	s, t := 2*n, 2*n+1
+	sc.region = grow(sc.region, n)
+	orig := sc.orig[:0]
+	for v, w := range weight[:n] {
+		if w < 0 {
+			panic("graph: MinVertexCut requires non-negative weights (use Inf for fixed nodes)")
+		}
+		if w > 0 {
+			sc.region[v] = int32(len(orig))
+			orig = append(orig, v)
+		}
+	}
+	sc.orig = orig
+	m := len(orig)
+	if m == 0 {
+		return nil, 0, true
+	}
+	s, t := 2*m, 2*m+1
 	g := &sc.net
-	g.reset(2*n + 2)
-	for v := 0; v < n; v++ {
-		w := weight[v]
-		if w <= 0 {
-			panic("graph: MinVertexCut requires positive weights (use Inf for fixed nodes)")
-		}
-		g.AddArc(2*v, 2*v+1, w)
+	g.reset(2*m + 2)
+	for k, v := range orig {
+		g.AddArc(2*k, 2*k+1, weight[v])
 	}
-	for u := 0; u < n; u++ {
-		for _, v := range succ[u] {
-			g.AddArc(2*u+1, 2*v, Inf)
+	// entered marks the members some member arc enters; the rest are the
+	// entries.
+	sc.mark = grow(sc.mark, m)
+	entered := sc.mark
+	clear(entered)
+	for k, u := range orig {
+		for _, e := range succ[u] {
+			if v := node(e); weight[v] > 0 {
+				j := sc.region[v]
+				g.AddArc(2*k+1, 2*int(j), Inf)
+				entered[j] = 1
+			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		if isEntry[v] {
-			g.AddArc(s, 2*v, Inf)
+	for k, v := range orig {
+		if entered[k] == 0 {
+			g.AddArc(s, 2*k, Inf)
 		}
 		if isExit[v] {
-			g.AddArc(2*v+1, t, Inf)
+			g.AddArc(2*k+1, t, Inf)
 		}
 	}
 	flow := g.MaxFlowDinic(s, t)
@@ -56,8 +82,8 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 	inS := g.ReachableFrom(s)
 	var cut []int
 	var total int64
-	for v := 0; v < n; v++ {
-		if inS[2*v] && !inS[2*v+1] {
+	for k, v := range orig {
+		if inS[2*k] && !inS[2*k+1] {
 			cut = append(cut, v)
 			total += weight[v]
 		}

@@ -43,7 +43,7 @@ func BenchmarkMap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		recoverOn(inc, ckt, lib, timingEps)
+		recoverOn(inc, timingEps)
 		evals += inc.Evals()
 	}
 	b.ReportMetric(float64(evals), "recover_evals")

@@ -112,18 +112,19 @@ func RecoverArea(ckt *netlist.Circuit, lib *cell.Library, tspec, eps float64) (f
 	if err != nil {
 		return 0, err
 	}
-	recoverOn(inc, ckt, lib, eps)
+	recoverOn(inc, eps)
 	if !inc.Meets(eps) {
 		return 0, fmt.Errorf("mapper: area recovery broke timing (%.4f > %.4f)", inc.WorstArrival(), tspec)
 	}
 	return inc.WorstArrival(), nil
 }
 
-// recoverOn runs RecoverArea's passes on an engine over ckt. Each pass is one
-// reverse sweep: it visits gates in decreasing priority, so a gate's what-if
-// needs only SettleAt, and the waves a downsize queues settle once, at the
-// pass's end.
-func recoverOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, eps float64) {
+// recoverOn runs RecoverArea's passes on an engine. Each pass is one reverse
+// sweep: it visits gates in decreasing priority, so a gate's what-if needs
+// only SettleAt, and the waves a downsize queues settle once, at the pass's
+// end.
+func recoverOn(inc *sta.Incremental, eps float64) {
+	ckt, lib := inc.Circuit(), inc.Library()
 	// Downsizing changes no structure, so the order stays Analyze's.
 	order := inc.Order()
 	for pass := 0; pass < 16; pass++ {
@@ -131,13 +132,14 @@ func recoverOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, ep
 		inc.BeginSweep()
 		for i := len(order) - 1; i >= 0; i-- {
 			gi := order[i]
-			smaller := lib.Downsize(ckt.Gates[gi].Cell)
+			g := ckt.Gates[gi]
+			smaller := lib.Downsize(g.Cell)
 			if smaller == nil {
 				continue
 			}
 			inc.SettleAt(gi)
 			out := ckt.GateSignal(gi)
-			delta := inc.GateArrivalWithCell(gi, smaller, 0) - inc.Arrival[out]
+			delta := inc.ArrivalWith(gi, smaller, g.Volt, inc.Load[out]) - inc.Arrival[out]
 			if delta <= inc.Slack(out)-eps {
 				inc.SetCell(gi, smaller)
 				inc.Commit() // area recovery never rolls back

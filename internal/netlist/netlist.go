@@ -449,69 +449,3 @@ func (c *Circuit) Validate() error {
 	_, err := c.TopoOrder()
 	return err
 }
-
-// Levels returns, for every signal, its logic depth: 0 for PIs, and
-// 1+max(level of fanins) for gate outputs. Dead gates get level -1.
-func (c *Circuit) Levels() ([]int, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	lv := make([]int, c.NumSignals())
-	for i := range lv {
-		lv[i] = -1
-	}
-	for i := 0; i < len(c.PIs); i++ {
-		lv[i] = 0
-	}
-	for _, gi := range order {
-		g := c.Gates[gi]
-		max := 0
-		for _, s := range g.In {
-			if lv[s] > max {
-				max = lv[s]
-			}
-		}
-		lv[c.GateSignal(gi)] = max + 1
-	}
-	return lv, nil
-}
-
-// Stats summarises a circuit for reports.
-type Stats struct {
-	Name     string
-	PIs      int
-	POs      int
-	Gates    int // live, excluding level converters
-	LCs      int
-	LowGates int
-	Area     float64
-	Depth    int
-}
-
-// CollectStats computes summary statistics. Depth is the maximum signal
-// level; errors from cyclic circuits are reported as depth -1.
-func (c *Circuit) CollectStats() Stats {
-	st := Stats{
-		Name:     c.Name,
-		PIs:      len(c.PIs),
-		POs:      len(c.POs),
-		LCs:      c.NumLCs(),
-		LowGates: c.NumLowGates(),
-		Area:     c.Area(),
-	}
-	for _, g := range c.Gates {
-		if !g.Dead && !g.IsLC {
-			st.Gates++
-		}
-	}
-	st.Depth = -1
-	if lv, err := c.Levels(); err == nil {
-		for _, l := range lv {
-			if l > st.Depth {
-				st.Depth = l
-			}
-		}
-	}
-	return st
-}

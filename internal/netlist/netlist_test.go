@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -158,32 +159,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	c := New("lv")
-	a := c.AddPI("a")
-	b := c.AddPI("b")
-	nand := lib.Smallest(cell.FNAND2)
-	_, s1 := c.AddGate("g1", nand, a, b)
-	_, s2 := c.AddGate("g2", nand, s1, b)
-	c.AddPO("o", s2)
-	lv, err := c.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lv[a] != 0 || lv[s1] != 1 || lv[s2] != 2 {
-		t.Fatalf("levels = %v", lv)
-	}
-}
-
-func TestCollectStats(t *testing.T) {
-	c := chain(4)
-	c.Gates[0].Volt = cell.VLow
-	st := c.CollectStats()
-	if st.Gates != 4 || st.LowGates != 1 || st.PIs != 1 || st.POs != 1 || st.Depth != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestFanoutDegreeCountsPOs(t *testing.T) {
 	c := New("t")
 	a := c.AddPI("a")
@@ -197,8 +172,8 @@ func TestFanoutDegreeCountsPOs(t *testing.T) {
 }
 
 // TestRandomCircuitInvariants is a property test: random DAG circuits always
-// validate, their topological order respects edges, and cloning preserves
-// stats.
+// validate, their topological order respects edges, and a clone equals the
+// original in every field.
 func TestRandomCircuitInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,7 +211,7 @@ func TestRandomCircuitInvariants(t *testing.T) {
 				}
 			}
 		}
-		return c.Clone().CollectStats() == c.CollectStats()
+		return reflect.DeepEqual(c.Clone(), c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -37,9 +37,9 @@ type Breakdown struct {
 }
 
 // Switch returns the switching power of one net: activity × clock × load ×
-// Vdd².
+// Vdd². The conversion rounds the product, so no caller's sum fuses with it.
 func Switch(act, fclk, loadPF, vdd float64) float64 {
-	return act * fclk * loadPF * 1e-12 * vdd * vdd
+	return float64(act * fclk * loadPF * 1e-12 * vdd * vdd)
 }
 
 // Estimate computes the power breakdown of a circuit from per-signal

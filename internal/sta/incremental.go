@@ -142,6 +142,10 @@ func NewIncremental(ckt *netlist.Circuit, lib *cell.Library, tspec float64) (*In
 // Tspec returns the timing constraint the engine analyses against.
 func (t *Incremental) Tspec() float64 { return t.tspec }
 
+// Circuit returns the circuit the engine times. Mutate it only through the
+// engine.
+func (t *Incremental) Circuit() *netlist.Circuit { return t.ckt }
+
 // Library returns the cell library the engine times against.
 func (t *Incremental) Library() *cell.Library { return t.lib }
 
@@ -236,14 +240,25 @@ func (t *Incremental) ChangedSince(m Mark, buf []netlist.Signal) []netlist.Signa
 func (t *Incremental) DeltaStep(gi int) float64 {
 	rec := t.recs[gi]
 	rec.derate = t.lib.Derate(t.ckt.Gates[gi].Volt + 1)
-	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &rec, 0) - t.Arrival[t.ckt.GateSignal(gi)]
+	out := t.ckt.GateSignal(gi)
+	return gateArrivalAt(t.ckt, t.Arrival, gi, &rec, t.Load[out]) - t.Arrival[out]
 }
 
-// GateArrivalWithCell recomputes gi's output arrival as if bound to cl with
-// the output load adjusted by dLoad.
-func (t *Incremental) GateArrivalWithCell(gi int, cl *cell.Cell, dLoad float64) float64 {
-	rec := timingOf(cl, t.recs[gi].derate)
-	return gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &rec, dLoad)
+// ArrivalWith returns gi's output arrival from the live fanin arrivals as if
+// the gate were bound to cl on rail v with output load load. It is the
+// engine's one what-if: a caller that shifts the live load passes
+// Load[out]+dLoad, the sum it would settle to. Like every read, it counts no
+// evaluation.
+func (t *Incremental) ArrivalWith(gi int, cl *cell.Cell, v cell.VoltLevel, load float64) float64 {
+	rec := timingOf(cl, t.lib.Derate(v))
+	return gateArrivalAt(t.ckt, t.Arrival, gi, &rec, load)
+}
+
+// PinArrival returns the arrival gi's input pin contributes at its output:
+// the pin's driver arrival plus the pin's delay at the gate's live cell, rail
+// and load.
+func (t *Incremental) PinArrival(gi, pin int) float64 {
+	return t.Arrival[t.ckt.Gates[gi].In[pin]] + t.recs[gi].delay(pin, t.Load[t.ckt.GateSignal(gi)])
 }
 
 // SetVolt moves gate gi to the given supply rail and re-times the affected
@@ -342,7 +357,7 @@ func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) 
 			base = t.prio[di]
 		}
 	}
-	t.prio = append(t.prio, base+(math.Floor(base)+1-base)/2)
+	t.prio = append(t.prio, base+float64((math.Floor(base)+1-base)/2))
 	g := t.ckt.Gates[gi]
 	for pin, s := range g.In {
 		t.fan.Connect(s, netlist.Conn{Gate: gi, Pin: pin})
@@ -464,11 +479,11 @@ func (t *Incremental) BeginSweep() { t.sweeping = true }
 // SettleAt drains the forward wave up to gi's priority and the backward wave
 // down to it. Afterwards these reads are bit-identical to a settled engine's:
 // the arrivals of gi and of every gate of lower priority, the required time
-// and slack of gi's output, DeltaStep(gi) and GateArrivalWithCell(gi, …). An
-// arrival depends only on gates of lower priority and a required time only on
-// gates of higher priority, and both waves recompute each value from settled
-// inputs with the kernels Analyze uses. Other reads, WorstArrival and Meets
-// included, may be stale until EndSweep.
+// and slack of gi's output, DeltaStep(gi), ArrivalWith(gi, …) and
+// PinArrival(gi, …). An arrival depends only on gates of lower priority and a
+// required time only on gates of higher priority, and both waves recompute
+// each value from settled inputs with the kernels Analyze uses. Other reads,
+// WorstArrival and Meets included, may be stale until EndSweep.
 func (t *Incremental) SettleAt(gi int) {
 	p := t.prio[gi]
 	t.runForward(p)
@@ -614,7 +629,8 @@ func (t *Incremental) runForward(limit float64) {
 			continue
 		}
 		t.evals++
-		t.setArrival(int(t.ckt.GateSignal(gi)), gateArrivalAt(t.ckt, t.Arrival, t.Load, gi, &t.recs[gi], 0))
+		out := t.ckt.GateSignal(gi)
+		t.setArrival(int(out), gateArrivalAt(t.ckt, t.Arrival, gi, &t.recs[gi], t.Load[out]))
 	}
 }
 

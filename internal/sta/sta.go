@@ -89,7 +89,8 @@ func Analyze(c *netlist.Circuit, lib *cell.Library, tspec float64) (*Timing, err
 	}
 	// Forward: arrival times. PIs arrive at 0.
 	for _, gi := range order {
-		t.Arrival[c.GateSignal(gi)] = gateArrivalAt(c, t.Arrival, t.Load, gi, &t.recs[gi], 0)
+		out := c.GateSignal(gi)
+		t.Arrival[out] = gateArrivalAt(c, t.Arrival, gi, &t.recs[gi], t.Load[out])
 	}
 	for _, po := range c.POs {
 		if a := t.Arrival[po.Src]; a > t.WorstArrival {
@@ -126,7 +127,7 @@ func signalLoad(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, s n
 	for _, cn := range conns {
 		total += c.Gates[cn.Gate].Cell.InputCap[cn.Pin]
 	}
-	total += lib.WireCapPerFanout * float64(len(conns))
+	total += float64(lib.WireCapPerFanout * float64(len(conns)))
 	for range fan.POs[s] {
 		total += lib.POLoadCap
 	}
@@ -137,8 +138,9 @@ func signalLoad(c *netlist.Circuit, lib *cell.Library, fan *netlist.Fanouts, s n
 // per-pin intrinsic delays and drive, and the derate of the gate's rail,
 // copied bit for bit from the cell and the library. delay computes
 // Cell.Delay's (Intrinsic[pin] + Drive*load) * derate operand for operand,
-// so a kernel reading the record produces the bits the cell would, without
-// chasing the gate, its cell and the rail table on every arc.
+// with the same explicit roundings, so a kernel reading the record produces
+// the bits the cell would, without chasing the gate, its cell and the rail
+// table on every arc.
 type gateTiming struct {
 	intrinsic     [cell.MaxInputs]float64
 	drive, derate float64
@@ -152,21 +154,22 @@ func timingOf(cl *cell.Cell, derate float64) gateTiming {
 }
 
 // delay is the pin-to-pin delay for an output load: Cell.Delay on the
-// record's operands.
+// record's operands. The conversions round the product and the result, so
+// no compiler fuses them into a multiply-add, here or where the caller adds
+// the delay to an arrival.
 func (r *gateTiming) delay(pin int, load float64) float64 {
-	return (r.intrinsic[pin] + r.drive*load) * r.derate
+	return float64((r.intrinsic[pin] + float64(r.drive*load)) * r.derate)
 }
 
 // gateArrivalAt recomputes gate gi's output arrival from the given arrival
-// and load annotations, as if the gate had timing record rec and its output
-// load were shifted by dLoad. Analyze, the incremental engine's propagation
-// and its what-if primitives share it, so a prediction and the value a
-// settled move produces agree bit for bit.
-func gateArrivalAt(c *netlist.Circuit, arrival, load []float64, gi int, rec *gateTiming, dLoad float64) float64 {
-	l := load[c.GateSignal(gi)] + dLoad
+// annotation, as if the gate had timing record rec and output load load.
+// Analyze, the incremental engine's propagation and its what-if reads share
+// it, so a prediction and the value a settled move produces agree bit for
+// bit.
+func gateArrivalAt(c *netlist.Circuit, arrival []float64, gi int, rec *gateTiming, load float64) float64 {
 	worst := 0.0
 	for pin, s := range c.Gates[gi].In {
-		if a := arrival[s] + rec.delay(pin, l); a > worst {
+		if a := arrival[s] + rec.delay(pin, load); a > worst {
 			worst = a
 		}
 	}

@@ -169,14 +169,14 @@ func TestRequiredTimesPropagateBackward(t *testing.T) {
 	}
 }
 
-func TestGateArrivalWithCellPredictsResize(t *testing.T) {
+func TestArrivalWithPredictsResize(t *testing.T) {
 	c := invChain(5)
 	inc, err := NewIncremental(c, lib, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up := lib.Upsize(c.Gates[2].Cell)
-	predicted := inc.GateArrivalWithCell(2, up, 0)
+	predicted := inc.ArrivalWith(2, up, c.Gates[2].Volt, inc.Load[c.GateSignal(2)])
 	driverBefore := inc.Arrival[c.GateSignal(1)]
 	c.Gates[2].Cell = up
 	after, err := Analyze(c, lib, 100)

@@ -19,9 +19,15 @@ import (
 // the sweeping engine calls SettleAt, and every value SettleAt promises must
 // then equal the twin's under math.Float64bits: the arrivals of the gate and
 // of every gate before it, the required time and slack of the gate's output,
-// DeltaStep, and GateArrivalWithCell for every size of the gate's function
-// at two load shifts. After EndSweep, Check(0) must pass. Each circuit runs
-// two sweeps, moving about a third and then two thirds of the gates.
+// DeltaStep, PinArrival for every pin, and ArrivalWith for every size of the
+// gate's function at its rail and the next, at the live load and a shifted
+// one. The twin's reads must also agree with the annotation they predict:
+// each PinArrival is the driver's arrival plus Cell.Delay at the gate's cell,
+// rail and load, the greatest of them (or 0) is the gate's arrival, and
+// ArrivalWith at the live cell, rail and load is that arrival too, at the
+// next rail that arrival plus DeltaStep. After EndSweep, Check(0) must pass.
+// Each circuit runs two sweeps, moving about a third and then two thirds of
+// the gates.
 func TestSweepDifferentialAllCircuits(t *testing.T) {
 	for _, name := range circuitsUnderTest(t) {
 		for _, rails := range [][]float64{{5.0, 4.3}, {5.0, 4.3, 3.6}} {
@@ -68,12 +74,46 @@ func TestSweepDifferentialAllCircuits(t *testing.T) {
 							if g.Volt < lib.Deepest() && bits(sw.DeltaStep(gi)) != bits(eager.DeltaStep(gi)) {
 								t.Fatalf("sweep %d at %s: DeltaStep %v, eager %v", sweep, g.Name, sw.DeltaStep(gi), eager.DeltaStep(gi))
 							}
-							for _, cl := range lib.CellsOf(g.Cell.Function) {
-								for _, dLoad := range []float64{0, 0.002} {
-									if a, b := sw.GateArrivalWithCell(gi, cl, dLoad), eager.GateArrivalWithCell(gi, cl, dLoad); bits(a) != bits(b) {
-										t.Fatalf("sweep %d at %s: arrival with %s and load shift %g is %v, eager %v",
-											sweep, g.Name, cl.Name, dLoad, a, b)
+							worst := 0.0
+							for pin, s := range g.In {
+								a, b := sw.PinArrival(gi, pin), eager.PinArrival(gi, pin)
+								if bits(a) != bits(b) {
+									t.Fatalf("sweep %d at %s: pin %d arrival %v, eager %v", sweep, g.Name, pin, a, b)
+								}
+								if want := eager.Arrival[s] + g.Cell.Delay(pin, eager.Load[out], lib.Derate(g.Volt)); bits(b) != bits(want) {
+									t.Fatalf("sweep %d at %s: eager pin %d arrival %v, driver plus Cell.Delay %v", sweep, g.Name, pin, b, want)
+								}
+								worst = max(worst, b)
+							}
+							if bits(worst) != bits(eager.Arrival[out]) {
+								t.Fatalf("sweep %d at %s: latest pin arrival %v, eager arrival %v", sweep, g.Name, worst, eager.Arrival[out])
+							}
+							rails := []cell.VoltLevel{g.Volt}
+							if g.Volt < lib.Deepest() {
+								rails = append(rails, g.Volt+1)
+							}
+							for _, v := range rails {
+								for _, cl := range lib.CellsOf(g.Cell.Function) {
+									for _, dLoad := range []float64{0, 0.002} {
+										a := sw.ArrivalWith(gi, cl, v, sw.Load[out]+dLoad)
+										b := eager.ArrivalWith(gi, cl, v, eager.Load[out]+dLoad)
+										if bits(a) != bits(b) {
+											t.Fatalf("sweep %d at %s: arrival with %s at %s and load shift %g is %v, eager %v",
+												sweep, g.Name, cl.Name, v, dLoad, a, b)
+										}
 									}
+								}
+							}
+							live := eager.ArrivalWith(gi, g.Cell, g.Volt, eager.Load[out])
+							if bits(live) != bits(eager.Arrival[out]) {
+								t.Fatalf("sweep %d at %s: arrival with the live cell, rail and load %v, eager arrival %v",
+									sweep, g.Name, live, eager.Arrival[out])
+							}
+							if g.Volt < lib.Deepest() {
+								step := eager.ArrivalWith(gi, g.Cell, g.Volt+1, eager.Load[out]) - eager.Arrival[out]
+								if bits(step) != bits(eager.DeltaStep(gi)) {
+									t.Fatalf("sweep %d at %s: arrival with the next rail moves %v, DeltaStep %v",
+										sweep, g.Name, step, eager.DeltaStep(gi))
 								}
 							}
 						}

@@ -128,7 +128,7 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 	results := make([]*FlowResult, 0, len(algos))
 	var violated error
 	last := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	err = core.Run(w.inc, w.work, lib, names, opts, func(i int, cres *core.Result) error {
+	err = core.Run(w.inc, names, opts, func(i int, cres *core.Result) error {
 		algo := algos[i]
 		elapsed := time.Since(last) //lint:wallclock-ok timing metric only; never feeds results
 		// The constraint must hold after every algorithm — verify, don't
