@@ -210,14 +210,14 @@ func BenchmarkAblationMaxIter(b *testing.B) {
 
 // BenchmarkSim pits the compiled simulation engine against the reference
 // interpreter on the largest routine circuits, at the evaluation's word count
-// (SimWords = 256). compiled-1 is the single-thread tape (the acceptance
-// target: ≥ 4x over reference on des-class circuits); compiled-par adds the
-// word-parallel workers, whose statistics are bit-identical by construction
-// (integer reduction in fixed order, see TestCompiledMatchesReferenceOnSuite).
+// (SimWords = 256): the tape's one serial pass (the acceptance target: ≥ 4x
+// over reference on des-class circuits), whose activity table is
+// bit-identical to the reference's (TestCompiledMatchesReferenceOnSuite).
 func BenchmarkSim(b *testing.B) {
+	ctx := context.Background()
 	cfg := dualvdd.DefaultConfig()
 	for _, name := range []string{"C880", "alu4", "des"} {
-		d, err := dualvdd.New().PrepareBenchmark(context.Background(), name)
+		d, err := dualvdd.New().PrepareBenchmark(ctx, name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,16 +233,9 @@ func BenchmarkSim(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run("compiled-1/"+name, func(b *testing.B) {
+		b.Run("compiled/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(words, seed, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("compiled-par/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(words, seed, 0); err != nil {
+				if _, err := p.Run(ctx, words, seed); err != nil {
 					b.Fatal(err)
 				}
 			}

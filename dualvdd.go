@@ -262,12 +262,10 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pb, sres, err := power.EstimateRandom(res.Circuit, lib, cfg.SimWords, cfg.Seed, cfg.Fclk)
+	d.OrgPower, d.act, err = power.EstimateRandom(ctx, res.Circuit, lib, cfg.SimWords, cfg.Seed, cfg.Fclk)
 	if err != nil {
 		return nil, err
 	}
-	d.OrgPower = pb.Total
-	d.act = sres.Act
 	obs.emit(EventMapped{
 		Circuit: d.Name, Gates: d.Circuit.NumLiveGates(),
 		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
@@ -417,7 +415,7 @@ func (d *Design) coreOptions(ctx context.Context, obs Observer) core.Options {
 // cancelled or expired context surfaces as exactly ctx.Err(), unwrapped, so
 // callers can compare against context.Canceled.
 func (d *Design) runErr(algo Algorithm, err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if cancelled(err) {
 		return err
 	}
 	return fmt.Errorf("dualvdd: %s on %s: %w", algo, d.Name, err)
@@ -447,8 +445,8 @@ func coreObserver(circuit string, obs Observer) core.Observer {
 // algorithm runs on a fresh clone and a fresh engine, and the result is
 // verified by a fresh full analysis and measured by a fresh power simulation
 // of the scaled clone. A cancelled or expired context aborts the run promptly
-// (Dscale within one slack-harvesting round, Gscale within one TCB push) and
-// returns ctx.Err().
+// (Dscale within one slack-harvesting round, Gscale within one TCB push, the
+// power simulation within one block) and returns ctx.Err().
 func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -490,12 +488,12 @@ func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult,
 			algo, d.Name, inc.WorstArrival(), t.WorstArrival)
 	}
 	simStart := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	pb, _, err := power.EstimateRandom(ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk)
+	pw, _, err := power.EstimateRandom(ctx, ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk)
 	if err != nil {
 		return nil, err
 	}
 	simTime := time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-	fr := d.result(string(algo), ckt, d.Lib, cres, pb.Total, t.WorstArrival, elapsed)
+	fr := d.result(string(algo), ckt, d.Lib, cres, pw, t.WorstArrival, elapsed)
 	fr.SimTime, fr.Circuit = simTime, ckt
 	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil

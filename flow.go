@@ -146,7 +146,8 @@ func (f *Flow) Config() Config {
 func (f *Flow) Algorithms() []Algorithm { return append([]Algorithm(nil), f.algos...) }
 
 // Prepare maps a logic network and measures its original power. The context
-// is checked between the pipeline's stages.
+// is checked between the pipeline's stages and at every block of the power
+// simulation.
 func (f *Flow) Prepare(ctx context.Context, net *logic.Network) (*Design, error) {
 	return prepare(ctx, net, f.cfg, f.obs)
 }

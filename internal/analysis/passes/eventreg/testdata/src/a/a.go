@@ -21,17 +21,17 @@ type EventNoKind struct{} // want "event type EventNoKind implements Event but h
 type EventNoDecode struct{} // want "event type EventNoDecode implements Event but is never constructed in UnmarshalEvent"
 
 // EventPayload carries a nested payload struct: the tag check follows the
-// field into Breakdown, but not through the json:"-" local-only field.
+// field into Entry, but not through the json:"-" local-only field.
 type EventPayload struct {
-	Rows  []Breakdown `json:"rows"`
-	Local *Untracked  `json:"-"`
-	Loose float64     // want "wire event payload field EventPayload.Loose has no json tag"
+	Rows  []Entry    `json:"rows"`
+	Local *Untracked `json:"-"`
+	Loose float64    // want "wire event payload field EventPayload.Loose has no json tag"
 }
 
-// Breakdown is reachable wire payload: its fields need explicit tags too.
-type Breakdown struct {
+// Entry is reachable wire payload: its fields need explicit tags too.
+type Entry struct {
 	Tagged   int `json:"tagged"`
-	Untagged int // want "wire event payload field Breakdown.Untagged has no json tag"
+	Untagged int // want "wire event payload field Entry.Untagged has no json tag"
 	hidden   int //lint:ignore U1000 unexported fields never reach the wire and need no tag
 }
 

@@ -71,11 +71,11 @@ func runFresh(t *testing.T, algo entryPoint, c *netlist.Circuit, tspec float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.Run(c, words, 1)
+	act, err := sim.Run(context.Background(), c, words, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Activities = r.Act
+	opts.Activities = act
 	return algo(inc, opts)
 }
 
@@ -246,7 +246,7 @@ func assertLCDiscipline(t *testing.T, c *netlist.Circuit) {
 // words×64-vector simulation at seed 1.
 func measurePower(t *testing.T, c *netlist.Circuit, opts Options, words int) float64 {
 	t.Helper()
-	r, err := sim.Run(c, words, 1)
+	act, err := sim.Run(context.Background(), c, words, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func measurePower(t *testing.T, c *netlist.Circuit, opts Options, words int) flo
 		}
 		out := c.GateSignal(gi)
 		vdd := lib.VddOf(g.Volt)
-		total += r.Act[out] * opts.Fclk * (loads[out] + g.Cell.InternalCap) * 1e-12 * vdd * vdd
+		total += act[out] * opts.Fclk * (loads[out] + g.Cell.InternalCap) * 1e-12 * vdd * vdd
 		if g.IsLC {
 			total += lib.LCStaticPower
 		}
@@ -420,11 +420,11 @@ func TestEvalCandidateAccountsLevelConverter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.Run(c, 16, 1)
+	act, err := sim.Run(context.Background(), c, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, _ := evalCandidate(inc, r.Act, 20e6, 0)
+	cand, _ := evalCandidate(inc, act, 20e6, 0)
 	if !cand.needLC {
 		t.Fatal("candidate u drives high gate v: must need a level converter")
 	}
@@ -433,7 +433,7 @@ func TestEvalCandidateAccountsLevelConverter(t *testing.T) {
 	}
 	// The same gate with its consumer already low needs no converter.
 	inc.SetVolt(1, cell.VLow)
-	cand2, _ := evalCandidate(inc, r.Act, 20e6, 0)
+	cand2, _ := evalCandidate(inc, act, 20e6, 0)
 	if cand2.needLC || cand2.lcDelay != 0 {
 		t.Fatal("no converter needed for low consumer")
 	}
@@ -604,11 +604,11 @@ func TestRunSharesCVSAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.Run(shared, 32, 1)
+	act, err := sim.Run(context.Background(), shared, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Activities = r.Act
+	opts.Activities = act
 	opts.KeepJournal = true
 	events = nil
 	base, before := inc.Checkpoint(), inc.Evals()
@@ -737,13 +737,13 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					c := mres.Circuit
-					sr, err := sim.Run(c, 64, 1)
+					act, err := sim.Run(context.Background(), c, 64, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opts := DefaultOptions()
 					opts.SelfCheck = true
-					opts.Activities = sr.Act
+					opts.Activities = act
 					kept := c.Clone()
 					inc, err := sta.NewIncremental(c, l.lib, mres.Tspec)
 					if err != nil {
@@ -808,12 +808,12 @@ func TestDscaleBypassFixpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := sim.Run(c, 64, 1)
+			act, err := sim.Run(context.Background(), c, 64, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions()
-			opts.Activities = sr.Act
+			opts.Activities = act
 			res, err := runDscale(inc, opts)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, rails, err)

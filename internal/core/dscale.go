@@ -359,7 +359,7 @@ func dscaleFrom(inc *sta.Incremental, opts *Options, act []float64, _ *CVSResult
 			opts.emit(Event{
 				Algorithm: "Dscale", Kind: EventRound, Round: res.Iterations,
 				Moves: len(lowSet), LowGates: ckt.NumLowGates(),
-				Power:    power.EstimateWithLoads(ckt, st.lib, st.act, inc.Load, opts.Fclk).Total,
+				Power:    power.EstimateWithLoads(ckt, st.lib, st.act, inc.Load, opts.Fclk),
 				STAEvals: inc.Evals() - opts.evalsBase, WorstArrival: inc.WorstArrival(),
 			})
 		}

@@ -65,13 +65,13 @@ type Options struct {
 	// back to one post-CVS mark.
 	KeepJournal bool
 	// Activities is the per-signal 0→1 switching activity of the input
-	// circuit (sim.Result.Act layout, one entry per signal) and is required:
-	// Dscale weights its candidates with it. Activities are a property of the
-	// logic alone — voltage moves never change them and inserted level
-	// converters are buffers that toggle exactly like their source — so a
-	// table computed once per circuit serves every run and every voltage
-	// point. The slice is never mutated: Dscale extends a copy and returns it
-	// in Result.Act.
+	// circuit (the table sim.Run returns, one entry per signal) and is
+	// required: Dscale weights its candidates with it. Activities are a
+	// property of the logic alone — voltage moves never change them and
+	// inserted level converters are buffers that toggle exactly like their
+	// source — so a table computed once per circuit serves every run and
+	// every voltage point. The slice is never mutated: Dscale extends a copy
+	// and returns it in Result.Act.
 	Activities []float64
 	// Ctx, when non-nil, is checked at every algorithm iteration (every
 	// Dscale round, every Gscale push, and periodically inside the CVS

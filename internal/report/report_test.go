@@ -150,7 +150,7 @@ func TestTableRows(t *testing.T) {
 			CPUSec: 1.5, CVSSec: 0.01, DscaleSec: 0.25,
 			DscaleEvals: 1365, GscaleEvals: 3608, DscaleCandEvals: 420,
 			OrgGates: 157, CVSLow: 105, CVSRatio: 0.67, DscaleLow: 111, DscaleRatio: 0.71,
-			GscaleLow: 148, GscRatio: 0.94, Sized: 18, AreaInc: 0.095, DscaleLCs: 2,
+			GscaleLow: 148, GscRatio: 0.94, Sized: 18, AreaInc: 0.095,
 		}
 	}
 	if want := []Row{row("C880", 80.12e-6), row("mux", 18.5e-6)}; !reflect.DeepEqual(rows, want) {

@@ -33,7 +33,6 @@ type Row struct {
 	CVSRatio, DscaleRatio, GscRatio float64
 	Sized                           int
 	AreaInc                         float64
-	DscaleLCs                       int
 }
 
 // TableRows assembles one row per sweep point, in point order. Tables 1 and
@@ -78,7 +77,6 @@ func TableRows(results []dualvdd.SweepPointResult) ([]Row, error) {
 			GscRatio:        gs.LowRatio,
 			Sized:           gs.Sized,
 			AreaInc:         gs.AreaIncrease,
-			DscaleLCs:       ds.LCs,
 		})
 	}
 	return rows, nil

@@ -1,10 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
@@ -35,7 +34,7 @@ type Program struct {
 	nPI   int
 	nSig  int
 	code  []instr
-	stats []int32 // signals with switching statistics: PIs + live gate outputs, ascending
+	stats []int32 // signals whose rises Run counts: PIs + live gate outputs, ascending
 	poSrc []int32
 }
 
@@ -309,118 +308,49 @@ func (p *Program) execBlock(vals []uint64, n int) {
 	}
 }
 
-// simAcc is one worker's integer switching statistics.
-type simAcc struct {
-	ones, rises []int64
-}
-
-// runRange simulates word range [wLo, wHi): the worker's share of the run.
-// If wLo > 0 the worker first evaluates word wLo-1 (statistics discarded) so
-// the word-boundary transition into wLo is counted exactly like a serial run.
-func (p *Program) runRange(seed uint64, wLo, wHi int, acc *simAcc) {
+// Run simulates words×64 random vectors in one serial pass over 16-word
+// blocks and returns the 0→1 switching activity per signal. Rises are
+// counted as integers and divided once, so the table is bit-identical to
+// RunReference's. A cancelled or expired ctx stops the run at the next block
+// with ctx.Err().
+func (p *Program) Run(ctx context.Context, words int, seed uint64) ([]float64, error) {
+	if words < 1 {
+		return nil, fmt.Errorf("sim: need at least one word of vectors, got %d", words)
+	}
 	vals := make([]uint64, p.nSig*blockWords)
+	rises := make([]int64, p.nSig)
 	// lastBit[s] holds the final cycle of the previous word in bit 0. It is
 	// seeded to 1 so the branchless boundary term (^last & v & 1) contributes
 	// nothing for the very first word of the run, which has no predecessor.
 	lastBit := make([]uint64, p.nSig)
-	if wLo > 0 {
-		p.fillPIs(vals, seed, wLo-1, 1)
-		p.execBlock(vals, 1)
-		for _, s := range p.stats {
-			lastBit[s] = vals[int(s)*blockWords] >> 63
-		}
-	} else {
-		for _, s := range p.stats {
-			lastBit[s] = 1
-		}
+	for _, s := range p.stats {
+		lastBit[s] = 1
 	}
-	for w0 := wLo; w0 < wHi; w0 += blockWords {
-		n := wHi - w0
-		if n > blockWords {
-			n = blockWords
+	for w0 := 0; w0 < words; w0 += blockWords {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		n := min(words-w0, blockWords)
 		p.fillPIs(vals, seed, w0, n)
 		p.execBlock(vals, n)
 		for _, s := range p.stats {
-			block := vals[int(s)*blockWords:][:n]
-			last := lastBit[s]
-			ones, rises := acc.ones[s], acc.rises[s]
-			for _, v := range block {
-				ones += int64(bits.OnesCount64(v))
+			last, r := lastBit[s], rises[s]
+			for _, v := range vals[int(s)*blockWords:][:n] {
 				// Rises inside the word (cycle i -> i+1 is bit i -> bit i+1)
 				// plus the branchless word-boundary term: a rise across the
 				// boundary iff the previous word ended 0 and this one opens 1.
-				rises += int64(bits.OnesCount64(^v&(v>>1)&0x7fffffffffffffff)) +
-					int64(^last&v&1)
+				r += int64(bits.OnesCount64(^v&(v>>1)&0x7fffffffffffffff)) + int64(^last&v&1)
 				last = v >> 63
 			}
-			acc.ones[s], acc.rises[s], lastBit[s] = ones, rises, last
+			lastBit[s], rises[s] = last, r
 		}
 	}
-}
-
-// Run simulates words×64 random vectors and returns switching statistics per
-// signal, splitting the word range across workers (0 or negative means
-// GOMAXPROCS). Workers accumulate integer counters that are reduced in
-// worker order; integer sums carry no rounding, so Act and ProbOne are
-// bit-identical to a single-threaded run at any worker count.
-func (p *Program) Run(words int, seed uint64, workers int) (*Result, error) {
-	if words < 1 {
-		return nil, fmt.Errorf("sim: need at least one word of vectors, got %d", words)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// One block is the smallest unit worth re-simulating a predecessor
-	// word for.
-	if maxW := (words + blockWords - 1) / blockWords; workers > maxW {
-		workers = maxW
-	}
-	accs := make([]simAcc, workers)
-	if workers == 1 {
-		accs[0] = simAcc{ones: make([]int64, p.nSig), rises: make([]int64, p.nSig)}
-		p.runRange(seed, 0, words, &accs[0])
-	} else {
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			accs[wk] = simAcc{ones: make([]int64, p.nSig), rises: make([]int64, p.nSig)}
-			// Contiguous ranges, block-aligned, balanced to within one block.
-			nBlocks := (words + blockWords - 1) / blockWords
-			bLo := wk * nBlocks / workers
-			bHi := (wk + 1) * nBlocks / workers
-			wLo, wHi := bLo*blockWords, bHi*blockWords
-			if wHi > words {
-				wHi = words
-			}
-			wg.Add(1)
-			go func(wk, wLo, wHi int) {
-				defer wg.Done()
-				p.runRange(seed, wLo, wHi, &accs[wk])
-			}(wk, wLo, wHi)
-		}
-		wg.Wait()
-	}
-	res := &Result{
-		Vectors: words * 64,
-		Act:     make([]float64, p.nSig),
-		ProbOne: make([]float64, p.nSig),
-	}
-	ones := accs[0].ones
-	rises := accs[0].rises
-	for wk := 1; wk < len(accs); wk++ {
-		for _, s := range p.stats {
-			ones[s] += accs[wk].ones[s]
-			rises[s] += accs[wk].rises[s]
-		}
-	}
+	act := make([]float64, p.nSig)
 	cycles := float64(words*64 - 1)
 	for _, s := range p.stats {
-		res.ProbOne[s] = float64(ones[s]) / float64(words*64)
-		if cycles > 0 {
-			res.Act[s] = float64(rises[s]) / cycles
-		}
+		act[s] = float64(rises[s]) / cycles
 	}
-	return res, nil
+	return act, nil
 }
 
 // Eval runs the tape over caller-supplied PI words and returns the PO words,

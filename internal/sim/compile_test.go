@@ -3,9 +3,8 @@ package sim
 // Differential harness for the compiled simulation engine: on every bundled
 // MCNC stand-in circuit and on fuzz-generated random circuits, the compiled
 // tape (Program.Run / Program.Eval) must be bit-identical to the reference
-// interpreter (RunReference / EvalReference) at every worker count. Equality
-// is exact — integer statistics and identical per-word formulas leave no
-// room for float drift.
+// interpreter (RunReference / EvalReference). Equality is exact — integer
+// rise counts and identical per-word formulas leave no room for float drift.
 
 import (
 	"fmt"
@@ -32,32 +31,22 @@ func mappedCircuit(tb testing.TB, name string) *netlist.Circuit {
 	return res.Circuit
 }
 
-// assertSameResult compares two Results for exact equality.
-func assertSameResult(tb testing.TB, what string, got, want *Result) {
+// assertSameActivity compares two activity tables for exact equality.
+func assertSameActivity(tb testing.TB, what string, got, want []float64) {
 	tb.Helper()
-	if got.Vectors != want.Vectors {
-		tb.Fatalf("%s: vectors %d vs %d", what, got.Vectors, want.Vectors)
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d signals, reference %d", what, len(got), len(want))
 	}
-	if len(got.Act) != len(want.Act) || len(got.ProbOne) != len(want.ProbOne) {
-		tb.Fatalf("%s: signal count mismatch", what)
-	}
-	for s := range want.Act {
-		if got.Act[s] != want.Act[s] {
-			tb.Fatalf("%s: Act[%d] = %v, reference %v", what, s, got.Act[s], want.Act[s])
-		}
-		if got.ProbOne[s] != want.ProbOne[s] {
-			tb.Fatalf("%s: ProbOne[%d] = %v, reference %v", what, s, got.ProbOne[s], want.ProbOne[s])
+	for s := range want {
+		if got[s] != want[s] {
+			tb.Fatalf("%s: activity[%d] = %v, reference %v", what, s, got[s], want[s])
 		}
 	}
 }
 
-// diffWorkers spans the interesting schedules: serial, even split, uneven
-// split, more workers than blocks.
-var diffWorkers = []int{1, 2, 5, 64}
-
 // TestCompiledMatchesReferenceOnSuite is the acceptance gate of the compiled
-// engine: bit-identical switching statistics on all 39 mapped MCNC stand-ins,
-// at several worker counts and a word count that exercises partial blocks.
+// engine: bit-identical activity tables on all 39 mapped MCNC stand-ins, at a
+// word count that exercises partial blocks.
 func TestCompiledMatchesReferenceOnSuite(t *testing.T) {
 	names := mcnc.Names()
 	if testing.Short() {
@@ -75,13 +64,11 @@ func TestCompiledMatchesReferenceOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range diffWorkers {
-				got, err := p.Run(words, seed, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, fmt.Sprintf("workers=%d", workers), got, want)
+			got, err := p.Run(ctx, words, seed)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertSameActivity(t, "compiled", got, want)
 
 			// Eval: exhaustive-style PI words derived from the PRNG.
 			pi := make([]uint64, len(ckt.PIs))
@@ -107,7 +94,7 @@ func TestCompiledMatchesReferenceOnSuite(t *testing.T) {
 
 // TestCompiledSkipsDeadGates mirrors TestRunSkipsDeadGates for the tape:
 // dead gates are excluded from the instruction stream and keep zero
-// statistics.
+// activity.
 func TestCompiledSkipsDeadGates(t *testing.T) {
 	c := xorCircuit()
 	gi, _ := c.AddGate("dead", lib.Smallest(cell.FINV), 0)
@@ -116,18 +103,19 @@ func TestCompiledSkipsDeadGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(c, 16, 1)
+	got, err := Run(ctx, c, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "dead-gate circuit", got, want)
-	if got.Act[c.GateSignal(gi)] != 0 {
+	assertSameActivity(t, "dead-gate circuit", got, want)
+	if got[c.GateSignal(gi)] != 0 {
 		t.Fatal("dead gate accumulated activity in compiled run")
 	}
 }
 
-// TestCompiledSingleWord covers the words < blockWords edge (no boundary
-// transitions beyond in-word ones) and words == 1 per worker clamping.
+// TestCompiledSingleWord covers runs of one word (no boundary transitions
+// beyond in-word ones) and runs around one block: a partial block, a full
+// one, and one word into the next.
 func TestCompiledSingleWord(t *testing.T) {
 	ckt := mappedCircuit(t, "z4ml")
 	p, err := Compile(ckt)
@@ -139,13 +127,11 @@ func TestCompiledSingleWord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range diffWorkers {
-			got, err := p.Run(words, 3, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("words=%d workers=%d", words, workers), got, want)
+		got, err := p.Run(ctx, words, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameActivity(t, fmt.Sprintf("words=%d", words), got, want)
 	}
 }
 
@@ -208,13 +194,11 @@ func FuzzSimDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference accepted circuit, Compile rejected: %v", err)
 		}
-		for _, workers := range []int{1, 3} {
-			got, err := p.Run(words, seed, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("workers=%d", workers), got, want)
+		got, err := p.Run(ctx, words, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameActivity(t, "compiled", got, want)
 		pi := make([]uint64, len(ckt.PIs))
 		for i := range pi {
 			pi[i] = piWord(seed, i, 1)
@@ -253,7 +237,7 @@ func BenchmarkProgramRun(b *testing.B) {
 	}
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Run(words, seed, 1); err != nil {
+			if _, err := p.Run(ctx, words, seed); err != nil {
 				b.Fatal(err)
 			}
 		}

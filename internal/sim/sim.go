@@ -1,18 +1,20 @@
 // Package sim is the random-vector logic simulator behind the paper's power
 // numbers: "the generic SIS power estimation function, which comprises random
 // simulations using 20 MHz clock frequency". It evaluates a mapped circuit
-// over pseudo-random input vectors, 64 patterns per machine word, and reports
-// the per-net 0→1 switching activity that the power model consumes.
+// over pseudo-random input vectors, 64 patterns per machine word, and returns
+// the per-net 0→1 switching activity that the power model consumes — one
+// entry per signal, the paper's a0→1 in equation (1).
 //
-// Two engines produce bit-identical results: the compiled engine (Compile
-// lowers the netlist to a flat levelized instruction tape that Program.Run
-// executes in multi-word blocks, optionally across workers), and the original
-// per-gate interpreter, kept as RunReference/EvalReference — the differential
-// oracle the compiled engine is tested against. Run and Eval are the compiled
-// fast path every caller uses.
+// Two engines produce bit-identical activity tables: the compiled engine
+// (Compile lowers the netlist to a flat levelized instruction tape that
+// Program.Run executes in 16-word blocks, in one serial pass), and the
+// original per-gate interpreter, kept as RunReference/EvalReference — the
+// differential oracle the compiled engine is tested against. Run and Eval are
+// the compiled fast path every caller uses.
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -37,17 +39,6 @@ func Runs() int64 { return runs.Load() }
 // gates pays w·g of.
 func WordEvals() int64 { return wordEvals.Load() }
 
-// Result holds per-signal switching statistics.
-type Result struct {
-	// Vectors is the number of input vectors simulated.
-	Vectors int
-	// Act is the 0→1 transition probability per clock cycle for each signal
-	// (the paper's a0→1 in equation (1)).
-	Act []float64
-	// ProbOne is the signal probability (fraction of cycles at logic 1).
-	ProbOne []float64
-}
-
 // splitmix64 is the deterministic PRNG used for input vectors; seeding makes
 // every power estimate in the repository reproducible bit-for-bit.
 func splitmix64(x uint64) uint64 {
@@ -63,11 +54,11 @@ func piWord(seed uint64, pi, w int) uint64 {
 }
 
 // Run simulates words×64 random vectors (one per clock cycle) and returns
-// switching statistics per signal. Dead gates keep zero activity. It compiles
-// the circuit and executes the tape with the default worker count
-// (GOMAXPROCS); results are bit-identical to RunReference and to any other
-// worker count (Program.Run).
-func Run(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
+// the 0→1 switching activity of every signal; dead gates keep zero. It
+// compiles the circuit and executes the tape; the table is bit-identical to
+// RunReference's. A cancelled or expired ctx stops the run at the next
+// 16-word block with ctx.Err().
+func Run(ctx context.Context, c *netlist.Circuit, words int, seed uint64) ([]float64, error) {
 	if words < 1 {
 		return nil, fmt.Errorf("sim: need at least one word of vectors, got %d", words)
 	}
@@ -77,13 +68,13 @@ func Run(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
 	}
 	runs.Add(1)
 	wordEvals.Add(int64(words) * int64(c.NumLiveGates()))
-	return p.Run(words, seed, 0)
+	return p.Run(ctx, words, seed)
 }
 
 // RunReference is the original per-gate interpreter, retained as the
-// differential oracle for the compiled engine. It produces bit-identical
-// statistics to Run, one gate dispatch per word.
-func RunReference(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
+// differential oracle for the compiled engine. It returns the activity table
+// Run returns, bit for bit, one gate dispatch per word.
+func RunReference(c *netlist.Circuit, words int, seed uint64) ([]float64, error) {
 	if words < 1 {
 		return nil, fmt.Errorf("sim: need at least one word of vectors, got %d", words)
 	}
@@ -92,13 +83,7 @@ func RunReference(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	nSig := c.NumSignals()
-	res := &Result{
-		Vectors: words * 64,
-		Act:     make([]float64, nSig),
-		ProbOne: make([]float64, nSig),
-	}
 	vals := make([]uint64, nSig)
-	ones := make([]int, nSig)
 	rises := make([]int, nSig)
 	lastBit := make([]uint64, nSig) // value of the final cycle of the previous word (bit 0)
 	in := make([]uint64, 8)
@@ -120,7 +105,6 @@ func RunReference(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
 				continue
 			}
 			v := vals[s]
-			ones[s] += bits.OnesCount64(v)
 			// Rises inside the word: cycle i -> i+1 is bit i -> bit i+1.
 			rises[s] += bits.OnesCount64(^v & (v >> 1) & 0x7fffffffffffffff)
 			if w > 0 {
@@ -132,14 +116,12 @@ func RunReference(c *netlist.Circuit, words int, seed uint64) (*Result, error) {
 			lastBit[s] = v >> 63
 		}
 	}
+	act := make([]float64, nSig)
 	cycles := float64(words*64 - 1)
-	for s := 0; s < nSig; s++ {
-		res.ProbOne[s] = float64(ones[s]) / float64(words*64)
-		if cycles > 0 {
-			res.Act[s] = float64(rises[s]) / cycles
-		}
+	for s := range act {
+		act[s] = float64(rises[s]) / cycles
 	}
-	return res, nil
+	return act, nil
 }
 
 // Eval runs the circuit over caller-supplied PI words and returns the PO

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
@@ -11,28 +14,31 @@ import (
 
 var lib = cell.Compass06()
 
+// ctx is the live context of every run that is not testing cancellation.
+var ctx = context.Background()
+
 func TestRunDeterministic(t *testing.T) {
 	c := xorCircuit()
-	a, err := Run(c, 64, 7)
+	a, err := Run(ctx, c, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, 64, 7)
+	b, err := Run(ctx, c, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range a.Act {
-		if a.Act[s] != b.Act[s] {
+	for s := range a {
+		if a[s] != b[s] {
 			t.Fatal("same seed, different activities")
 		}
 	}
-	d, err := Run(c, 64, 8)
+	d, err := Run(ctx, c, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := true
-	for s := range a.Act {
-		if a.Act[s] != d.Act[s] {
+	for s := range a {
+		if a[s] != d[s] {
 			same = false
 		}
 	}
@@ -51,19 +57,16 @@ func xorCircuit() *netlist.Circuit {
 }
 
 func TestActivityStatistics(t *testing.T) {
-	// Random PIs: probability of one ~0.5, rise activity ~0.25 (p0·p1).
-	// XOR of two random inputs behaves the same.
+	// Random PIs: rise activity ~0.25 (p0·p1 at probability 0.5). XOR of
+	// two random inputs behaves the same.
 	c := xorCircuit()
-	r, err := Run(c, 512, 1)
+	act, err := Run(ctx, c, 512, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < c.NumSignals(); s++ {
-		if math.Abs(r.ProbOne[s]-0.5) > 0.03 {
-			t.Fatalf("signal %d probability %.3f, want ~0.5", s, r.ProbOne[s])
-		}
-		if math.Abs(r.Act[s]-0.25) > 0.03 {
-			t.Fatalf("signal %d activity %.3f, want ~0.25", s, r.Act[s])
+		if math.Abs(act[s]-0.25) > 0.03 {
+			t.Fatalf("signal %d activity %.3f, want ~0.25", s, act[s])
 		}
 	}
 }
@@ -75,15 +78,12 @@ func TestActivityOfAND(t *testing.T) {
 	b := c.AddPI("b")
 	_, s := c.AddGate("g", lib.Smallest(cell.FAND2), a, b)
 	c.AddPO("o", s)
-	r, err := Run(c, 512, 2)
+	act, err := Run(ctx, c, 512, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.ProbOne[s]-0.25) > 0.02 {
-		t.Fatalf("AND probability %.3f, want ~0.25", r.ProbOne[s])
-	}
-	if math.Abs(r.Act[s]-3.0/16) > 0.02 {
-		t.Fatalf("AND activity %.3f, want ~%.3f", r.Act[s], 3.0/16)
+	if math.Abs(act[s]-3.0/16) > 0.02 {
+		t.Fatalf("AND activity %.3f, want ~%.3f", act[s], 3.0/16)
 	}
 }
 
@@ -92,12 +92,12 @@ func TestTieCellsNeverSwitch(t *testing.T) {
 	c.AddPI("a")
 	_, s := c.AddGate("one", lib.Smallest(cell.FTIE1))
 	c.AddPO("o", s)
-	r, err := Run(c, 64, 3)
+	act, err := Run(ctx, c, 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Act[s] != 0 || r.ProbOne[s] != 1 {
-		t.Fatalf("tie-1: activity %.3f probability %.3f", r.Act[s], r.ProbOne[s])
+	if act[s] != 0 {
+		t.Fatalf("tie-1: activity %.3f", act[s])
 	}
 }
 
@@ -110,18 +110,18 @@ func TestWordBoundaryTransitionsCounted(t *testing.T) {
 	_, s1 := c.AddGate("i1", inv, s)
 	_, s2 := c.AddGate("i2", inv, s1)
 	c.AddPO("o", s2)
-	r, err := Run(c, 128, 5)
+	act, err := Run(ctx, c, 128, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Act[s] != r.Act[s2] {
-		t.Fatalf("double inversion changed activity: %.4f vs %.4f", r.Act[s], r.Act[s2])
+	if act[s] != act[s2] {
+		t.Fatalf("double inversion changed activity: %.4f vs %.4f", act[s], act[s2])
 	}
 	// The inverted net's rises are the input's falls; for a 0.5-probability
 	// signal these agree within sampling error but not exactly — just check
 	// plausibility.
-	if math.Abs(r.Act[s1]-r.Act[s]) > 0.02 {
-		t.Fatalf("inverter activity implausible: %.4f vs %.4f", r.Act[s1], r.Act[s])
+	if math.Abs(act[s1]-act[s]) > 0.02 {
+		t.Fatalf("inverter activity implausible: %.4f vs %.4f", act[s1], act[s])
 	}
 }
 
@@ -129,11 +129,11 @@ func TestRunSkipsDeadGates(t *testing.T) {
 	c := xorCircuit()
 	gi, _ := c.AddGate("dead", lib.Smallest(cell.FINV), 0)
 	c.Gates[gi].Dead = true
-	r, err := Run(c, 16, 1)
+	act, err := Run(ctx, c, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Act[c.GateSignal(gi)] != 0 {
+	if act[c.GateSignal(gi)] != 0 {
 		t.Fatal("dead gate accumulated activity")
 	}
 }
@@ -188,7 +188,28 @@ func TestEvalBadInputCount(t *testing.T) {
 
 func TestRunRejectsZeroWords(t *testing.T) {
 	c := xorCircuit()
-	if _, err := Run(c, 0, 1); err == nil {
+	if _, err := Run(ctx, c, 0, 1); err == nil {
 		t.Fatal("zero simulation length accepted")
+	}
+}
+
+// TestRunStopsOnDoneContext: a cancelled or expired context ends a run with
+// its own error, checked before every block, so even a run too long to
+// finish returns at once.
+func TestRunStopsOnDoneContext(t *testing.T) {
+	c := xorCircuit()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := Run(cancelled, c, 1<<30, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	expired, stop := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer stop()
+	p, err := Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(expired, 1<<30, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired run: err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dualvdd"
+	"dualvdd/internal/sim"
 )
 
 // mustClose drains a Local with a generous bound.
@@ -313,6 +314,55 @@ func TestLocalQueueBoundAndCancel(t *testing.T) {
 	}
 	if m.SubmitDedups != 1 {
 		t.Fatalf("submit dedups = %d, want 1", m.SubmitDedups)
+	}
+}
+
+// TestLocalCancelStopsPowerSimulation: a job cancelled while its power
+// simulation runs ends cancelled at once, and Close then drains within its
+// grace. A request's sim_words is only required to be at least 1, so a job
+// whose simulation would run for hours must still stop at the simulation's
+// next block. Every wait is bounded: a simulation that ignores its context
+// fails the test instead of hanging it.
+func TestLocalCancelStopsPowerSimulation(t *testing.T) {
+	ctx := context.Background()
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(1), dualvdd.LocalCacheEntries(0))
+	runs := sim.Runs()
+	id, err := l.Submit(ctx, dualvdd.BenchmarkJob("C880",
+		dualvdd.WithSimWords(1<<30), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The simulation has started once the process-wide run count moves.
+	for deadline := time.Now().Add(time.Minute); sim.Runs() == runs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the power simulation never started")
+		}
+	}
+	if err := l.Cancel(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	st, err := l.Result(rctx, id)
+	if err != nil {
+		t.Fatalf("job cancelled during its power simulation did not end within 2 s: %v", err)
+	}
+	if st.State != dualvdd.JobCancelled {
+		t.Fatalf("job cancelled during its power simulation is %s (%s)", st.State, st.Error)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		closed <- l.Close(cctx)
+	}()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close with a 2 s grace: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("close with a 2 s grace had not returned 10 s later")
 	}
 }
 

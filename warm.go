@@ -146,10 +146,10 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 		// bit-identical to the cold path's fresh simulate-and-estimate,
 		// without the simulation or a fanout rebuild: the engine keeps its
 		// loads equal to sta.Loads bit for bit.
-		pb := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
+		pw := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
 		// No simulation ran and the working clone is rolled back, so SimTime
 		// stays 0 and Circuit nil.
-		fr := d.result(string(algo), w.work, lib, cres, pb.Total, w.inc.WorstArrival(), elapsed)
+		fr := d.result(string(algo), w.work, lib, cres, pw, w.inc.WorstArrival(), elapsed)
 		obs.emit(EventResult{Circuit: d.Name, Result: fr})
 		results = append(results, fr)
 		last = time.Now() //lint:wallclock-ok timing metric only; never feeds results
