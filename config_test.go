@@ -33,6 +33,7 @@ func TestConfigValidate(t *testing.T) {
 		{"no area budget", mutate(func(c *dualvdd.Config) { c.MaxAreaIncrease = 0 }), ""},
 		{"zero max iter", mutate(func(c *dualvdd.Config) { c.MaxIter = 0 }), ""},
 		{"one sim word", mutate(func(c *dualvdd.Config) { c.SimWords = 1 }), ""},
+		{"most sim words", mutate(func(c *dualvdd.Config) { c.SimWords = dualvdd.MaxSimWords }), ""},
 
 		{"zero config", dualvdd.Config{}, "rails"},
 		{"vddl equals vddh", mutate(func(c *dualvdd.Config) { c.Rails[1] = c.Rails[0] }), "vlow"},
@@ -49,6 +50,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max iter", mutate(func(c *dualvdd.Config) { c.MaxIter = -1 }), "max_iter"},
 		{"zero sim words", mutate(func(c *dualvdd.Config) { c.SimWords = 0 }), "sim_words"},
 		{"negative sim words", mutate(func(c *dualvdd.Config) { c.SimWords = -8 }), "sim_words"},
+		{"too many sim words", mutate(func(c *dualvdd.Config) { c.SimWords = dualvdd.MaxSimWords + 1 }), "sim_words"},
 		{"zero clock", mutate(func(c *dualvdd.Config) { c.Fclk = 0 }), "fclk_hz"},
 		{"negative clock", mutate(func(c *dualvdd.Config) { c.Fclk = -1e6 }), "fclk_hz"},
 	}

@@ -69,7 +69,8 @@ type Config struct {
 	MaxAreaIncrease float64 `json:"max_area_increase"`
 	// MaxIter is Gscale's unsuccessful-push bound (10 in the paper).
 	MaxIter int `json:"max_iter"`
-	// SimWords is the number of 64-vector words for power estimation.
+	// SimWords is the number of 64-vector words for power estimation, at
+	// most MaxSimWords.
 	SimWords int `json:"sim_words"`
 	// Seed drives the random simulation.
 	Seed uint64 `json:"seed"`
@@ -81,6 +82,10 @@ type Config struct {
 	GreedySelect bool `json:"greedy_select,omitempty"`
 	GreedySizing bool `json:"greedy_sizing,omitempty"`
 }
+
+// MaxSimWords bounds Config.SimWords at 4,096 times the paper's 256 words, so
+// one request cannot hold a worker for hours.
+const MaxSimWords = 1 << 20
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
@@ -170,8 +175,9 @@ func configErr(field, format string, args ...any) error {
 // otherwise slip through to meaningless numbers (a zero or negative rail
 // makes the delay derate and power ratio NaN or infinite, an unsorted rail
 // list inverts equation (1), zero simulation words divide by zero in activity
-// estimation). Every entry point that accepts a Config — Prepare, Job
-// submission, sweep expansion — validates before touching the circuit.
+// estimation) and for a simulation longer than MaxSimWords. Every entry point
+// that accepts a Config — Prepare, Job submission, sweep expansion —
+// validates before touching the circuit.
 // Failures wrap ErrInvalidConfig. A rail error names the field the wire form
 // carries: vhigh or vlow for a pair, rails for a longer list.
 func (c Config) Validate() error {
@@ -200,8 +206,8 @@ func (c Config) Validate() error {
 		return configErr("max_area_increase", "%g must be a non-negative fraction", c.MaxAreaIncrease)
 	case c.MaxIter < 0:
 		return configErr("max_iter", "%d must be non-negative", c.MaxIter)
-	case c.SimWords < 1:
-		return configErr("sim_words", "%d must be at least 1", c.SimWords)
+	case c.SimWords < 1 || c.SimWords > MaxSimWords:
+		return configErr("sim_words", "%d must be between 1 and %d", c.SimWords, MaxSimWords)
 	case !finite(c.Fclk) || c.Fclk <= 0:
 		return configErr("fclk_hz", "%g must be a positive, finite frequency", c.Fclk)
 	}

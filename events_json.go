@@ -36,7 +36,8 @@ func EventKind(ev Event) string {
 	return ""
 }
 
-// envelope is the type-tagged wire form every event marshals to:
+// envelope is the type-tagged wire form MarshalEvent writes and
+// UnmarshalEvent reads:
 //
 //	{"type":"round_done","data":{"circuit":"C880","algorithm":"Dscale",...}}
 //
@@ -47,105 +48,19 @@ type envelope struct {
 	Data json.RawMessage `json:"data"`
 }
 
-func marshalEnvelope(kind string, data any) ([]byte, error) {
-	raw, err := json.Marshal(data)
+// MarshalEvent encodes an event as its type-tagged envelope: the kind from
+// EventKind and the event's own fields as the data. Like EventKind, it
+// accepts both value and pointer forms, and both encode alike.
+func MarshalEvent(ev Event) ([]byte, error) {
+	kind := EventKind(ev)
+	if kind == "" {
+		return nil, fmt.Errorf("dualvdd: cannot marshal event type %T", ev)
+	}
+	data, err := json.Marshal(ev)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(envelope{Type: kind, Data: raw})
-}
-
-func unmarshalEnvelope(b []byte, kind string, data any) error {
-	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return err
-	}
-	if env.Type != kind {
-		return fmt.Errorf("dualvdd: event envelope has type %q, want %q", env.Type, kind)
-	}
-	return json.Unmarshal(env.Data, data)
-}
-
-// eventMappedJSON et al. break the MarshalJSON recursion: the alias type has
-// the same fields and tags but not the method set.
-type (
-	eventMappedJSON     EventMapped
-	eventMoveJSON       EventMove
-	eventRoundDoneJSON  EventRoundDone
-	eventResultJSON     EventResult
-	eventSweepPointJSON EventSweepPoint
-	eventSweepDoneJSON  EventSweepDone
-)
-
-// MarshalJSON encodes the event as a type-tagged envelope.
-func (e EventMapped) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindMapped, eventMappedJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventMapped) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindMapped, (*eventMappedJSON)(e))
-}
-
-// MarshalJSON encodes the event as a type-tagged envelope.
-func (e EventMove) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindMove, eventMoveJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventMove) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindMove, (*eventMoveJSON)(e))
-}
-
-// MarshalJSON encodes the event as a type-tagged envelope.
-func (e EventRoundDone) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindRoundDone, eventRoundDoneJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventRoundDone) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindRoundDone, (*eventRoundDoneJSON)(e))
-}
-
-// MarshalJSON encodes the event as a type-tagged envelope. The embedded
-// FlowResult is encoded without its Circuit.
-func (e EventResult) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindResult, eventResultJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventResult) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindResult, (*eventResultJSON)(e))
-}
-
-// MarshalJSON encodes the event as a type-tagged envelope. The embedded
-// FlowResults are encoded without their Circuits.
-func (e EventSweepPoint) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindSweepPoint, eventSweepPointJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventSweepPoint) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindSweepPoint, (*eventSweepPointJSON)(e))
-}
-
-// MarshalJSON encodes the event as a type-tagged envelope.
-func (e EventSweepDone) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(EventKindSweepDone, eventSweepDoneJSON(e))
-}
-
-// UnmarshalJSON decodes a type-tagged envelope, rejecting a mismatched tag.
-func (e *EventSweepDone) UnmarshalJSON(b []byte) error {
-	return unmarshalEnvelope(b, EventKindSweepDone, (*eventSweepDoneJSON)(e))
-}
-
-// MarshalEvent encodes any event as its type-tagged JSON envelope. Like
-// EventKind, it accepts both value and pointer forms.
-func MarshalEvent(ev Event) ([]byte, error) {
-	if EventKind(ev) == "" {
-		return nil, fmt.Errorf("dualvdd: cannot marshal event type %T", ev)
-	}
-	return json.Marshal(ev) // the value-receiver MarshalJSON emits the envelope
+	return json.Marshal(envelope{Type: kind, Data: data})
 }
 
 // UnmarshalEvent decodes a type-tagged envelope into the matching concrete
@@ -158,23 +73,24 @@ func UnmarshalEvent(b []byte) (Event, error) {
 	}
 	switch env.Type {
 	case EventKindMapped:
-		var e EventMapped
-		return e, json.Unmarshal(env.Data, (*eventMappedJSON)(&e))
+		return decodeEvent[EventMapped](env.Data)
 	case EventKindMove:
-		var e EventMove
-		return e, json.Unmarshal(env.Data, (*eventMoveJSON)(&e))
+		return decodeEvent[EventMove](env.Data)
 	case EventKindRoundDone:
-		var e EventRoundDone
-		return e, json.Unmarshal(env.Data, (*eventRoundDoneJSON)(&e))
+		return decodeEvent[EventRoundDone](env.Data)
 	case EventKindResult:
-		var e EventResult
-		return e, json.Unmarshal(env.Data, (*eventResultJSON)(&e))
+		return decodeEvent[EventResult](env.Data)
 	case EventKindSweepPoint:
-		var e EventSweepPoint
-		return e, json.Unmarshal(env.Data, (*eventSweepPointJSON)(&e))
+		return decodeEvent[EventSweepPoint](env.Data)
 	case EventKindSweepDone:
-		var e EventSweepDone
-		return e, json.Unmarshal(env.Data, (*eventSweepDoneJSON)(&e))
+		return decodeEvent[EventSweepDone](env.Data)
 	}
 	return nil, fmt.Errorf("dualvdd: unknown event type %q", env.Type)
+}
+
+// decodeEvent decodes an envelope's data into a value of the event type E.
+func decodeEvent[E Event](data json.RawMessage) (Event, error) {
+	var e E
+	err := json.Unmarshal(data, &e)
+	return e, err
 }

@@ -193,8 +193,8 @@ func TestBatchDeterminismAcrossWorkers(t *testing.T) {
 	}
 
 	// Every worker count must reproduce the serial rows and the rendered
-	// tables byte for byte. (The compiled simulation's own word-parallel
-	// workers are held to the serial interpreter by the internal/sim tests.)
+	// tables byte for byte. (The compiled simulation is held to the
+	// reference interpreter by the internal/sim tests.)
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		rows := tableRows(t, cfg, workers, determinismSuite...)
 		stripTimes(rows)

@@ -698,7 +698,7 @@ func TestTCBDefinition(t *testing.T) {
 			t.Fatalf("TCB gate %s is low", g.Name)
 		}
 		out := c.GateSignal(gi)
-		if delta := tm.DeltaStep(gi); tm.Slack(out)-delta >= 1e-9 {
+		if delta := tm.ArrivalWith(gi, g.Cell, g.Volt+1, tm.Load[out]) - tm.Arrival[out]; tm.Slack(out)-delta >= 1e-9 {
 			t.Fatalf("TCB gate %s could actually be scaled (slack %.4f, delta %.4f)",
 				g.Name, tm.Slack(out), delta)
 		}

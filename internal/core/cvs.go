@@ -60,8 +60,10 @@ func cvsOn(inc *sta.Incremental, opts *Options, algo string, round int) (*CVSRes
 			if !lowEligible(ckt, fan, gi, g.Volt+1) {
 				break
 			}
+			// check_timing: the arrival increase if gi alone took the next
+			// rail.
 			out := ckt.GateSignal(gi)
-			delta := inc.DeltaStep(gi)
+			delta := inc.ArrivalWith(gi, g.Cell, g.Volt+1, inc.Load[out]) - inc.Arrival[out]
 			if inc.Slack(out)-delta < slackEps {
 				res.TCB = append(res.TCB, gi)
 				break

@@ -233,17 +233,6 @@ func (t *Incremental) ChangedSince(m Mark, buf []netlist.Signal) []netlist.Signa
 	return buf
 }
 
-// DeltaStep returns the arrival increase at gi's output if the gate alone
-// demoted one rail step (its current level plus one): its output arrival
-// recomputed under that rail (the paper's check_timing primitive) less the
-// current one. At a two-rail library a VHigh gate's step is its move to VLow.
-func (t *Incremental) DeltaStep(gi int) float64 {
-	rec := t.recs[gi]
-	rec.derate = t.lib.Derate(t.ckt.Gates[gi].Volt + 1)
-	out := t.ckt.GateSignal(gi)
-	return gateArrivalAt(t.ckt, t.Arrival, gi, &rec, t.Load[out]) - t.Arrival[out]
-}
-
 // ArrivalWith returns gi's output arrival from the live fanin arrivals as if
 // the gate were bound to cl on rail v with output load load. It is the
 // engine's one what-if: a caller that shifts the live load passes
@@ -479,11 +468,11 @@ func (t *Incremental) BeginSweep() { t.sweeping = true }
 // SettleAt drains the forward wave up to gi's priority and the backward wave
 // down to it. Afterwards these reads are bit-identical to a settled engine's:
 // the arrivals of gi and of every gate of lower priority, the required time
-// and slack of gi's output, DeltaStep(gi), ArrivalWith(gi, …) and
-// PinArrival(gi, …). An arrival depends only on gates of lower priority and a
-// required time only on gates of higher priority, and both waves recompute
-// each value from settled inputs with the kernels Analyze uses. Other reads,
-// WorstArrival and Meets included, may be stale until EndSweep.
+// and slack of gi's output, ArrivalWith(gi, …) and PinArrival(gi, …). An
+// arrival depends only on gates of lower priority and a required time only on
+// gates of higher priority, and both waves recompute each value from settled
+// inputs with the kernels Analyze uses. Other reads, WorstArrival and Meets
+// included, may be stale until EndSweep.
 func (t *Incremental) SettleAt(gi int) {
 	p := t.prio[gi]
 	t.runForward(p)

@@ -106,21 +106,22 @@ func TestLowVoltageSlowsGate(t *testing.T) {
 		t.Fatalf("low-voltage gate did not slow the path: %.4f vs %.4f",
 			after.WorstArrival, before.WorstArrival)
 	}
-	// DeltaStep must predict exactly the arrival change of scaling gate 0
-	// (a VHigh gate, so its step is the move to VLow).
+	// ArrivalWith at VLow must predict exactly the arrival change of scaling
+	// gate 0.
 	inc, err := NewIncremental(c, lib, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := inc.DeltaStep(0)
+	out := c.GateSignal(0)
+	predicted := inc.ArrivalWith(0, c.Gates[0].Cell, cell.VLow, inc.Load[out]) - inc.Arrival[out]
 	c.Gates[0].Volt = cell.VLow
 	final, err := Analyze(c, lib, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := final.Arrival[c.GateSignal(0)] - before.Arrival[c.GateSignal(0)]
+	got := final.Arrival[out] - before.Arrival[out]
 	if math.Abs(got-predicted) > 1e-12 {
-		t.Fatalf("DeltaStep predicted %.6f, actual %.6f", predicted, got)
+		t.Fatalf("ArrivalWith predicted a change of %.6f, actual %.6f", predicted, got)
 	}
 }
 

@@ -30,10 +30,11 @@ type Local struct {
 	history    int
 
 	// cache is the content-addressed result store (nil = caching disabled)
-	// and journal the optional durability log of terminal jobs. Both default
-	// to the in-memory implementations; LocalResultCache / LocalJobStore
-	// swap in the disk-backed ones from internal/store, which is what makes
-	// a restarted service resume instead of recompute.
+	// and journal the optional durability log of terminal jobs. The cache
+	// defaults to the in-memory LRU and the journal to none;
+	// LocalResultCache / LocalJobStore swap in the disk-backed ones from
+	// internal/store, which is what makes a restarted service resume instead
+	// of recompute.
 	cache   ResultCache
 	journal JobStore
 
@@ -74,8 +75,7 @@ type warmEntry struct {
 type LocalOption func(*Local)
 
 // LocalWorkers bounds the worker pool (default 1, minimum 1). Each worker
-// runs one job at a time; a job's logic simulation still runs word-parallel
-// over GOMAXPROCS workers.
+// runs one job at a time, its logic simulation included, on one goroutine.
 func LocalWorkers(n int) LocalOption {
 	return func(l *Local) {
 		if n > 0 {

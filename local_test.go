@@ -319,16 +319,17 @@ func TestLocalQueueBoundAndCancel(t *testing.T) {
 
 // TestLocalCancelStopsPowerSimulation: a job cancelled while its power
 // simulation runs ends cancelled at once, and Close then drains within its
-// grace. A request's sim_words is only required to be at least 1, so a job
-// whose simulation would run for hours must still stop at the simulation's
-// next block. Every wait is bounded: a simulation that ignores its context
-// fails the test instead of hanging it.
+// grace. A request may ask for up to MaxSimWords words. des's simulation at
+// the cap runs about 10 s on one core (C880's under 1 s), far past the 2 s
+// this test allows, so the job must stop at the simulation's next block.
+// Every wait is bounded: a simulation that ignores its context fails the
+// test instead of hanging it.
 func TestLocalCancelStopsPowerSimulation(t *testing.T) {
 	ctx := context.Background()
 	l := dualvdd.NewLocal(dualvdd.LocalWorkers(1), dualvdd.LocalCacheEntries(0))
 	runs := sim.Runs()
-	id, err := l.Submit(ctx, dualvdd.BenchmarkJob("C880",
-		dualvdd.WithSimWords(1<<30), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)))
+	id, err := l.Submit(ctx, dualvdd.BenchmarkJob("des",
+		dualvdd.WithSimWords(dualvdd.MaxSimWords), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)))
 	if err != nil {
 		t.Fatal(err)
 	}
