@@ -336,9 +336,10 @@ type FlowResult struct {
 	// other algorithms); a full per-round rescan would pay roughly
 	// gates × rounds. See core.Result.CandEvals.
 	CandEvals int64 `json:"cand_evals"`
-	// SimTime is the wall clock spent in logic simulation: the final power
-	// measurement of a Flow run, zero for a warm run (which reads power from
-	// the prepared activity table).
+	// SimTime is always 0. No run simulates: cold and warm runs alike price
+	// the scaled circuit from the activity table its design's preparation
+	// simulated once. The field stays so the result's wire form keeps its
+	// "sim_ns" key.
 	SimTime time.Duration `json:"sim_ns"`
 	// RailGates counts live ordinary gates per rail index (RailGates[i] =
 	// gates at rail i of Config.Rails) and LCCross breaks the level
@@ -364,13 +365,15 @@ type LCCrossing struct {
 }
 
 // result builds the FlowResult of one verified algorithm run from the scaled
-// circuit ckt under lib and what the run measured: its total power pw, its
-// critical-path arrival and its wall clock. Cold and warm runs both build
-// their results here, so the fields their bit-identity contract covers are
-// derived in one place; SimTime and Circuit are the caller's to set. The
-// multi-rail columns stay empty at two rails, where the classic ones already
-// say everything.
-func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cres *core.Result, pw, arrival float64, runtime time.Duration) *FlowResult {
+// circuit ckt under lib and what the run measured: each signal's load, its
+// critical-path arrival and its wall clock. The power is the run's activity
+// table (the prepared table plus the aliased activities of inserted level
+// converters) over those loads. Cold and warm runs both build their results
+// here, so the fields their bit-identity contract covers are derived in one
+// place; Circuit is the caller's to set. The multi-rail columns stay empty at
+// two rails, where the classic ones already say everything.
+func (d *Design) result(algo string, ckt *netlist.Circuit, lib *cell.Library, cres *core.Result, load []float64, arrival float64, runtime time.Duration) *FlowResult {
+	pw := power.EstimateWithLoads(ckt, lib, cres.Act, load, d.cfg.Fclk)
 	lcs := ckt.NumLCs()
 	fr := &FlowResult{
 		Algorithm:    algo,
@@ -449,10 +452,12 @@ func coreObserver(circuit string, obs Observer) core.Observer {
 // RunAlgorithm runs one named algorithm on a clone of the design; the
 // pristine Circuit is never touched. It is the cold reference run: the
 // algorithm runs on a fresh clone and a fresh engine, and the result is
-// verified by a fresh full analysis and measured by a fresh power simulation
-// of the scaled clone. A cancelled or expired context aborts the run promptly
-// (Dscale within one slack-harvesting round, Gscale within one TCB push, the
-// power simulation within one block) and returns ctx.Err().
+// verified by a fresh full analysis and priced over that analysis's loads
+// with the run's activity table (the prepared table plus the aliased
+// activities of inserted level converters; no supply move, converter or
+// resize changes a logic value, so no simulation runs). A cancelled or
+// expired context aborts the run promptly (Dscale within one
+// slack-harvesting round, Gscale within one TCB push) and returns ctx.Err().
 func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -464,11 +469,6 @@ func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult,
 	if err != nil {
 		return nil, d.runErr(algo, err)
 	}
-	// One algorithm's scaled circuit stays in place after core.Run, so the
-	// result is verified and measured here rather than in the callback: the
-	// engine is dead by the time the final power simulation allocates
-	// (holding it through the simulation raised the tables workload's peak
-	// RSS by about 2 MB).
 	var cres *core.Result
 	err = core.Run(inc, []string{string(algo)}, opts, func(_ int, res *core.Result) error {
 		cres = res
@@ -493,14 +493,8 @@ func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult,
 		return nil, fmt.Errorf("dualvdd: %s on %s: engine worst arrival %v, fresh analysis %v",
 			algo, d.Name, inc.WorstArrival(), t.WorstArrival)
 	}
-	simStart := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	pw, _, err := power.EstimateRandom(ctx, ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk)
-	if err != nil {
-		return nil, err
-	}
-	simTime := time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-	fr := d.result(string(algo), ckt, d.Lib, cres, pw, t.WorstArrival, elapsed)
-	fr.SimTime, fr.Circuit = simTime, ckt
+	fr := d.result(string(algo), ckt, d.Lib, cres, t.Load, t.WorstArrival, elapsed)
+	fr.Circuit = ckt
 	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil
 }

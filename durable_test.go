@@ -102,8 +102,8 @@ func TestLocalSurvivesRestart(t *testing.T) {
 		t.Fatal("CAS-served result is not bit-identical to the original run")
 	}
 	m := second.Metrics()
-	if m.CacheHits != 1 || m.STAEvals != 0 || m.SimNs != 0 {
-		t.Fatalf("restart recomputed: hits=%d staEvals=%d simNs=%d", m.CacheHits, m.STAEvals, m.SimNs)
+	if m.CacheHits != 1 || m.STAEvals != 0 {
+		t.Fatalf("restart recomputed: hits=%d staEvals=%d", m.CacheHits, m.STAEvals)
 	}
 	if m.CacheBytes <= 0 {
 		t.Fatalf("CacheBytes = %d, want > 0 with a disk CAS", m.CacheBytes)

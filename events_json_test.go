@@ -3,10 +3,10 @@ package dualvdd
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
+	"dualvdd/internal/cell"
 	"dualvdd/internal/netlist"
 )
 
@@ -151,14 +151,25 @@ func TestEventJSONStableEncoding(t *testing.T) {
 	}
 }
 
+// TestEventResultJSONExcludesCircuit marshals a result that carries a small
+// scaled netlist: its bytes must be exactly those of the same result without
+// one.
 func TestEventResultJSONExcludesCircuit(t *testing.T) {
-	ev := eventFixtures()[EventKindResult].(EventResult)
-	b, err := MarshalEvent(ev)
+	bare := *eventFixtures()[EventKindResult].(EventResult).Result
+	withCkt := bare
+	withCkt.Circuit = netlist.New("leak")
+	_, y := withCkt.Circuit.AddGate("leak_g0", cell.Compass06().Smallest(cell.FINV), withCkt.Circuit.AddPI("leak_a"))
+	withCkt.Circuit.AddPO("leak_y", y)
+	b, err := MarshalEvent(EventResult{Circuit: "C880", Result: &withCkt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(strings.ToLower(string(b)), "circuit\":{") {
-		t.Fatalf("netlist leaked into the wire encoding: %s", b)
+	want, err := MarshalEvent(EventResult{Circuit: "C880", Result: &bare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != string(want) {
+		t.Fatalf("netlist leaked into the wire encoding:\n got %s\nwant %s", b, want)
 	}
 }
 

@@ -95,7 +95,7 @@ func main() {
 	}
 
 	// Diff the Table 1 row: every deterministic field must match to the
-	// bit. Wall clocks (Runtime, SimTime) legitimately differ.
+	// bit. The wall clock (Runtime) legitimately differs.
 	if len(remote.Results) != len(local) {
 		log.Fatalf("remote returned %d results, local %d", len(remote.Results), len(local))
 	}
@@ -114,7 +114,7 @@ func main() {
 		check("AreaIncrease", rr.AreaIncrease, lr.AreaIncrease)
 		if rr.Algorithm != lr.Algorithm || rr.Gates != lr.Gates || rr.LowGates != lr.LowGates ||
 			rr.LCs != lr.LCs || rr.Sized != lr.Sized || rr.STAEvals != lr.STAEvals ||
-			rr.CandEvals != lr.CandEvals {
+			rr.CandEvals != lr.CandEvals || rr.SimTime != lr.SimTime {
 			fmt.Fprintf(os.Stderr, "MISMATCH %s counters: remote %+v\n", lr.Algorithm, rr)
 			bad++
 		}

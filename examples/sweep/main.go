@@ -6,7 +6,7 @@
 //  1. every sweep point is bit-identical to a standalone Flow run of the
 //     same Config (-verify, on by default), and
 //  2. a second identical sweep is answered entirely from the runner's
-//     content-addressed cache — zero new sim/STA evaluations.
+//     content-addressed cache — zero new STA or candidate evaluations.
 //
 // By default the sweep runs in-process; -addr points it at a running
 // `dualvdd serve` instead, exercising the identical code path over HTTP
@@ -175,9 +175,9 @@ func main() {
 			log.Fatalf("point %d (%s) recomputed on the second sweep", pr.Point.Index, pr.Point.Circuit.Benchmark)
 		}
 	}
-	if after.STAEvals != before.STAEvals || after.CandEvals != before.CandEvals || after.SimNs != before.SimNs {
-		log.Fatalf("second sweep recomputed: sta %d→%d cand %d→%d sim %d→%d",
-			before.STAEvals, after.STAEvals, before.CandEvals, after.CandEvals, before.SimNs, after.SimNs)
+	if after.STAEvals != before.STAEvals || after.CandEvals != before.CandEvals {
+		log.Fatalf("second sweep recomputed: sta %d→%d cand %d→%d",
+			before.STAEvals, after.STAEvals, before.CandEvals, after.CandEvals)
 	}
 	if hits := after.CacheHits - before.CacheHits; hits < int64(len(again)) {
 		log.Fatalf("second sweep hit the cache only %d of %d times", hits, len(again))
@@ -189,12 +189,12 @@ func main() {
 	if bad > 0 {
 		log.Fatalf("%d field mismatches between first and cached sweep", bad)
 	}
-	fmt.Printf("second sweep: %d/%d points served from cache, zero new sim/STA evaluations\n",
+	fmt.Printf("second sweep: %d/%d points served from cache, zero new STA or candidate evaluations\n",
 		len(again), len(again))
 }
 
 // diffResults compares every deterministic FlowResult field bit-for-bit and
-// reports the number of mismatches. Wall clocks (Runtime, SimTime) and the
+// reports the number of mismatches. The wall clock (Runtime) and the
 // local-only Circuit legitimately differ.
 func diffResults(pt dualvdd.SweepPoint, got, want []*dualvdd.FlowResult) int {
 	if len(got) != len(want) {
@@ -215,7 +215,8 @@ func diffResults(pt dualvdd.SweepPoint, got, want []*dualvdd.FlowResult) int {
 		check("AreaIncrease", g.AreaIncrease, w.AreaIncrease)
 		check("WorstSlack", g.WorstSlack, w.WorstSlack)
 		if g.Algorithm != w.Algorithm || g.Gates != w.Gates || g.LowGates != w.LowGates ||
-			g.LCs != w.LCs || g.Sized != w.Sized || g.STAEvals != w.STAEvals || g.CandEvals != w.CandEvals {
+			g.LCs != w.LCs || g.Sized != w.Sized || g.STAEvals != w.STAEvals || g.CandEvals != w.CandEvals ||
+			g.SimTime != w.SimTime {
 			fmt.Printf("MISMATCH point %d %s counters\n", pt.Index, w.Algorithm)
 			bad++
 		}

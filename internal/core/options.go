@@ -196,9 +196,10 @@ type Result struct {
 	// touch only the disturbed region.
 	CandEvals int64
 	// Act is the run's per-signal activity table — Options.Activities
-	// extended by the (aliased) activities of inserted level converters.
-	// power.Estimate over it is bit-identical to a fresh simulate-and-estimate
-	// of the scaled circuit.
+	// extended by the (aliased) activities of inserted level converters. It
+	// equals a fresh simulation of the scaled circuit entry for entry, so
+	// cold and warm runs both price the scaled circuit with
+	// power.EstimateWithLoads over it and never simulate.
 	Act []float64
 }
 

@@ -64,8 +64,6 @@ var promMetrics = []promMetric{
 		func(m dualvdd.Metrics) int64 { return m.STAEvals }, false},
 	{"dualvdd_cand_evals_total", "counter", "Dscale candidate re-evaluations spent by completed runs.",
 		func(m dualvdd.Metrics) int64 { return m.CandEvals }, false},
-	{"dualvdd_sim_ns_total", "counter", "Logic-simulation wall clock spent by completed runs, in nanoseconds.",
-		func(m dualvdd.Metrics) int64 { return m.SimNs }, false},
 	{"dualvdd_fleet_workers_live", "gauge", "Registered fleet workers currently healthy.",
 		func(m dualvdd.Metrics) int64 { return int64(m.WorkersLive) }, true},
 	{"dualvdd_fleet_workers_dead", "gauge", "Registered fleet workers currently failed.",

@@ -19,7 +19,7 @@ func goldenMetrics() dualvdd.Metrics {
 		StoreErrors: 1, StoreDegraded: 1, BudgetRejects: 2, SubmitDedups: 5,
 		MultiRailJobs: 7,
 		PrepBuilds:    3, PrepReuses: 24, PrepGroups: 3,
-		STAEvals: 123456, CandEvals: 7890, SimNs: 987654321,
+		STAEvals: 123456, CandEvals: 7890,
 		WorkersLive: 2, WorkersDead: 1, PointsInFlight: 5,
 		Redispatches: 4, QuarantinedJobs: 1, AdmissionRejects: 6,
 		TenantRejects: map[string]int64{"alice": 4, `bob"s`: 2},

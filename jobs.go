@@ -301,7 +301,6 @@ func (t *JobTable) finish(j *JobEntry, out Outcome, queuedOnly bool) {
 			for _, r := range out.Results {
 				t.metrics.STAEvals += r.STAEvals
 				t.metrics.CandEvals += r.CandEvals
-				t.metrics.SimNs += r.SimTime.Nanoseconds()
 			}
 		}
 	case JobCancelled:

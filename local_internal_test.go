@@ -262,13 +262,14 @@ func TestHistoryEvictsOldestExactlyAtBound(t *testing.T) {
 	}
 }
 
-// stripWallClock copies results without their wall-clock fields, so two runs
-// of the same point compare with reflect.DeepEqual.
+// stripWallClock copies results without their wall clock (Runtime) and
+// their local-only Circuit, so two runs of the same point compare with
+// reflect.DeepEqual.
 func stripWallClock(results []*FlowResult) []FlowResult {
 	out := make([]FlowResult, len(results))
 	for i, r := range results {
 		out[i] = *r
-		out[i].Runtime, out[i].SimTime, out[i].Circuit = 0, 0, nil
+		out[i].Runtime, out[i].Circuit = 0, nil
 	}
 	return out
 }

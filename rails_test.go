@@ -101,7 +101,7 @@ func sweepPointEvents(ctx context.Context, t *testing.T, s dualvdd.Sweep, r dual
 
 // sweepEventsDigest hashes a sweep's point-event envelopes after zeroing the
 // fields that legitimately differ between two identical computations: wall
-// clock (Runtime/SimTime) and scheduling provenance (Cached). What remains
+// clock (Runtime) and scheduling provenance (Cached). What remains
 // is the deterministic wire content of the sweep.
 func sweepEventsDigest(t *testing.T, evs []dualvdd.EventSweepPoint) string {
 	t.Helper()
@@ -111,7 +111,7 @@ func sweepEventsDigest(t *testing.T, evs []dualvdd.EventSweepPoint) string {
 		results := make([]*dualvdd.FlowResult, len(ev.Results))
 		for i, r := range ev.Results {
 			cp := *r
-			cp.Runtime, cp.SimTime = 0, 0
+			cp.Runtime = 0
 			results[i] = &cp
 		}
 		ev.Results = results

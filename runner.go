@@ -475,13 +475,10 @@ type Metrics struct {
 	PrepReuses int64 `json:"prep_reuses,omitempty"`
 	PrepGroups int   `json:"prep_groups,omitempty"`
 	// STAEvals and CandEvals total the incremental-timing and Dscale
-	// candidate evaluations spent by completed runs; SimNs totals their
-	// logic-simulation wall clock. Cache hits add nothing — the triple is
-	// how a test proves "no recomputation". SimNs reads 0 for jobs a runner
-	// executes: they run on shared prepared state, which never simulates.
+	// candidate evaluations spent by completed runs. Cache hits add nothing —
+	// the pair is how a test proves "no recomputation".
 	STAEvals  int64 `json:"sta_evals"`
 	CandEvals int64 `json:"cand_evals"`
-	SimNs     int64 `json:"sim_ns"`
 
 	// Fleet-level gauges, set only by a fleet.Coordinator. WorkersLive and
 	// WorkersDead partition the registered worker set by health;

@@ -218,7 +218,7 @@ func TestSweepExpansionProperties(t *testing.T) {
 func normalizeEvent(ev dualvdd.Event) dualvdd.Event {
 	if er, ok := ev.(dualvdd.EventResult); ok && er.Result != nil {
 		res := *er.Result
-		res.Runtime, res.SimTime, res.Circuit = 0, 0, nil
+		res.Runtime, res.Circuit = 0, nil
 		er.Result = &res
 		return er
 	}
@@ -341,7 +341,7 @@ func TestSweepSecondRunServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := l.Metrics()
-	if after.STAEvals != before.STAEvals || after.CandEvals != before.CandEvals || after.SimNs != before.SimNs {
+	if after.STAEvals != before.STAEvals || after.CandEvals != before.CandEvals {
 		t.Fatalf("second sweep recomputed: before %+v after %+v", before, after)
 	}
 	if hits := after.CacheHits - before.CacheHits; hits != int64(len(second)) {

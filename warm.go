@@ -9,7 +9,6 @@ import (
 	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
-	"dualvdd/internal/power"
 	"dualvdd/internal/sta"
 )
 
@@ -85,9 +84,9 @@ func (f *Flow) PrepareWarmBenchmark(ctx context.Context, name string) (*WarmDesi
 // table (core.Run), reading each final power from the table, before rolling
 // the working circuit back to the baseline — no mapping, no simulation, no
 // full analysis. Results are bit-identical to Design.RunAlgorithm at the
-// same rails, with two deliberate exceptions: Runtime/SimTime measure the
-// (much smaller) warm work, and Circuit is nil — the working clone is rolled
-// back, so there is no scaled netlist to hand out. The Runtimes tile the
+// same rails, with two deliberate exceptions: Runtime measures the (much
+// smaller) warm work, and Circuit is nil — the working clone is rolled back,
+// so there is no scaled netlist to hand out. The Runtimes tile the
 // call: the first algorithm's includes the shared CVS run, and each later
 // one's starts where the previous result was finished. A cancelled context
 // aborts within one algorithm iteration with ctx.Err(), alongside the
@@ -141,15 +140,11 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 				algo, d.Name, w.inc.WorstArrival(), d.Tspec)
 			return violated
 		}
-		// Power from the baseline activity table (extended by the run's
-		// aliased level-converter activities) and the engine's loads —
-		// bit-identical to the cold path's fresh simulate-and-estimate,
-		// without the simulation or a fanout rebuild: the engine keeps its
-		// loads equal to sta.Loads bit for bit.
-		pw := power.EstimateWithLoads(w.work, lib, cres.Act, w.inc.Load, d.cfg.Fclk)
-		// No simulation ran and the working clone is rolled back, so SimTime
-		// stays 0 and Circuit nil.
-		fr := d.result(string(algo), w.work, lib, cres, pw, w.inc.WorstArrival(), elapsed)
+		// Priced over the engine's loads — bit-identical to the cold path's
+		// estimate over its fresh analysis's loads, without a fanout
+		// rebuild: the engine keeps its loads equal to sta.Loads bit for
+		// bit. The working clone is rolled back, so Circuit stays nil.
+		fr := d.result(string(algo), w.work, lib, cres, w.inc.Load, w.inc.WorstArrival(), elapsed)
 		obs.emit(EventResult{Circuit: d.Name, Result: fr})
 		results = append(results, fr)
 		last = time.Now() //lint:wallclock-ok timing metric only; never feeds results

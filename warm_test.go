@@ -18,8 +18,8 @@ func bitEq(a, b float64) bool {
 
 // requireSameResult asserts every deterministic FlowResult field matches bit
 // for bit between a cold (standalone Flow) and a warm (shared prepared state)
-// run. Runtime and SimTime are wall clock and Circuit is local-only — those
-// three are the documented exceptions.
+// run. Runtime is wall clock and Circuit is local-only — those two are the
+// documented exceptions.
 func requireSameResult(t *testing.T, label string, cold, warm *dualvdd.FlowResult) {
 	t.Helper()
 	if cold.Algorithm != warm.Algorithm {
@@ -51,6 +51,9 @@ func requireSameResult(t *testing.T, label string, cold, warm *dualvdd.FlowResul
 	}
 	if cold.CandEvals != warm.CandEvals {
 		t.Errorf("%s: cand evals %d vs %d", label, cold.CandEvals, warm.CandEvals)
+	}
+	if cold.SimTime != warm.SimTime {
+		t.Errorf("%s: sim time %v vs %v", label, cold.SimTime, warm.SimTime)
 	}
 }
 
